@@ -29,8 +29,8 @@ def main():
 
     feature = pot_vector(hof, hog, levels=(1, 2, 4))
     print("\npooled vector dimensions (K = 7 intervals):")
-    for (series, pooling), dim in feature.dims().items():
-        print(f"  {series}/{pooling}: {dim}")
+    for (series, pooling), vec in feature.vectors.items():
+        print(f"  {series}/{pooling}: {vec.shape[0]}")
 
 
 if __name__ == "__main__":

@@ -75,15 +75,21 @@ def write_archive(records: list[ArchiveRecord], path: str | Path) -> ArchiveShar
     return ArchiveShard(path=path, record_count=len(records), shard_index=0)
 
 
-def read_archive(path: str | Path) -> list[ArchiveRecord]:
-    """Read and validate all records of a POTF file."""
-    path = Path(path)
-    data = path.read_bytes()
+def _record_count(path: Path, data: bytes) -> int:
+    """Validate a POTF header and return its record count."""
     if len(data) < _HEADER.size or data[:4] != MAGIC:
         raise ValueError(f"{path}: not a feature archive")
     _, version, _, count = _HEADER.unpack_from(data, 0)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported archive version {version}")
+    return count
+
+
+def read_archive(path: str | Path) -> list[ArchiveRecord]:
+    """Read and validate all records of a POTF file."""
+    path = Path(path)
+    data = path.read_bytes()
+    count = _record_count(path, data)
     pos = _HEADER.size
     records: list[ArchiveRecord] = []
     dims: dict[tuple[str, str], int] | None = None
@@ -91,9 +97,12 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
         try:
             (key_len,) = _U32.unpack_from(data, pos)
             pos += 4
-            key = data[pos : pos + key_len].decode("utf-8")
             if len(data) < pos + key_len:
                 raise struct.error("truncated key")
+            try:
+                key = data[pos : pos + key_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: record {index} has a non-UTF-8 key: {exc}") from exc
             pos += key_len
             (frame_count,) = _U32.unpack_from(data, pos)
             pos += 4
@@ -150,29 +159,27 @@ def shard_records(
 
 
 def write_shards(
-    records: list[ArchiveRecord], out_dir: str | Path, shard_count: int
+    paths: list[str | Path], out_dir: str | Path, shard_count: int
 ) -> list[ArchiveShard]:
-    """Sort records by key and write range-partitioned shard files."""
+    """Stream single-record archives, given in key order, into
+    range-partitioned shard files without decoding their records."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = sorted(records, key=lambda r: r.key)
     shards = []
-    for index, chunk in enumerate(shard_records(records, shard_count)):
+    start = 0
+    for index, size in enumerate(shard_partition(len(paths), shard_count)):
         path = out_dir / SHARD_NAME_FORMAT.format(index)
-        shard = write_archive(chunk, path)
-        shard.shard_index = index
-        shards.append(shard)
-    return shards
-
-
-def find_shards(out_dir: str | Path) -> list[ArchiveShard]:
-    """Locate existing shard files in an output directory."""
-    out_dir = Path(out_dir)
-    shards = []
-    for index, path in enumerate(sorted(out_dir.glob("features-*.potf"))):
-        shards.append(
-            ArchiveShard(path=path, record_count=0, shard_index=index)
-        )
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, 0, size))
+            for source in paths[start : start + size]:
+                source = Path(source)
+                data = source.read_bytes()
+                count = _record_count(source, data)
+                if count != 1:
+                    raise ValueError(f"{source}: expected 1 record, found {count}")
+                fh.write(data[_HEADER.size :])
+        shards.append(ArchiveShard(path=path, record_count=size, shard_index=index))
+        start += size
     return shards
 
 
@@ -192,15 +199,3 @@ def cartesian_pairs(
         inner = records_b[i + 1 :] if same_shard else records_b
         for rec_b in inner:
             yield rec_a, rec_b
-
-
-def shard_pair_records(
-    shard_a: ArchiveShard, shard_b: ArchiveShard
-) -> Iterator[tuple[ArchiveRecord, ArchiveRecord]]:
-    """Read two shards and stream their cartesian pairs."""
-    if shard_a.shard_index > shard_b.shard_index:
-        raise ValueError("shard_a.shard_index must be <= shard_b.shard_index")
-    records_a = read_archive(shard_a.path)
-    same = shard_a.shard_index == shard_b.shard_index
-    records_b = records_a if same else read_archive(shard_b.path)
-    return cartesian_pairs(records_a, records_b, same)

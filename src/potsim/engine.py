@@ -4,8 +4,9 @@ Staged parallel pipeline with atomic checkpointing and resume.
 Three strictly sequential stages mirror a mapper/reducer layout:
 
 * extract: one task per video computes both histogram series and the pooled
-  feature; a finalization step sorts records by key and writes
-  range-partitioned archive shards.
+  feature into a single-record archive; a finalization step streams those
+  archives in key order into range-partitioned shards without decoding
+  them.
 * mean: one task per shard pair (i, j), i <= j, accumulates per-slot
   chi-square sums and pair counts; a deterministic reduce produces
   ``mean_csd.csv``.
@@ -29,15 +30,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .archive import (
     SHARD_NAME_FORMAT,
     ArchiveRecord,
-    ArchiveShard,
+    cartesian_pairs,
     read_archive,
-    shard_pair_records,
     shard_partition,
     write_archive,
     write_shards,
@@ -202,10 +202,18 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
             )
     else:
         fp_file.write_text(fingerprint + "\n")
-    stage_dir = root / fingerprint
     for stage in (STAGE_EXTRACT, STAGE_MEAN, STAGE_SIM):
-        (stage_dir / stage).mkdir(parents=True, exist_ok=True)
-    return stage_dir
+        (root / stage).mkdir(exist_ok=True)
+    return root
+
+
+def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], int, Path]:
+    """Preamble shared by all stages: manifest entries, the planned shard
+    count (empty shards omitted) and the validated state dir."""
+    entries = parse_manifest(config.manifest)
+    shard_count = len(shard_partition(len(entries), resolve_shard_count(config, len(entries))))
+    state_dir = prepare_state(config, config_fingerprint(config, len(entries)))
+    return entries, shard_count, state_dir
 
 
 def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -224,11 +232,11 @@ def _mark_done(task: Task) -> None:
 
 
 def plan_extract(
-    config: PipelineConfig, entries: list[tuple[str, str]], stage_dir: Path
+    config: PipelineConfig, entries: list[tuple[str, str]], state_dir: Path
 ) -> StagePlan:
     """One task per video, ordered by key."""
     tasks = []
-    work_dir = stage_dir / STAGE_EXTRACT
+    work_dir = state_dir / STAGE_EXTRACT
     for task_id, (key, directory) in enumerate(sorted(entries)):
         tasks.append(
             Task(
@@ -243,11 +251,11 @@ def plan_extract(
     return StagePlan(stage=STAGE_EXTRACT, tasks=tasks)
 
 
-def plan_pair_stage(stage: str, shard_count: int, stage_dir: Path) -> StagePlan:
+def plan_pair_stage(stage: str, shard_count: int, state_dir: Path) -> StagePlan:
     """One task per shard pair (i, j) with i <= j: S(S+1)/2 tasks."""
     if stage not in (STAGE_MEAN, STAGE_SIM):
         raise ValueError(f"not a pair stage: {stage}")
-    work_dir = stage_dir / stage
+    work_dir = state_dir / stage
     tasks = []
     task_id = 0
     for i in range(shard_count):
@@ -288,20 +296,18 @@ def _run_extract_task(config: PipelineConfig, task: Task) -> None:
         dump_series_text(hog, key, config.out_dir)
 
 
-def _load_shard_pair(config: PipelineConfig, i: int, j: int):
-    shard_a = ArchiveShard(path=_shard_path(config, i), record_count=0, shard_index=i)
-    shard_b = ArchiveShard(path=_shard_path(config, j), record_count=0, shard_index=j)
-    if not shard_a.path.exists() or not shard_b.path.exists():
-        raise FileNotFoundError(f"missing shard file for pair ({i},{j})")
-    return shard_pair_records(shard_a, shard_b)
+def _shard_pair_csds(config: PipelineConfig, i: int, j: int):
+    """Yield (key_a, key_b, csd) for every pair of shard-pair task (i, j)."""
+    records_a = read_archive(_shard_path(config, i))
+    records_b = records_a if i == j else read_archive(_shard_path(config, j))
+    for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
+        yield rec_a.key, rec_b.key, csd_sixtuple(rec_a.feature, rec_b.feature)
 
 
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
-    i, j = task.payload
     sums = {slot: 0.0 for slot in SLOTS}
     pair_count = 0
-    for rec_a, rec_b in _load_shard_pair(config, i, j):
-        csd = csd_sixtuple(rec_a.feature, rec_b.feature)
+    for _, _, csd in _shard_pair_csds(config, *task.payload):
         for slot in SLOTS:
             sums[slot] += csd[slot]
         pair_count += 1
@@ -313,13 +319,11 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
 
 
 def _run_sim_task(config: PipelineConfig, task: Task) -> None:
-    i, j = task.payload
     mean = read_mean_csd_csv(Path(config.out_dir) / "mean_csd.csv")
     lines = []
-    for rec_a, rec_b in _load_shard_pair(config, i, j):
-        csd = csd_sixtuple(rec_a.feature, rec_b.feature)
+    for key_a, key_b, csd in _shard_pair_csds(config, *task.payload):
         score = similarity_score(kernel_distance(csd, mean))
-        lines.append(f"{rec_a.key},{rec_b.key},{score!r}\n")
+        lines.append(f"{key_a},{key_b},{score!r}\n")
     _atomic_write_bytes(task.out_path, "".join(lines).encode())
 
 
@@ -374,10 +378,15 @@ def execute(plan: StagePlan, config: PipelineConfig) -> None:
         for task in pending:
             record(*_run_task(config, task))
     else:
+        start = time.monotonic()
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_task, config, task) for task in pending]
+            futures = {pool.submit(_run_task, config, task): task for task in pending}
             for future in as_completed(futures):
-                record(*future.result())
+                try:
+                    record(*future.result())
+                except Exception as exc:  # e.g. BrokenProcessPool: a worker died
+                    elapsed_ms = (time.monotonic() - start) * 1000.0
+                    record(futures[future].id, f"{type(exc).__name__}: {exc}", elapsed_ms)
 
     if failures:
         failures.sort(key=lambda f: f[0])
@@ -388,32 +397,25 @@ def execute(plan: StagePlan, config: PipelineConfig) -> None:
 # Stages
 
 
-def _stage_marker(stage_dir: Path, stage: str) -> Path:
-    return stage_dir / stage / ".stage.done"
+def _stage_marker(state_dir: Path, stage: str) -> Path:
+    return state_dir / stage / ".stage.done"
 
 
 def run_extract(config: PipelineConfig) -> list[Path]:
-    """Extract stage: per-video features, then sorted range-partitioned shards."""
-    entries = parse_manifest(config.manifest)
-    shard_count = resolve_shard_count(config, len(entries))
-    fingerprint = config_fingerprint(config, len(entries))
-    stage_dir = prepare_state(config, fingerprint)
+    """Extract stage: per-video features, then range-partitioned shards."""
+    entries, shard_count, state_dir = _prepare_stage(config)
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
-    marker = _stage_marker(stage_dir, STAGE_EXTRACT)
-    expected = [_shard_path(config, i) for i in range(
-        len(shard_partition(len(entries), shard_count))
-    )]
+    marker = _stage_marker(state_dir, STAGE_EXTRACT)
+    expected = [_shard_path(config, i) for i in range(shard_count)]
     if marker.exists() and all(p.exists() for p in expected):
         return expected
 
-    plan = plan_extract(config, entries, stage_dir)
+    plan = plan_extract(config, entries, state_dir)
     execute(plan, config)
 
-    records: list[ArchiveRecord] = []
-    for task in plan.tasks:
-        records.extend(read_archive(task.out_path))
-    shards = write_shards(records, config.out_dir, shard_count)
+    # task ids follow sorted keys, so the task archives are in key order
+    shards = write_shards([t.out_path for t in plan.tasks], config.out_dir, shard_count)
     marker.touch()
     return [s.path for s in shards]
 
@@ -439,27 +441,17 @@ def _require_shards(config: PipelineConfig, shard_count: int) -> None:
         raise ConfigError(f"missing shard files: {', '.join(missing)} (run extract first)")
 
 
-def _existing_shard_count(config: PipelineConfig) -> int:
-    count = len(sorted(Path(config.out_dir).glob("features-*.potf")))
-    if count == 0:
-        raise ConfigError(f"no feature shards in {config.out_dir} (run extract first)")
-    return count
-
-
 def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-shard-pair partial sums reduced into mean_csd.csv."""
-    entries = parse_manifest(config.manifest)
-    fingerprint = config_fingerprint(config, len(entries))
-    stage_dir = prepare_state(config, fingerprint)
-    shard_count = _existing_shard_count(config)
+    _, shard_count, state_dir = _prepare_stage(config)
     _require_shards(config, shard_count)
 
     out_path = Path(config.out_dir) / "mean_csd.csv"
-    marker = _stage_marker(stage_dir, STAGE_MEAN)
+    marker = _stage_marker(state_dir, STAGE_MEAN)
     if marker.exists() and out_path.exists():
         return read_mean_csd_csv(out_path)
 
-    plan = plan_pair_stage(STAGE_MEAN, shard_count, stage_dir)
+    plan = plan_pair_stage(STAGE_MEAN, shard_count, state_dir)
     execute(plan, config)
 
     partials = []
@@ -487,10 +479,7 @@ SIMILARITY_HEADER = "video_a,video_b,similarity\n"
 def run_similarity(config: PipelineConfig) -> Path:
     """Similarity stage: per-shard-pair partial CSVs merge-sorted into
     similarity.csv."""
-    entries = parse_manifest(config.manifest)
-    fingerprint = config_fingerprint(config, len(entries))
-    stage_dir = prepare_state(config, fingerprint)
-    shard_count = _existing_shard_count(config)
+    entries, shard_count, state_dir = _prepare_stage(config)
     _require_shards(config, shard_count)
     mean_path = Path(config.out_dir) / "mean_csd.csv"
     if not mean_path.exists():
@@ -499,11 +488,11 @@ def run_similarity(config: PipelineConfig) -> Path:
         raise StageError(STAGE_SIM, [("plan", "corpus has fewer than 2 videos")])
 
     out_path = Path(config.out_dir) / "similarity.csv"
-    marker = _stage_marker(stage_dir, STAGE_SIM)
+    marker = _stage_marker(state_dir, STAGE_SIM)
     if marker.exists() and out_path.exists():
         return out_path
 
-    plan = plan_pair_stage(STAGE_SIM, shard_count, stage_dir)
+    plan = plan_pair_stage(STAGE_SIM, shard_count, state_dir)
     execute(plan, config)
 
     def parsed(task: Task):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import HISTOGRAM_DIM, HistogramSeries
+from .descriptors import HistogramSeries
 
 SERIES_KINDS = ("hof", "hog")
 POOL_OPS = ("sum", "gradient", "max")
@@ -37,15 +37,6 @@ class PoTFeature:
     """The six pooled vectors of one video, keyed by (series, pooling)."""
 
     vectors: dict[Slot, np.ndarray]
-
-    def dims(self) -> dict[Slot, int]:
-        return {slot: vec.shape[0] for slot, vec in self.vectors.items()}
-
-
-def expected_dim(pool_op: str, interval_count: int) -> int:
-    """Pooled vector length for one slot given the total interval count."""
-    per_interval = 2 * HISTOGRAM_DIM if pool_op == "gradient" else HISTOGRAM_DIM
-    return per_interval * interval_count
 
 
 def build_intervals(

@@ -30,6 +30,16 @@ def records_for(keys):
     return [make_record(k, seed=i) for i, k in enumerate(sorted(keys))]
 
 
+def task_archives(records, directory):
+    """One single-record archive per record, as extract tasks write them."""
+    paths = []
+    for i, record in enumerate(records):
+        path = directory / f"task-{i}.out"
+        write_archive([record], path)
+        paths.append(path)
+    return paths
+
+
 class TestArchiveRoundtrip:
     def test_empty_archive_is_header_only(self, tmp_path):
         path = tmp_path / "empty.potf"
@@ -91,6 +101,27 @@ class TestArchiveErrors:
         with pytest.raises(ValueError, match="record 1"):
             read_archive(path)
 
+    def test_key_cut_inside_multibyte_character_is_truncation(self, tmp_path):
+        path = tmp_path / "k.potf"
+        write_archive([make_record("\u00e9")], path)
+        # header, key_len, then only the first byte of the two-byte key
+        path.write_bytes(path.read_bytes()[: 16 + 4 + 1])
+        with pytest.raises(ValueError, match=r"k\.potf: truncated record 0"):
+            read_archive(path)
+
+    def test_non_utf8_key_names_file_and_record(self, tmp_path):
+        records = records_for(["a", "b"])
+        first = tmp_path / "a.potf"
+        write_archive(records[:1], first)
+        second_key = first.stat().st_size + 4
+        path = tmp_path / "u.potf"
+        write_archive(records, path)
+        data = path.read_bytes()
+        assert data[second_key : second_key + 1] == b"b"
+        path.write_bytes(data[:second_key] + b"\xff" + data[second_key + 1 :])
+        with pytest.raises(ValueError, match=r"u\.potf: record 1 has a non-UTF-8 key"):
+            read_archive(path)
+
     def test_mixed_dims_rejected(self, tmp_path):
         records = [make_record("a", interval_count=7), make_record("b", interval_count=3)]
         path = tmp_path / "m.potf"
@@ -117,13 +148,37 @@ class TestSharding:
         assert flattened == [r.key for r in records]
 
     def test_write_shards_naming(self, tmp_path):
-        records = records_for(["a", "b", "c", "d"])
-        shards = write_shards(records, tmp_path, 2)
+        paths = task_archives(records_for(["a", "b", "c", "d"]), tmp_path)
+        shards = write_shards(paths, tmp_path / "out", 2)
         assert [s.path.name for s in shards] == [
             "features-00000.potf",
             "features-00001.potf",
         ]
         assert [s.record_count for s in shards] == [2, 2]
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
+    def test_streamed_shards_match_write_archive(self, tmp_path, shard_count):
+        records = records_for([f"v{i}" for i in range(7)])
+        paths = task_archives(records, tmp_path)
+        shards = write_shards(paths, tmp_path / "out", shard_count)
+        chunks = shard_records(records, shard_count)
+        assert len(shards) == len(chunks)
+        for shard, chunk in zip(shards, chunks):
+            reference = tmp_path / f"ref-{shard.shard_index}.potf"
+            write_archive(chunk, reference)
+            assert shard.path.read_bytes() == reference.read_bytes()
+
+    def test_write_shards_rejects_multi_record_source(self, tmp_path):
+        path = tmp_path / "two.potf"
+        write_archive(records_for(["a", "b"]), path)
+        with pytest.raises(ValueError, match="expected 1 record, found 2"):
+            write_shards([path], tmp_path / "out", 1)
+
+    def test_write_shards_rejects_bad_source_header(self, tmp_path):
+        (path,) = task_archives(records_for(["a"]), tmp_path)
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match="not a feature archive"):
+            write_shards([path], tmp_path / "out", 1)
 
 
 class TestCartesianPairs:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, write_corpus
+from potsim import engine
 from potsim.archive import read_archive
+from potsim.cli import main
 from potsim.engine import (
     ConfigError,
     PipelineConfig,
@@ -210,6 +212,47 @@ class TestFullPipeline:
         changed = fast_config(manifest, tmp_path / "out", working_w=32)
         with pytest.raises(ConfigError, match="fingerprint"):
             run_extract(changed)
+
+    def test_stale_shard_from_earlier_run_is_ignored(self, tmp_path):
+        manifest = small_corpus(tmp_path / "c", n=5)
+        out = tmp_path / "out"
+        run_pipeline(fast_config(manifest, out, shard_count=3, state_dir=str(tmp_path / "s3")))
+        cfg = fast_config(manifest, out, shard_count=2, state_dir=str(tmp_path / "s2"))
+        rows = run_pipeline(cfg).read_text().splitlines()[1:]
+        assert (out / "features-00002.potf").exists()  # left by the first run
+        assert len(rows) == 10
+        assert run_mean(cfg).pair_count == 10
+
+    def test_state_dir_holds_fingerprint_and_stage_dirs(self, tmp_path):
+        manifest = small_corpus(tmp_path / "c", n=2)
+        run_pipeline(fast_config(manifest, tmp_path / "out"))
+        state = tmp_path / "out" / "state"
+        assert sorted(p.name for p in state.iterdir()) == ["extract", "fingerprint", "mean", "sim"]
+
+    def test_dead_worker_is_stage_error_and_resumable(self, tmp_path, monkeypatch):
+        # pool workers are forked, so they inherit the patched runner table
+        manifest = small_corpus(tmp_path / "c", n=4)
+        direct = run_pipeline(fast_config(manifest, tmp_path / "direct")).read_text()
+
+        real_runner = engine._TASK_RUNNERS[engine.STAGE_EXTRACT]
+
+        def dies_on_v01(config, task):
+            if task.label == "v01":
+                os._exit(3)
+            real_runner(config, task)
+
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out, workers=2)
+        with monkeypatch.context() as patch:
+            patch.setitem(engine._TASK_RUNNERS, engine.STAGE_EXTRACT, dies_on_v01)
+            with pytest.raises(StageError) as err:
+                run_pipeline(cfg)
+            assert "BrokenProcessPool" in str(err.value)
+            argv = ["run", "--manifest", str(manifest), "--out", str(out), "--resize", "24x24",
+                    "--flow-levels", "1", "--winsize", "7", "--iterations", "1",
+                    "--workers", "2"]
+            assert main(argv) == 1
+        assert run_pipeline(cfg).read_text() == direct
 
     def test_mean_requires_shards(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=2)
