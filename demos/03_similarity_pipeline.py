@@ -3,8 +3,8 @@
 Writes a tiny synthetic corpus (a clip, its byte-identical duplicate, and
 an unrelated noise clip) to a temp directory, runs the checkpointed
 pipeline, and prints the resulting scores. The duplicate pair scores
-exactly 1.0; re-running the script against the same output directory skips
-all completed tasks.
+exactly 1.0. Each run uses a fresh temp directory, so it computes every
+stage; `potsim run` against a kept output directory skips completed tasks.
 """
 
 import tempfile

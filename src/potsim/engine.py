@@ -7,11 +7,12 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   feature into a single-record archive; a finalization step streams those
   archives in key order into range-partitioned shards without decoding
   them.
-* mean: one task per shard pair (i, j), i <= j, accumulates per-slot
-  chi-square sums and pair counts; a deterministic reduce produces
-  ``mean_csd.csv``.
-* similarity: one task per shard pair emits a sorted partial CSV of scores;
-  the partials are merge-sorted into ``similarity.csv``.
+* mean: one task per shard pair (i, j), i <= j, writes the six per-slot
+  chi-square distances of each of its pairs as one row, in key-pair order; a
+  deterministic reduce sums the rows into ``mean_csd.csv``.
+* similarity: no tasks of its own; the mean rows are merge-sorted by key
+  pair, each normalised by the means, into ``similarity.csv``. Every pair is
+  scored by exactly one chi-square pass, and this stage reads no shard.
 
 Every task writes its output to a temporary path, atomically renames it,
 and drops a done marker; completed tasks are skipped on resume. Outputs are
@@ -104,7 +105,7 @@ class Task:
 
     id: int
     stage: str
-    # extract: video key; pair stages: "i,j" shard indices
+    # extract: video key; mean: "shards (i,j)"
     label: str
     payload: tuple
     out_path: str
@@ -251,11 +252,9 @@ def plan_extract(
     return StagePlan(stage=STAGE_EXTRACT, tasks=tasks)
 
 
-def plan_pair_stage(stage: str, shard_count: int, state_dir: Path) -> StagePlan:
-    """One task per shard pair (i, j) with i <= j: S(S+1)/2 tasks."""
-    if stage not in (STAGE_MEAN, STAGE_SIM):
-        raise ValueError(f"not a pair stage: {stage}")
-    work_dir = state_dir / stage
+def plan_pair_stage(shard_count: int, state_dir: Path) -> StagePlan:
+    """Mean tasks: one per shard pair (i, j) with i <= j, S(S+1)/2 in all."""
+    work_dir = state_dir / STAGE_MEAN
     tasks = []
     task_id = 0
     for i in range(shard_count):
@@ -263,7 +262,7 @@ def plan_pair_stage(stage: str, shard_count: int, state_dir: Path) -> StagePlan:
             tasks.append(
                 Task(
                     id=task_id,
-                    stage=stage,
+                    stage=STAGE_MEAN,
                     label=f"shards ({i},{j})",
                     payload=(i, j),
                     out_path=str(work_dir / f"task-{task_id}.out"),
@@ -271,7 +270,7 @@ def plan_pair_stage(stage: str, shard_count: int, state_dir: Path) -> StagePlan:
                 )
             )
             task_id += 1
-    return StagePlan(stage=stage, tasks=tasks)
+    return StagePlan(stage=STAGE_MEAN, tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -296,41 +295,38 @@ def _run_extract_task(config: PipelineConfig, task: Task) -> None:
         dump_series_text(hog, key, config.out_dir)
 
 
-def _shard_pair_csds(config: PipelineConfig, i: int, j: int):
-    """Yield (key_a, key_b, csd) for every pair of shard-pair task (i, j)."""
+def _run_mean_task(config: PipelineConfig, task: Task) -> None:
+    """Write `key_a,key_b,<six slot distances>` per pair, in key-pair order
+    (shards are key ranges and cartesian_pairs walks them in order)."""
+    i, j = task.payload
     records_a = read_archive(_shard_path(config, i))
     records_b = records_a if i == j else read_archive(_shard_path(config, j))
-    for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
-        yield rec_a.key, rec_b.key, csd_sixtuple(rec_a.feature, rec_b.feature)
-
-
-def _run_mean_task(config: PipelineConfig, task: Task) -> None:
-    sums = {slot: 0.0 for slot in SLOTS}
-    pair_count = 0
-    for _, _, csd in _shard_pair_csds(config, *task.payload):
-        for slot in SLOTS:
-            sums[slot] += csd[slot]
-        pair_count += 1
-    payload = {
-        "pair_count": pair_count,
-        "sums": {f"{s}/{p}": sums[(s, p)] for s, p in SLOTS},
-    }
-    _atomic_write_bytes(task.out_path, json.dumps(payload).encode())
-
-
-def _run_sim_task(config: PipelineConfig, task: Task) -> None:
-    mean = read_mean_csd_csv(Path(config.out_dir) / "mean_csd.csv")
     lines = []
-    for key_a, key_b, csd in _shard_pair_csds(config, *task.payload):
-        score = similarity_score(kernel_distance(csd, mean))
-        lines.append(f"{key_a},{key_b},{score!r}\n")
+    for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
+        csd = csd_sixtuple(rec_a.feature, rec_b.feature)
+        lines.append(",".join([rec_a.key, rec_b.key, *(repr(csd[s]) for s in SLOTS)]) + "\n")
     _atomic_write_bytes(task.out_path, "".join(lines).encode())
+
+
+def _read_mean_rows(path: str):
+    """Yield (key_a, key_b, csd) per row of a mean task output."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split(",")
+            try:
+                if len(fields) != 2 + len(SLOTS):
+                    raise ValueError(f"{len(fields)} fields")
+                csd = dict(zip(SLOTS, map(float, fields[2:])))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: expected key_a,key_b and six floats ({exc})"
+                ) from None
+            yield fields[0], fields[1], csd
 
 
 _TASK_RUNNERS = {
     STAGE_EXTRACT: _run_extract_task,
     STAGE_MEAN: _run_mean_task,
-    STAGE_SIM: _run_sim_task,
 }
 
 
@@ -441,26 +437,37 @@ def _require_shards(config: PipelineConfig, shard_count: int) -> None:
         raise ConfigError(f"missing shard files: {', '.join(missing)} (run extract first)")
 
 
+def _mean_complete(state_dir: Path, out_path: Path, plan: StagePlan) -> bool:
+    """The mean marker, mean_csd.csv and every task's rows all exist."""
+    return (
+        _stage_marker(state_dir, STAGE_MEAN).exists()
+        and out_path.exists()
+        and all(task.is_done() for task in plan.tasks)
+    )
+
+
 def run_mean(config: PipelineConfig) -> MeanCsd:
-    """Mean stage: per-shard-pair partial sums reduced into mean_csd.csv."""
+    """Mean stage: per-pair slot distances, summed per task and reduced
+    into mean_csd.csv."""
     _, shard_count, state_dir = _prepare_stage(config)
     _require_shards(config, shard_count)
 
     out_path = Path(config.out_dir) / "mean_csd.csv"
-    marker = _stage_marker(state_dir, STAGE_MEAN)
-    if marker.exists() and out_path.exists():
+    plan = plan_pair_stage(shard_count, state_dir)
+    if _mean_complete(state_dir, out_path, plan):
         return read_mean_csd_csv(out_path)
 
-    plan = plan_pair_stage(STAGE_MEAN, shard_count, state_dir)
     execute(plan, config)
 
     partials = []
     for task in plan.tasks:  # ascending task id: fixed merge order
-        payload = json.loads(Path(task.out_path).read_bytes())
-        slot_sums = {
-            (s, p): payload["sums"][f"{s}/{p}"] for s, p in SLOTS
-        }
-        partials.append((slot_sums, payload["pair_count"]))
+        sums = {slot: 0.0 for slot in SLOTS}
+        pair_count = 0
+        for _, _, csd in _read_mean_rows(task.out_path):
+            for slot in SLOTS:
+                sums[slot] += csd[slot]
+            pair_count += 1
+        partials.append((sums, pair_count))
     try:
         mean = reduce_mean(partials)
     except ValueError as exc:
@@ -469,7 +476,7 @@ def run_mean(config: PipelineConfig) -> MeanCsd:
     tmp = out_path.with_name(out_path.name + ".tmp")
     write_mean_csd_csv(mean, tmp)
     os.replace(tmp, out_path)
-    marker.touch()
+    _stage_marker(state_dir, STAGE_MEAN).touch()
     return mean
 
 
@@ -477,36 +484,29 @@ SIMILARITY_HEADER = "video_a,video_b,similarity\n"
 
 
 def run_similarity(config: PipelineConfig) -> Path:
-    """Similarity stage: per-shard-pair partial CSVs merge-sorted into
-    similarity.csv."""
-    entries, shard_count, state_dir = _prepare_stage(config)
-    _require_shards(config, shard_count)
+    """Similarity stage: the mean rows merge-sorted by key pair and
+    normalised by the corpus means into similarity.csv."""
+    _, shard_count, state_dir = _prepare_stage(config)
     mean_path = Path(config.out_dir) / "mean_csd.csv"
-    if not mean_path.exists():
-        raise ConfigError(f"missing {mean_path} (run mean first)")
-    if len(entries) < 2:
-        raise StageError(STAGE_SIM, [("plan", "corpus has fewer than 2 videos")])
+    plan = plan_pair_stage(shard_count, state_dir)
+    if not _mean_complete(state_dir, mean_path, plan):
+        raise ConfigError(f"missing {mean_path} or mean task outputs (run mean first)")
 
     out_path = Path(config.out_dir) / "similarity.csv"
     marker = _stage_marker(state_dir, STAGE_SIM)
     if marker.exists() and out_path.exists():
         return out_path
 
-    plan = plan_pair_stage(STAGE_SIM, shard_count, state_dir)
-    execute(plan, config)
-
-    def parsed(task: Task):
-        with open(task.out_path) as fh:
-            for line in fh:
-                key_a, key_b, _ = line.split(",", 2)
-                yield (key_a, key_b), line
-
-    streams = [parsed(task) for task in plan.tasks]
+    mean = read_mean_csd_csv(mean_path)
+    rows = heapq.merge(
+        *(_read_mean_rows(task.out_path) for task in plan.tasks), key=lambda row: row[:2]
+    )
     tmp = out_path.with_name(out_path.name + ".tmp")
     with open(tmp, "w") as fh:
         fh.write(SIMILARITY_HEADER)
-        for _, line in heapq.merge(*streams, key=lambda item: item[0]):
-            fh.write(line)
+        for key_a, key_b, csd in rows:
+            score = similarity_score(kernel_distance(csd, mean))
+            fh.write(f"{key_a},{key_b},{score!r}\n")
     os.replace(tmp, out_path)
     marker.touch()
     return out_path

@@ -78,14 +78,6 @@ class FlowField:
     u: np.ndarray  # horizontal displacement (pixels/frame)
     v: np.ndarray  # vertical displacement (pixels/frame)
 
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
 
 def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpansion:
     """Fit the per-pixel quadratic model over a Gaussian window.
@@ -150,8 +142,11 @@ def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
     return resize_bilinear(blurred, out_w, out_h)
 
 
-def _warp_expansion(exp: PolyExpansion, u: np.ndarray, v: np.ndarray) -> PolyExpansion:
-    """Sample expansion coefficients at displaced positions (border-clamped)."""
+def _warp_expansion(
+    exp: PolyExpansion, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Sample (a11, a12, a22, b1, b2) at displaced positions (border-clamped);
+    c is never read by the flow update, so it is not resampled."""
     h, w = u.shape
     yy, xx = np.meshgrid(
         np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
@@ -160,16 +155,9 @@ def _warp_expansion(exp: PolyExpansion, u: np.ndarray, v: np.ndarray) -> PolyExp
         [np.clip(yy + v, 0.0, h - 1.0), np.clip(xx + u, 0.0, w - 1.0)]
     )
 
-    def sample(field: np.ndarray) -> np.ndarray:
-        return ndimage.map_coordinates(field, coords, order=1, mode="nearest")
-
-    return PolyExpansion(
-        a11=sample(exp.a11),
-        a12=sample(exp.a12),
-        a22=sample(exp.a22),
-        b1=sample(exp.b1),
-        b2=sample(exp.b2),
-        c=sample(exp.c),
+    return tuple(
+        ndimage.map_coordinates(field, coords, order=1, mode="nearest")
+        for field in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2)
     )
 
 
@@ -187,12 +175,12 @@ def _flow_update(
     into delta_b) is turned into per-pixel normal equations, box-averaged
     over winsize x winsize, and solved. Near-singular pixels get zero flow.
     """
-    warped = _warp_expansion(next_exp, u, v)
-    a11 = 0.5 * (prev_exp.a11 + warped.a11)
-    a12 = 0.5 * (prev_exp.a12 + warped.a12)
-    a22 = 0.5 * (prev_exp.a22 + warped.a22)
-    db1 = -0.5 * (warped.b1 - prev_exp.b1) + a11 * u + a12 * v
-    db2 = -0.5 * (warped.b2 - prev_exp.b2) + a12 * u + a22 * v
+    w11, w12, w22, wb1, wb2 = _warp_expansion(next_exp, u, v)
+    a11 = 0.5 * (prev_exp.a11 + w11)
+    a12 = 0.5 * (prev_exp.a12 + w12)
+    a22 = 0.5 * (prev_exp.a22 + w22)
+    db1 = -0.5 * (wb1 - prev_exp.b1) + a11 * u + a12 * v
+    db2 = -0.5 * (wb2 - prev_exp.b2) + a12 * u + a22 * v
 
     # Normal equations of A d = db, accumulated over the averaging window.
     g11 = a11 * a11 + a12 * a12

@@ -32,14 +32,6 @@ class FrameSequence:
     def frame_count(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[2]
-
 
 def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     """Parse a binary netpbm header, returning (width, height, maxval, offset).

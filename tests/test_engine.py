@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -38,6 +39,13 @@ def fast_config(manifest, out_dir, **overrides):
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+def fast_argv(command, manifest, out, workers=1):
+    """CLI arguments matching fast_config."""
+    return [command, "--manifest", str(manifest), "--out", str(out), "--resize", "24x24",
+            "--flow-levels", "1", "--winsize", "7", "--iterations", "1",
+            "--workers", str(workers)]
 
 
 def small_corpus(root, n=3, frames=6, size=24):
@@ -87,12 +95,12 @@ class TestPlanning:
         assert resolve_shard_count(cfg, 65) == 2
 
     def test_pair_stage_task_count(self, tmp_path):
-        plan = plan_pair_stage("mean", 3, tmp_path)
+        plan = plan_pair_stage(3, tmp_path)
         assert len(plan.tasks) == 6
         assert [t.payload for t in plan.tasks] == [
             (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
         ]
-        plan = plan_pair_stage("sim", 1, tmp_path)
+        plan = plan_pair_stage(1, tmp_path)
         assert len(plan.tasks) == 1
 
     def test_fingerprint_sensitivity(self, tmp_path):
@@ -248,10 +256,7 @@ class TestFullPipeline:
             with pytest.raises(StageError) as err:
                 run_pipeline(cfg)
             assert "BrokenProcessPool" in str(err.value)
-            argv = ["run", "--manifest", str(manifest), "--out", str(out), "--resize", "24x24",
-                    "--flow-levels", "1", "--winsize", "7", "--iterations", "1",
-                    "--workers", "2"]
-            assert main(argv) == 1
+            assert main(fast_argv("run", manifest, out, workers=2)) == 1
         assert run_pipeline(cfg).read_text() == direct
 
     def test_mean_requires_shards(self, tmp_path):
@@ -288,3 +293,78 @@ class TestFullPipeline:
             a, b, s = line.split(",")
             scores[(a, b)] = float(s)
         assert scores[("dup_a", "dup_b")] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPairStages:
+    def test_each_pair_scored_once(self, tmp_path, monkeypatch):
+        manifest = small_corpus(tmp_path / "c", n=4)
+        calls = []
+        real_csd = engine.csd_sixtuple
+
+        def counting(a, b):
+            calls.append(1)
+            return real_csd(a, b)
+
+        monkeypatch.setattr(engine, "csd_sixtuple", counting)
+        sim = run_pipeline(fast_config(manifest, tmp_path / "out", shard_count=2))
+        assert len(sim.read_text().splitlines()) - 1 == 6
+        assert len(calls) == 6
+
+    def test_sim_reads_no_shard(self, tmp_path):
+        manifest = small_corpus(tmp_path / "c", n=4)
+        direct = run_pipeline(fast_config(manifest, tmp_path / "direct", shard_count=2))
+
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out, shard_count=2)
+        run_extract(cfg)
+        run_mean(cfg)
+        for shard in out.glob("features-*.potf"):
+            shard.unlink()
+        assert run_similarity(cfg).read_text() == direct.read_text()
+
+    def test_mean_rows_are_validated(self, tmp_path, capsys):
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        run_extract(cfg)
+        run_mean(cfg)
+        rows = out / "state" / "mean" / "task-0.out"
+        good = rows.read_text().splitlines()[0]
+        assert len(good.split(",")) == 8
+        bad_rows = [
+            "v00,v01,1.0,2.0,3.0\n",  # short row
+            f"{good}\nv00,v02,1.0,2.0,x,4.0,5.0,6.0\n",  # non-float field
+        ]
+        for bad, lineno in zip(bad_rows, (1, 2)):
+            rows.write_text(bad)
+            with pytest.raises(ValueError, match=f"task-0.out:{lineno}: expected"):
+                run_similarity(cfg)
+            assert main(fast_argv("sim", manifest, out)) == 1
+            assert f"task-0.out:{lineno}" in capsys.readouterr().err
+
+    def test_json_partial_from_old_state_dir_fails(self, tmp_path, capsys):
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        run_extract(cfg)
+        run_mean(cfg)
+        sums = {f"{s}/{p}": 1.0 for s, p in SLOTS}
+        (out / "state" / "mean" / "task-0.out").write_text(
+            json.dumps({"pair_count": 3, "sums": sums})
+        )
+        assert main(fast_argv("run", manifest, out)) == 1
+        assert "task-0.out:1: expected" in capsys.readouterr().err
+        assert not (out / "similarity.csv").exists()
+
+    def test_missing_mean_task_output_is_usage_error(self, tmp_path, capsys):
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        direct = run_pipeline(cfg).read_text()
+        (out / "similarity.csv").unlink()
+        (out / "state" / "mean" / "task-0.out").unlink()
+        assert main(fast_argv("sim", manifest, out)) == 2
+        assert "run mean first" in capsys.readouterr().err
+        # re-running mean redoes the missing task
+        assert main(fast_argv("run", manifest, out)) == 0
+        assert (out / "similarity.csv").read_text() == direct
