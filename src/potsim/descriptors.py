@@ -26,6 +26,11 @@ HISTOGRAM_DIM = GRID * GRID * ORIENTATION_BINS  # 200
 
 DEFAULT_HOG_THRESHOLD = 40.0
 
+# Flow runs over blocks of consecutive frame pairs: one call expands each
+# frame of a block once. A block holds up to this many pixels of next
+# frames, so memory stays flat in video length (4 pairs at 128x128).
+_BLOCK_PIXELS = 1 << 16
+
 _TWO_PI = 2.0 * np.pi
 _BIN_WIDTH = _TWO_PI / ORIENTATION_BINS
 
@@ -118,18 +123,26 @@ def compute_series(
     fb: FarnebackParams | None = None,
     threshold: float = DEFAULT_HOG_THRESHOLD,
 ) -> tuple[HistogramSeries, HistogramSeries]:
-    """Compute the (HoF, HoG) series for one video, one entry per frame pair."""
+    """Compute the (HoF, HoG) series for one video, one entry per frame pair.
+
+    Flow is computed over blocks of consecutive pairs (see ``_BLOCK_PIXELS``);
+    the series are bit-identical to one two-frame flow call per pair.
+    """
     if seq.frame_count < 2:
         raise ValueError(f"video '{seq.key}': need >= 2 frames")
     if fb is None:
         fb = FarnebackParams()
+    frames = seq.frames
     n = seq.frame_count - 1
     hof = np.empty((n, HISTOGRAM_DIM))
     hog = np.empty((n, HISTOGRAM_DIM))
+    block = max(1, _BLOCK_PIXELS // (frames.shape[1] * frames.shape[2]))
+    for start in range(0, n, block):
+        flow = farneback_flow(frames[start], frames[start + 1 : start + 1 + block], fb)
+        for k in range(len(flow.u)):
+            hof[start + k] = hof_frame(FlowField(u=flow.u[k], v=flow.v[k]))
     for t in range(n):
-        prev, next = seq.frames[t], seq.frames[t + 1]
-        hof[t] = hof_frame(farneback_flow(prev, next, fb))
-        hog[t] = hog_frame(prev, next, threshold)
+        hog[t] = hog_frame(frames[t], frames[t + 1], threshold)
     return (
         HistogramSeries(kind="hof", histograms=hof),
         HistogramSeries(kind="hog", histograms=hog),

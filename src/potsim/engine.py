@@ -15,7 +15,9 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   scored by exactly one chi-square pass, and this stage reads no shard.
 
 Every task writes its output to a temporary path, atomically renames it,
-and drops a done marker; completed tasks are skipped on resume. Outputs are
+and drops a done marker; completed tasks are skipped on resume. The state
+dir's fingerprint covers the parameters and the frame files (names, sizes,
+mtimes), so a resume never reuses results of changed inputs. Outputs are
 byte-identical for any worker count: task outputs do not depend on
 scheduling, and all reductions run single-threaded in ascending task-id
 order after the stage barrier.
@@ -45,7 +47,7 @@ from .archive import (
 )
 from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text
 from .flow import FarnebackParams
-from .frames import load_frame_sequence
+from .frames import frame_paths, load_frame_sequence
 from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
 from .similarity import (
     MeanCsd,
@@ -159,14 +161,34 @@ def resolve_shard_count(config: PipelineConfig, video_count: int) -> int:
     return max(1, math.ceil(video_count / DEFAULT_VIDEOS_PER_SHARD))
 
 
-def config_fingerprint(config: PipelineConfig, video_count: int) -> str:
-    """Hash of all parameters that affect pipeline output."""
+def _input_digest(entries: list[tuple[str, str]]) -> str:
+    """Hash of the inputs: per manifest entry in key order, its key, its
+    resolved directory and each frame file's name, size and mtime.
+
+    A missing directory hashes as missing; extract reports it per task.
+    """
+    digest = hashlib.sha256()
+    for key, directory in sorted(entries):
+        digest.update(json.dumps([key, directory]).encode())
+        if not os.path.isdir(directory):
+            digest.update(b"missing")
+            continue
+        for path in frame_paths(Path(directory)):
+            st = os.stat(path)
+            # a file name holds no NUL, so the record is unambiguous
+            digest.update(f"{path.name}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
+    return digest.hexdigest()
+
+
+def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -> str:
+    """Hash of all parameters and inputs that affect pipeline output."""
     fb = config.farneback
     payload = {
+        "inputs": _input_digest(entries),
         "working": [config.working_w, config.working_h],
         "levels": list(config.levels),
         "hog_threshold": config.hog_threshold,
-        "shard_count": resolve_shard_count(config, video_count),
+        "shard_count": resolve_shard_count(config, len(entries)),
         "farneback": [
             fb.pyr_scale,
             fb.levels,
@@ -197,9 +219,9 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
         existing = fp_file.read_text().strip()
         if existing != fingerprint:
             raise ConfigError(
-                f"state dir {root} was produced with different parameters "
+                f"state dir {root} was produced with different parameters or inputs "
                 f"(fingerprint {existing} != {fingerprint}); use a fresh state "
-                f"dir or restore the original configuration"
+                f"dir or restore the original configuration and frame files"
             )
     else:
         fp_file.write_text(fingerprint + "\n")
@@ -213,7 +235,7 @@ def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], int, 
     count (empty shards omitted) and the validated state dir."""
     entries = parse_manifest(config.manifest)
     shard_count = len(shard_partition(len(entries), resolve_shard_count(config, len(entries))))
-    state_dir = prepare_state(config, config_fingerprint(config, len(entries)))
+    state_dir = prepare_state(config, config_fingerprint(config, entries))
     return entries, shard_count, state_dir
 
 
@@ -399,7 +421,12 @@ def _stage_marker(state_dir: Path, stage: str) -> Path:
 
 def run_extract(config: PipelineConfig) -> list[Path]:
     """Extract stage: per-video features, then range-partitioned shards."""
-    entries, shard_count, state_dir = _prepare_stage(config)
+    return _extract(config, *_prepare_stage(config))
+
+
+def _extract(
+    config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int, state_dir: Path
+) -> list[Path]:
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
     marker = _stage_marker(state_dir, STAGE_EXTRACT)
@@ -450,6 +477,10 @@ def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-pair slot distances, summed per task and reduced
     into mean_csd.csv."""
     _, shard_count, state_dir = _prepare_stage(config)
+    return _mean(config, shard_count, state_dir)
+
+
+def _mean(config: PipelineConfig, shard_count: int, state_dir: Path) -> MeanCsd:
     _require_shards(config, shard_count)
 
     out_path = Path(config.out_dir) / "mean_csd.csv"
@@ -487,6 +518,10 @@ def run_similarity(config: PipelineConfig) -> Path:
     """Similarity stage: the mean rows merge-sorted by key pair and
     normalised by the corpus means into similarity.csv."""
     _, shard_count, state_dir = _prepare_stage(config)
+    return _similarity(config, shard_count, state_dir)
+
+
+def _similarity(config: PipelineConfig, shard_count: int, state_dir: Path) -> Path:
     mean_path = Path(config.out_dir) / "mean_csd.csv"
     plan = plan_pair_stage(shard_count, state_dir)
     if not _mean_complete(state_dir, mean_path, plan):
@@ -513,7 +548,9 @@ def run_similarity(config: PipelineConfig) -> Path:
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
-    """Extract, mean, and similarity in sequence with checkpointing."""
-    run_extract(config)
-    run_mean(config)
-    return run_similarity(config)
+    """Extract, mean, and similarity in sequence with checkpointing; the
+    manifest and the inputs are read and fingerprinted once for all three."""
+    entries, shard_count, state_dir = _prepare_stage(config)
+    _extract(config, entries, shard_count, state_dir)
+    _mean(config, shard_count, state_dir)
+    return _similarity(config, shard_count, state_dir)

@@ -10,6 +10,14 @@ pyramid with iterative warping refinement.
 Coordinate convention: ``u`` is horizontal (column) displacement, ``v`` is
 vertical (row) displacement, both in pixels per frame, such that
 ``prev(y, x) ~ next(y + v, x + u)``.
+
+Frames may come as a stack: the building blocks (``poly_expand``,
+``pyramid_downsample``) accept any ``(..., H, W)`` array and filter only the
+last two axes, and ``farneback_flow`` takes one ``prev`` frame with a
+``(K, H, W)`` stack of the K frames that follow it, i.e. K consecutive
+frame pairs. Every frame is then expanded once, and each filter, warp and
+solve runs once per stack; the flow of each pair is bit-identical to a
+separate two-frame call.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ class PolyExpansion:
 
     The symmetric 2x2 matrix A is stored as (a11, a12, a22); b is the
     gradient-like 2-vector (b1 along x, b2 along y); c is the constant term.
-    All arrays share the frame shape.
+    All arrays share the shape of the expanded frame or frame stack.
     """
 
     a11: np.ndarray
@@ -73,7 +81,12 @@ class PolyExpansion:
 
 @dataclass
 class FlowField:
-    """Per-pixel displacement between two frames."""
+    """Per-pixel displacement between two frames, or for each of K
+    consecutive frame pairs.
+
+    ``u`` and ``v`` have shape ``(H, W)`` for one pair and ``(K, H, W)``
+    for K consecutive pairs, where ``[k]`` is the flow of the k-th pair.
+    """
 
     u: np.ndarray  # horizontal displacement (pixels/frame)
     v: np.ndarray  # vertical displacement (pixels/frame)
@@ -86,7 +99,8 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
     neighborhood with Gaussian weights of std ``poly_sigma``; borders use the
     same window with edge replication. Because the weights do not vary per
     pixel, the normal matrix is constant and the fit reduces to six separable
-    correlations followed by a fixed 6x6 solve.
+    correlations followed by a fixed 6x6 solve. A ``(..., H, W)`` stack is
+    expanded frame by frame along its last two axes.
     """
     frame = np.asarray(frame, dtype=np.float64)
     radius = (poly_n - 1) // 2
@@ -105,8 +119,8 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
     k0, k1, k2 = w, w * offsets, w * offsets**2
 
     def corr(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-        tmp = ndimage.correlate1d(frame, kx, axis=1, mode="nearest")
-        return ndimage.correlate1d(tmp, ky, axis=0, mode="nearest")
+        tmp = ndimage.correlate1d(frame, kx, axis=-1, mode="nearest")
+        return ndimage.correlate1d(tmp, ky, axis=-2, mode="nearest")
 
     # Weighted moment projections onto each basis function.
     proj = np.stack(
@@ -119,7 +133,7 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
             corr(k1, k1),  # xy
         ]
     )
-    r = np.einsum("ij,jhw->ihw", gram_inv, proj)
+    r = np.einsum("ij,j...->i...", gram_inv, proj)
     return PolyExpansion(
         a11=r[3], a12=0.5 * r[5], a22=r[4], b1=r[1], b2=r[2], c=r[0]
     )
@@ -129,14 +143,16 @@ def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
     """Gaussian pre-smooth then bilinearly resample a frame by ``scale``.
 
     Smoothing std follows sigma = 0.6 * sqrt(1/scale^2 - 1); output
-    dimensions are round(dim * scale) with a floor of 8 pixels.
+    dimensions are round(dim * scale) with a floor of 8 pixels. A
+    ``(..., H, W)`` stack is smoothed and resampled along its last two axes.
     """
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must be in (0, 1), got {scale}")
     frame = np.asarray(frame, dtype=np.float64)
     sigma = 0.6 * np.sqrt(1.0 / scale**2 - 1.0)
-    blurred = ndimage.gaussian_filter(frame, sigma, mode="nearest")
-    src_h, src_w = frame.shape
+    sigmas = (0.0,) * (frame.ndim - 2) + (sigma, sigma)
+    blurred = ndimage.gaussian_filter(frame, sigmas, mode="nearest")
+    src_h, src_w = frame.shape[-2:]
     out_w = max(_MIN_PYRAMID_DIM, int(round(src_w * scale)))
     out_h = max(_MIN_PYRAMID_DIM, int(round(src_h * scale)))
     return resize_bilinear(blurred, out_w, out_h)
@@ -145,20 +161,45 @@ def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
 def _warp_expansion(
     exp: PolyExpansion, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Sample (a11, a12, a22, b1, b2) at displaced positions (border-clamped);
-    c is never read by the flow update, so it is not resampled."""
-    h, w = u.shape
-    yy, xx = np.meshgrid(
-        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
-    )
-    coords = np.stack(
-        [np.clip(yy + v, 0.0, h - 1.0), np.clip(xx + u, 0.0, w - 1.0)]
-    )
+    """Sample (a11, a12, a22, b1, b2) bilinearly at the displaced positions,
+    border-clamped; c is never read by the flow update, so it is not
+    resampled.
 
-    return tuple(
-        ndimage.map_coordinates(field, coords, order=1, mode="nearest")
-        for field in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2)
-    )
+    The fields and ``u``, ``v`` share one ``(..., H, W)`` shape. Indices and
+    weights are computed once for all five fields, with the arithmetic of
+    ``ndimage.map_coordinates(order=1, mode="nearest")`` so that the result
+    is bit-identical to it: the upper weight is one minus the lower, and the
+    four terms are summed left to right from 0.0.
+    """
+    h, w = u.shape[-2:]
+    cy = np.clip(np.arange(h, dtype=np.float64)[:, None] + v, 0.0, h - 1.0)
+    cx = np.clip(np.arange(w, dtype=np.float64) + u, 0.0, w - 1.0)
+    y0, x0 = np.floor(cy), np.floor(cx)
+    wy0 = np.subtract(1.0, np.subtract(cy, y0, out=cy), out=cy)
+    wx0 = np.subtract(1.0, np.subtract(cx, x0, out=cx), out=cx)
+    wy1, wx1 = 1.0 - wy0, 1.0 - wx0
+    # flat index of the upper-left neighbour in the (..., H, W) fields; the
+    # lower and right neighbours are clamped to it at the border
+    frame_base = np.arange(u.size // (h * w)).reshape(u.shape[:-2] + (1, 1)) * (h * w)
+    i00 = y0.astype(np.intp) * w + x0.astype(np.intp) + frame_base
+    down = (y0 < h - 1) * w
+    right = x0 < w - 1
+    i01 = i00 + right
+    i10 = i00 + down
+    i11 = i10 + right
+    corners = ((i00, wy0, wx0), (i01, wy0, wx1), (i10, wy1, wx0), (i11, wy1, wx1))
+
+    def warp(field: np.ndarray) -> np.ndarray:
+        flat = field.reshape(-1)
+        out = np.zeros(u.shape)  # summing from 0.0 turns a -0.0 sum into 0.0
+        for index, wy, wx in corners:
+            term = flat.take(index)
+            term *= wy
+            term *= wx
+            out += term
+        return out
+
+    return tuple(warp(f) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2))
 
 
 def _flow_update(
@@ -174,6 +215,7 @@ def _flow_update(
     A_avg * d = delta_b (with the warp compensation term A_avg * d0 folded
     into delta_b) is turned into per-pixel normal equations, box-averaged
     over winsize x winsize, and solved. Near-singular pixels get zero flow.
+    All arrays are ``(K, H, W)`` stacks, one frame per pair.
     """
     w11, w12, w22, wb1, wb2 = _warp_expansion(next_exp, u, v)
     a11 = 0.5 * (prev_exp.a11 + w11)
@@ -189,7 +231,7 @@ def _flow_update(
     h1 = a11 * db1 + a12 * db2
     h2 = a12 * db1 + a22 * db2
 
-    box = lambda f: ndimage.uniform_filter(f, size=winsize, mode="nearest")
+    box = lambda f: ndimage.uniform_filter(f, size=(1, winsize, winsize), mode="nearest")
     g11, g12, g22 = box(g11), box(g12), box(g22)
     h1, h2 = box(h1), box(h2)
 
@@ -201,39 +243,59 @@ def _flow_update(
     return new_u, new_v
 
 
+def _expansion_slice(exp: PolyExpansion, index) -> PolyExpansion:
+    return PolyExpansion(
+        a11=exp.a11[index], a12=exp.a12[index], a22=exp.a22[index],
+        b1=exp.b1[index], b2=exp.b2[index], c=exp.c[index],
+    )
+
+
 def farneback_flow(
     prev: np.ndarray, next: np.ndarray, params: FarnebackParams | None = None
 ) -> FlowField:
-    """Estimate dense flow from ``prev`` to ``next`` coarse-to-fine."""
+    """Estimate dense flow from ``prev`` to ``next`` coarse-to-fine.
+
+    ``next`` is one ``(H, W)`` frame, or a ``(K, H, W)`` stack of the K
+    frames that follow ``prev``. The flow then has shape ``(K, H, W)``: its
+    ``[k]`` is the flow of the consecutive pair ``(next[k - 1], next[k])``
+    (``(prev, next[0])`` for k = 0), bit-identical to a two-frame call on
+    that pair. Each frame is expanded once per pyramid level.
+    """
     if params is None:
         params = FarnebackParams()
     params.validate()
     prev = np.asarray(prev, dtype=np.float64)
     next = np.asarray(next, dtype=np.float64)
-    if prev.shape != next.shape:
-        raise ValueError(f"frame shapes differ: {prev.shape} vs {next.shape}")
-
-    pyramid = [(prev, next)]
-    for _ in range(params.levels - 1):
-        p, n = pyramid[-1]
-        pyramid.append(
-            (pyramid_downsample(p, params.pyr_scale), pyramid_downsample(n, params.pyr_scale))
+    if prev.ndim != 2 or next.ndim not in (2, 3):
+        raise ValueError(
+            f"expected an (H, W) prev and an (H, W) or (K, H, W) next, got "
+            f"shapes {prev.shape} and {next.shape}"
         )
+    if prev.shape != next.shape[-2:]:
+        raise ValueError(f"frame shapes differ: {prev.shape} vs {next.shape}")
+    stack = np.concatenate([prev[None], next.reshape((-1,) + prev.shape)])
+
+    pyramid = [stack]
+    for _ in range(params.levels - 1):
+        pyramid.append(pyramid_downsample(pyramid[-1], params.pyr_scale))
 
     u = v = None
-    for level_prev, level_next in reversed(pyramid):
-        h, w = level_prev.shape
+    for level in reversed(pyramid):
+        h, w = level.shape[-2:]
         if u is None:
-            u = np.zeros((h, w))
-            v = np.zeros((h, w))
+            u = np.zeros((len(level) - 1, h, w))
+            v = np.zeros((len(level) - 1, h, w))
         else:
             u = resize_bilinear(u, w, h) / params.pyr_scale
             v = resize_bilinear(v, w, h) / params.pyr_scale
-        prev_exp = poly_expand(level_prev, params.poly_n, params.poly_sigma)
-        next_exp = poly_expand(level_next, params.poly_n, params.poly_sigma)
+        exp = poly_expand(level, params.poly_n, params.poly_sigma)
+        prev_exp = _expansion_slice(exp, slice(None, -1))
+        next_exp = _expansion_slice(exp, slice(1, None))
         for _ in range(params.iterations):
             u, v = _flow_update(prev_exp, next_exp, u, v, params.winsize)
 
     u = np.nan_to_num(u, nan=0.0, posinf=0.0, neginf=0.0)
     v = np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
+    if next.ndim == 2:
+        u, v = u[0], v[0]
     return FlowField(u=u, v=v)

@@ -12,6 +12,7 @@ width)`` with luminance values in ``[0, 255]``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,11 +131,14 @@ def _sample_coords(src_len: int, dst_len: int) -> np.ndarray:
 
 
 def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Resize a frame with corner-aligned bilinear interpolation."""
+    """Resize a frame with corner-aligned bilinear interpolation.
+
+    A ``(..., H, W)`` stack is resized frame by frame along its last two axes.
+    """
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
     frame = np.asarray(frame, dtype=np.float64)
-    src_h, src_w = frame.shape
+    src_h, src_w = frame.shape[-2:]
     if (out_w, out_h) == (src_w, src_h):
         return frame.copy()
 
@@ -149,8 +153,9 @@ def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     fx = xs - x0
     fy = ys - y0
 
-    top = frame[np.ix_(y0, x0)] * (1 - fx) + frame[np.ix_(y0, x1)] * fx
-    bot = frame[np.ix_(y1, x0)] * (1 - fx) + frame[np.ix_(y1, x1)] * fx
+    y0, y1 = y0[:, None], y1[:, None]
+    top = frame[..., y0, x0] * (1 - fx) + frame[..., y0, x1] * fx
+    bot = frame[..., y1, x0] * (1 - fx) + frame[..., y1, x1] * fx
     return top * (1 - fy[:, None]) + bot * fy[:, None]
 
 
@@ -167,6 +172,18 @@ def decode_frame_file(path: Path) -> np.ndarray:
     raise ValueError(f"unsupported image format (magic {data[:2]!r})")
 
 
+def frame_paths(directory: Path) -> list[Path]:
+    """The frame files of a video directory (.pgm/.ppm, any case), in
+    ascending lexicographic filename order."""
+    with os.scandir(directory) as entries:
+        names = sorted(
+            entry.name
+            for entry in entries
+            if os.path.splitext(entry.name)[1].lower() in _FRAME_EXTENSIONS
+        )
+    return [directory / name for name in names]
+
+
 def load_frame_sequence(
     directory: str | Path, key: str, working_w: int, working_h: int
 ) -> FrameSequence:
@@ -178,9 +195,7 @@ def load_frame_sequence(
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"video '{key}': frame directory not found: {directory}")
-    paths = sorted(
-        p for p in directory.iterdir() if p.suffix.lower() in _FRAME_EXTENSIONS
-    )
+    paths = frame_paths(directory)
     if len(paths) < 2:
         raise ValueError(
             f"video '{key}': insufficient frames ({len(paths)} found, need >= 2)"

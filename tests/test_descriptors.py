@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import blob_video
+from conftest import blob_video, noise_video
+from potsim import descriptors
 from potsim.descriptors import (
     HISTOGRAM_DIM,
     HistogramSeries,
@@ -11,7 +14,7 @@ from potsim.descriptors import (
     hog_frame,
     load_series_text,
 )
-from potsim.flow import FarnebackParams, FlowField
+from potsim.flow import FarnebackParams, FlowField, farneback_flow
 from potsim.frames import FrameSequence
 
 FAST_FB = FarnebackParams(levels=2, winsize=9, iterations=2)
@@ -116,6 +119,37 @@ class TestComputeSeries:
         hof, hog = compute_series(seq, FAST_FB)
         np.testing.assert_array_equal(hof.histograms, 0.0)
         np.testing.assert_array_equal(hog.histograms, 0.0)
+
+    def test_blocks_match_per_pair_flow(self, monkeypatch):
+        # 7 frames of 128x128: blocks of 4 and 2 pairs, the block-boundary
+        # frame expanded in both
+        frames = noise_video(7, 128, seed=9)
+        blocks = []
+
+        def recording_flow(prev, next, params=None):
+            blocks.append(np.shape(next))
+            return farneback_flow(prev, next, params)
+
+        monkeypatch.setattr(descriptors, "farneback_flow", recording_flow)
+        hof, hog = compute_series(self.make_seq(frames))
+        assert blocks == [(4, 128, 128), (2, 128, 128)]
+        for t in range(6):
+            flow = farneback_flow(frames[t], frames[t + 1])
+            assert hof.histograms[t].tobytes() == hof_frame(flow).tobytes()
+            assert hog.histograms[t].tobytes() == hog_frame(frames[t], frames[t + 1]).tobytes()
+
+    def test_peak_memory_flat_in_video_length(self):
+        # flow runs over bounded blocks, never over the whole video at once
+        def peak(frame_count):
+            seq = self.make_seq(noise_video(frame_count, 128, seed=frame_count))
+            tracemalloc.start()
+            try:
+                compute_series(seq)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(33) <= 1.25 * peak(9)
 
 
 class TestSeriesTextDump:

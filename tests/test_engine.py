@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import blob_video, noise_video, write_corpus
+from conftest import blob_video, noise_video, write_corpus, write_video_dir
 from potsim import engine
 from potsim.archive import read_archive
 from potsim.cli import main
@@ -105,10 +105,11 @@ class TestPlanning:
 
     def test_fingerprint_sensitivity(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=2)
+        entries = parse_manifest(manifest)
         base = fast_config(manifest, tmp_path / "out")
-        assert config_fingerprint(base, 2) == config_fingerprint(base, 2)
+        assert config_fingerprint(base, entries) == config_fingerprint(base, entries)
         changed = fast_config(manifest, tmp_path / "out", working_w=32)
-        assert config_fingerprint(base, 2) != config_fingerprint(changed, 2)
+        assert config_fingerprint(base, entries) != config_fingerprint(changed, entries)
 
 
 class TestReduceMean:
@@ -220,6 +221,33 @@ class TestFullPipeline:
         changed = fast_config(manifest, tmp_path / "out", working_w=32)
         with pytest.raises(ConfigError, match="fingerprint"):
             run_extract(changed)
+
+    @pytest.mark.parametrize("change", ["replaced-frames", "renamed-key", "touched-frame"])
+    def test_changed_inputs_refuse_resume(self, tmp_path, capsys, change):
+        root = tmp_path / "c"
+        manifest = small_corpus(root, n=4)
+        out = tmp_path / "out"
+        run_pipeline(fast_config(manifest, out))
+        if change == "replaced-frames":
+            write_video_dir(root / "v02", noise_video(6, 24, seed=7))
+        elif change == "renamed-key":  # same video count as before
+            manifest.write_text(manifest.read_text().replace("v03,", "zz,"))
+        else:
+            frame = root / "v01" / "frame0002.pgm"
+            st = frame.stat()
+            os.utime(frame, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+        with pytest.raises(ConfigError, match="parameters or inputs"):
+            run_mean(fast_config(manifest, out))
+        assert main(fast_argv("run", manifest, out)) == 2
+        assert "parameters or inputs" in capsys.readouterr().err
+
+    def test_missing_directory_fails_its_task(self, tmp_path):
+        root = tmp_path / "c"
+        manifest = small_corpus(root, n=3)
+        manifest.write_text(manifest.read_text() + "gone,gone\n")
+        with pytest.raises(StageError) as err:
+            run_extract(fast_config(manifest, tmp_path / "out"))
+        assert [label for label, _ in err.value.failures] == ["gone"]
 
     def test_stale_shard_from_earlier_run_is_ignored(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=5)

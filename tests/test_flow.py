@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import gaussian_blob, smooth_texture
 from potsim.flow import (
     FarnebackParams,
+    PolyExpansion,
+    _warp_expansion,
     farneback_flow,
     poly_expand,
     pyramid_downsample,
 )
+
+FIELDS = ("a11", "a12", "a22", "b1", "b2", "c")
+
+
+def random_stack(k, h=24, w=40, seed=0):
+    return np.random.default_rng(seed).uniform(0.0, 255.0, size=(k, h, w))
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 class TestPolyExpand:
@@ -47,6 +61,15 @@ class TestPolyExpand:
         np.testing.assert_allclose(shifted.c, base.c + 17.0, atol=1e-9)
 
 
+    def test_stack_matches_per_frame(self):
+        stack = random_stack(3)
+        exp = poly_expand(stack, 5, 1.1)
+        for k in range(3):
+            single = poly_expand(stack[k], 5, 1.1)
+            for name in FIELDS:
+                assert_same_bytes(getattr(exp, name)[k], getattr(single, name))
+
+
 class TestPyramidDownsample:
     def test_constant(self):
         out = pyramid_downsample(np.full((32, 32), 9.0), 0.5)
@@ -71,6 +94,67 @@ class TestPyramidDownsample:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             pyramid_downsample(np.zeros((8, 8)), 1.5)
+
+    def test_stack_matches_per_frame(self):
+        stack = random_stack(3)
+        out = pyramid_downsample(stack, 0.5)
+        for k in range(3):
+            assert_same_bytes(out[k], pyramid_downsample(stack[k], 0.5))
+
+
+class TestWarpExpansion:
+    """The shared gather against one map_coordinates call per field."""
+
+    def reference(self, field, u, v):
+        h, w = field.shape
+        yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+        coords = np.stack([np.clip(yy + v, 0.0, h - 1.0), np.clip(xx + u, 0.0, w - 1.0)])
+        return ndimage.map_coordinates(field, coords, order=1, mode="nearest")
+
+    def test_matches_map_coordinates_bytewise(self):
+        rng = np.random.default_rng(3)
+        k, h, w = 2, 24, 40
+        fields = rng.normal(size=(6, k, h, w))
+        fields[0, 0, 5, 7] = np.nan
+        fields[1, 1, 10, 20] = np.inf
+        fields[2, :, :6, :6] = -0.0  # all four terms -0.0 near the corner
+        fields[3, 1, -4:, -4:] = -0.0
+        # displacements past every border, integer ones (zero weights) and -0.0
+        u = rng.uniform(-60.0, 60.0, size=(k, h, w))
+        v = rng.uniform(-40.0, 40.0, size=(k, h, w))
+        u[:, ::3] = np.round(u[:, ::3])
+        v[:, 1::3] = np.round(v[:, 1::3])
+        # coordinates in (0, 1) with all mantissa bits in use, where
+        # 1 - (1 - frac) differs from frac
+        u[:, :, 0] = rng.uniform(0.0, 1.0, size=(k, h)) ** 3
+        v[:, 0, :] = rng.uniform(0.0, 1.0, size=(k, w)) ** 3
+        u[:, :8, :8] = -0.0
+        v[:, :8, :8] = 0.0
+        u[0, -1, -1] = 1e9
+        v[1, 0, 0] = -1e9
+        exp = PolyExpansion(*fields)
+        warped = _warp_expansion(exp, u, v)
+        for name, out in zip(FIELDS, warped):
+            for i in range(k):
+                assert_same_bytes(out[i], self.reference(getattr(exp, name)[i], u[i], v[i]))
+
+
+class TestFlowStack:
+    def test_matches_separate_pair_calls(self):
+        params = FarnebackParams()
+        for k in (1, 3):
+            frames = random_stack(k + 1, seed=k)
+            flow = farneback_flow(frames[0], frames[1:], params)
+            assert flow.u.shape == flow.v.shape == (k, 24, 40)
+            for i in range(k):
+                pair = farneback_flow(frames[i], frames[i + 1], params)
+                assert_same_bytes(flow.u[i], pair.u)
+                assert_same_bytes(flow.v[i], pair.v)
+
+    @pytest.mark.parametrize("shape", [(2, 23, 40), (2, 24, 41), (1, 2, 24, 40)])
+    def test_bad_stack_shape(self, shape):
+        with pytest.raises(ValueError):
+            farneback_flow(np.zeros((24, 40)), np.zeros(shape))
 
 
 class TestFarnebackFlow:

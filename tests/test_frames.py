@@ -79,6 +79,14 @@ class TestResizeBilinear:
         assert out.min() >= frame.min() - 1e-12
         assert out.max() <= frame.max() + 1e-12
 
+    def test_stack_matches_per_frame(self):
+        stack = np.random.default_rng(0).uniform(0, 255, size=(3, 24, 40))
+        for out_w, out_h in ((13, 7), (80, 48)):
+            out = resize_bilinear(stack, out_w, out_h)
+            assert out.shape == (3, out_h, out_w)
+            for k in range(3):
+                assert out[k].tobytes() == resize_bilinear(stack[k], out_w, out_h).tobytes()
+
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((2, 2)), 0, 2)
