@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .commit import committed
 from .pooling import SLOTS, PoTFeature
 
 MAGIC = b"POTF"
@@ -169,7 +170,7 @@ def write_shards(
     start = 0
     for index, size in enumerate(shard_partition(len(paths), shard_count)):
         path = out_dir / SHARD_NAME_FORMAT.format(index)
-        with open(path, "wb") as fh:
+        with committed(path) as tmp, open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, 0, size))
             for source in paths[start : start + size]:
                 source = Path(source)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 
 from .descriptors import DEFAULT_HOG_THRESHOLD
 from .engine import (
+    SIMILARITY_HEADER,
     ConfigError,
     PipelineConfig,
     StageError,
@@ -103,6 +105,8 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(str(exc))
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
+    if math.isnan(args.hog_threshold):
+        raise ConfigError("hog threshold must be a number, got nan")
     state_dir = args.state_dir or os.environ.get("POT_STATE_DIR") or None
     return PipelineConfig(
         manifest=args.manifest,
@@ -124,7 +128,7 @@ def _read_similarity_csv(path: Path) -> dict[tuple[str, str], float]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["video_a", "video_b", "similarity"]:
+        if header != SIMILARITY_HEADER.rstrip("\n").split(","):
             raise ValueError(f"{path}: bad header {header}")
         for row in reader:
             if len(row) != 3:

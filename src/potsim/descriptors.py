@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .commit import committed
 from .flow import FarnebackParams, FlowField, farneback_flow
 from .frames import FrameSequence
 
@@ -152,16 +153,21 @@ def compute_series(
 _SERIES_SUFFIX = {"hof": ".of.txt", "hog": ".hog.txt"}
 
 
+def series_dump_path(out_dir: str | Path, key: str, kind: str) -> Path:
+    """Where `dump_series_text` writes `key`'s series of `kind`."""
+    return Path(out_dir) / (key + _SERIES_SUFFIX[kind])
+
+
 def dump_series_text(series: HistogramSeries, key: str, out_dir: str | Path) -> Path:
     """Write a series as `<key>.of.txt` / `<key>.hog.txt`, one line per frame
     pair, 200 space-separated values with full round-trip precision."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / (key + _SERIES_SUFFIX[series.kind])
+    path = series_dump_path(out_dir, key, series.kind)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         " ".join(repr(float(v)) for v in row) for row in series.histograms
     ]
-    path.write_text("\n".join(lines) + "\n")
+    with committed(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n")
     return path
 
 

@@ -14,13 +14,14 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   pair, each normalised by the means, into ``similarity.csv``. Every pair is
   scored by exactly one chi-square pass, and this stage reads no shard.
 
-Every task writes its output to a temporary path, atomically renames it,
-and drops a done marker; completed tasks are skipped on resume. The state
-dir's fingerprint covers the parameters and the frame files (names, sizes,
-mtimes), so a resume never reuses results of changed inputs. Outputs are
-byte-identical for any worker count: task outputs do not depend on
-scheduling, and all reductions run single-threaded in ascending task-id
-order after the stage barrier.
+Every task and stage output is written to ``<path>.tmp`` and renamed into
+place, so an output that exists is finished: a task is done, and skipped on
+resume, once its outputs exist; a stage once its marker in the state dir
+and its outputs do. The state dir's fingerprint covers the parameters and
+the frame files (names, sizes, mtimes), so a resume never reuses results of
+changed inputs. Outputs are byte-identical for any worker count: task
+outputs do not depend on scheduling, and all reductions run single-threaded
+in ascending task-id order after the stage barrier.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from itertools import islice, zip_longest
 from pathlib import Path
 
 from .archive import (
@@ -45,7 +47,8 @@ from .archive import (
     write_archive,
     write_shards,
 )
-from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text
+from .commit import committed
+from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text, series_dump_path
 from .flow import FarnebackParams
 from .frames import frame_paths, load_frame_sequence
 from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
@@ -103,7 +106,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of checkpointed parallel work."""
+    """One unit of checkpointed parallel work, done once its outputs exist."""
 
     id: int
     stage: str
@@ -111,10 +114,11 @@ class Task:
     label: str
     payload: tuple
     out_path: str
-    done_path: str
+    # extract with dump_series: the series dumps, committed before out_path
+    dump_paths: tuple[str, ...] = ()
 
     def is_done(self) -> bool:
-        return os.path.exists(self.done_path) and os.path.exists(self.out_path)
+        return all(os.path.exists(p) for p in (*self.dump_paths, self.out_path))
 
 
 @dataclass
@@ -239,17 +243,6 @@ def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], int, 
     return entries, shard_count, state_dir
 
 
-def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _mark_done(task: Task) -> None:
-    Path(task.done_path).touch()
-
-
 # ---------------------------------------------------------------------------
 # Planning
 
@@ -260,6 +253,7 @@ def plan_extract(
     """One task per video, ordered by key."""
     tasks = []
     work_dir = state_dir / STAGE_EXTRACT
+    dumps = ("hof", "hog") if config.dump_series else ()
     for task_id, (key, directory) in enumerate(sorted(entries)):
         tasks.append(
             Task(
@@ -268,7 +262,7 @@ def plan_extract(
                 label=key,
                 payload=(key, directory),
                 out_path=str(work_dir / f"task-{task_id}.out"),
-                done_path=str(work_dir / f"task-{task_id}.done"),
+                dump_paths=tuple(str(series_dump_path(config.out_dir, key, k)) for k in dumps),
             )
         )
     return StagePlan(stage=STAGE_EXTRACT, tasks=tasks)
@@ -288,7 +282,6 @@ def plan_pair_stage(shard_count: int, state_dir: Path) -> StagePlan:
                     label=f"shards ({i},{j})",
                     payload=(i, j),
                     out_path=str(work_dir / f"task-{task_id}.out"),
-                    done_path=str(work_dir / f"task-{task_id}.done"),
                 )
             )
             task_id += 1
@@ -309,12 +302,12 @@ def _run_extract_task(config: PipelineConfig, task: Task) -> None:
     hof, hog = compute_series(seq, config.farneback, config.hog_threshold)
     feature = pot_vector(hof, hog, config.levels)
     record = ArchiveRecord(key=key, frame_count=seq.frame_count, feature=feature)
-    tmp = task.out_path + ".tmp"
-    write_archive([record], tmp)
-    os.replace(tmp, task.out_path)
-    if config.dump_series:
+    if task.dump_paths:
         dump_series_text(hof, key, config.out_dir)
         dump_series_text(hog, key, config.out_dir)
+    # the task's last act: its archive exists only once the dumps do
+    with committed(task.out_path) as tmp:
+        write_archive([record], tmp)
 
 
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
@@ -327,7 +320,8 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
         csd = csd_sixtuple(rec_a.feature, rec_b.feature)
         lines.append(",".join([rec_a.key, rec_b.key, *(repr(csd[s]) for s in SLOTS)]) + "\n")
-    _atomic_write_bytes(task.out_path, "".join(lines).encode())
+    with committed(task.out_path) as tmp:
+        tmp.write_bytes("".join(lines).encode())
 
 
 def _read_mean_rows(path: str):
@@ -356,7 +350,6 @@ def _run_task(config: PipelineConfig, task: Task) -> tuple[int, str | None, floa
     start = time.monotonic()
     try:
         _TASK_RUNNERS[task.stage](config, task)
-        _mark_done(task)
         return task.id, None, (time.monotonic() - start) * 1000.0
     except Exception as exc:  # surfaced per task, stage fails afterwards
         return task.id, f"{type(exc).__name__}: {exc}", (time.monotonic() - start) * 1000.0
@@ -369,12 +362,14 @@ def _run_task(config: PipelineConfig, task: Task) -> tuple[int, str | None, floa
 def execute(plan: StagePlan, config: PipelineConfig) -> None:
     """Run a stage's tasks on the worker pool; skip completed, fail late."""
     by_id = {t.id: t for t in plan.tasks}
-    pending = [t for t in plan.tasks if not t.is_done()]
+    pending = []
     for task in plan.tasks:
         if task.is_done():
             logger.info(
                 "task=%d stage=%s target=%s outcome=skipped", task.id, plan.stage, task.label
             )
+        else:
+            pending.append(task)
     failures: list[tuple[str, str]] = []
 
     def record(task_id: int, error: str | None, duration_ms: float) -> None:
@@ -419,6 +414,12 @@ def _stage_marker(state_dir: Path, stage: str) -> Path:
     return state_dir / stage / ".stage.done"
 
 
+def _stage_done(state_dir: Path, stage: str, outputs: list[Path | str]) -> bool:
+    """This state dir's marker for ``stage`` and every listed output exist;
+    the marker keeps a reset state dir from reusing an earlier run's files."""
+    return _stage_marker(state_dir, stage).exists() and all(map(os.path.exists, outputs))
+
+
 def run_extract(config: PipelineConfig) -> list[Path]:
     """Extract stage: per-video features, then range-partitioned shards."""
     return _extract(config, *_prepare_stage(config))
@@ -429,18 +430,18 @@ def _extract(
 ) -> list[Path]:
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
-    marker = _stage_marker(state_dir, STAGE_EXTRACT)
-    expected = [_shard_path(config, i) for i in range(shard_count)]
-    if marker.exists() and all(p.exists() for p in expected):
-        return expected
-
     plan = plan_extract(config, entries, state_dir)
+    shards = [_shard_path(config, i) for i in range(shard_count)]
+    dumps = [path for task in plan.tasks for path in task.dump_paths]
+    if _stage_done(state_dir, STAGE_EXTRACT, shards + dumps):
+        return shards
+
     execute(plan, config)
 
     # task ids follow sorted keys, so the task archives are in key order
-    shards = write_shards([t.out_path for t in plan.tasks], config.out_dir, shard_count)
-    marker.touch()
-    return [s.path for s in shards]
+    write_shards([t.out_path for t in plan.tasks], config.out_dir, shard_count)
+    _stage_marker(state_dir, STAGE_EXTRACT).touch()
+    return shards
 
 
 def reduce_mean(partials: list[tuple[dict, int]]) -> MeanCsd:
@@ -454,40 +455,41 @@ def reduce_mean(partials: list[tuple[dict, int]]) -> MeanCsd:
     return mean_csd(sums, total)
 
 
-def _require_shards(config: PipelineConfig, shard_count: int) -> None:
-    missing = [
-        str(_shard_path(config, i))
-        for i in range(shard_count)
-        if not _shard_path(config, i).exists()
-    ]
-    if missing:
-        raise ConfigError(f"missing shard files: {', '.join(missing)} (run extract first)")
-
-
-def _mean_complete(state_dir: Path, out_path: Path, plan: StagePlan) -> bool:
-    """The mean marker, mean_csd.csv and every task's rows all exist."""
-    return (
-        _stage_marker(state_dir, STAGE_MEAN).exists()
-        and out_path.exists()
-        and all(task.is_done() for task in plan.tasks)
-    )
+def _check_shards(config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int) -> None:
+    """Each shard exists and holds the manifest's sorted keys of its range:
+    mean also scores shards that it did not see extract write."""
+    keys = iter(sorted(key for key, _ in entries))
+    for index, size in enumerate(shard_partition(len(entries), shard_count)):
+        path = _shard_path(config, index)
+        if not path.exists():
+            raise ConfigError(f"missing shard file {path} (run extract first)")
+        found = (record.key for record in read_archive(path))
+        for key, expected in zip_longest(found, islice(keys, size)):
+            if key != expected:
+                message = f"key {key!r} where the manifest has {expected!r}"
+                raise StageError(STAGE_MEAN, [(str(path), message)])
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-pair slot distances, summed per task and reduced
     into mean_csd.csv."""
-    _, shard_count, state_dir = _prepare_stage(config)
-    return _mean(config, shard_count, state_dir)
+    return _mean(config, *_prepare_stage(config))
 
 
-def _mean(config: PipelineConfig, shard_count: int, state_dir: Path) -> MeanCsd:
-    _require_shards(config, shard_count)
+def _mean_outputs(config: PipelineConfig, plan: StagePlan) -> list[Path]:
+    """mean_csd.csv, then every task's rows, which sim reads."""
+    return [Path(config.out_dir) / "mean_csd.csv", *(Path(t.out_path) for t in plan.tasks)]
 
-    out_path = Path(config.out_dir) / "mean_csd.csv"
+
+def _mean(
+    config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int, state_dir: Path
+) -> MeanCsd:
     plan = plan_pair_stage(shard_count, state_dir)
-    if _mean_complete(state_dir, out_path, plan):
+    out_path, *_ = outputs = _mean_outputs(config, plan)
+    if _stage_done(state_dir, STAGE_MEAN, outputs):
         return read_mean_csd_csv(out_path)
 
+    _check_shards(config, entries, shard_count)
     execute(plan, config)
 
     partials = []
@@ -504,9 +506,8 @@ def _mean(config: PipelineConfig, shard_count: int, state_dir: Path) -> MeanCsd:
     except ValueError as exc:
         raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
 
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    write_mean_csd_csv(mean, tmp)
-    os.replace(tmp, out_path)
+    with committed(out_path) as tmp:
+        write_mean_csd_csv(mean, tmp)
     _stage_marker(state_dir, STAGE_MEAN).touch()
     return mean
 
@@ -522,28 +523,25 @@ def run_similarity(config: PipelineConfig) -> Path:
 
 
 def _similarity(config: PipelineConfig, shard_count: int, state_dir: Path) -> Path:
-    mean_path = Path(config.out_dir) / "mean_csd.csv"
     plan = plan_pair_stage(shard_count, state_dir)
-    if not _mean_complete(state_dir, mean_path, plan):
+    mean_path, *_ = mean_outputs = _mean_outputs(config, plan)
+    if not _stage_done(state_dir, STAGE_MEAN, mean_outputs):
         raise ConfigError(f"missing {mean_path} or mean task outputs (run mean first)")
 
     out_path = Path(config.out_dir) / "similarity.csv"
-    marker = _stage_marker(state_dir, STAGE_SIM)
-    if marker.exists() and out_path.exists():
+    if _stage_done(state_dir, STAGE_SIM, [out_path]):
         return out_path
 
     mean = read_mean_csd_csv(mean_path)
     rows = heapq.merge(
         *(_read_mean_rows(task.out_path) for task in plan.tasks), key=lambda row: row[:2]
     )
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    with open(tmp, "w") as fh:
+    with committed(out_path) as tmp, open(tmp, "w") as fh:
         fh.write(SIMILARITY_HEADER)
         for key_a, key_b, csd in rows:
             score = similarity_score(kernel_distance(csd, mean))
             fh.write(f"{key_a},{key_b},{score!r}\n")
-    os.replace(tmp, out_path)
-    marker.touch()
+    _stage_marker(state_dir, STAGE_SIM).touch()
     return out_path
 
 
@@ -552,5 +550,5 @@ def run_pipeline(config: PipelineConfig) -> Path:
     manifest and the inputs are read and fingerprinted once for all three."""
     entries, shard_count, state_dir = _prepare_stage(config)
     _extract(config, entries, shard_count, state_dir)
-    _mean(config, shard_count, state_dir)
+    _mean(config, entries, shard_count, state_dir)
     return _similarity(config, shard_count, state_dir)

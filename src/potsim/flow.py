@@ -58,7 +58,7 @@ class FarnebackParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.poly_n < 3 or self.poly_n % 2 == 0:
             raise ValueError(f"poly_n must be odd and >= 3, got {self.poly_n}")
-        if self.poly_sigma <= 0.0:
+        if not self.poly_sigma > 0.0:  # also rejects NaN
             raise ValueError(f"poly_sigma must be > 0, got {self.poly_sigma}")
 
 

@@ -48,8 +48,25 @@ class TestExtractCommand:
         hog = (tmp_path / "out" / "v00.hog.txt").read_text().splitlines()
         assert len(of) == 5 and len(hog) == 5
 
+    def test_dump_series_on_finished_state_dir(self, tmp_path):
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("extract", manifest, out) == 0
+        shards = {p.name: p.read_bytes() for p in out.glob("features-*.potf")}
+        assert run_cli("extract", manifest, out, ["--dump-series"]) == 0
+        for key in ("v00", "v01", "v02"):
+            assert (out / f"{key}.of.txt").exists() and (out / f"{key}.hog.txt").exists()
+        assert {p.name: p.read_bytes() for p in out.glob("features-*.potf")} == shards
+
     def test_missing_manifest(self, tmp_path):
         assert run_cli("extract", tmp_path / "nope.txt", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("flag", ["--poly-sigma", "--hog-threshold"])
+    def test_nan_parameter_is_usage_error(self, tmp_path, capsys, flag):
+        manifest = make_corpus(tmp_path / "c", n=2)
+        assert run_cli("run", manifest, tmp_path / "out", [flag, "nan"]) == 2
+        assert "nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "similarity.csv").exists()
 
 
 class TestMeanCommand:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -46,6 +48,12 @@ def fast_argv(command, manifest, out, workers=1):
     return [command, "--manifest", str(manifest), "--out", str(out), "--resize", "24x24",
             "--flow-levels", "1", "--winsize", "7", "--iterations", "1",
             "--workers", str(workers)]
+
+
+def task_outcomes(caplog):
+    """{target: outcome} from the engine's per-task log lines."""
+    lines = [re.search(r"target=(\S+) outcome=(\w+)", m) for m in caplog.messages]
+    return dict(m.groups() for m in lines if m)
 
 
 def small_corpus(root, n=3, frames=6, size=24):
@@ -264,6 +272,56 @@ class TestFullPipeline:
         run_pipeline(fast_config(manifest, tmp_path / "out"))
         state = tmp_path / "out" / "state"
         assert sorted(p.name for p in state.iterdir()) == ["extract", "fingerprint", "mean", "sim"]
+        # task outputs and stage markers only: an output that exists is finished
+        files = sorted(str(p.relative_to(state)) for p in state.rglob("*") if p.is_file())
+        assert files == [
+            "extract/.stage.done", "extract/task-0.out", "extract/task-1.out", "fingerprint",
+            "mean/.stage.done", "mean/task-0.out", "sim/.stage.done",
+        ]
+
+    def test_existing_output_is_finished(self, tmp_path, caplog):
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        shard = run_extract(cfg)[0]
+        before = shard.read_bytes()
+        extract_dir = out / "state" / "extract"
+        # the stage marker, and the per-task markers of an older state dir
+        for marker in extract_dir.glob("*.done"):
+            marker.unlink()
+        caplog.set_level("INFO", logger="potsim.engine")
+        run_extract(cfg)
+        assert task_outcomes(caplog) == {"v00": "skipped", "v01": "skipped", "v02": "skipped"}
+        assert shard.read_bytes() == before
+
+    def test_leftover_tmp_without_output_is_redone(self, tmp_path, caplog):
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        shard = run_extract(cfg)[0]
+        before = shard.read_bytes()
+        extract_dir = out / "state" / "extract"
+        (extract_dir / ".stage.done").unlink()
+        (extract_dir / "task-1.out").unlink()
+        (extract_dir / "task-1.out.tmp").write_bytes(b"cut short")
+        caplog.set_level("INFO", logger="potsim.engine")
+        run_extract(cfg)
+        assert task_outcomes(caplog) == {"v00": "skipped", "v01": "ok", "v02": "skipped"}
+        assert not (extract_dir / "task-1.out.tmp").exists()
+        assert shard.read_bytes() == before
+
+    def test_mean_refuses_shards_of_other_keys(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        manifest = small_corpus(root, n=4)
+        out = tmp_path / "out"
+        assert main(fast_argv("run", manifest, out) + ["--shards", "2"]) == 0
+        manifest.write_text(manifest.read_text().replace("v03,", "zz,"))
+        shutil.rmtree(out / "state")
+        capsys.readouterr()
+        assert main(fast_argv("mean", manifest, out) + ["--shards", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "features-00001.potf: key 'v03' where the manifest has 'zz'" in err
+        assert main(fast_argv("sim", manifest, out) + ["--shards", "2"]) == 2
 
     def test_dead_worker_is_stage_error_and_resumable(self, tmp_path, monkeypatch):
         # pool workers are forked, so they inherit the patched runner table
