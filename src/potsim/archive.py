@@ -93,7 +93,7 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
     count = _record_count(path, data)
     pos = _HEADER.size
     records: list[ArchiveRecord] = []
-    dims: dict[tuple[str, str], int] | None = None
+    dims: list[int] | None = None
     for index in range(count):
         try:
             (key_len,) = _U32.unpack_from(data, pos)
@@ -107,22 +107,19 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
             pos += key_len
             (frame_count,) = _U32.unpack_from(data, pos)
             pos += 4
-            vectors = {}
-            for slot in SLOTS:
+            blocks = []  # (offset, dim) of each slot's values
+            for _ in SLOTS:
                 (dim,) = _U32.unpack_from(data, pos)
                 pos += 4
-                end = pos + 8 * dim
-                if end > len(data):
+                if pos + 8 * dim > len(data):
                     raise struct.error("truncated vector")
-                vectors[slot] = np.frombuffer(
-                    data, dtype="<f8", count=dim, offset=pos
-                ).astype(np.float64)
+                blocks.append((pos, dim))
                 pos += 8 * dim
         except struct.error as exc:
             raise ValueError(f"{path}: truncated record {index}: {exc}") from exc
         if not key:
             raise ValueError(f"{path}: record {index} has an empty key")
-        record_dims = {slot: v.shape[0] for slot, v in vectors.items()}
+        record_dims = [dim for _, dim in blocks]
         if dims is None:
             dims = record_dims
         elif record_dims != dims:
@@ -130,9 +127,14 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
                 f"{path}: record {index} ('{key}') has inconsistent vector "
                 f"dimensions (mixed pyramid configurations?)"
             )
-        records.append(
-            ArchiveRecord(key=key, frame_count=frame_count, feature=PoTFeature(vectors))
-        )
+        # the slots' values, copied straight into one array in SLOTS order
+        values = np.empty(sum(dims))
+        at = 0
+        for offset, dim in blocks:
+            values[at : at + dim] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset)
+            at += dim
+        feature = PoTFeature.from_values(values, dims)
+        records.append(ArchiveRecord(key=key, frame_count=frame_count, feature=feature))
     return records
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -105,8 +104,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(str(exc))
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
-    if math.isnan(args.hog_threshold):
-        raise ConfigError("hog threshold must be a number, got nan")
+    # hog_frame counts |D| >= threshold on 0-255 frames: above 255 (or nan)
+    # no pixel can count
+    if not args.hog_threshold <= 255.0:
+        raise ConfigError(f"hog threshold must be a number <= 255, got {args.hog_threshold}")
     state_dir = args.state_dir or os.environ.get("POT_STATE_DIR") or None
     return PipelineConfig(
         manifest=args.manifest,

@@ -8,11 +8,15 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   archives in key order into range-partitioned shards without decoding
   them.
 * mean: one task per shard pair (i, j), i <= j, writes the six per-slot
-  chi-square distances of each of its pairs as one row, in key-pair order; a
-  deterministic reduce sums the rows into ``mean_csd.csv``.
-* similarity: no tasks of its own; the mean rows are merge-sorted by key
-  pair, each normalised by the means, into ``similarity.csv``. Every pair is
-  scored by exactly one chi-square pass, and this stage reads no shard.
+  chi-square distances of each of its pairs as one row of six little-endian
+  float64 (48 bytes, no keys), in key-pair order; a deterministic reduce
+  sums the rows into ``mean_csd.csv``.
+* similarity: no tasks of its own; for each shard i it walks the shard's
+  keys, taken from the manifest, and reads each key's rows from tasks
+  (i, i), (i, i + 1), ..., (i, S - 1) in lockstep, so at most S files are
+  open. Each row, normalised by the means, becomes a line of
+  ``similarity.csv``. Every pair is scored by exactly one chi-square pass,
+  and this stage reads no shard.
 
 Every task and stage output is written to ``<path>.tmp`` and renamed into
 place, so an output that exists is finished: a task is done, and skipped on
@@ -27,16 +31,18 @@ in ascending task-id order after the stage barrier.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import logging
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
 from pathlib import Path
+
+import numpy as np
 
 from .archive import (
     SHARD_NAME_FORMAT,
@@ -310,34 +316,40 @@ def _run_extract_task(config: PipelineConfig, task: Task) -> None:
         write_archive([record], tmp)
 
 
+# A mean task's row: one pair's six slot distances in SLOTS order
+ROW_DTYPE = np.dtype("<f8")
+ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
+
+
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
-    """Write `key_a,key_b,<six slot distances>` per pair, in key-pair order
-    (shards are key ranges and cartesian_pairs walks them in order)."""
+    """Write each pair's row, in cartesian_pairs order, with no keys:
+    shards are key ranges, so that is key-pair order."""
     i, j = task.payload
     records_a = read_archive(_shard_path(config, i))
     records_b = records_a if i == j else read_archive(_shard_path(config, j))
-    lines = []
+    rows = []
     for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
         csd = csd_sixtuple(rec_a.feature, rec_b.feature)
-        lines.append(",".join([rec_a.key, rec_b.key, *(repr(csd[s]) for s in SLOTS)]) + "\n")
+        rows.append([csd[slot] for slot in SLOTS])
     with committed(task.out_path) as tmp:
-        tmp.write_bytes("".join(lines).encode())
+        tmp.write_bytes(np.array(rows, dtype=ROW_DTYPE).tobytes())
 
 
-def _read_mean_rows(path: str):
-    """Yield (key_a, key_b, csd) per row of a mean task output."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split(",")
-            try:
-                if len(fields) != 2 + len(SLOTS):
-                    raise ValueError(f"{len(fields)} fields")
-                csd = dict(zip(SLOTS, map(float, fields[2:])))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: expected key_a,key_b and six floats ({exc})"
-                ) from None
-            yield fields[0], fields[1], csd
+def _open_rows(task: Task, sizes: list[int]):
+    """Open a mean task's rows, checking that they hold one row per pair
+    of its shards (of ``sizes`` records): a short, long or old-format file
+    fails here, naming its path."""
+    i, j = task.payload
+    pair_count = sizes[i] * (sizes[i] - 1) // 2 if i == j else sizes[i] * sizes[j]
+    fh = open(task.out_path, "rb")
+    size = os.fstat(fh.fileno()).st_size
+    if size != pair_count * ROW_BYTES:
+        fh.close()
+        raise ValueError(
+            f"{task.out_path}: {size} bytes where {pair_count} rows of six "
+            f"float64 distances take {pair_count * ROW_BYTES}"
+        )
+    return fh
 
 
 _TASK_RUNNERS = {
@@ -436,6 +448,10 @@ def _extract(
     if _stage_done(state_dir, STAGE_EXTRACT, shards + dumps):
         return shards
 
+    if not all(task.is_done() for task in plan.tasks):
+        # flow's filters: imported once here, so that forked workers inherit
+        # them, and only by a stage that runs flow
+        import scipy.ndimage  # noqa: F401
     execute(plan, config)
 
     # task ids follow sorted keys, so the task archives are in key order
@@ -492,15 +508,15 @@ def _mean(
     _check_shards(config, entries, shard_count)
     execute(plan, config)
 
+    sizes = shard_partition(len(entries), shard_count)
     partials = []
     for task in plan.tasks:  # ascending task id: fixed merge order
-        sums = {slot: 0.0 for slot in SLOTS}
-        pair_count = 0
-        for _, _, csd in _read_mean_rows(task.out_path):
-            for slot in SLOTS:
-                sums[slot] += csd[slot]
-            pair_count += 1
-        partials.append((sums, pair_count))
+        with _open_rows(task, sizes) as fh:
+            rows = np.fromfile(fh, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
+        # cumsum adds the rows strictly in row order, as a per-row loop
+        # would; .sum(axis=0) promises no order
+        sums = np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(len(SLOTS))
+        partials.append((dict(zip(SLOTS, sums.tolist())), len(rows)))
     try:
         mean = reduce_mean(partials)
     except ValueError as exc:
@@ -516,13 +532,14 @@ SIMILARITY_HEADER = "video_a,video_b,similarity\n"
 
 
 def run_similarity(config: PipelineConfig) -> Path:
-    """Similarity stage: the mean rows merge-sorted by key pair and
+    """Similarity stage: the mean rows, read in key-pair order and
     normalised by the corpus means into similarity.csv."""
-    _, shard_count, state_dir = _prepare_stage(config)
-    return _similarity(config, shard_count, state_dir)
+    return _similarity(config, *_prepare_stage(config))
 
 
-def _similarity(config: PipelineConfig, shard_count: int, state_dir: Path) -> Path:
+def _similarity(
+    config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int, state_dir: Path
+) -> Path:
     plan = plan_pair_stage(shard_count, state_dir)
     mean_path, *_ = mean_outputs = _mean_outputs(config, plan)
     if not _stage_done(state_dir, STAGE_MEAN, mean_outputs):
@@ -533,14 +550,32 @@ def _similarity(config: PipelineConfig, shard_count: int, state_dir: Path) -> Pa
         return out_path
 
     mean = read_mean_csd_csv(mean_path)
-    rows = heapq.merge(
-        *(_read_mean_rows(task.out_path) for task in plan.tasks), key=lambda row: row[:2]
-    )
-    with committed(out_path) as tmp, open(tmp, "w") as fh:
-        fh.write(SIMILARITY_HEADER)
-        for key_a, key_b, csd in rows:
-            score = similarity_score(kernel_distance(csd, mean))
-            fh.write(f"{key_a},{key_b},{score!r}\n")
+    # the keys of each shard: mean checked the shards against exactly these
+    keys = sorted(key for key, _ in entries)
+    sizes = shard_partition(len(keys), shard_count)
+    bounds = list(accumulate(sizes, initial=0))
+    shard_keys = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    tasks = {task.payload: task for task in plan.tasks}
+    with committed(out_path) as tmp, open(tmp, "w") as out:
+        out.write(SIMILARITY_HEADER)
+        # Shards are ordered key ranges, so the pairs of a key a of shard i
+        # in key order are its rows in task (i, i), then in (i, i + 1), and
+        # so on: each row of tasks is read in lockstep, S files at most.
+        for i, keys_a in enumerate(shard_keys):
+            with ExitStack() as stack:
+                row = [
+                    (j, stack.enter_context(_open_rows(tasks[(i, j)], sizes)))
+                    for j in range(i, shard_count)
+                ]
+                for k, key_a in enumerate(keys_a):
+                    lines = []
+                    for j, fh in row:
+                        keys_b = shard_keys[j][k + 1 :] if j == i else shard_keys[j]
+                        block = np.frombuffer(fh.read(len(keys_b) * ROW_BYTES), dtype=ROW_DTYPE)
+                        for key_b, csd in zip(keys_b, block.reshape(-1, len(SLOTS)).tolist()):
+                            score = similarity_score(kernel_distance(dict(zip(SLOTS, csd)), mean))
+                            lines.append(f"{key_a},{key_b},{score!r}\n")
+                    out.write("".join(lines))
     _stage_marker(state_dir, STAGE_SIM).touch()
     return out_path
 
@@ -551,4 +586,4 @@ def run_pipeline(config: PipelineConfig) -> Path:
     entries, shard_count, state_dir = _prepare_stage(config)
     _extract(config, entries, shard_count, state_dir)
     _mean(config, entries, shard_count, state_dir)
-    return _similarity(config, shard_count, state_dir)
+    return _similarity(config, entries, shard_count, state_dir)

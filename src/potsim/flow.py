@@ -18,6 +18,10 @@ last two axes, and ``farneback_flow`` takes one ``prev`` frame with a
 frame pairs. Every frame is then expanded once, and each filter, warp and
 solve runs once per stack; the flow of each pair is bit-identical to a
 separate two-frame call.
+
+``scipy.ndimage`` is imported by the functions that filter, not by this
+module, so that importing potsim costs no scipy in commands that run no
+flow.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .frames import resize_bilinear
 
@@ -102,6 +105,8 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
     correlations followed by a fixed 6x6 solve. A ``(..., H, W)`` stack is
     expanded frame by frame along its last two axes.
     """
+    from scipy import ndimage
+
     frame = np.asarray(frame, dtype=np.float64)
     radius = (poly_n - 1) // 2
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -146,6 +151,8 @@ def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
     dimensions are round(dim * scale) with a floor of 8 pixels. A
     ``(..., H, W)`` stack is smoothed and resampled along its last two axes.
     """
+    from scipy import ndimage
+
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must be in (0, 1), got {scale}")
     frame = np.asarray(frame, dtype=np.float64)
@@ -217,6 +224,8 @@ def _flow_update(
     over winsize x winsize, and solved. Near-singular pixels get zero flow.
     All arrays are ``(K, H, W)`` stacks, one frame per pair.
     """
+    from scipy import ndimage
+
     w11, w12, w22, wb1, wb2 = _warp_expansion(next_exp, u, v)
     a11 = 0.5 * (prev_exp.a11 + w11)
     a12 = 0.5 * (prev_exp.a12 + w12)

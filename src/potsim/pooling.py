@@ -16,7 +16,9 @@ and HoG series, yields the six pooled vectors that represent a video.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,11 +34,38 @@ DEFAULT_LEVELS = (1, 2, 4)
 Slot = tuple[str, str]
 
 
-@dataclass
 class PoTFeature:
-    """The six pooled vectors of one video, keyed by (series, pooling)."""
+    """The six pooled vectors of one video, keyed by (series, pooling).
 
-    vectors: dict[Slot, np.ndarray]
+    ``values`` is one contiguous float64 array holding the six vectors in
+    SLOTS order, and ``vectors[slot]`` is a view of its slice
+    ``values[bounds[k]:bounds[k + 1]]``. The mapping is read-only, so a slot
+    cannot be rebound away from ``values``; writing into a view writes to
+    ``values``. Built from a mapping, the vectors are copied into one array.
+    """
+
+    def __init__(self, vectors: Mapping[Slot, np.ndarray]):
+        parts = [np.asarray(vectors[slot], dtype=np.float64) for slot in SLOTS]
+        self._bind(np.concatenate(parts), [part.shape[0] for part in parts])
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, dims: Sequence[int]) -> PoTFeature:
+        """Wrap ``values``, the six vectors of ``dims`` in SLOTS order,
+        without copying it."""
+        feature = cls.__new__(cls)
+        feature._bind(values, dims)
+        return feature
+
+    def _bind(self, values: np.ndarray, dims: Sequence[int]) -> None:
+        if values.dtype != np.float64 or values.shape != (sum(dims),):
+            raise ValueError(
+                f"expected {sum(dims)} float64 values, got {values.dtype} {values.shape}"
+            )
+        self.values = values
+        self.bounds = tuple(accumulate(dims, initial=0))
+        self.vectors = MappingProxyType(
+            {slot: values[lo:hi] for slot, lo, hi in zip(SLOTS, self.bounds, self.bounds[1:])}
+        )
 
 
 def build_intervals(
@@ -116,9 +145,7 @@ def pot_vector(
         raise ValueError(f"series lengths differ: {len(hof)} vs {len(hog)}")
     intervals = build_intervals(len(hof), levels)
     by_kind = {"hof": hof, "hog": hog}
-    vectors: dict[Slot, np.ndarray] = {}
-    for kind, op in SLOTS:
-        fn = _POOL_FNS[op]
-        series = by_kind[kind]
-        vectors[(kind, op)] = np.concatenate([fn(series, iv) for iv in intervals])
-    return PoTFeature(vectors=vectors)
+    pooled = [[_POOL_FNS[op](by_kind[kind], iv) for iv in intervals] for kind, op in SLOTS]
+    dims = [sum(part.shape[0] for part in parts) for parts in pooled]
+    values = np.concatenate([part for parts in pooled for part in parts], dtype=np.float64)
+    return PoTFeature.from_values(values, dims)

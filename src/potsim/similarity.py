@@ -30,16 +30,16 @@ class MeanCsd:
     pair_count: int
 
 
-def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
-    """Half the sum of (fa-fb)^2 / (fa+fb), zero-denominator terms excluded."""
-    fa = np.asarray(fa, dtype=np.float64)
-    fb = np.asarray(fb, dtype=np.float64)
-    if fa.shape != fb.shape:
-        raise ValueError(f"dimension mismatch: {fa.shape} vs {fb.shape}")
+def _chi_square_terms(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """(fa-fb)^2 / (fa+fb) per element, 0.0 where the denominator is not
+    positive."""
     denom = fa + fb
     diff = fa - fb
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(denom > 0.0, diff * diff / denom, 0.0)
+        return np.where(denom > 0.0, diff * diff / denom, 0.0)
+
+
+def _half_sum(terms: np.ndarray) -> float:
     if terms.size == 0:
         return 0.0
     # cumsum accumulates strictly left to right, unlike np.sum's pairwise
@@ -47,9 +47,26 @@ def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
     return 0.5 * float(np.cumsum(terms)[-1])
 
 
+def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
+    """Half the sum of (fa-fb)^2 / (fa+fb), zero-denominator terms excluded."""
+    fa = np.asarray(fa, dtype=np.float64)
+    fb = np.asarray(fb, dtype=np.float64)
+    if fa.shape != fb.shape:
+        raise ValueError(f"dimension mismatch: {fa.shape} vs {fb.shape}")
+    return _half_sum(_chi_square_terms(fa, fb))
+
+
 def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> dict[Slot, float]:
-    """Chi-square distance per (series, pooling) slot."""
-    return {slot: chi_square(a.vectors[slot], b.vectors[slot]) for slot in SLOTS}
+    """Chi-square distance per (series, pooling) slot.
+
+    The terms are computed in one pass over each feature's whole array,
+    then summed slot by slot, so each distance equals ``chi_square`` on
+    that slot's vectors bit for bit.
+    """
+    if a.bounds != b.bounds:
+        raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {b.bounds}")
+    terms = _chi_square_terms(a.values, b.values)
+    return {slot: _half_sum(terms[lo:hi]) for slot, lo, hi in zip(SLOTS, a.bounds, a.bounds[1:])}
 
 
 def mean_csd(partial_sums: dict[Slot, float], pair_count: int) -> MeanCsd:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import potsim
 
 from conftest import blob_video, write_corpus
 from potsim.cli import main, render_heatmap
@@ -67,6 +74,18 @@ class TestExtractCommand:
         assert run_cli("run", manifest, tmp_path / "out", [flag, "nan"]) == 2
         assert "nan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "similarity.csv").exists()
+
+    @pytest.mark.parametrize("value", ["256", "inf"])
+    def test_hog_threshold_above_255_is_usage_error(self, tmp_path, capsys, value):
+        # frames are 0-255, so no difference could reach such a threshold
+        manifest = make_corpus(tmp_path / "c", n=2)
+        assert run_cli("run", manifest, tmp_path / "out", ["--hog-threshold", value]) == 2
+        assert "255" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "similarity.csv").exists()
+
+    def test_hog_threshold_255_runs(self, tmp_path):
+        manifest = make_corpus(tmp_path / "c", n=2)
+        assert run_cli("extract", manifest, tmp_path / "out", ["--hog-threshold", "255"]) == 0
 
 
 class TestMeanCommand:
@@ -191,3 +210,30 @@ class TestHeatmapCommand:
 def test_usage_error_exit_code(capsys):
     assert main(["not-a-command"]) == 2
     capsys.readouterr()
+
+
+def test_pair_stages_import_no_scipy(tmp_path):
+    """Only flow uses scipy: importing potsim, and the commands that run no
+    flow (mean, sim, --help, run on a finished state dir), leave it out."""
+    manifest = make_corpus(tmp_path / "c", n=3)
+    out = tmp_path / "out"
+    assert run_cli("extract", manifest, out) == 0
+    probe = (
+        "import sys\n"
+        "import potsim, potsim.cli\n"
+        "code = potsim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print('scipy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    stages = [
+        [command, "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS]
+        for command in ("mean", "sim", "run")
+    ]
+    for argv in ([], *stages, ["--help"]):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.splitlines()[-1] == "False", argv
+    assert (out / "similarity.csv").exists()

@@ -2,13 +2,16 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, write_corpus, write_video_dir
 from potsim import engine
-from potsim.archive import read_archive
+from potsim.archive import cartesian_pairs, read_archive
 from potsim.cli import main
 from potsim.engine import (
     ConfigError,
@@ -26,6 +29,7 @@ from potsim.engine import (
 )
 from potsim.flow import FarnebackParams
 from potsim.pooling import SLOTS
+from potsim.similarity import csd_sixtuple, mean_csd, write_mean_csd_csv
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
 
@@ -415,18 +419,24 @@ class TestPairStages:
         run_extract(cfg)
         run_mean(cfg)
         rows = out / "state" / "mean" / "task-0.out"
-        good = rows.read_text().splitlines()[0]
-        assert len(good.split(",")) == 8
-        bad_rows = [
-            "v00,v01,1.0,2.0,3.0\n",  # short row
-            f"{good}\nv00,v02,1.0,2.0,x,4.0,5.0,6.0\n",  # non-float field
-        ]
-        for bad, lineno in zip(bad_rows, (1, 2)):
-            rows.write_text(bad)
-            with pytest.raises(ValueError, match=f"task-0.out:{lineno}: expected"):
+        good = rows.read_bytes()
+        assert len(good) == 3 * 48  # three pairs of six float64 distances
+        bad_files = [good[:-8], good + bytes(48), good + b"\0"]  # truncated, over-long
+        for bad in bad_files:
+            rows.write_bytes(bad)
+            with pytest.raises(ValueError, match=f"task-0.out: {len(bad)} bytes where 3 rows"):
                 run_similarity(cfg)
             assert main(fast_argv("sim", manifest, out)) == 1
-            assert f"task-0.out:{lineno}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert str(rows) in err and "Traceback" not in err
+        # the mean stage's reduce reads the same rows
+        (out / "state" / "mean" / ".stage.done").unlink()
+        for bad in bad_files:
+            rows.write_bytes(bad)
+            assert main(fast_argv("mean", manifest, out)) == 1
+            err = capsys.readouterr().err
+            assert str(rows) in err and "Traceback" not in err
+        assert not (out / "similarity.csv").exists()
 
     def test_json_partial_from_old_state_dir_fails(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path / "c", n=3)
@@ -434,13 +444,77 @@ class TestPairStages:
         cfg = fast_config(manifest, out)
         run_extract(cfg)
         run_mean(cfg)
+        rows = out / "state" / "mean" / "task-0.out"
+        csds = np.frombuffer(rows.read_bytes(), dtype="<f8").reshape(3, 6).tolist()
+        pairs = [("v00", "v01"), ("v00", "v02"), ("v01", "v02")]
         sums = {f"{s}/{p}": 1.0 for s, p in SLOTS}
-        (out / "state" / "mean" / "task-0.out").write_text(
-            json.dumps({"pair_count": 3, "sums": sums})
+        old_formats = [
+            json.dumps({"pair_count": 3, "sums": sums}),
+            # text rows: key_a,key_b,<six repr() distances>
+            "".join(",".join([*pair, *map(repr, csd)]) + "\n" for pair, csd in zip(pairs, csds)),
+        ]
+        for old in old_formats:
+            rows.write_text(old)
+            assert main(fast_argv("run", manifest, out)) == 1
+            err = capsys.readouterr().err
+            assert f"{rows}: {len(old)} bytes where 3 rows" in err and "Traceback" not in err
+            assert not (out / "similarity.csv").exists()
+
+    @pytest.mark.parametrize("shards", [1, 3, 12])
+    def test_mean_sums_rows_in_order(self, tmp_path, shards):
+        """mean_csd.csv is byte-identical to += loops: per task over its
+        rows, then over the tasks in task-id order. 12 shards of 12 videos
+        give tasks of one pair (or none), 1 shard one task of 66 pairs."""
+        videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
+        manifest = write_corpus(tmp_path / "c", videos)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out, shard_count=shards)
+        run_extract(cfg)
+        run_mean(cfg)
+
+        sums = {slot: 0.0 for slot in SLOTS}
+        total = 0
+        for task in plan_pair_stage(shards, tmp_path).tasks:
+            i, j = task.payload
+            records_a = read_archive(out / f"features-{i:05d}.potf")
+            records_b = read_archive(out / f"features-{j:05d}.potf")
+            partial = {slot: 0.0 for slot in SLOTS}
+            for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
+                csd = csd_sixtuple(rec_a.feature, rec_b.feature)
+                for slot in SLOTS:
+                    partial[slot] += csd[slot]
+                total += 1
+            for slot in SLOTS:
+                sums[slot] += partial[slot]
+        assert total == 66
+        write_mean_csd_csv(mean_csd(sums, total), tmp_path / "reference.csv")
+        assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_run_under_low_open_file_limit(self, tmp_path):
+        """sim holds at most one row of mean outputs open: 30 videos in 12
+        shards make 78 mean tasks, and the run succeeds under a soft limit
+        of 64 open files with the same similarity.csv as without it."""
+        manifest = small_corpus(tmp_path / "c", n=30)
+        assert len(plan_pair_stage(12, tmp_path).tasks) == 78
+        assert main([*fast_argv("run", manifest, tmp_path / "free"), "--shards", "12"]) == 0
+
+        limited = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            "from potsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
         )
-        assert main(fast_argv("run", manifest, out)) == 1
-        assert "task-0.out:1: expected" in capsys.readouterr().err
-        assert not (out / "similarity.csv").exists()
+        env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", limited, *fast_argv("run", manifest, tmp_path / "limited"),
+             "--shards", "12"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert (tmp_path / "limited" / "similarity.csv").read_bytes() == (
+            tmp_path / "free" / "similarity.csv"
+        ).read_bytes()
 
     def test_missing_mean_task_output_is_usage_error(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path / "c", n=3)

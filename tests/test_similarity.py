@@ -68,7 +68,7 @@ class TestCsdSixtuple:
     def test_single_slot_difference(self):
         a = feature_from([1.0, 0.0])
         b = feature_from([1.0, 0.0])
-        b.vectors[("hof", "sum")] = np.array([0.0, 1.0])
+        b.vectors[("hof", "sum")][:] = [0.0, 1.0]
         csd = csd_sixtuple(a, b)
         assert csd[("hof", "sum")] == 1.0
         assert all(v == 0.0 for slot, v in csd.items() if slot != ("hof", "sum"))
@@ -78,6 +78,31 @@ class TestCsdSixtuple:
         a = PoTFeature({slot: rng.uniform(0, 10, 16) for slot in SLOTS})
         b = PoTFeature({slot: rng.uniform(0, 10, 16) for slot in SLOTS})
         assert csd_sixtuple(a, b) == csd_sixtuple(b, a)
+
+    def test_bit_identical_to_per_slot_chi_square(self):
+        # full-mantissa values, shared zeros (zero denominators) and a NaN
+        rng = np.random.default_rng(7)
+        dims = [14, 28, 14, 14, 28, 14]
+
+        def feature():
+            vectors = {slot: rng.uniform(0, 1e3, dim) ** 1.5 for slot, dim in zip(SLOTS, dims)}
+            for vec in vectors.values():
+                vec[: vec.shape[0] // 4] = 0.0
+                vec[rng.random(vec.shape[0]) < 0.2] = 0.0
+            return PoTFeature(vectors)
+
+        a, b = feature(), feature()
+        a.vectors[("hog", "max")][-1] = np.nan
+        csd = csd_sixtuple(a, b)
+        for slot in SLOTS:
+            expected = chi_square(a.vectors[slot], b.vectors[slot])
+            assert np.float64(csd[slot]).tobytes() == np.float64(expected).tobytes(), slot
+
+    def test_dimension_mismatch(self):
+        a = feature_from([1.0, 2.0])
+        b = feature_from([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="mismatch"):
+            csd_sixtuple(a, b)
 
 
 class TestMeanCsd:
