@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _HEADER = struct.Struct("<4sHHQ")
 _U32 = struct.Struct("<I")
 
 SHARD_NAME_FORMAT = "features-{:05d}.potf"
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -148,17 +150,22 @@ def shard_partition(count: int, shard_count: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-def shard_records(
-    records: list[ArchiveRecord], shard_count: int
-) -> list[list[ArchiveRecord]]:
-    """Partition sorted records into contiguous key-range shards."""
-    sizes = shard_partition(len(records), shard_count)
+def shard_records(records: Sequence[T], shard_count: int) -> list[Sequence[T]]:
+    """Partition sorted records (or their keys, or their files) into
+    contiguous key-range shards: the one place the shard layout is made."""
     shards = []
     start = 0
-    for size in sizes:
+    for size in shard_partition(len(records), shard_count):
         shards.append(records[start : start + size])
         start += size
     return shards
+
+
+def partners(shard_b: Sequence[T], k: int, same_shard: bool) -> Sequence[T]:
+    """The records of ``shard_b`` that the k-th record of a shard pairs with:
+    in the shard itself only the later ones (key_a < key_b), in a later
+    shard all of them (range partitioning puts its keys above)."""
+    return shard_b[k + 1 :] if same_shard else shard_b
 
 
 def write_shards(
@@ -169,20 +176,17 @@ def write_shards(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards = []
-    start = 0
-    for index, size in enumerate(shard_partition(len(paths), shard_count)):
+    for index, sources in enumerate(shard_records(paths, shard_count)):
         path = out_dir / SHARD_NAME_FORMAT.format(index)
         with committed(path) as tmp, open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, 0, size))
-            for source in paths[start : start + size]:
-                source = Path(source)
+            fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(sources)))
+            for source in map(Path, sources):
                 data = source.read_bytes()
                 count = _record_count(source, data)
                 if count != 1:
                     raise ValueError(f"{source}: expected 1 record, found {count}")
                 fh.write(data[_HEADER.size :])
-        shards.append(ArchiveShard(path=path, record_count=size, shard_index=index))
-        start += size
+        shards.append(ArchiveShard(path=path, record_count=len(sources), shard_index=index))
     return shards
 
 
@@ -191,14 +195,8 @@ def cartesian_pairs(
     records_b: list[ArchiveRecord],
     same_shard: bool,
 ) -> Iterator[tuple[ArchiveRecord, ArchiveRecord]]:
-    """Stream record pairs for one shard-pair task.
-
-    For distinct shards every cross pair is emitted (range partitioning
-    guarantees key_a < key_b); for a shard with itself only within-shard
-    pairs with key_a < key_b. Emission order is outer loop over records_a,
-    inner loop over records_b.
-    """
-    for i, rec_a in enumerate(records_a):
-        inner = records_b[i + 1 :] if same_shard else records_b
-        for rec_b in inner:
+    """Stream the record pairs of one shard-pair task, each record of
+    ``records_a`` with its ``partners`` in ``records_b``, in that order."""
+    for k, rec_a in enumerate(records_a):
+        for rec_b in partners(records_b, k, same_shard):
             yield rec_a, rec_b

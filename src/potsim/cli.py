@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import os
 import sys
@@ -26,6 +27,7 @@ import numpy as np
 
 from .descriptors import DEFAULT_HOG_THRESHOLD
 from .engine import (
+    DEFAULT_WORKING_RESOLUTION,
     SIMILARITY_HEADER,
     ConfigError,
     PipelineConfig,
@@ -44,25 +46,21 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+# argparse checks only the syntax of a value; engine.check_config decides
+# which values a run can use, for the CLI and library callers alike.
 def _parse_resize(value: str) -> tuple[int, int]:
     try:
         w, h = value.lower().split("x")
-        w, h = int(w), int(h)
+        return int(w), int(h)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WxH, got '{value}'")
-    if w < 1 or h < 1:
-        raise argparse.ArgumentTypeError(f"resize dimensions must be >= 1, got '{value}'")
-    return w, h
 
 
 def _parse_levels(value: str) -> tuple[int, ...]:
     try:
-        levels = tuple(int(v) for v in value.split(","))
+        return tuple(int(v) for v in value.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got '{value}'")
-    if not levels or any(l < 1 for l in levels):
-        raise argparse.ArgumentTypeError(f"levels must all be >= 1, got '{value}'")
-    return levels
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
@@ -70,44 +68,31 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     parser.add_argument(
-        "--resize", type=_parse_resize, default=(128, 128), metavar="WxH",
-        help="working resolution (default 128x128)",
+        "--resize", type=_parse_resize, default=DEFAULT_WORKING_RESOLUTION, metavar="WxH",
+        help="working resolution (default %dx%d)" % DEFAULT_WORKING_RESOLUTION,
     )
     parser.add_argument(
         "--levels", type=_parse_levels, default=DEFAULT_LEVELS, metavar="L1,L2,...",
-        help="temporal pyramid levels (default 1,2,4)",
+        help=f"temporal pyramid levels (default {','.join(map(str, DEFAULT_LEVELS))})",
     )
     parser.add_argument("--hog-threshold", type=float, default=DEFAULT_HOG_THRESHOLD)
     parser.add_argument("--shards", type=int, default=None, help="shard count (default ceil(N/64))")
     parser.add_argument("--state-dir", default=None, help="checkpoint state directory")
+    # one flag per FarnebackParams field, typed and defaulted by it:
+    # --pyr-scale, --flow-levels, --winsize, --iterations, --poly-n, --poly-sigma
     fb = parser.add_argument_group("optical flow")
-    fb.add_argument("--pyr-scale", type=float, default=0.5)
-    fb.add_argument("--flow-levels", type=int, default=3)
-    fb.add_argument("--winsize", type=int, default=15)
-    fb.add_argument("--iterations", type=int, default=3)
-    fb.add_argument("--poly-n", type=int, default=5)
-    fb.add_argument("--poly-sigma", type=float, default=1.1)
+    for param in dataclasses.fields(FarnebackParams):
+        flag = "flow-levels" if param.name == "levels" else param.name.replace("_", "-")
+        fb.add_argument(
+            f"--{flag}", dest=f"flow_{param.name}", metavar=flag.replace("-", "_").upper(),
+            type=type(param.default), default=param.default,
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     farneback = FarnebackParams(
-        pyr_scale=args.pyr_scale,
-        levels=args.flow_levels,
-        winsize=args.winsize,
-        iterations=args.iterations,
-        poly_n=args.poly_n,
-        poly_sigma=args.poly_sigma,
+        **{p.name: getattr(args, f"flow_{p.name}") for p in dataclasses.fields(FarnebackParams)}
     )
-    try:
-        farneback.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
-    # hog_frame counts |D| >= threshold on 0-255 frames: above 255 (or nan)
-    # no pixel can count
-    if not args.hog_threshold <= 255.0:
-        raise ConfigError(f"hog threshold must be a number <= 255, got {args.hog_threshold}")
     state_dir = args.state_dir or os.environ.get("POT_STATE_DIR") or None
     return PipelineConfig(
         manifest=args.manifest,
@@ -227,10 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (ValueError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

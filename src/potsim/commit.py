@@ -18,8 +18,13 @@ from typing import Iterator
 @contextmanager
 def committed(path: str | Path) -> Iterator[Path]:
     """Yield ``<path>.tmp`` to write; rename it to ``path`` if the block
-    succeeds. On failure ``path`` is left as it was."""
+    succeeds. On failure the tmp file is removed, ``path`` is left as it
+    was and the error propagates."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    yield tmp
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)

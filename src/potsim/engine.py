@@ -12,11 +12,15 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   float64 (48 bytes, no keys), in key-pair order; a deterministic reduce
   sums the rows into ``mean_csd.csv``.
 * similarity: no tasks of its own; for each shard i it walks the shard's
-  keys, taken from the manifest, and reads each key's rows from tasks
-  (i, i), (i, i + 1), ..., (i, S - 1) in lockstep, so at most S files are
-  open. Each row, normalised by the means, becomes a line of
-  ``similarity.csv``. Every pair is scored by exactly one chi-square pass,
-  and this stage reads no shard.
+  keys and reads each key's rows from tasks (i, i), (i, i + 1), ...,
+  (i, S - 1) in lockstep, so at most S files are open. Each row, normalised
+  by the means, becomes a line of ``similarity.csv``. Every pair is scored
+  by exactly one chi-square pass, and this stage reads no shard.
+
+A preamble shared by the stages checks the whole configuration
+(``check_config``) before it reads the manifest or touches the state dir,
+then cuts the manifest's sorted keys into shards once
+(``archive.shard_records``) and hands those key lists to every stage.
 
 Every task and stage output is written to ``<path>.tmp`` and renamed into
 place, so an output that exists is finished: a task is done, and skipped on
@@ -34,12 +38,13 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +53,9 @@ from .archive import (
     SHARD_NAME_FORMAT,
     ArchiveRecord,
     cartesian_pairs,
+    partners,
     read_archive,
-    shard_partition,
+    shard_records,
     write_archive,
     write_shards,
 )
@@ -127,14 +133,30 @@ class Task:
         return all(os.path.exists(p) for p in (*self.dump_paths, self.out_path))
 
 
-@dataclass
-class StagePlan:
-    stage: str
-    tasks: list[Task]
+def check_config(config: PipelineConfig) -> None:
+    """Refuse any setting that no run can use, before anything is read."""
+    if config.working_w < 1 or config.working_h < 1:
+        raise ConfigError(f"working size must be >= 1, got {config.working_w}x{config.working_h}")
+    if not config.levels or any(level < 1 for level in config.levels):
+        raise ConfigError(f"levels must be non-empty and all >= 1, got {list(config.levels)}")
+    # hog_frame counts |D| >= threshold on 0-255 frames: above 255 (or nan)
+    # no pixel can count
+    threshold = config.hog_threshold
+    if not (isinstance(threshold, numbers.Real) and threshold <= 255.0):
+        raise ConfigError(f"hog threshold must be a number <= 255, got {threshold}")
+    if config.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {config.workers}")
+    if config.shard_count is not None and config.shard_count < 1:
+        raise ConfigError(f"shard count must be >= 1, got {config.shard_count}")
+    try:
+        config.farneback.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
-    """Read `<key>,<frames-directory>` lines; keys unique, no commas.
+    """Read `<key>,<frames-directory>` lines; keys unique, without commas,
+    '/' or NUL, since a key names output files.
 
     Relative directories are resolved against the manifest's location.
     """
@@ -154,6 +176,8 @@ def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
         directory = directory.strip()
         if not key or not directory:
             raise ConfigError(f"{path}:{lineno}: empty key or directory")
+        if "/" in key or "\0" in key:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} holds '/' or NUL")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         seen.add(key)
@@ -165,8 +189,6 @@ def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
 
 def resolve_shard_count(config: PipelineConfig, video_count: int) -> int:
     if config.shard_count is not None:
-        if config.shard_count < 1:
-            raise ConfigError(f"shard count must be >= 1, got {config.shard_count}")
         return config.shard_count
     return max(1, math.ceil(video_count / DEFAULT_VIDEOS_PER_SHARD))
 
@@ -216,13 +238,9 @@ def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -
 # State directory layout
 
 
-def state_root(config: PipelineConfig) -> Path:
-    return Path(config.state_dir) if config.state_dir else Path(config.out_dir) / "state"
-
-
 def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
     """Create (or validate) the state dir; refuse fingerprint mismatches."""
-    root = state_root(config)
+    root = Path(config.state_dir) if config.state_dir else Path(config.out_dir) / "state"
     root.mkdir(parents=True, exist_ok=True)
     fp_file = root / "fingerprint"
     if fp_file.exists():
@@ -240,13 +258,19 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
     return root
 
 
-def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], int, Path]:
-    """Preamble shared by all stages: manifest entries, the planned shard
-    count (empty shards omitted) and the validated state dir."""
+ShardKeys = list[list[str]]
+
+
+def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], ShardKeys, Path]:
+    """Preamble shared by all stages: the checked config, the manifest
+    entries, the shard layout (each shard's sorted keys, empty shards
+    omitted) and the validated state dir."""
+    check_config(config)
     entries = parse_manifest(config.manifest)
-    shard_count = len(shard_partition(len(entries), resolve_shard_count(config, len(entries))))
+    keys = sorted(key for key, _ in entries)
+    shard_keys = shard_records(keys, resolve_shard_count(config, len(entries)))
     state_dir = prepare_state(config, config_fingerprint(config, entries))
-    return entries, shard_count, state_dir
+    return entries, shard_keys, state_dir
 
 
 # ---------------------------------------------------------------------------
@@ -255,43 +279,37 @@ def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], int, 
 
 def plan_extract(
     config: PipelineConfig, entries: list[tuple[str, str]], state_dir: Path
-) -> StagePlan:
+) -> list[Task]:
     """One task per video, ordered by key."""
-    tasks = []
     work_dir = state_dir / STAGE_EXTRACT
     dumps = ("hof", "hog") if config.dump_series else ()
-    for task_id, (key, directory) in enumerate(sorted(entries)):
-        tasks.append(
-            Task(
-                id=task_id,
-                stage=STAGE_EXTRACT,
-                label=key,
-                payload=(key, directory),
-                out_path=str(work_dir / f"task-{task_id}.out"),
-                dump_paths=tuple(str(series_dump_path(config.out_dir, key, k)) for k in dumps),
-            )
+    return [
+        Task(
+            id=task_id,
+            stage=STAGE_EXTRACT,
+            label=key,
+            payload=(key, directory),
+            out_path=str(work_dir / f"task-{task_id}.out"),
+            dump_paths=tuple(str(series_dump_path(config.out_dir, key, k)) for k in dumps),
         )
-    return StagePlan(stage=STAGE_EXTRACT, tasks=tasks)
+        for task_id, (key, directory) in enumerate(sorted(entries))
+    ]
 
 
-def plan_pair_stage(shard_count: int, state_dir: Path) -> StagePlan:
+def plan_pair_stage(shard_count: int, state_dir: Path) -> list[Task]:
     """Mean tasks: one per shard pair (i, j) with i <= j, S(S+1)/2 in all."""
     work_dir = state_dir / STAGE_MEAN
-    tasks = []
-    task_id = 0
-    for i in range(shard_count):
-        for j in range(i, shard_count):
-            tasks.append(
-                Task(
-                    id=task_id,
-                    stage=STAGE_MEAN,
-                    label=f"shards ({i},{j})",
-                    payload=(i, j),
-                    out_path=str(work_dir / f"task-{task_id}.out"),
-                )
-            )
-            task_id += 1
-    return StagePlan(stage=STAGE_MEAN, tasks=tasks)
+    pairs = [(i, j) for i in range(shard_count) for j in range(i, shard_count)]
+    return [
+        Task(
+            id=task_id,
+            stage=STAGE_MEAN,
+            label=f"shards ({i},{j})",
+            payload=(i, j),
+            out_path=str(work_dir / f"task-{task_id}.out"),
+        )
+        for task_id, (i, j) in enumerate(pairs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +353,12 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
         tmp.write_bytes(np.array(rows, dtype=ROW_DTYPE).tobytes())
 
 
-def _open_rows(task: Task, sizes: list[int]):
+def _open_rows(task: Task, shard_keys: ShardKeys):
     """Open a mean task's rows, checking that they hold one row per pair
-    of its shards (of ``sizes`` records): a short, long or old-format file
-    fails here, naming its path."""
+    of its shards: a short, long or old-format file fails here, naming its
+    path."""
     i, j = task.payload
-    pair_count = sizes[i] * (sizes[i] - 1) // 2 if i == j else sizes[i] * sizes[j]
+    pair_count = sum(len(partners(shard_keys[j], k, i == j)) for k in range(len(shard_keys[i])))
     fh = open(task.out_path, "rb")
     size = os.fstat(fh.fileno()).st_size
     if size != pair_count * ROW_BYTES:
@@ -371,14 +389,14 @@ def _run_task(config: PipelineConfig, task: Task) -> tuple[int, str | None, floa
 # Execution
 
 
-def execute(plan: StagePlan, config: PipelineConfig) -> None:
+def execute(tasks: list[Task], config: PipelineConfig) -> None:
     """Run a stage's tasks on the worker pool; skip completed, fail late."""
-    by_id = {t.id: t for t in plan.tasks}
+    by_id = {t.id: t for t in tasks}
     pending = []
-    for task in plan.tasks:
+    for task in tasks:
         if task.is_done():
             logger.info(
-                "task=%d stage=%s target=%s outcome=skipped", task.id, plan.stage, task.label
+                "task=%d stage=%s target=%s outcome=skipped", task.id, task.stage, task.label
             )
         else:
             pending.append(task)
@@ -390,7 +408,7 @@ def execute(plan: StagePlan, config: PipelineConfig) -> None:
         logger.info(
             "task=%d stage=%s target=%s outcome=%s duration_ms=%.1f%s",
             task.id,
-            plan.stage,
+            task.stage,
             task.label,
             outcome,
             duration_ms,
@@ -415,7 +433,7 @@ def execute(plan: StagePlan, config: PipelineConfig) -> None:
 
     if failures:
         failures.sort(key=lambda f: f[0])
-        raise StageError(plan.stage, failures)
+        raise StageError(tasks[0].stage, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +456,24 @@ def run_extract(config: PipelineConfig) -> list[Path]:
 
 
 def _extract(
-    config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int, state_dir: Path
+    config: PipelineConfig, entries: list[tuple[str, str]], shard_keys: ShardKeys, state_dir: Path
 ) -> list[Path]:
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
-    plan = plan_extract(config, entries, state_dir)
-    shards = [_shard_path(config, i) for i in range(shard_count)]
-    dumps = [path for task in plan.tasks for path in task.dump_paths]
+    tasks = plan_extract(config, entries, state_dir)
+    shards = [_shard_path(config, i) for i in range(len(shard_keys))]
+    dumps = [path for task in tasks for path in task.dump_paths]
     if _stage_done(state_dir, STAGE_EXTRACT, shards + dumps):
         return shards
 
-    if not all(task.is_done() for task in plan.tasks):
+    if not all(task.is_done() for task in tasks):
         # flow's filters: imported once here, so that forked workers inherit
         # them, and only by a stage that runs flow
         import scipy.ndimage  # noqa: F401
-    execute(plan, config)
+    execute(tasks, config)
 
     # task ids follow sorted keys, so the task archives are in key order
-    write_shards([t.out_path for t in plan.tasks], config.out_dir, shard_count)
+    write_shards([t.out_path for t in tasks], config.out_dir, len(shard_keys))
     _stage_marker(state_dir, STAGE_EXTRACT).touch()
     return shards
 
@@ -471,16 +489,15 @@ def reduce_mean(partials: list[tuple[dict, int]]) -> MeanCsd:
     return mean_csd(sums, total)
 
 
-def _check_shards(config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int) -> None:
+def _check_shards(config: PipelineConfig, shard_keys: ShardKeys) -> None:
     """Each shard exists and holds the manifest's sorted keys of its range:
     mean also scores shards that it did not see extract write."""
-    keys = iter(sorted(key for key, _ in entries))
-    for index, size in enumerate(shard_partition(len(entries), shard_count)):
+    for index, keys in enumerate(shard_keys):
         path = _shard_path(config, index)
         if not path.exists():
             raise ConfigError(f"missing shard file {path} (run extract first)")
         found = (record.key for record in read_archive(path))
-        for key, expected in zip_longest(found, islice(keys, size)):
+        for key, expected in zip_longest(found, keys):
             if key != expected:
                 message = f"key {key!r} where the manifest has {expected!r}"
                 raise StageError(STAGE_MEAN, [(str(path), message)])
@@ -489,29 +506,27 @@ def _check_shards(config: PipelineConfig, entries: list[tuple[str, str]], shard_
 def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-pair slot distances, summed per task and reduced
     into mean_csd.csv."""
-    return _mean(config, *_prepare_stage(config))
+    _, shard_keys, state_dir = _prepare_stage(config)
+    return _mean(config, shard_keys, state_dir)
 
 
-def _mean_outputs(config: PipelineConfig, plan: StagePlan) -> list[Path]:
+def _mean_outputs(config: PipelineConfig, tasks: list[Task]) -> list[Path]:
     """mean_csd.csv, then every task's rows, which sim reads."""
-    return [Path(config.out_dir) / "mean_csd.csv", *(Path(t.out_path) for t in plan.tasks)]
+    return [Path(config.out_dir) / "mean_csd.csv", *(Path(t.out_path) for t in tasks)]
 
 
-def _mean(
-    config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int, state_dir: Path
-) -> MeanCsd:
-    plan = plan_pair_stage(shard_count, state_dir)
-    out_path, *_ = outputs = _mean_outputs(config, plan)
+def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
+    tasks = plan_pair_stage(len(shard_keys), state_dir)
+    out_path, *_ = outputs = _mean_outputs(config, tasks)
     if _stage_done(state_dir, STAGE_MEAN, outputs):
         return read_mean_csd_csv(out_path)
 
-    _check_shards(config, entries, shard_count)
-    execute(plan, config)
+    _check_shards(config, shard_keys)
+    execute(tasks, config)
 
-    sizes = shard_partition(len(entries), shard_count)
     partials = []
-    for task in plan.tasks:  # ascending task id: fixed merge order
-        with _open_rows(task, sizes) as fh:
+    for task in tasks:  # ascending task id: fixed merge order
+        with _open_rows(task, shard_keys) as fh:
             rows = np.fromfile(fh, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
         # cumsum adds the rows strictly in row order, as a per-row loop
         # would; .sum(axis=0) promises no order
@@ -534,14 +549,13 @@ SIMILARITY_HEADER = "video_a,video_b,similarity\n"
 def run_similarity(config: PipelineConfig) -> Path:
     """Similarity stage: the mean rows, read in key-pair order and
     normalised by the corpus means into similarity.csv."""
-    return _similarity(config, *_prepare_stage(config))
+    _, shard_keys, state_dir = _prepare_stage(config)
+    return _similarity(config, shard_keys, state_dir)
 
 
-def _similarity(
-    config: PipelineConfig, entries: list[tuple[str, str]], shard_count: int, state_dir: Path
-) -> Path:
-    plan = plan_pair_stage(shard_count, state_dir)
-    mean_path, *_ = mean_outputs = _mean_outputs(config, plan)
+def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Path:
+    tasks = plan_pair_stage(len(shard_keys), state_dir)
+    mean_path, *_ = mean_outputs = _mean_outputs(config, tasks)
     if not _stage_done(state_dir, STAGE_MEAN, mean_outputs):
         raise ConfigError(f"missing {mean_path} or mean task outputs (run mean first)")
 
@@ -550,27 +564,23 @@ def _similarity(
         return out_path
 
     mean = read_mean_csd_csv(mean_path)
-    # the keys of each shard: mean checked the shards against exactly these
-    keys = sorted(key for key, _ in entries)
-    sizes = shard_partition(len(keys), shard_count)
-    bounds = list(accumulate(sizes, initial=0))
-    shard_keys = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    tasks = {task.payload: task for task in plan.tasks}
+    by_shards = {task.payload: task for task in tasks}
     with committed(out_path) as tmp, open(tmp, "w") as out:
         out.write(SIMILARITY_HEADER)
         # Shards are ordered key ranges, so the pairs of a key a of shard i
         # in key order are its rows in task (i, i), then in (i, i + 1), and
         # so on: each row of tasks is read in lockstep, S files at most.
+        # mean checked the shards against exactly these keys.
         for i, keys_a in enumerate(shard_keys):
             with ExitStack() as stack:
                 row = [
-                    (j, stack.enter_context(_open_rows(tasks[(i, j)], sizes)))
-                    for j in range(i, shard_count)
+                    (j, stack.enter_context(_open_rows(by_shards[(i, j)], shard_keys)))
+                    for j in range(i, len(shard_keys))
                 ]
                 for k, key_a in enumerate(keys_a):
                     lines = []
                     for j, fh in row:
-                        keys_b = shard_keys[j][k + 1 :] if j == i else shard_keys[j]
+                        keys_b = partners(shard_keys[j], k, i == j)
                         block = np.frombuffer(fh.read(len(keys_b) * ROW_BYTES), dtype=ROW_DTYPE)
                         for key_b, csd in zip(keys_b, block.reshape(-1, len(SLOTS)).tolist()):
                             score = similarity_score(kernel_distance(dict(zip(SLOTS, csd)), mean))
@@ -583,7 +593,7 @@ def _similarity(
 def run_pipeline(config: PipelineConfig) -> Path:
     """Extract, mean, and similarity in sequence with checkpointing; the
     manifest and the inputs are read and fingerprinted once for all three."""
-    entries, shard_count, state_dir = _prepare_stage(config)
-    _extract(config, entries, shard_count, state_dir)
-    _mean(config, entries, shard_count, state_dir)
-    return _similarity(config, entries, shard_count, state_dir)
+    entries, shard_keys, state_dir = _prepare_stage(config)
+    _extract(config, entries, shard_keys, state_dir)
+    _mean(config, shard_keys, state_dir)
+    return _similarity(config, shard_keys, state_dir)

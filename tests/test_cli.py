@@ -83,6 +83,31 @@ class TestExtractCommand:
         assert "255" in capsys.readouterr().err
         assert not (tmp_path / "out" / "similarity.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--resize", "0x24"], ["--levels", "1,0"], ["--workers", "0"], ["--shards", "0"],
+         ["--winsize", "4"]],
+        ids=" ".join,
+    )
+    def test_unusable_setting_is_usage_error(self, tmp_path, capsys, flags):
+        # the engine's check, not argparse, now refuses these; exit 2 and
+        # no state dir are kept behaviour (all but --levels pass at the parent)
+        manifest = make_corpus(tmp_path / "c", n=2)
+        assert run_cli("run", manifest, tmp_path / "out", flags) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "state").exists()
+
+    @pytest.mark.parametrize("key", ["../../escaped", "a/b", "a\0b"])
+    def test_key_that_is_no_file_name_is_usage_error(self, tmp_path, capsys, key):
+        """Keys name the --dump-series files: a '/' would write outside --out."""
+        make_corpus(tmp_path / "c", n=2)
+        manifest = tmp_path / "c" / "manifest.txt"
+        manifest.write_text(f"v00,v00\n{key},v01\n")
+        out = tmp_path / "a" / "b" / "out"
+        assert run_cli("run", manifest, out, ["--dump-series"]) == 2
+        assert f"{manifest}:2:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.of.txt"))
+
     def test_hog_threshold_255_runs(self, tmp_path):
         manifest = make_corpus(tmp_path / "c", n=2)
         assert run_cli("extract", manifest, tmp_path / "out", ["--hog-threshold", "255"]) == 0
@@ -129,6 +154,19 @@ class TestSimCommand:
     def test_missing_inputs_is_usage_error(self, tmp_path):
         manifest = make_corpus(tmp_path / "c", n=2)
         assert run_cli("sim", manifest, tmp_path / "out") == 2
+
+    def test_failed_sim_leaves_no_tmp(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        (out / "similarity.csv").unlink()
+        (out / "state" / "sim" / ".stage.done").unlink()
+        rows = out / "state" / "mean" / "task-0.out"
+        rows.write_bytes(rows.read_bytes()[:-8])
+        assert run_cli("sim", manifest, out) == 1
+        assert str(rows) in capsys.readouterr().err
+        assert not (out / "similarity.csv.tmp").exists()
+        assert not (out / "similarity.csv").exists()
 
     def test_single_video_no_pairs(self, tmp_path):
         manifest = make_corpus(tmp_path / "c", n=1)

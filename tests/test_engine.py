@@ -29,7 +29,7 @@ from potsim.engine import (
 )
 from potsim.flow import FarnebackParams
 from potsim.pooling import SLOTS
-from potsim.similarity import csd_sixtuple, mean_csd, write_mean_csd_csv
+from potsim.similarity import csd_sixtuple, generate_pairs, mean_csd, write_mean_csd_csv
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
 
@@ -107,13 +107,13 @@ class TestPlanning:
         assert resolve_shard_count(cfg, 65) == 2
 
     def test_pair_stage_task_count(self, tmp_path):
-        plan = plan_pair_stage(3, tmp_path)
-        assert len(plan.tasks) == 6
-        assert [t.payload for t in plan.tasks] == [
+        tasks = plan_pair_stage(3, tmp_path)
+        assert len(tasks) == 6
+        assert [t.payload for t in tasks] == [
             (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
         ]
-        plan = plan_pair_stage(1, tmp_path)
-        assert len(plan.tasks) == 1
+        tasks = plan_pair_stage(1, tmp_path)
+        assert len(tasks) == 1
 
     def test_fingerprint_sensitivity(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=2)
@@ -122,6 +122,49 @@ class TestPlanning:
         assert config_fingerprint(base, entries) == config_fingerprint(base, entries)
         changed = fast_config(manifest, tmp_path / "out", working_w=32)
         assert config_fingerprint(base, entries) != config_fingerprint(changed, entries)
+
+
+class TestConfigCheck:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"working_w": 0},
+            {"working_h": 0},
+            {"levels": ()},
+            {"levels": (0,)},
+            {"hog_threshold": 256.0},
+            {"hog_threshold": float("inf")},
+            {"hog_threshold": float("nan")},
+            {"hog_threshold": "5"},
+            {"workers": 0},
+            # refused before the state dir at the parent too: kept as a case
+            # of the one check
+            {"shard_count": 0},
+            pytest.param({"farneback": FarnebackParams(levels=1, winsize=4)}, id="winsize=4"),
+            pytest.param({"farneback": FarnebackParams(iterations=0)}, id="iterations=0"),
+        ],
+        ids=repr,
+    )
+    def test_invalid_setting_is_config_error(self, tmp_path, override):
+        """A library run refuses every unusable setting up front, as the
+        CLI does: no task runs and no state dir is made."""
+        manifest = small_corpus(tmp_path / "c", n=2)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError):
+            run_pipeline(fast_config(manifest, out, **override))
+        assert not (out / "state").exists()
+
+    def test_more_shards_than_videos(self, tmp_path):
+        """Covers behaviour no test ran before: a requested shard count
+        above the video count gives one shard per video."""
+        manifest = small_corpus(tmp_path / "c", n=4)
+        out = tmp_path / "out"
+        run_pipeline(fast_config(manifest, out, shard_count=10))
+        assert len(list(out.glob("features-*.potf"))) == 4
+        assert len(list((out / "state" / "mean").glob("task-*.out"))) == 10
+        rows = (out / "similarity.csv").read_text().splitlines()[1:]
+        pairs = [tuple(row.split(",")[:2]) for row in rows]
+        assert pairs == generate_pairs(["v00", "v01", "v02", "v03"])
 
 
 class TestReduceMean:
@@ -474,7 +517,7 @@ class TestPairStages:
 
         sums = {slot: 0.0 for slot in SLOTS}
         total = 0
-        for task in plan_pair_stage(shards, tmp_path).tasks:
+        for task in plan_pair_stage(shards, tmp_path):
             i, j = task.payload
             records_a = read_archive(out / f"features-{i:05d}.potf")
             records_b = read_archive(out / f"features-{j:05d}.potf")
@@ -495,7 +538,7 @@ class TestPairStages:
         shards make 78 mean tasks, and the run succeeds under a soft limit
         of 64 open files with the same similarity.csv as without it."""
         manifest = small_corpus(tmp_path / "c", n=30)
-        assert len(plan_pair_stage(12, tmp_path).tasks) == 78
+        assert len(plan_pair_stage(12, tmp_path)) == 78
         assert main([*fast_argv("run", manifest, tmp_path / "free"), "--shards", "12"]) == 0
 
         limited = (
