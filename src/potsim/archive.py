@@ -53,7 +53,6 @@ class ArchiveShard:
 
     path: Path
     record_count: int
-    shard_index: int
 
 
 def write_archive(records: list[ArchiveRecord], path: str | Path) -> ArchiveShard:
@@ -75,7 +74,7 @@ def write_archive(records: list[ArchiveRecord], path: str | Path) -> ArchiveShar
                 vec = np.ascontiguousarray(record.feature.vectors[slot], dtype="<f8")
                 fh.write(_U32.pack(vec.shape[0]))
                 fh.write(vec.tobytes())
-    return ArchiveShard(path=path, record_count=len(records), shard_index=0)
+    return ArchiveShard(path=path, record_count=len(records))
 
 
 def _record_count(path: Path, data: bytes) -> int:
@@ -186,7 +185,7 @@ def write_shards(
                 if count != 1:
                     raise ValueError(f"{source}: expected 1 record, found {count}")
                 fh.write(data[_HEADER.size :])
-        shards.append(ArchiveShard(path=path, record_count=len(sources), shard_index=index))
+        shards.append(ArchiveShard(path=path, record_count=len(sources)))
     return shards
 
 

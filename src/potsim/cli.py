@@ -16,7 +16,6 @@ error. ``POT_STATE_DIR`` overrides the default state directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import os
@@ -110,15 +109,17 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _read_similarity_csv(path: Path) -> dict[tuple[str, str], float]:
+    """Read similarity.csv as the engine writes it: a key holds no comma,
+    so each line splits on ',' (a quote is part of a key, not CSV quoting)."""
     scores: dict[tuple[str, str], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SIMILARITY_HEADER.rstrip("\n").split(","):
-            raise ValueError(f"{path}: bad header {header}")
-        for row in reader:
+    with open(path) as fh:
+        header = fh.readline()
+        if header != SIMILARITY_HEADER:
+            raise ValueError(f"{path}: bad header {header.rstrip()!r}")
+        for line in fh:
+            row = line.rstrip("\n").split(",")
             if len(row) != 3:
-                raise ValueError(f"{path}: malformed row {row}")
+                raise ValueError(f"{path}: malformed row {line.rstrip()!r}")
             scores[(row[0], row[1])] = float(row[2])
     return scores
 
@@ -179,10 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("POTSIM_LOG", "INFO"),
-        format="%(asctime)s %(name)s %(message)s",
-    )
+    try:
+        logging.basicConfig(
+            level=os.environ.get("POTSIM_LOG", "INFO"),
+            format="%(asctime)s %(name)s %(message)s",
+        )
+    except ValueError as exc:  # a level name logging does not know
+        print(f"error: POTSIM_LOG: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -69,6 +69,7 @@ from .similarity import (
     csd_sixtuple,
     kernel_distance,
     mean_csd,
+    ordered_sum,
     read_mean_csd_csv,
     similarity_score,
     write_mean_csd_csv,
@@ -253,7 +254,7 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
             )
     else:
         fp_file.write_text(fingerprint + "\n")
-    for stage in (STAGE_EXTRACT, STAGE_MEAN, STAGE_SIM):
+    for stage in (STAGE_EXTRACT, STAGE_MEAN):  # the stages with tasks
         (root / stage).mkdir(exist_ok=True)
     return root
 
@@ -422,7 +423,8 @@ def execute(tasks: list[Task], config: PipelineConfig) -> None:
             record(*_run_task(config, task))
     else:
         start = time.monotonic()
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # no idle workers: a fork pool starts all of them at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(pending))) as pool:
             futures = {pool.submit(_run_task, config, task): task for task in pending}
             for future in as_completed(futures):
                 try:
@@ -441,7 +443,7 @@ def execute(tasks: list[Task], config: PipelineConfig) -> None:
 
 
 def _stage_marker(state_dir: Path, stage: str) -> Path:
-    return state_dir / stage / ".stage.done"
+    return state_dir / f"{stage}.done"
 
 
 def _stage_done(state_dir: Path, stage: str, outputs: list[Path | str]) -> bool:
@@ -476,17 +478,6 @@ def _extract(
     write_shards([t.out_path for t in tasks], config.out_dir, len(shard_keys))
     _stage_marker(state_dir, STAGE_EXTRACT).touch()
     return shards
-
-
-def reduce_mean(partials: list[tuple[dict, int]]) -> MeanCsd:
-    """Deterministic reduce: sum slot sums and pair counts in list order."""
-    sums = {slot: 0.0 for slot in SLOTS}
-    total = 0
-    for slot_sums, count in partials:
-        for slot in SLOTS:
-            sums[slot] += slot_sums[slot]
-        total += count
-    return mean_csd(sums, total)
 
 
 def _check_shards(config: PipelineConfig, shard_keys: ShardKeys) -> None:
@@ -524,16 +515,16 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
     _check_shards(config, shard_keys)
     execute(tasks, config)
 
-    partials = []
-    for task in tasks:  # ascending task id: fixed merge order
+    # per-task row sums, then their sum, in ascending task id: fixed order
+    task_sums = np.empty((len(tasks), len(SLOTS)))
+    pair_count = 0
+    for n, task in enumerate(tasks):
         with _open_rows(task, shard_keys) as fh:
             rows = np.fromfile(fh, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
-        # cumsum adds the rows strictly in row order, as a per-row loop
-        # would; .sum(axis=0) promises no order
-        sums = np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(len(SLOTS))
-        partials.append((dict(zip(SLOTS, sums.tolist())), len(rows)))
+        task_sums[n] = ordered_sum(rows)
+        pair_count += len(rows)
     try:
-        mean = reduce_mean(partials)
+        mean = mean_csd(dict(zip(SLOTS, ordered_sum(task_sums).tolist())), pair_count)
     except ValueError as exc:
         raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
 

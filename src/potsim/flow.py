@@ -70,7 +70,8 @@ class PolyExpansion:
     """Per-pixel quadratic model coefficients.
 
     The symmetric 2x2 matrix A is stored as (a11, a12, a22); b is the
-    gradient-like 2-vector (b1 along x, b2 along y); c is the constant term.
+    gradient-like 2-vector (b1 along x, b2 along y). The constant term c
+    cancels in the displacement (Farneback, SCIA 2003), so it is not kept.
     All arrays share the shape of the expanded frame or frame stack.
     """
 
@@ -79,7 +80,6 @@ class PolyExpansion:
     a22: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -102,8 +102,8 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
     neighborhood with Gaussian weights of std ``poly_sigma``; borders use the
     same window with edge replication. Because the weights do not vary per
     pixel, the normal matrix is constant and the fit reduces to six separable
-    correlations followed by a fixed 6x6 solve. A ``(..., H, W)`` stack is
-    expanded frame by frame along its last two axes.
+    correlations followed by a fixed 6x6 solve; A and b are kept. A
+    ``(..., H, W)`` stack is expanded frame by frame along its last two axes.
     """
     from scipy import ndimage
 
@@ -139,9 +139,7 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
         ]
     )
     r = np.einsum("ij,j...->i...", gram_inv, proj)
-    return PolyExpansion(
-        a11=r[3], a12=0.5 * r[5], a22=r[4], b1=r[1], b2=r[2], c=r[0]
-    )
+    return PolyExpansion(a11=r[3], a12=0.5 * r[5], a22=r[4], b1=r[1], b2=r[2])
 
 
 def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
@@ -169,8 +167,7 @@ def _warp_expansion(
     exp: PolyExpansion, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Sample (a11, a12, a22, b1, b2) bilinearly at the displaced positions,
-    border-clamped; c is never read by the flow update, so it is not
-    resampled.
+    border-clamped.
 
     The fields and ``u``, ``v`` share one ``(..., H, W)`` shape. Indices and
     weights are computed once for all five fields, with the arithmetic of
@@ -206,7 +203,9 @@ def _warp_expansion(
             out += term
         return out
 
-    return tuple(warp(f) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2))
+    # a non-finite value times a zero weight is NaN, silently, as in map_coordinates
+    with np.errstate(invalid="ignore"):
+        return tuple(warp(f) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2))
 
 
 def _flow_update(
@@ -253,10 +252,7 @@ def _flow_update(
 
 
 def _expansion_slice(exp: PolyExpansion, index) -> PolyExpansion:
-    return PolyExpansion(
-        a11=exp.a11[index], a12=exp.a12[index], a22=exp.a22[index],
-        b1=exp.b1[index], b2=exp.b2[index], c=exp.c[index],
-    )
+    return PolyExpansion(*(f[index] for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2)))
 
 
 def farneback_flow(

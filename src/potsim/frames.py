@@ -7,7 +7,8 @@ to grayscale and resized to a fixed working resolution so that descriptor
 dimensionality is identical across source resolutions.
 
 A frame is represented as a 2-D ``float64`` array of shape ``(height,
-width)`` with luminance values in ``[0, 255]``.
+width)`` with luminance values in ``[0, 255]``: a file whose maxval is
+below 255 is scaled to that range as it is read.
 """
 
 from __future__ import annotations
@@ -78,17 +79,26 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]
     return width, height, maxval, pos
 
 
-def decode_pgm(data: bytes) -> np.ndarray:
-    """Decode a binary grayscale PGM (P5) image to a float frame."""
-    width, height, _, offset = _parse_netpbm_header(data, b"P5")
-    n = width * height
+def _read_raster(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """The raster of a binary netpbm image as a float ``(height, width,
+    channels)`` array, scaled from 0..maxval to 0..255 before any other
+    arithmetic (maxval 255 is read as is)."""
+    width, height, maxval, offset = _parse_netpbm_header(data, magic)
+    n = width * height * channels
     raster = data[offset : offset + n]
     if len(raster) < n:
-        raise ValueError(
-            f"truncated pixel payload: expected {n} bytes, got {len(raster)}"
-        )
+        raise ValueError(f"truncated pixel payload: expected {n} bytes, got {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8, count=n).astype(np.float64)
-    return pixels.reshape(height, width)
+    if maxval != 255:
+        if pixels.max() > maxval:
+            raise ValueError(f"malformed raster: a value above maxval {maxval}")
+        pixels = pixels * 255.0 / maxval
+    return pixels.reshape(height, width, channels)
+
+
+def decode_pgm(data: bytes) -> np.ndarray:
+    """Decode a binary grayscale PGM (P5) image to a float frame."""
+    return _read_raster(data, b"P5", 1).squeeze(2)
 
 
 def decode_ppm_to_gray(data: bytes) -> np.ndarray:
@@ -97,15 +107,7 @@ def decode_ppm_to_gray(data: bytes) -> np.ndarray:
     Uses BT.601 luma weights (0.299 R + 0.587 G + 0.114 B); output values
     are clamped to [0, 255].
     """
-    width, height, _, offset = _parse_netpbm_header(data, b"P6")
-    n = width * height * 3
-    raster = data[offset : offset + n]
-    if len(raster) < n:
-        raise ValueError(
-            f"truncated pixel payload: expected {n} bytes, got {len(raster)}"
-        )
-    rgb = np.frombuffer(raster, dtype=np.uint8, count=n).astype(np.float64)
-    rgb = rgb.reshape(height, width, 3)
+    rgb = _read_raster(data, b"P6", 3)
     wr, wg, wb = LUMA_WEIGHTS
     gray = wr * rgb[:, :, 0] + wg * rgb[:, :, 1] + wb * rgb[:, :, 2]
     return np.clip(gray, 0.0, 255.0)

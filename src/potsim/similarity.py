@@ -39,12 +39,17 @@ def _chi_square_terms(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
         return np.where(denom > 0.0, diff * diff / denom, 0.0)
 
 
+def ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum ``a`` over its first axis strictly in index order, as a ``+=`` loop
+    would, unlike np.sum's pairwise scheme: that order is part of the
+    determinism contract. Zeros when ``a`` is empty."""
+    if len(a) == 0:
+        return np.zeros(a.shape[1:])
+    return np.cumsum(a, axis=0)[-1]
+
+
 def _half_sum(terms: np.ndarray) -> float:
-    if terms.size == 0:
-        return 0.0
-    # cumsum accumulates strictly left to right, unlike np.sum's pairwise
-    # scheme; ascending-index order is part of the determinism contract
-    return 0.5 * float(np.cumsum(terms)[-1])
+    return 0.5 * float(ordered_sum(terms))
 
 
 def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:

@@ -163,8 +163,8 @@ class TestSharding:
         shards = write_shards(paths, tmp_path / "out", shard_count)
         chunks = shard_records(records, shard_count)
         assert len(shards) == len(chunks)
-        for shard, chunk in zip(shards, chunks):
-            reference = tmp_path / f"ref-{shard.shard_index}.potf"
+        for index, (shard, chunk) in enumerate(zip(shards, chunks)):
+            reference = tmp_path / f"ref-{index}.potf"
             write_archive(chunk, reference)
             assert shard.path.read_bytes() == reference.read_bytes()
 

@@ -160,7 +160,7 @@ class TestSimCommand:
         out = tmp_path / "out"
         assert run_cli("run", manifest, out) == 0
         (out / "similarity.csv").unlink()
-        (out / "state" / "sim" / ".stage.done").unlink()
+        (out / "state" / "sim.done").unlink()
         rows = out / "state" / "mean" / "task-0.out"
         rows.write_bytes(rows.read_bytes()[:-8])
         assert run_cli("sim", manifest, out) == 1
@@ -239,6 +239,18 @@ class TestHeatmapCommand:
         assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "h")]) == 1
         assert "(b, c)" in capsys.readouterr().err
 
+    def test_key_with_quote(self, tmp_path):
+        """Keys hold no comma, so a quote in a key is no CSV quoting."""
+        videos = {
+            key: blob_video(6, 24, (6 + i, 12), (1.0 + 0.3 * i, 0.0))
+            for i, key in enumerate(['"q', "v01", "v02"])
+        }
+        manifest = write_corpus(tmp_path / "c", videos)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        assert main(["heatmap", str(out / "similarity.csv"), "--out", str(tmp_path / "h")]) == 0
+        assert (tmp_path / "h.keys.txt").read_text() == '"q\nv01\nv02\n'
+
     def test_malformed_csv(self, tmp_path):
         csv_path = tmp_path / "similarity.csv"
         csv_path.write_text("nope\n")
@@ -248,6 +260,18 @@ class TestHeatmapCommand:
 def test_usage_error_exit_code(capsys):
     assert main(["not-a-command"]) == 2
     capsys.readouterr()
+
+
+def test_unknown_log_level_is_usage_error():
+    """In a child process: under pytest the root logger has handlers
+    already, so logging.basicConfig would not check the level."""
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]), POTSIM_LOG="BOGUS")
+    result = subprocess.run(
+        [sys.executable, "-m", "potsim.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "BOGUS" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_pair_stages_import_no_scipy(tmp_path):

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from potsim.engine import (
     config_fingerprint,
     parse_manifest,
     plan_pair_stage,
-    reduce_mean,
     resolve_shard_count,
     run_extract,
     run_mean,
@@ -167,25 +167,6 @@ class TestConfigCheck:
         assert pairs == generate_pairs(["v00", "v01", "v02", "v03"])
 
 
-class TestReduceMean:
-    def test_weighted_merge(self):
-        partials = [
-            ({slot: 2.0 for slot in SLOTS}, 1),
-            ({slot: 4.0 for slot in SLOTS}, 2),
-        ]
-        mean = reduce_mean(partials)
-        assert mean.pair_count == 3
-        assert all(v == 2.0 for v in mean.means.values())
-
-    def test_single_partial(self):
-        mean = reduce_mean([({slot: 5.0 for slot in SLOTS}, 5)])
-        assert all(v == 1.0 for v in mean.means.values())
-
-    def test_zero_total(self):
-        with pytest.raises(ValueError):
-            reduce_mean([({slot: 0.0 for slot in SLOTS}, 0)])
-
-
 class TestExtractStage:
     def test_writes_shards_with_all_records(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=3)
@@ -318,13 +299,58 @@ class TestFullPipeline:
         manifest = small_corpus(tmp_path / "c", n=2)
         run_pipeline(fast_config(manifest, tmp_path / "out"))
         state = tmp_path / "out" / "state"
-        assert sorted(p.name for p in state.iterdir()) == ["extract", "fingerprint", "mean", "sim"]
+        assert sorted(p.name for p in state.iterdir()) == [
+            "extract", "extract.done", "fingerprint", "mean", "mean.done", "sim.done",
+        ]
         # task outputs and stage markers only: an output that exists is finished
         files = sorted(str(p.relative_to(state)) for p in state.rglob("*") if p.is_file())
         assert files == [
-            "extract/.stage.done", "extract/task-0.out", "extract/task-1.out", "fingerprint",
-            "mean/.stage.done", "mean/task-0.out", "sim/.stage.done",
+            "extract.done", "extract/task-0.out", "extract/task-1.out", "fingerprint",
+            "mean.done", "mean/task-0.out", "sim.done",
         ]
+
+    def test_earlier_layout_state_dir_resumes(self, tmp_path, caplog):
+        """A state dir with each stage marker inside extract/, mean/ and a
+        marker-only sim/ skips every task and reruns each stage's final
+        step to the same bytes."""
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out, shard_count=2)
+        run_pipeline(cfg)
+        names = ["features-00000.potf", "features-00001.potf", "mean_csd.csv", "similarity.csv"]
+        before = [(out / name).read_bytes() for name in names]
+        state = out / "state"
+        (state / "sim").mkdir()
+        for stage in ("extract", "mean", "sim"):
+            (state / f"{stage}.done").rename(state / stage / ".stage.done")
+        caplog.set_level("INFO", logger="potsim.engine")
+        run_pipeline(cfg)
+        outcomes = sorted(
+            re.search(r"stage=(\w+) .* outcome=(\w+)", m).groups()
+            for m in caplog.messages
+            if "outcome=" in m
+        )
+        assert outcomes == [("extract", "skipped")] * 3 + [("mean", "skipped")] * 3
+        assert all((state / f"{stage}.done").exists() for stage in ("extract", "mean", "sim"))
+        assert [(out / name).read_bytes() for name in names] == before
+
+    def test_pool_is_sized_to_pending_tasks(self, tmp_path, monkeypatch):
+        """A fork pool starts all its workers at the first submit: 64
+        workers on 3 videos start 3. A thread pool stands in, so nothing
+        forks."""
+        manifest = small_corpus(tmp_path / "c", n=3)
+        direct = run_pipeline(fast_config(manifest, tmp_path / "direct"))
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool)
+        sim = run_pipeline(fast_config(manifest, tmp_path / "out", workers=64))
+        assert sizes == [3]
+        for name in ("similarity.csv", "mean_csd.csv"):
+            assert (sim.parent / name).read_bytes() == (direct.parent / name).read_bytes()
 
     def test_existing_output_is_finished(self, tmp_path, caplog):
         manifest = small_corpus(tmp_path / "c", n=3)
@@ -332,10 +358,7 @@ class TestFullPipeline:
         cfg = fast_config(manifest, out)
         shard = run_extract(cfg)[0]
         before = shard.read_bytes()
-        extract_dir = out / "state" / "extract"
-        # the stage marker, and the per-task markers of an older state dir
-        for marker in extract_dir.glob("*.done"):
-            marker.unlink()
+        (out / "state" / "extract.done").unlink()
         caplog.set_level("INFO", logger="potsim.engine")
         run_extract(cfg)
         assert task_outcomes(caplog) == {"v00": "skipped", "v01": "skipped", "v02": "skipped"}
@@ -348,7 +371,7 @@ class TestFullPipeline:
         shard = run_extract(cfg)[0]
         before = shard.read_bytes()
         extract_dir = out / "state" / "extract"
-        (extract_dir / ".stage.done").unlink()
+        (out / "state" / "extract.done").unlink()
         (extract_dir / "task-1.out").unlink()
         (extract_dir / "task-1.out.tmp").write_bytes(b"cut short")
         caplog.set_level("INFO", logger="potsim.engine")
@@ -473,7 +496,7 @@ class TestPairStages:
             err = capsys.readouterr().err
             assert str(rows) in err and "Traceback" not in err
         # the mean stage's reduce reads the same rows
-        (out / "state" / "mean" / ".stage.done").unlink()
+        (out / "state" / "mean.done").unlink()
         for bad in bad_files:
             rows.write_bytes(bad)
             assert main(fast_argv("mean", manifest, out)) == 1

@@ -12,7 +12,7 @@ from potsim.flow import (
     pyramid_downsample,
 )
 
-FIELDS = ("a11", "a12", "a22", "b1", "b2", "c")
+FIELDS = ("a11", "a12", "a22", "b1", "b2")
 
 
 def random_stack(k, h=24, w=40, seed=0):
@@ -32,7 +32,6 @@ class TestPolyExpand:
         np.testing.assert_allclose(exp.a22, 0.0, atol=1e-12)
         np.testing.assert_allclose(exp.b1, 0.0, atol=1e-12)
         np.testing.assert_allclose(exp.b2, 0.0, atol=1e-12)
-        np.testing.assert_allclose(exp.c, 42.0)
 
     def test_linear_ramp(self):
         ramp = np.tile(np.arange(32, dtype=float), (32, 1))
@@ -41,7 +40,6 @@ class TestPolyExpand:
         np.testing.assert_allclose(exp.b1[interior], 1.0, atol=1e-9)
         np.testing.assert_allclose(exp.b2[interior], 0.0, atol=1e-9)
         np.testing.assert_allclose(exp.a11[interior], 0.0, atol=1e-9)
-        np.testing.assert_allclose(exp.c[interior], ramp[interior], atol=1e-9)
 
     def test_quadratic_bowl(self):
         x = np.tile(np.arange(32, dtype=float), (32, 1))
@@ -58,7 +56,6 @@ class TestPolyExpand:
         np.testing.assert_allclose(shifted.a22, base.a22, atol=1e-10)
         np.testing.assert_allclose(shifted.b1, base.b1, atol=1e-10)
         np.testing.assert_allclose(shifted.b2, base.b2, atol=1e-10)
-        np.testing.assert_allclose(shifted.c, base.c + 17.0, atol=1e-9)
 
 
     def test_stack_matches_per_frame(self):
@@ -114,7 +111,7 @@ class TestWarpExpansion:
     def test_matches_map_coordinates_bytewise(self):
         rng = np.random.default_rng(3)
         k, h, w = 2, 24, 40
-        fields = rng.normal(size=(6, k, h, w))
+        fields = rng.normal(size=(5, k, h, w))
         fields[0, 0, 5, 7] = np.nan
         fields[1, 1, 10, 20] = np.inf
         fields[2, :, :6, :6] = -0.0  # all four terms -0.0 near the corner

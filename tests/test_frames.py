@@ -58,6 +58,28 @@ class TestDecodePpm:
         assert decode_ppm_to_gray(self.ppm([0, 0, 255]))[0, 0] == pytest.approx(29.07)
 
 
+class TestMaxval:
+    """A maxval below 255 is scaled to 0-255 before any other arithmetic."""
+
+    def test_pgm_maxval_15_is_scaled(self):
+        pixels = [0, 5, 15, 9, 1, 14]
+        low = decode_pgm(pgm_bytes(3, 2, pixels, maxval=15))
+        full = decode_pgm(pgm_bytes(3, 2, [17 * p for p in pixels]))
+        assert low.shape == full.shape == (2, 3)
+        assert low.tobytes() == full.tobytes()
+
+    def test_ppm_maxval_15_is_scaled(self):
+        rgb = [15, 0, 3, 7, 12, 15, 1, 1, 2]
+        low = decode_ppm_to_gray(b"P6\n3 1\n15\n" + bytes(rgb))
+        full = decode_ppm_to_gray(b"P6\n3 1\n255\n" + bytes(17 * c for c in rgb))
+        assert low.shape == full.shape == (1, 3)
+        assert low.tobytes() == full.tobytes()
+
+    def test_value_above_maxval(self):
+        with pytest.raises(ValueError, match="above maxval 15"):
+            decode_pgm(pgm_bytes(2, 1, [15, 16], maxval=15))
+
+
 class TestResizeBilinear:
     def test_identity(self):
         rng = np.random.default_rng(3)
