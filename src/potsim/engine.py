@@ -9,7 +9,10 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   them.
 * mean: one task per shard pair (i, j), i <= j, writes the six per-slot
   chi-square distances of each of its pairs as one row of six little-endian
-  float64 (48 bytes, no keys), in key-pair order; a deterministic reduce
+  float64 (48 bytes, no keys), in key-pair order. It stacks shard j's
+  features into column blocks of at most 64 partners and scores each key of
+  shard i against a whole block in one pass (``similarity.csd_block``), so
+  its memory does not grow with the shard size. A deterministic reduce
   sums the rows into ``mean_csd.csv``.
 * similarity: no tasks of its own; for each shard i it walks the shard's
   keys and reads each key's rows from tasks (i, i), (i, i + 1), ...,
@@ -44,7 +47,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +55,6 @@ import numpy as np
 from .archive import (
     SHARD_NAME_FORMAT,
     ArchiveRecord,
-    cartesian_pairs,
     partners,
     read_archive,
     shard_records,
@@ -64,8 +66,11 @@ from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text
 from .flow import FarnebackParams
 from .frames import frame_paths, load_frame_sequence
 from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
+# csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
 from .similarity import (
     MeanCsd,
+    PartnerBlock,
+    csd_block,
     csd_sixtuple,
     kernel_distance,
     mean_csd,
@@ -342,16 +347,31 @@ ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
 
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     """Write each pair's row, in cartesian_pairs order, with no keys:
-    shards are key ranges, so that is key-pair order."""
+    shards are key ranges, so that is key-pair order.
+
+    Shard j's features are stacked into column blocks of at most
+    DEFAULT_VIDEOS_PER_SHARD partners, so a task's memory does not grow with
+    the shard size, and each key of shard i is scored against all its
+    partners in a block in one pass."""
     i, j = task.payload
     records_a = read_archive(_shard_path(config, i))
     records_b = records_a if i == j else read_archive(_shard_path(config, j))
-    rows = []
-    for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
-        csd = csd_sixtuple(rec_a.feature, rec_b.feature)
-        rows.append([csd[slot] for slot in SLOTS])
+    # key k's partners are records_b[first[k]:], its rows start at row[k]
+    counts = [len(partners(records_b, k, i == j)) for k in range(len(records_a))]
+    first = [len(records_b) - count for count in counts]
+    row = [0, *accumulate(counts)]
+    rows = np.empty((row[-1], len(SLOTS)), dtype=ROW_DTYPE)
+    for lo in range(0, len(records_b), DEFAULT_VIDEOS_PER_SHARD):
+        chunk = records_b[lo : lo + DEFAULT_VIDEOS_PER_SHARD]
+        hi = lo + len(chunk)
+        block = PartnerBlock.stack([record.feature for record in chunk])
+        for k, record in enumerate(records_a):
+            start = max(first[k], lo)  # key k's first partner in this block
+            if start < hi:
+                at = row[k] + start - first[k]
+                rows[at : at + hi - start] = csd_block(record.feature, block, start - lo)
     with committed(task.out_path) as tmp:
-        tmp.write_bytes(np.array(rows, dtype=ROW_DTYPE).tobytes())
+        tmp.write_bytes(rows.tobytes())
 
 
 def _open_rows(task: Task, shard_keys: ShardKeys):

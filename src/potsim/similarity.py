@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +43,17 @@ def _chi_square_terms(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
 def ordered_sum(a: np.ndarray) -> np.ndarray:
     """Sum ``a`` over its first axis strictly in index order, as a ``+=`` loop
     would, unlike np.sum's pairwise scheme: that order is part of the
-    determinism contract. Zeros when ``a`` is empty."""
+    determinism contract. Zeros when ``a`` is empty.
+
+    numpy adds row by row along an axis that is not the fast one, so a 2-D
+    array whose last axis is contiguous and at least 2 wide goes through
+    ``np.add.reduce``; a narrower one would be summed pairwise along its
+    first axis, so it and every other shape go through ``cumsum``.
+    """
     if len(a) == 0:
         return np.zeros(a.shape[1:])
+    if a.ndim == 2 and a.shape[1] >= 2 and a.strides[1] == a.itemsize:
+        return np.add.reduce(a, axis=0)
     return np.cumsum(a, axis=0)[-1]
 
 
@@ -72,6 +81,46 @@ def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> dict[Slot, float]:
         raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {b.bounds}")
     terms = _chi_square_terms(a.values, b.values)
     return {slot: _half_sum(terms[lo:hi]) for slot, lo, hi in zip(SLOTS, a.bounds, a.bounds[1:])}
+
+
+@dataclass(frozen=True)
+class PartnerBlock:
+    """Partners' features stacked for ``csd_block``: ``values`` is a
+    C-contiguous (features x partners) float64 array, one column per
+    partner, and ``zero_terms`` holds the chi-square terms of every column
+    against an all-zero feature."""
+
+    values: np.ndarray
+    zero_terms: np.ndarray
+    bounds: tuple[int, ...]
+
+    @classmethod
+    def stack(cls, features: Sequence[PoTFeature]) -> PartnerBlock:
+        """Stack one or more features of equal slot bounds."""
+        values = np.stack([feature.values for feature in features], axis=1)
+        return cls(values, _chi_square_terms(0.0, values), features[0].bounds)
+
+
+def csd_block(a: PoTFeature, block: PartnerBlock, start: int = 0) -> np.ndarray:
+    """Chi-square distance per slot of ``a`` against each partner of
+    ``block`` from column ``start`` on, in one pass: a (partners, 6) array
+    whose row p equals ``csd_sixtuple(a, partner p)`` bit for bit.
+
+    Where ``a`` is +-0.0, ``diff = -b`` and ``denom = b`` exactly, so a term
+    equals the zero term whatever b is (NaN, inf and negative b included):
+    only the rows where ``a`` is not zero are computed. Each slot is then
+    summed over its rows by ``ordered_sum``, in the order ``csd_sixtuple``
+    sums.
+    """
+    if a.bounds != block.bounds:
+        raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {block.bounds}")
+    terms = block.zero_terms[:, start:].copy()
+    live = np.flatnonzero(a.values)
+    terms[live] = _chi_square_terms(a.values[live, None], block.values[live, start:])
+    sums = np.empty((terms.shape[1], len(SLOTS)))
+    for s, (lo, hi) in enumerate(zip(block.bounds, block.bounds[1:])):
+        sums[:, s] = ordered_sum(terms[lo:hi])
+    return 0.5 * sums
 
 
 def mean_csd(partial_sums: dict[Slot, float], pair_count: int) -> MeanCsd:

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import blob_video, noise_video, write_corpus, write_video_dir
 from potsim import engine
-from potsim.archive import cartesian_pairs, read_archive
+from potsim.archive import ArchiveRecord, cartesian_pairs, read_archive, write_archive
 from potsim.cli import main
 from potsim.engine import (
     ConfigError,
@@ -28,7 +28,7 @@ from potsim.engine import (
     run_similarity,
 )
 from potsim.flow import FarnebackParams
-from potsim.pooling import SLOTS
+from potsim.pooling import SLOTS, PoTFeature
 from potsim.similarity import csd_sixtuple, generate_pairs, mean_csd, write_mean_csd_csv
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
@@ -454,17 +454,18 @@ class TestFullPipeline:
 class TestPairStages:
     def test_each_pair_scored_once(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=4)
-        calls = []
-        real_csd = engine.csd_sixtuple
+        columns = []
+        real_csd_block = engine.csd_block
 
-        def counting(a, b):
-            calls.append(1)
-            return real_csd(a, b)
+        def counting(a, block, start=0):
+            columns.append(block.values.shape[1] - start)
+            return real_csd_block(a, block, start)
 
-        monkeypatch.setattr(engine, "csd_sixtuple", counting)
+        monkeypatch.setattr(engine, "csd_block", counting)
         sim = run_pipeline(fast_config(manifest, tmp_path / "out", shard_count=2))
         assert len(sim.read_text().splitlines()) - 1 == 6
-        assert len(calls) == 6
+        # every partner column scored is one pair's chi-square pass
+        assert sum(columns) == 6
 
     def test_sim_reads_no_shard(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=4)
@@ -555,6 +556,53 @@ class TestPairStages:
         assert total == 66
         write_mean_csd_csv(mean_csd(sums, total), tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("block", [64, 5])
+    @pytest.mark.parametrize("shards", [1, 3, 12])
+    def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards, block):
+        """Every mean task's rows are byte-identical to rows built pair by
+        pair from csd_sixtuple; column blocks of 5 split a shard of 12 into
+        blocks of 5, 5 and 2 partners."""
+        monkeypatch.setattr(engine, "DEFAULT_VIDEOS_PER_SHARD", block)
+        videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
+        manifest = write_corpus(tmp_path / "c", videos)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out, shard_count=shards)
+        run_extract(cfg)
+        run_mean(cfg)
+
+        tasks = plan_pair_stage(shards, out / "state")
+        for task in tasks:
+            i, j = task.payload
+            records_a = read_archive(out / f"features-{i:05d}.potf")
+            records_b = read_archive(out / f"features-{j:05d}.potf")
+            rows = [
+                [csd_sixtuple(rec_a.feature, rec_b.feature)[slot] for slot in SLOTS]
+                for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j)
+            ]
+            expected = np.array(rows, dtype="<f8").tobytes()
+            assert Path(task.out_path).read_bytes() == expected, task.label
+
+    def test_mean_refuses_shards_of_other_slot_bounds(self, tmp_path, capsys):
+        """Two hand-written shards of equal vector length but different slot
+        bounds: the task that pairs them fails, naming the mismatch."""
+        manifest = small_corpus(tmp_path / "c", n=4)
+        out = tmp_path / "out"
+        assert main(fast_argv("extract", manifest, out) + ["--shards", "2"]) == 0
+        rng = np.random.default_rng(3)
+        shards = [(["v00", "v01"], (4, 8, 4, 4, 8, 4)), (["v02", "v03"], (8, 4, 4, 4, 8, 4))]
+        for index, (keys, dims) in enumerate(shards):
+            records = [
+                ArchiveRecord(key, 6, PoTFeature.from_values(rng.random(32), dims))
+                for key in keys
+            ]
+            write_archive(records, out / f"features-{index:05d}.potf")
+        capsys.readouterr()
+        assert main(fast_argv("mean", manifest, out) + ["--shards", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "shards (0,1): ValueError: dimension mismatch: slot bounds" in err
+        assert "Traceback" not in err
+        assert not (out / "mean_csd.csv").exists()
 
     def test_run_under_low_open_file_limit(self, tmp_path):
         """sim holds at most one row of mean outputs open: 30 videos in 12

@@ -9,11 +9,14 @@ from hypothesis.extra.numpy import arrays
 from potsim.pooling import SLOTS, PoTFeature
 from potsim.similarity import (
     MeanCsd,
+    PartnerBlock,
     chi_square,
+    csd_block,
     csd_sixtuple,
     generate_pairs,
     kernel_distance,
     mean_csd,
+    ordered_sum,
     read_mean_csd_csv,
     similarity_score,
     write_mean_csd_csv,
@@ -103,6 +106,73 @@ class TestCsdSixtuple:
         b = feature_from([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="mismatch"):
             csd_sixtuple(a, b)
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("width", [1, 2, 3, 64])
+    def test_equals_loop_bit_for_bit(self, width):
+        """Full-mantissa values over 16 decades, so that a pairwise (or any
+        other) order rounds differently from a += loop: also for width 1,
+        which add.reduce would sum pairwise."""
+        rng = np.random.default_rng(width)
+        wider = rng.random((600, width + 7)) * 10.0 ** rng.integers(-8, 8, (600, width + 7))
+        arrays_of_width = {
+            "contiguous": np.ascontiguousarray(wider[:, :width]),
+            "row slice": np.ascontiguousarray(wider[:, :width])[37:541],
+            "columns of a wider block": wider[37:541, 3 : 3 + width],
+        }
+        for name, a in arrays_of_width.items():
+            expected = np.zeros(width)
+            for row in a:
+                expected += row
+            assert ordered_sum(a).tobytes() == expected.tobytes(), name
+
+
+class TestCsdBlock:
+    DIMS = (14, 28, 14, 14, 28, 14)
+
+    @staticmethod
+    def features(rng, count, dims):
+        """Full-mantissa values with zeros shared by all features."""
+        shared_zeros = rng.random(sum(dims)) < 0.3
+        out = []
+        for _ in range(count):
+            values = rng.uniform(0, 1e3, sum(dims)) ** 1.5
+            values[shared_zeros | (rng.random(sum(dims)) < 0.3)] = 0.0
+            out.append(PoTFeature.from_values(values, dims))
+        return out
+
+    @staticmethod
+    def reference(a, partners):
+        rows = [[csd_sixtuple(a, b)[slot] for slot in SLOTS] for b in partners]
+        return np.array(rows, dtype=np.float64).reshape(-1, len(SLOTS))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 64])
+    def test_equals_csd_sixtuple_bit_for_bit(self, count):
+        rng = np.random.default_rng(count)
+        a, *partners = self.features(rng, 65, self.DIMS)
+        a.values[:4] = [0.0, -0.0, np.nan, -3.0]
+        partners[0].values[3:6] = [np.inf, -2.5, -0.0]
+        partners[-1].values[:3] = [-0.0, np.nan, np.inf]
+        for p in partners[1::5]:
+            p.values[1:3] = [-1.0, np.nan]
+        # the last ``count`` partners of a 64-wide block, as on a diagonal task
+        block = PartnerBlock.stack(partners)
+        got = csd_block(a, block, start=64 - count)
+        expected = self.reference(a, partners[64 - count :])
+        assert got.shape == (count, len(SLOTS))
+        assert got.tobytes() == expected.tobytes()
+        if count:
+            # a block of exactly ``count`` partners
+            got = csd_block(a, PartnerBlock.stack(partners[64 - count :]))
+            assert got.tobytes() == expected.tobytes()
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(1)
+        (a,) = self.features(rng, 1, self.DIMS)
+        block = PartnerBlock.stack(self.features(rng, 2, (28, 14, 14, 14, 28, 14)))
+        with pytest.raises(ValueError, match="dimension mismatch: slot bounds"):
+            csd_block(a, block)
 
 
 class TestMeanCsd:
