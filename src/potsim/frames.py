@@ -6,6 +6,11 @@ frame files, read in lexicographic filename order. Every frame is converted
 to grayscale and resized to a fixed working resolution so that descriptor
 dimensionality is identical across source resolutions.
 
+``decode_frame_file`` does both in one step: it checks the whole raster, but
+converts to float only the source rows and columns that the corner-aligned
+bilinear resize samples. Its output has the same bytes as decoding every
+pixel and then calling ``resize_bilinear``, which shares its sampling rule.
+
 A frame is represented as a 2-D ``float64`` array of shape ``(height,
 width)`` with luminance values in ``[0, 255]``: a file whose maxval is
 below 255 is scaled to that range as it is read.
@@ -13,9 +18,11 @@ below 255 is scaled to that range as it is read.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,38 +86,48 @@ def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]
     return width, height, maxval, pos
 
 
-def _read_raster(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    """The raster of a binary netpbm image as a float ``(height, width,
-    channels)`` array, scaled from 0..maxval to 0..255 before any other
-    arithmetic (maxval 255 is read as is)."""
+def _read_raster(data: bytes, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
+    """The raster of a binary netpbm image as a ``uint8 (height, width,
+    channels)`` view of ``data``, with its maxval.
+
+    The length and maxval checks cover the whole raster, also where a caller
+    converts only some of its pixels.
+    """
     width, height, maxval, offset = _parse_netpbm_header(data, magic)
     n = width * height * channels
-    raster = data[offset : offset + n]
-    if len(raster) < n:
-        raise ValueError(f"truncated pixel payload: expected {n} bytes, got {len(raster)}")
-    pixels = np.frombuffer(raster, dtype=np.uint8, count=n).astype(np.float64)
+    if len(data) - offset < n:
+        raise ValueError(f"truncated pixel payload: expected {n} bytes, got {len(data) - offset}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
+    if maxval != 255 and raw.max() > maxval:
+        raise ValueError(f"malformed raster: a value above maxval {maxval}")
+    return raw.reshape(height, width, channels), maxval
+
+
+def _to_gray(raw: np.ndarray, maxval: int) -> np.ndarray:
+    """``uint8 (..., channels)`` samples as float luminance in [0, 255].
+
+    Samples are scaled from 0..maxval to 0..255 before any other arithmetic
+    (maxval 255 is read as is). Colour uses BT.601 luma weights (0.299 R +
+    0.587 G + 0.114 B), clamped to [0, 255]; grayscale is already in range.
+    """
+    pixels = raw.astype(np.float64)
     if maxval != 255:
-        if pixels.max() > maxval:
-            raise ValueError(f"malformed raster: a value above maxval {maxval}")
         pixels = pixels * 255.0 / maxval
-    return pixels.reshape(height, width, channels)
+    if raw.shape[-1] == 1:
+        return pixels[..., 0]
+    wr, wg, wb = LUMA_WEIGHTS
+    gray = wr * pixels[..., 0] + wg * pixels[..., 1] + wb * pixels[..., 2]
+    return np.clip(gray, 0.0, 255.0)
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
     """Decode a binary grayscale PGM (P5) image to a float frame."""
-    return _read_raster(data, b"P5", 1).squeeze(2)
+    return _to_gray(*_read_raster(data, b"P5", 1))
 
 
 def decode_ppm_to_gray(data: bytes) -> np.ndarray:
-    """Decode a binary color PPM (P6) image and convert to grayscale.
-
-    Uses BT.601 luma weights (0.299 R + 0.587 G + 0.114 B); output values
-    are clamped to [0, 255].
-    """
-    rgb = _read_raster(data, b"P6", 3)
-    wr, wg, wb = LUMA_WEIGHTS
-    gray = wr * rgb[:, :, 0] + wg * rgb[:, :, 1] + wb * rgb[:, :, 2]
-    return np.clip(gray, 0.0, 255.0)
+    """Decode a binary color PPM (P6) image and convert to grayscale."""
+    return _to_gray(*_read_raster(data, b"P6", 3))
 
 
 def encode_pgm(frame: np.ndarray) -> bytes:
@@ -124,12 +141,62 @@ def encode_pgm(frame: np.ndarray) -> bytes:
     return header + raster
 
 
-def _sample_coords(src_len: int, dst_len: int) -> np.ndarray:
+class _Taps(NamedTuple):
+    """Corner-aligned bilinear taps of one axis: output sample j blends
+    source indices ``lo[j]`` and ``hi[j]`` with weight ``frac[j]`` on ``hi``."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    frac: np.ndarray
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=256)
+def _axis_taps(src_len: int, dst_len: int) -> _Taps:
+    """The taps that resize an axis of ``src_len`` samples to ``dst_len``."""
+    if dst_len < 1:
+        raise ValueError("output dimensions must be >= 1")
     # Corner-aligned: endpoints map to endpoints; degenerate axes sample
     # the source center.
     if dst_len > 1:
-        return np.arange(dst_len, dtype=np.float64) * (src_len - 1) / (dst_len - 1)
-    return np.array([(src_len - 1) / 2.0])
+        pos = np.arange(dst_len, dtype=np.float64) * (src_len - 1) / (dst_len - 1)
+    else:
+        pos = np.array([(src_len - 1) / 2.0])
+    lo = np.minimum(np.floor(pos).astype(np.intp), src_len - 1)
+    hi = np.minimum(lo + 1, src_len - 1)
+    taps = _Taps(lo, hi, pos - lo)
+    _frozen(*taps)
+    return taps
+
+
+@functools.lru_cache(maxsize=256)
+def _sampled_taps(src_len: int, dst_len: int, group: int) -> tuple[np.ndarray | None, _Taps]:
+    """What an axis's taps read, for an axis stored as ``src_len`` groups of
+    ``group`` adjacent samples (the channels of a pixel).
+
+    Returns the sample indices the taps read, ``None`` when they read every
+    index, and the taps renumbered to index the groups of that selection.
+    """
+    taps = _axis_taps(src_len, dst_len)
+    keep = np.union1d(taps.lo, taps.hi)
+    if keep.size == src_len:
+        return None, taps
+    sampled = _Taps(np.searchsorted(keep, taps.lo), np.searchsorted(keep, taps.hi), taps.frac)
+    keep = (keep[:, None] * group + np.arange(group)).ravel()
+    _frozen(keep, *sampled)
+    return keep, sampled
+
+
+def _blend(frame: np.ndarray, rows: _Taps, cols: _Taps) -> np.ndarray:
+    y0, y1, fy = rows.lo[:, None], rows.hi[:, None], rows.frac[:, None]
+    x0, x1, fx = cols.lo, cols.hi, cols.frac
+    top = frame[..., y0, x0] * (1 - fx) + frame[..., y0, x1] * fx
+    bot = frame[..., y1, x0] * (1 - fx) + frame[..., y1, x1] * fx
+    return top * (1 - fy) + bot * fy
 
 
 def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
@@ -137,41 +204,44 @@ def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
     A ``(..., H, W)`` stack is resized frame by frame along its last two axes.
     """
-    if out_w < 1 or out_h < 1:
-        raise ValueError("output dimensions must be >= 1")
     frame = np.asarray(frame, dtype=np.float64)
     src_h, src_w = frame.shape[-2:]
     if (out_w, out_h) == (src_w, src_h):
         return frame.copy()
-
-    xs = _sample_coords(src_w, out_w)
-    ys = _sample_coords(src_h, out_h)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.minimum(x0, src_w - 1)
-    y0 = np.minimum(y0, src_h - 1)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    fx = xs - x0
-    fy = ys - y0
-
-    y0, y1 = y0[:, None], y1[:, None]
-    top = frame[..., y0, x0] * (1 - fx) + frame[..., y0, x1] * fx
-    bot = frame[..., y1, x0] * (1 - fx) + frame[..., y1, x1] * fx
-    return top * (1 - fy[:, None]) + bot * fy[:, None]
+    return _blend(frame, _axis_taps(src_h, out_h), _axis_taps(src_w, out_w))
 
 
 _FRAME_EXTENSIONS = (".pgm", ".ppm")
+_CHANNELS = {b"P5": 1, b"P6": 3}
 
 
-def decode_frame_file(path: Path) -> np.ndarray:
-    """Decode one .pgm/.ppm frame file to a grayscale frame."""
+def decode_frame_file(path: Path, out_w: int, out_h: int) -> np.ndarray:
+    """Decode one .pgm/.ppm frame file to a grayscale frame of ``out_h`` rows
+    and ``out_w`` columns.
+
+    The result has the same bytes as ``resize_bilinear`` of the decoded
+    frame, but only the source rows and columns the resize samples are
+    converted to float.
+    """
     data = path.read_bytes()
-    if data.startswith(b"P5"):
-        return decode_pgm(data)
-    if data.startswith(b"P6"):
-        return decode_ppm_to_gray(data)
-    raise ValueError(f"unsupported image format (magic {data[:2]!r})")
+    magic = data[:2]
+    if magic not in _CHANNELS:
+        raise ValueError(f"unsupported image format (magic {magic!r})")
+    raw, maxval = _read_raster(data, magic, _CHANNELS[magic])
+    src_h, src_w, channels = raw.shape
+    if (out_w, out_h) == (src_w, src_h):
+        return _to_gray(raw, maxval)
+    keep_rows, rows = _sampled_taps(src_h, out_h, 1)
+    keep_cols, cols = _sampled_taps(src_w, out_w, channels)
+    # Select on the (rows, samples) view: a gather of single bytes is several
+    # times faster than one of whole pixels.
+    samples = raw.reshape(src_h, src_w * channels)
+    if keep_rows is not None:
+        samples = samples[keep_rows]
+    if keep_cols is not None:
+        samples = samples[:, keep_cols]
+    pixels = samples.reshape(len(samples), -1, channels)
+    return _blend(_to_gray(pixels, maxval), rows, cols)
 
 
 def frame_paths(directory: Path) -> list[Path]:
@@ -205,8 +275,7 @@ def load_frame_sequence(
     frames = np.empty((len(paths), working_h, working_w), dtype=np.float64)
     for i, path in enumerate(paths):
         try:
-            frame = decode_frame_file(path)
+            frames[i] = decode_frame_file(path, working_w, working_h)
         except ValueError as exc:
             raise ValueError(f"video '{key}': frame '{path.name}': {exc}") from exc
-        frames[i] = resize_bilinear(frame, working_w, working_h)
     return FrameSequence(key=key, frames=frames)

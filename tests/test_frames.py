@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potsim.frames import (
+    decode_frame_file,
     decode_pgm,
     decode_ppm_to_gray,
     encode_pgm,
@@ -172,3 +173,109 @@ class TestLoadFrameSequence:
         a = load_frame_sequence(tmp_path / "v", "v", 4, 4)
         b = load_frame_sequence(tmp_path / "v", "v", 4, 4)
         np.testing.assert_array_equal(a.frames, b.frames)
+
+
+def netpbm_bytes(magic, width, height, maxval, raster):
+    return f"{magic}\n{width} {height}\n{maxval}\n".encode() + bytes(raster)
+
+
+def random_netpbm(magic, width, height, maxval, seed):
+    channels = 1 if magic == "P5" else 3
+    rng = np.random.default_rng(seed)
+    raster = rng.integers(0, maxval + 1, size=width * height * channels, dtype=np.uint8)
+    return netpbm_bytes(magic, width, height, maxval, raster)
+
+
+def decode_then_resize(data, out_w, out_h):
+    """The reference: decode every source pixel, then resize."""
+    decode = decode_pgm if data.startswith(b"P5") else decode_ppm_to_gray
+    return resize_bilinear(decode(data), out_w, out_h)
+
+
+def sampled_indices(src_len, dst_len):
+    """The source indices a corner-aligned bilinear resize of one axis reads."""
+    if dst_len > 1:
+        pos = np.arange(dst_len) * (src_len - 1) / (dst_len - 1)
+    else:
+        pos = np.array([(src_len - 1) / 2])
+    lo = np.minimum(np.floor(pos).astype(int), src_len - 1)
+    return set(lo) | set(np.minimum(lo + 1, src_len - 1))
+
+
+class TestDecodeFrameFile:
+    """Decoding at the working resolution gives the same bytes as decoding
+    the whole frame and then resizing it."""
+
+    @pytest.mark.parametrize("magic", ["P5", "P6"])
+    @pytest.mark.parametrize("maxval", [255, 200, 15])
+    @pytest.mark.parametrize(
+        "src, out",
+        [
+            ((320, 240), (32, 32)),
+            ((320, 240), (128, 128)),
+            ((64, 48), (128, 100)),
+            ((5, 7), (1, 1)),
+            ((1, 1), (3, 3)),
+            ((64, 48), (64, 48)),
+        ],
+        ids=["320x240-32x32", "320x240-128x128", "64x48-128x100", "5x7-1x1", "1x1-3x3", "identity"],
+    )
+    def test_matches_decode_then_resize(self, tmp_path, magic, maxval, src, out):
+        data = random_netpbm(magic, *src, maxval, seed=src[0] * maxval)
+        path = tmp_path / "f.pnm"
+        path.write_bytes(data)
+        frame = decode_frame_file(path, *out)
+        reference = decode_then_resize(data, *out)
+        assert frame.shape == reference.shape == (out[1], out[0])
+        assert frame.dtype == reference.dtype == np.float64
+        assert frame.tobytes() == reference.tobytes()
+
+    def test_unsupported_format(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P2\n1 1\n255\n7")
+        with pytest.raises(ValueError, match="unsupported image format"):
+            decode_frame_file(path, 1, 1)
+
+
+class TestLoadFrameSequenceAtWorkingResolution:
+    """Frames are decoded at the working resolution, whatever their source
+    size, and the input checks still cover every source pixel, also those
+    the resize never samples."""
+
+    def test_mixed_source_sizes(self, tmp_path):
+        d = tmp_path / "v"
+        d.mkdir()
+        files = {
+            "f0.ppm": random_netpbm("P6", 320, 240, 255, seed=1),
+            "f1.pgm": random_netpbm("P5", 64, 48, 200, seed=2),
+            "f2.ppm": random_netpbm("P6", 320, 240, 15, seed=3),
+        }
+        for name, data in files.items():
+            (d / name).write_bytes(data)
+        seq = load_frame_sequence(d, "v", 32, 24)
+        assert seq.frames.shape == (3, 24, 32)
+        for frame, data in zip(seq.frames, files.values()):
+            assert frame.tobytes() == decode_then_resize(data, 32, 24).tobytes()
+
+    def write_video(self, directory, bad_frame):
+        directory.mkdir()
+        (directory / "f0.pgm").write_bytes(random_netpbm("P5", 64, 48, 200, seed=4))
+        (directory / "f1.pgm").write_bytes(bad_frame)
+
+    def test_value_above_maxval_in_unsampled_row(self, tmp_path):
+        width, height = 64, 48
+        raster = np.full((height, width), 100, dtype=np.uint8)
+        row = min(set(range(height)) - sampled_indices(height, 8))
+        raster[row, 0] = 201
+        self.write_video(tmp_path / "v", netpbm_bytes("P5", width, height, 200, raster.tobytes()))
+        with pytest.raises(ValueError, match="f1.pgm.*above maxval 200"):
+            load_frame_sequence(tmp_path / "v", "v", 8, 8)
+
+    def test_raster_truncated_below_last_sampled_row(self, tmp_path):
+        width, height = 64, 48
+        last_sampled = max(sampled_indices(height, 1))
+        assert last_sampled < height - 2
+        raster = bytes(width * (last_sampled + 2))
+        self.write_video(tmp_path / "v", netpbm_bytes("P5", width, height, 200, raster))
+        with pytest.raises(ValueError, match="f1.pgm.*truncated pixel payload"):
+            load_frame_sequence(tmp_path / "v", "v", 8, 1)
