@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -139,25 +140,15 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
     return records
 
 
-def shard_partition(count: int, shard_count: int) -> list[int]:
-    """Shard sizes for ``count`` records: near-equal, larger shards first,
-    empty shards omitted."""
-    if shard_count < 1:
-        raise ValueError(f"shard count must be >= 1, got {shard_count}")
-    base, rem = divmod(count, shard_count)
-    sizes = [base + (1 if i < rem else 0) for i in range(shard_count)]
-    return [s for s in sizes if s > 0]
-
-
 def shard_records(records: Sequence[T], shard_count: int) -> list[Sequence[T]]:
     """Partition sorted records (or their keys, or their files) into
-    contiguous key-range shards: the one place the shard layout is made."""
-    shards = []
-    start = 0
-    for size in shard_partition(len(records), shard_count):
-        shards.append(records[start : start + size])
-        start += size
-    return shards
+    contiguous key-range shards of near-equal size, larger shards first and
+    empty shards omitted: the one place the shard layout is made."""
+    if shard_count < 1:
+        raise ValueError(f"shard count must be >= 1, got {shard_count}")
+    base, rem = divmod(len(records), shard_count)
+    bounds = [0, *accumulate(base + (i < rem) for i in range(shard_count))]
+    return [records[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def partners(shard_b: Sequence[T], k: int, same_shard: bool) -> Sequence[T]:
@@ -188,14 +179,3 @@ def write_shards(
         shards.append(ArchiveShard(path=path, record_count=len(sources)))
     return shards
 
-
-def cartesian_pairs(
-    records_a: list[ArchiveRecord],
-    records_b: list[ArchiveRecord],
-    same_shard: bool,
-) -> Iterator[tuple[ArchiveRecord, ArchiveRecord]]:
-    """Stream the record pairs of one shard-pair task, each record of
-    ``records_a`` with its ``partners`` in ``records_b``, in that order."""
-    for k, rec_a in enumerate(records_a):
-        for rec_b in partners(records_b, k, same_shard):
-            yield rec_a, rec_b

@@ -12,13 +12,15 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   float64 (48 bytes, no keys), in key-pair order. It stacks shard j's
   features into column blocks of at most 64 partners and scores each key of
   shard i against a whole block in one pass (``similarity.csd_block``), so
-  its memory does not grow with the shard size. A deterministic reduce
-  sums the rows into ``mean_csd.csv``.
-* similarity: no tasks of its own; for each shard i it walks the shard's
-  keys and reads each key's rows from tasks (i, i), (i, i + 1), ...,
-  (i, S - 1) in lockstep, so at most S files are open. Each row, normalised
-  by the means, becomes a line of ``similarity.csv``. Every pair is scored
-  by exactly one chi-square pass, and this stage reads no shard.
+  its memory does not grow with the shard size. The reduce walks the rows
+  in global key-pair order (``_key_rows``) and sums them strictly in that
+  order into ``mean_csd.csv``, so no bit of it depends on the shard layout.
+* similarity: no tasks of its own; it takes the same walk, and each row,
+  normalised by the means, becomes a line of ``similarity.csv``. Every pair
+  is scored by exactly one chi-square pass, and this stage reads no shard.
+
+The walk reads, for each shard i, its keys' rows from tasks (i, i),
+(i, i + 1), ..., (i, S - 1) in lockstep, so at most S files are open.
 
 A preamble shared by the stages checks the whole configuration
 (``check_config``) before it reads the manifest or touches the state dir,
@@ -30,9 +32,9 @@ place, so an output that exists is finished: a task is done, and skipped on
 resume, once its outputs exist; a stage once its marker in the state dir
 and its outputs do. The state dir's fingerprint covers the parameters and
 the frame files (names, sizes, mtimes), so a resume never reuses results of
-changed inputs. Outputs are byte-identical for any worker count: task
-outputs do not depend on scheduling, and all reductions run single-threaded
-in ascending task-id order after the stage barrier.
+changed inputs. Outputs are byte-identical for any worker count and shard
+count: task outputs do not depend on scheduling, and the reduce runs
+single-threaded in global key-pair order after the stage barrier.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate, zip_longest
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -258,7 +261,8 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
                 f"dir or restore the original configuration and frame files"
             )
     else:
-        fp_file.write_text(fingerprint + "\n")
+        with committed(fp_file) as tmp:
+            tmp.write_text(fingerprint + "\n")
     for stage in (STAGE_EXTRACT, STAGE_MEAN):  # the stages with tasks
         (root / stage).mkdir(exist_ok=True)
     return root
@@ -346,8 +350,8 @@ ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
 
 
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
-    """Write each pair's row, in cartesian_pairs order, with no keys:
-    shards are key ranges, so that is key-pair order.
+    """Write each pair's row, each key of shard i with its ``partners`` in
+    shard j, with no keys: shards are key ranges, so that is key-pair order.
 
     Shard j's features are stacked into column blocks of at most
     DEFAULT_VIDEOS_PER_SHARD partners, so a task's memory does not grow with
@@ -389,6 +393,28 @@ def _open_rows(task: Task, shard_keys: ShardKeys):
             f"float64 distances take {pair_count * ROW_BYTES}"
         )
     return fh
+
+
+def _key_rows(tasks: list[Task], shard_keys: ShardKeys) -> Iterator[tuple[str, np.ndarray]]:
+    """Walk the mean rows in global key-pair order: yield each key with
+    its rows, one (partners, 6) array. In that order the partners of the
+    g-th key are the keys after it.
+
+    Shards are ordered key ranges, so the pairs of a key of shard i in key
+    order are its rows in task (i, i), then in (i, i + 1), and so on: each
+    row of tasks is read in lockstep, S files at most."""
+    by_shards = {task.payload: task for task in tasks}
+    for i, keys_a in enumerate(shard_keys):
+        with ExitStack() as stack:
+            row = [
+                (j, stack.enter_context(_open_rows(by_shards[(i, j)], shard_keys)))
+                for j in range(i, len(shard_keys))
+            ]
+            for k, key_a in enumerate(keys_a):
+                data = b"".join(
+                    fh.read(len(partners(shard_keys[j], k, i == j)) * ROW_BYTES) for j, fh in row
+                )
+                yield key_a, np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
 
 
 _TASK_RUNNERS = {
@@ -515,7 +541,7 @@ def _check_shards(config: PipelineConfig, shard_keys: ShardKeys) -> None:
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
-    """Mean stage: per-pair slot distances, summed per task and reduced
+    """Mean stage: per-pair slot distances, summed in global key-pair order
     into mean_csd.csv."""
     _, shard_keys, state_dir = _prepare_stage(config)
     return _mean(config, shard_keys, state_dir)
@@ -535,16 +561,15 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
     _check_shards(config, shard_keys)
     execute(tasks, config)
 
-    # per-task row sums, then their sum, in ascending task id: fixed order
-    task_sums = np.empty((len(tasks), len(SLOTS)))
+    # one row at a time in global key-pair order, as a += loop would: the
+    # same order whatever the shard layout
+    total = np.zeros(len(SLOTS))
     pair_count = 0
-    for n, task in enumerate(tasks):
-        with _open_rows(task, shard_keys) as fh:
-            rows = np.fromfile(fh, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
-        task_sums[n] = ordered_sum(rows)
+    for _, rows in _key_rows(tasks, shard_keys):
+        total = ordered_sum(np.vstack([total, rows]))
         pair_count += len(rows)
     try:
-        mean = mean_csd(dict(zip(SLOTS, ordered_sum(task_sums).tolist())), pair_count)
+        mean = mean_csd(dict(zip(SLOTS, total.tolist())), pair_count)
     except ValueError as exc:
         raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
 
@@ -575,28 +600,16 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
         return out_path
 
     mean = read_mean_csd_csv(mean_path)
-    by_shards = {task.payload: task for task in tasks}
+    keys = [key for shard in shard_keys for key in shard]
     with committed(out_path) as tmp, open(tmp, "w") as out:
         out.write(SIMILARITY_HEADER)
-        # Shards are ordered key ranges, so the pairs of a key a of shard i
-        # in key order are its rows in task (i, i), then in (i, i + 1), and
-        # so on: each row of tasks is read in lockstep, S files at most.
-        # mean checked the shards against exactly these keys.
-        for i, keys_a in enumerate(shard_keys):
-            with ExitStack() as stack:
-                row = [
-                    (j, stack.enter_context(_open_rows(by_shards[(i, j)], shard_keys)))
-                    for j in range(i, len(shard_keys))
-                ]
-                for k, key_a in enumerate(keys_a):
-                    lines = []
-                    for j, fh in row:
-                        keys_b = partners(shard_keys[j], k, i == j)
-                        block = np.frombuffer(fh.read(len(keys_b) * ROW_BYTES), dtype=ROW_DTYPE)
-                        for key_b, csd in zip(keys_b, block.reshape(-1, len(SLOTS)).tolist()):
-                            score = similarity_score(kernel_distance(dict(zip(SLOTS, csd)), mean))
-                            lines.append(f"{key_a},{key_b},{score!r}\n")
-                    out.write("".join(lines))
+        # mean checked the shards against exactly these keys
+        for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):
+            lines = []
+            for key_b, csd in zip(keys[g + 1 :], rows.tolist(), strict=True):
+                score = similarity_score(kernel_distance(dict(zip(SLOTS, csd)), mean))
+                lines.append(f"{key_a},{key_b},{score!r}\n")
+            out.write("".join(lines))
     _stage_marker(state_dir, STAGE_SIM).touch()
     return out_path
 

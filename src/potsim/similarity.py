@@ -57,30 +57,13 @@ def ordered_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1]
 
 
-def _half_sum(terms: np.ndarray) -> float:
-    return 0.5 * float(ordered_sum(terms))
-
-
 def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
     """Half the sum of (fa-fb)^2 / (fa+fb), zero-denominator terms excluded."""
     fa = np.asarray(fa, dtype=np.float64)
     fb = np.asarray(fb, dtype=np.float64)
     if fa.shape != fb.shape:
         raise ValueError(f"dimension mismatch: {fa.shape} vs {fb.shape}")
-    return _half_sum(_chi_square_terms(fa, fb))
-
-
-def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> dict[Slot, float]:
-    """Chi-square distance per (series, pooling) slot.
-
-    The terms are computed in one pass over each feature's whole array,
-    then summed slot by slot, so each distance equals ``chi_square`` on
-    that slot's vectors bit for bit.
-    """
-    if a.bounds != b.bounds:
-        raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {b.bounds}")
-    terms = _chi_square_terms(a.values, b.values)
-    return {slot: _half_sum(terms[lo:hi]) for slot, lo, hi in zip(SLOTS, a.bounds, a.bounds[1:])}
+    return 0.5 * float(ordered_sum(_chi_square_terms(fa, fb)))
 
 
 @dataclass(frozen=True)
@@ -104,12 +87,12 @@ class PartnerBlock:
 def csd_block(a: PoTFeature, block: PartnerBlock, start: int = 0) -> np.ndarray:
     """Chi-square distance per slot of ``a`` against each partner of
     ``block`` from column ``start`` on, in one pass: a (partners, 6) array
-    whose row p equals ``csd_sixtuple(a, partner p)`` bit for bit.
+    whose row p holds ``chi_square`` of each slot's vectors bit for bit.
 
     Where ``a`` is +-0.0, ``diff = -b`` and ``denom = b`` exactly, so a term
     equals the zero term whatever b is (NaN, inf and negative b included):
     only the rows where ``a`` is not zero are computed. Each slot is then
-    summed over its rows by ``ordered_sum``, in the order ``csd_sixtuple``
+    summed over its rows by ``ordered_sum``, in the order ``chi_square``
     sums.
     """
     if a.bounds != block.bounds:
@@ -121,6 +104,12 @@ def csd_block(a: PoTFeature, block: PartnerBlock, start: int = 0) -> np.ndarray:
     for s, (lo, hi) in enumerate(zip(block.bounds, block.bounds[1:])):
         sums[:, s] = ordered_sum(terms[lo:hi])
     return 0.5 * sums
+
+
+def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> dict[Slot, float]:
+    """Chi-square distance per (series, pooling) slot: ``csd_block`` with
+    one partner."""
+    return dict(zip(SLOTS, csd_block(a, PartnerBlock.stack([b]))[0].tolist()))
 
 
 def mean_csd(partial_sums: dict[Slot, float], pair_count: int) -> MeanCsd:

@@ -5,22 +5,26 @@ single PASS/FAIL line (visible with ``pytest -s`` or in captured output).
 """
 
 import math
+import os
 import shutil
 import time
 from contextlib import contextmanager
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, smooth_texture, write_corpus
-from potsim.archive import (
-    ArchiveRecord,
-    read_archive,
-    shard_records,
-    cartesian_pairs,
-    write_archive,
+from potsim.archive import ArchiveRecord, read_archive, write_archive
+from potsim.engine import (
+    PipelineConfig,
+    StageError,
+    plan_pair_stage,
+    run_extract,
+    run_mean,
+    run_pipeline,
+    run_similarity,
 )
-from potsim.engine import PipelineConfig, StageError, run_extract, run_mean, run_pipeline, run_similarity
 from potsim.flow import FarnebackParams, farneback_flow
 from potsim.frames import FrameSequence, resize_bilinear
 from potsim.descriptors import compute_series
@@ -240,8 +244,9 @@ def test_criterion_7_pair_accounting(tmp_path):
                 for i in range(n)
             }
 
+        manifests = {}
         for n in (2, 3, 10):
-            manifest = write_corpus(tmp_path / f"c{n}", tiny_corpus(n))
+            manifest = manifests[n] = write_corpus(tmp_path / f"c{n}", tiny_corpus(n))
             cfg = fast_config(manifest, tmp_path / f"out{n}", working_w=16, working_h=16)
             sim = run_pipeline(cfg)
             rows = sim.read_text().splitlines()[1:]
@@ -258,27 +263,25 @@ def test_criterion_7_pair_accounting(tmp_path):
             run_pipeline(cfg)
         assert generate_pairs(["only"]) == []
 
-        # shard-pair decomposition vs brute force
-        keys = [f"v{i:03d}" for i in range(20)]
-        records = [
-            ArchiveRecord(
-                key=k,
-                frame_count=5,
-                feature=PoTFeature({slot: np.zeros(2) for slot in SLOTS}),
+        # the engine's pair enumeration vs brute force, at several shard
+        # counts: the key pairs of similarity.csv, and each mean task's rows
+        keys = [f"v{i:02d}" for i in range(10)]
+        oracle = list(combinations(keys, 2))
+        for shard_count in (1, 2, 3, 7):
+            out = tmp_path / f"shards{shard_count}"
+            cfg = fast_config(
+                manifests[10], out, working_w=16, working_h=16, shard_count=shard_count
             )
-            for k in keys
-        ]
-        for shard_count in range(1, 6):
-            shards = shard_records(records, shard_count)
-            emitted = []
-            for i in range(len(shards)):
-                for j in range(i, len(shards)):
-                    emitted.extend(
-                        (a.key, b.key)
-                        for a, b in cartesian_pairs(shards[i], shards[j], i == j)
-                    )
-            assert sorted(emitted) == generate_pairs(keys)
-            assert len(emitted) == len(set(emitted))
+            rows = run_pipeline(cfg).read_text().splitlines()[1:]
+            assert [tuple(r.split(",")[:2]) for r in rows] == oracle
+            shard_of = {
+                record.key: i
+                for i in range(shard_count)
+                for record in read_archive(out / f"features-{i:05d}.potf")
+            }
+            for task in plan_pair_stage(shard_count, out / "state"):
+                pairs = sum((shard_of[a], shard_of[b]) == task.payload for a, b in oracle)
+                assert os.path.getsize(task.out_path) == 48 * pairs, task.label
 
 
 def determinism_corpus(root):

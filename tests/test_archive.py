@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,13 @@ from hypothesis import strategies as st
 from potsim.archive import (
     ArchiveRecord,
     ArchiveShard,
-    cartesian_pairs,
+    partners,
     read_archive,
-    shard_partition,
     shard_records,
     write_archive,
     write_shards,
 )
 from potsim.pooling import SLOTS, PoTFeature
-from potsim.similarity import generate_pairs
 
 
 def make_record(key, seed=0, interval_count=7, frame_count=30):
@@ -132,13 +132,17 @@ class TestArchiveErrors:
 
 class TestSharding:
     def test_balanced_partition(self):
-        assert shard_partition(10, 3) == [4, 3, 3]
+        assert shard_records(range(10), 3) == [range(0, 4), range(4, 7), range(7, 10)]
 
     def test_single(self):
-        assert shard_partition(1, 1) == [1]
+        assert shard_records(["a"], 1) == [["a"]]
 
     def test_empty_shards_omitted(self):
-        assert shard_partition(2, 5) == [1, 1]
+        assert shard_records(["a", "b"], 5) == [["a"], ["b"]]
+
+    def test_shard_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            shard_records(["a"], 0)
 
     def test_shard_records_contiguous(self):
         records = records_for([f"v{i}" for i in range(10)])
@@ -181,21 +185,22 @@ class TestSharding:
             write_shards([path], tmp_path / "out", 1)
 
 
+def task_pairs(shard_a, shard_b, same_shard):
+    """The pairs of one shard-pair task: each key of ``shard_a`` with its
+    ``partners`` in ``shard_b``, in that order, as a mean task writes them."""
+    return [(a, b) for k, a in enumerate(shard_a) for b in partners(shard_b, k, same_shard)]
+
+
 class TestCartesianPairs:
     def test_within_shard(self):
-        records = records_for(["v1", "v2", "v3"])
-        pairs = [(a.key, b.key) for a, b in cartesian_pairs(records, records, True)]
-        assert pairs == [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]
+        keys = ["v1", "v2", "v3"]
+        assert task_pairs(keys, keys, True) == [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]
 
     def test_cross_shard(self):
-        left = records_for(["v1", "v2"])
-        right = records_for(["v3"])
-        pairs = [(a.key, b.key) for a, b in cartesian_pairs(left, right, False)]
-        assert pairs == [("v1", "v3"), ("v2", "v3")]
+        assert task_pairs(["v1", "v2"], ["v3"], False) == [("v1", "v3"), ("v2", "v3")]
 
     def test_single_record_with_itself(self):
-        records = records_for(["only"])
-        assert list(cartesian_pairs(records, records, True)) == []
+        assert task_pairs(["only"], ["only"], True) == []
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -204,15 +209,14 @@ class TestCartesianPairs:
     )
     def test_shard_tasks_cover_every_pair_exactly_once(self, n, shard_count):
         keys = [f"v{i:03d}" for i in range(n)]
-        records = records_for(keys)
-        shards = shard_records(records, shard_count)
-        emitted = []
-        for i in range(len(shards)):
-            for j in range(i, len(shards)):
-                emitted.extend(
-                    (a.key, b.key)
-                    for a, b in cartesian_pairs(shards[i], shards[j], i == j)
-                )
-        assert sorted(emitted) == generate_pairs(keys)
-        assert len(emitted) == len(set(emitted))
-        assert all(a < b for a, b in emitted)
+        shards = shard_records(keys, shard_count)
+        # for each shard i, key by key, its partners in shards i, i + 1, ...:
+        # the global key-pair order in which the engine reads the mean rows
+        emitted = [
+            (key_a, key_b)
+            for i, shard_a in enumerate(shards)
+            for k, key_a in enumerate(shard_a)
+            for j in range(i, len(shards))
+            for key_b in partners(shards[j], k, i == j)
+        ]
+        assert emitted == list(combinations(keys, 2))

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from conftest import blob_video, noise_video, write_corpus, write_video_dir
 from potsim import engine
-from potsim.archive import ArchiveRecord, cartesian_pairs, read_archive, write_archive
+from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.cli import main
 from potsim.engine import (
     ConfigError,
@@ -29,7 +31,7 @@ from potsim.engine import (
 )
 from potsim.flow import FarnebackParams
 from potsim.pooling import SLOTS, PoTFeature
-from potsim.similarity import csd_sixtuple, generate_pairs, mean_csd, write_mean_csd_csv
+from potsim.similarity import chi_square, generate_pairs, mean_csd, write_mean_csd_csv
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
 
@@ -218,20 +220,16 @@ class TestFullPipeline:
         mean_lines = (tmp_path / "out" / "mean_csd.csv").read_text().splitlines()
         assert all(line.endswith(",3") for line in mean_lines[1:])
 
-    def test_multi_shard_equals_single_shard(self, tmp_path):
-        # shard count changes float accumulation order in the mean reduce,
-        # so scores agree to near machine precision, not bitwise
-        manifest = small_corpus(tmp_path / "c", n=6)
-        cfg1 = fast_config(manifest, tmp_path / "out1", shard_count=1)
-        cfg3 = fast_config(manifest, tmp_path / "out3", shard_count=3)
-        sim1 = run_pipeline(cfg1).read_text().splitlines()
-        sim3 = run_pipeline(cfg3).read_text().splitlines()
-        assert len(sim1) == len(sim3)
-        for line1, line3 in zip(sim1[1:], sim3[1:]):
-            a1, b1, s1 = line1.split(",")
-            a3, b3, s3 = line3.split(",")
-            assert (a1, b1) == (a3, b3)
-            assert float(s1) == pytest.approx(float(s3), rel=1e-12)
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7, pytest.param(None, id="default")])
+    def test_multi_shard_equals_single_shard(self, tmp_path, shards):
+        """The mean reduce sums in global key-pair order, so both outputs
+        are byte-identical to one shard's at any shard count."""
+        videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
+        manifest = write_corpus(tmp_path / "c", videos)
+        run_pipeline(fast_config(manifest, tmp_path / "one", shard_count=1))
+        run_pipeline(fast_config(manifest, tmp_path / "many", shard_count=shards))
+        for name in ("mean_csd.csv", "similarity.csv"):
+            assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_worker_count_invariance(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=4)
@@ -249,6 +247,26 @@ class TestFullPipeline:
         run_mean(cfg_staged)
         staged = run_pipeline(cfg_staged).read_text()
         assert staged == direct
+
+    def test_fingerprint_write_cut_short_leaves_none(self, tmp_path, monkeypatch):
+        """A fingerprint write that fails part-way leaves no fingerprint
+        behind, so the next run starts instead of being refused."""
+        manifest = small_corpus(tmp_path / "c", n=2)
+        cfg = fast_config(manifest, tmp_path / "out")
+        write_text = Path.write_text
+
+        def cut_short(path, data, *args, **kwargs):
+            if path.name.startswith("fingerprint"):
+                write_text(path, data[:5], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError, match="No space left"):
+            run_pipeline(cfg)
+        monkeypatch.undo()
+        assert not (tmp_path / "out" / "state" / "fingerprint").exists()
+        assert len(run_pipeline(cfg).read_text().splitlines()) == 2
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=2)
@@ -529,9 +547,9 @@ class TestPairStages:
 
     @pytest.mark.parametrize("shards", [1, 3, 12])
     def test_mean_sums_rows_in_order(self, tmp_path, shards):
-        """mean_csd.csv is byte-identical to += loops: per task over its
-        rows, then over the tasks in task-id order. 12 shards of 12 videos
-        give tasks of one pair (or none), 1 shard one task of 66 pairs."""
+        """mean_csd.csv is byte-identical to one += loop over all pairs in
+        key-pair order, at any shard count. 12 shards of 12 videos give
+        tasks of one pair (or none), 1 shard one task of 66 pairs."""
         videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
         manifest = write_corpus(tmp_path / "c", videos)
         out = tmp_path / "out"
@@ -539,30 +557,22 @@ class TestPairStages:
         run_extract(cfg)
         run_mean(cfg)
 
+        features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
+        pairs = list(combinations(sorted(features), 2))
         sums = {slot: 0.0 for slot in SLOTS}
-        total = 0
-        for task in plan_pair_stage(shards, tmp_path):
-            i, j = task.payload
-            records_a = read_archive(out / f"features-{i:05d}.potf")
-            records_b = read_archive(out / f"features-{j:05d}.potf")
-            partial = {slot: 0.0 for slot in SLOTS}
-            for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j):
-                csd = csd_sixtuple(rec_a.feature, rec_b.feature)
-                for slot in SLOTS:
-                    partial[slot] += csd[slot]
-                total += 1
+        for a, b in pairs:
             for slot in SLOTS:
-                sums[slot] += partial[slot]
-        assert total == 66
-        write_mean_csd_csv(mean_csd(sums, total), tmp_path / "reference.csv")
+                sums[slot] += chi_square(features[a].vectors[slot], features[b].vectors[slot])
+        assert len(pairs) == 66
+        write_mean_csd_csv(mean_csd(sums, len(pairs)), tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("block", [64, 5])
     @pytest.mark.parametrize("shards", [1, 3, 12])
     def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards, block):
         """Every mean task's rows are byte-identical to rows built pair by
-        pair from csd_sixtuple; column blocks of 5 split a shard of 12 into
-        blocks of 5, 5 and 2 partners."""
+        pair from chi_square per slot, as csd_sixtuple gives them; column
+        blocks of 5 split a shard of 12 into blocks of 5, 5 and 2 partners."""
         monkeypatch.setattr(engine, "DEFAULT_VIDEOS_PER_SHARD", block)
         videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
         manifest = write_corpus(tmp_path / "c", videos)
@@ -574,11 +584,12 @@ class TestPairStages:
         tasks = plan_pair_stage(shards, out / "state")
         for task in tasks:
             i, j = task.payload
-            records_a = read_archive(out / f"features-{i:05d}.potf")
-            records_b = read_archive(out / f"features-{j:05d}.potf")
+            features_a = {r.key: r.feature for r in read_archive(out / f"features-{i:05d}.potf")}
+            features_b = {r.key: r.feature for r in read_archive(out / f"features-{j:05d}.potf")}
             rows = [
-                [csd_sixtuple(rec_a.feature, rec_b.feature)[slot] for slot in SLOTS]
-                for rec_a, rec_b in cartesian_pairs(records_a, records_b, i == j)
+                [chi_square(features_a[a].vectors[s], features_b[b].vectors[s]) for s in SLOTS]
+                for a, b in combinations(sorted(features_a | features_b), 2)
+                if a in features_a and b in features_b
             ]
             expected = np.array(rows, dtype="<f8").tobytes()
             assert Path(task.out_path).read_bytes() == expected, task.label

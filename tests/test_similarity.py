@@ -144,7 +144,9 @@ class TestCsdBlock:
 
     @staticmethod
     def reference(a, partners):
-        rows = [[csd_sixtuple(a, b)[slot] for slot in SLOTS] for b in partners]
+        """chi_square per slot, the independent oracle: csd_sixtuple is a
+        one-partner csd_block."""
+        rows = [[chi_square(a.vectors[s], b.vectors[s]) for s in SLOTS] for b in partners]
         return np.array(rows, dtype=np.float64).reshape(-1, len(SLOTS))
 
     @pytest.mark.parametrize("count", [0, 1, 2, 64])
@@ -166,6 +168,8 @@ class TestCsdBlock:
             # a block of exactly ``count`` partners
             got = csd_block(a, PartnerBlock.stack(partners[64 - count :]))
             assert got.tobytes() == expected.tobytes()
+            last = csd_sixtuple(a, partners[-1])
+            assert np.array([last[slot] for slot in SLOTS]).tobytes() == expected[-1].tobytes()
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
