@@ -1,7 +1,7 @@
 """Pairwise video similarity from pooled time series of optical-flow and
 gradient histograms, computed by a local parallel, checkpointable pipeline."""
 
-from .archive import ArchiveRecord, ArchiveShard, read_archive, write_archive
+from .archive import ArchiveRecord, read_archive, write_archive
 from .descriptors import HistogramSeries, compute_series, hof_frame, hog_frame
 from .engine import (
     ConfigError,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchiveRecord",
-    "ArchiveShard",
     "ConfigError",
     "FarnebackParams",
     "FlowField",

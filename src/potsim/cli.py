@@ -75,7 +75,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         help=f"temporal pyramid levels (default {','.join(map(str, DEFAULT_LEVELS))})",
     )
     parser.add_argument("--hog-threshold", type=float, default=DEFAULT_HOG_THRESHOLD)
-    parser.add_argument("--shards", type=int, default=None, help="shard count (default ceil(N/64))")
     parser.add_argument("--state-dir", default=None, help="checkpoint state directory")
     # one flag per FarnebackParams field, typed and defaulted by it:
     # --pyr-scale, --flow-levels, --winsize, --iterations, --poly-n, --poly-sigma
@@ -100,7 +99,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         working_h=args.resize[1],
         levels=args.levels,
         hog_threshold=args.hog_threshold,
-        shard_count=args.shards,
         workers=args.workers,
         farneback=farneback,
         state_dir=state_dir,
@@ -128,6 +126,8 @@ def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, P
     """Render similarity.csv as an NxN PGM plus a key-order listing."""
     sim_csv = Path(sim_csv)
     scores = _read_similarity_csv(sim_csv)
+    if not scores:
+        raise ValueError(f"{sim_csv}: no pairs to render")
     keys = sorted({k for pair in scores for k in pair})
     n = len(keys)
     image = np.full((n, n), 255.0)

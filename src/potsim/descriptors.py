@@ -169,13 +169,3 @@ def dump_series_text(series: HistogramSeries, key: str, out_dir: str | Path) -> 
     with committed(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n")
     return path
-
-
-def load_series_text(path: str | Path, kind: str) -> HistogramSeries:
-    """Read back a text series dump (debugging/compatibility path)."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            rows.append([float(v) for v in line.split()])
-    histograms = np.array(rows, dtype=np.float64).reshape(-1, HISTOGRAM_DIM)
-    return HistogramSeries(kind=kind, histograms=histograms)

@@ -9,12 +9,12 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   them.
 * mean: one task per shard pair (i, j), i <= j, writes the six per-slot
   chi-square distances of each of its pairs as one row of six little-endian
-  float64 (48 bytes, no keys), in key-pair order. It stacks shard j's
-  features into column blocks of at most 64 partners and scores each key of
-  shard i against a whole block in one pass (``similarity.csd_block``), so
-  its memory does not grow with the shard size. The reduce walks the rows
-  in global key-pair order (``_key_rows``) and sums them strictly in that
-  order into ``mean_csd.csv``, so no bit of it depends on the shard layout.
+  float64 (48 bytes, no keys), in key-pair order. A shard holds at most 64
+  keys, so the task stacks shard j's features into one block and scores
+  each key of shard i against all its partners in one pass
+  (``similarity.csd_block``). The reduce walks the rows in global key-pair
+  order (``_key_rows``) and sums them strictly in that order into
+  ``mean_csd.csv``, so no bit of it depends on the shard layout.
 * similarity: no tasks of its own; it takes the same walk, and each row,
   normalised by the means, becomes a line of ``similarity.csv``. Every pair
   is scored by exactly one chi-square pass, and this stage reads no shard.
@@ -24,8 +24,9 @@ The walk reads, for each shard i, its keys' rows from tasks (i, i),
 
 A preamble shared by the stages checks the whole configuration
 (``check_config``) before it reads the manifest or touches the state dir,
-then cuts the manifest's sorted keys into shards once
-(``archive.shard_records``) and hands those key lists to every stage.
+then cuts the manifest's sorted keys into ``shard_count(N)`` near-equal
+shards once (``archive.shard_records``) and hands those key lists to every
+stage. The layout is a function of the key set alone.
 
 Every task and stage output is written to ``<path>.tmp`` and renamed into
 place, so an output that exists is finished: a task is done, and skipped on
@@ -33,7 +34,7 @@ resume, once its outputs exist; a stage once its marker in the state dir
 and its outputs do. The state dir's fingerprint covers the parameters and
 the frame files (names, sizes, mtimes), so a resume never reuses results of
 changed inputs. Outputs are byte-identical for any worker count and shard
-count: task outputs do not depend on scheduling, and the reduce runs
+layout: task outputs do not depend on scheduling, and the reduce runs
 single-threaded in global key-pair order after the stage barrier.
 """
 
@@ -49,7 +50,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterator
 
@@ -86,7 +87,7 @@ from .similarity import (
 logger = logging.getLogger("potsim.engine")
 
 DEFAULT_WORKING_RESOLUTION = (128, 128)
-DEFAULT_VIDEOS_PER_SHARD = 64
+VIDEOS_PER_SHARD = 64  # also the widest block a mean task scores
 
 STAGE_EXTRACT = "extract"
 STAGE_MEAN = "mean"
@@ -118,7 +119,6 @@ class PipelineConfig:
     working_h: int = DEFAULT_WORKING_RESOLUTION[1]
     levels: tuple[int, ...] = DEFAULT_LEVELS
     hog_threshold: float = DEFAULT_HOG_THRESHOLD
-    shard_count: int | None = None  # default: ceil(N / 64)
     workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     farneback: FarnebackParams = field(default_factory=FarnebackParams)
     state_dir: str | None = None  # default: <out_dir>/state
@@ -155,8 +155,6 @@ def check_config(config: PipelineConfig) -> None:
         raise ConfigError(f"hog threshold must be a number <= 255, got {threshold}")
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.shard_count is not None and config.shard_count < 1:
-        raise ConfigError(f"shard count must be >= 1, got {config.shard_count}")
     try:
         config.farneback.validate()
     except ValueError as exc:
@@ -172,9 +170,13 @@ def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"manifest {path} is not UTF-8 text: {exc}") from None
     entries: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -196,17 +198,18 @@ def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
     return entries
 
 
-def resolve_shard_count(config: PipelineConfig, video_count: int) -> int:
-    if config.shard_count is not None:
-        return config.shard_count
-    return max(1, math.ceil(video_count / DEFAULT_VIDEOS_PER_SHARD))
+def shard_count(video_count: int) -> int:
+    """The fewest shards of at most VIDEOS_PER_SHARD videos each."""
+    return math.ceil(video_count / VIDEOS_PER_SHARD)
 
 
 def _input_digest(entries: list[tuple[str, str]]) -> str:
     """Hash of the inputs: per manifest entry in key order, its key, its
     resolved directory and each frame file's name, size and mtime.
 
-    A missing directory hashes as missing; extract reports it per task.
+    A missing directory hashes as missing, and one whose frames cannot be
+    listed or stat'ed (a dangling symlink, say) as unreadable: extract
+    reports either per task.
     """
     digest = hashlib.sha256()
     for key, directory in sorted(entries):
@@ -214,10 +217,14 @@ def _input_digest(entries: list[tuple[str, str]]) -> str:
         if not os.path.isdir(directory):
             digest.update(b"missing")
             continue
-        for path in frame_paths(Path(directory)):
-            st = os.stat(path)
+        try:
+            stats = [(path.name, os.stat(path)) for path in frame_paths(Path(directory))]
+        except OSError:
+            digest.update(b"unreadable")
+            continue
+        for name, st in stats:
             # a file name holds no NUL, so the record is unambiguous
-            digest.update(f"{path.name}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
+            digest.update(f"{name}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
     return digest.hexdigest()
 
 
@@ -229,7 +236,8 @@ def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -
         "working": [config.working_w, config.working_h],
         "levels": list(config.levels),
         "hog_threshold": config.hog_threshold,
-        "shard_count": resolve_shard_count(config, len(entries)),
+        # mean task outputs are named by position in the layout
+        "shard_count": shard_count(len(entries)),
         "farneback": [
             fb.pyr_scale,
             fb.levels,
@@ -278,7 +286,7 @@ def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], Shard
     check_config(config)
     entries = parse_manifest(config.manifest)
     keys = sorted(key for key, _ in entries)
-    shard_keys = shard_records(keys, resolve_shard_count(config, len(entries)))
+    shard_keys = shard_records(keys, shard_count(len(keys)))
     state_dir = prepare_state(config, config_fingerprint(config, entries))
     return entries, shard_keys, state_dir
 
@@ -306,10 +314,10 @@ def plan_extract(
     ]
 
 
-def plan_pair_stage(shard_count: int, state_dir: Path) -> list[Task]:
+def plan_pair_stage(shards: int, state_dir: Path) -> list[Task]:
     """Mean tasks: one per shard pair (i, j) with i <= j, S(S+1)/2 in all."""
     work_dir = state_dir / STAGE_MEAN
-    pairs = [(i, j) for i in range(shard_count) for j in range(i, shard_count)]
+    pairs = [(i, j) for i in range(shards) for j in range(i, shards)]
     return [
         Task(
             id=task_id,
@@ -353,29 +361,20 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     """Write each pair's row, each key of shard i with its ``partners`` in
     shard j, with no keys: shards are key ranges, so that is key-pair order.
 
-    Shard j's features are stacked into column blocks of at most
-    DEFAULT_VIDEOS_PER_SHARD partners, so a task's memory does not grow with
-    the shard size, and each key of shard i is scored against all its
-    partners in a block in one pass."""
+    A shard holds at most VIDEOS_PER_SHARD keys, so shard j is stacked into
+    one block, and each key of shard i is scored against all its partners
+    in one pass."""
     i, j = task.payload
     records_a = read_archive(_shard_path(config, i))
     records_b = records_a if i == j else read_archive(_shard_path(config, j))
-    # key k's partners are records_b[first[k]:], its rows start at row[k]
-    counts = [len(partners(records_b, k, i == j)) for k in range(len(records_a))]
-    first = [len(records_b) - count for count in counts]
-    row = [0, *accumulate(counts)]
-    rows = np.empty((row[-1], len(SLOTS)), dtype=ROW_DTYPE)
-    for lo in range(0, len(records_b), DEFAULT_VIDEOS_PER_SHARD):
-        chunk = records_b[lo : lo + DEFAULT_VIDEOS_PER_SHARD]
-        hi = lo + len(chunk)
-        block = PartnerBlock.stack([record.feature for record in chunk])
-        for k, record in enumerate(records_a):
-            start = max(first[k], lo)  # key k's first partner in this block
-            if start < hi:
-                at = row[k] + start - first[k]
-                rows[at : at + hi - start] = csd_block(record.feature, block, start - lo)
+    block = PartnerBlock.stack([record.feature for record in records_b])
+    # key k's partners are the last columns of the block
+    rows = [
+        csd_block(record.feature, block, len(records_b) - len(partners(records_b, k, i == j)))
+        for k, record in enumerate(records_a)
+    ]
     with committed(task.out_path) as tmp:
-        tmp.write_bytes(rows.tobytes())
+        tmp.write_bytes(np.vstack(rows).astype(ROW_DTYPE).tobytes())
 
 
 def _open_rows(task: Task, shard_keys: ShardKeys):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, smooth_texture, write_corpus
+from potsim import engine
 from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.engine import (
     PipelineConfig,
@@ -236,7 +237,7 @@ def test_criterion_6_flow_accuracy():
             assert err <= 0.5, f"shift {shift}: mean error {err}"
 
 
-def test_criterion_7_pair_accounting(tmp_path):
+def test_criterion_7_pair_accounting(tmp_path, monkeypatch):
     with criterion(7, "pair counts follow N(N-1)/2 and shard tasks cover all pairs"):
         def tiny_corpus(n):
             return {
@@ -263,17 +264,18 @@ def test_criterion_7_pair_accounting(tmp_path):
             run_pipeline(cfg)
         assert generate_pairs(["only"]) == []
 
-        # the engine's pair enumeration vs brute force, at several shard
-        # counts: the key pairs of similarity.csv, and each mean task's rows
+        # the engine's pair enumeration vs brute force, from one shard to
+        # shards of one video: the key pairs of similarity.csv, and each
+        # mean task's rows
         keys = [f"v{i:02d}" for i in range(10)]
         oracle = list(combinations(keys, 2))
-        for shard_count in (1, 2, 3, 7):
+        for size, shard_count in ((10, 1), (5, 2), (4, 3), (2, 5), (1, 10)):
+            monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", size)
             out = tmp_path / f"shards{shard_count}"
-            cfg = fast_config(
-                manifests[10], out, working_w=16, working_h=16, shard_count=shard_count
-            )
+            cfg = fast_config(manifests[10], out, working_w=16, working_h=16)
             rows = run_pipeline(cfg).read_text().splitlines()[1:]
             assert [tuple(r.split(",")[:2]) for r in rows] == oracle
+            assert len(list(out.glob("features-*.potf"))) == shard_count
             shard_of = {
                 record.key: i
                 for i in range(shard_count)
@@ -294,32 +296,35 @@ def determinism_corpus(root):
     return write_corpus(root, videos)
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     with criterion(8, "worker counts and staged resume give byte-identical output"):
         manifest = determinism_corpus(tmp_path / "corpus")
+        monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", 4)  # 12 videos in 3 shards
 
-        cfg1 = fast_config(manifest, tmp_path / "w1", workers=1, shard_count=3)
+        cfg1 = fast_config(manifest, tmp_path / "w1", workers=1)
         reference = run_pipeline(cfg1).read_bytes()
+        assert len(list((tmp_path / "w1").glob("features-*.potf"))) == 3
 
-        cfg8 = fast_config(manifest, tmp_path / "w8", workers=8, shard_count=3)
+        cfg8 = fast_config(manifest, tmp_path / "w8", workers=8)
         assert run_pipeline(cfg8).read_bytes() == reference
 
         # resume after the extract barrier
-        cfg_a = fast_config(manifest, tmp_path / "ra", workers=8, shard_count=3)
+        cfg_a = fast_config(manifest, tmp_path / "ra", workers=8)
         run_extract(cfg_a)
         assert run_pipeline(cfg_a).read_bytes() == reference
 
         # resume after the mean barrier
-        cfg_b = fast_config(manifest, tmp_path / "rb", workers=8, shard_count=3)
+        cfg_b = fast_config(manifest, tmp_path / "rb", workers=8)
         run_extract(cfg_b)
         run_mean(cfg_b)
         assert run_pipeline(cfg_b).read_bytes() == reference
 
 
-def test_criterion_9_scaling_invariance(tmp_path):
+def test_criterion_9_scaling_invariance(tmp_path, monkeypatch):
     with criterion(9, "scaling all features by 7.3 leaves scores unchanged"):
         manifest = determinism_corpus(tmp_path / "corpus")
-        cfg = fast_config(manifest, tmp_path / "out", shard_count=2)
+        monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", 6)  # 12 videos in 2 shards
+        cfg = fast_config(manifest, tmp_path / "out")
         base_scores = read_scores(run_pipeline(cfg))
 
         scaled_out = tmp_path / "scaled"
@@ -338,7 +343,7 @@ def test_criterion_9_scaling_invariance(tmp_path):
             ]
             write_archive(scaled, scaled_out / shard.name)
 
-        cfg_scaled = fast_config(manifest, scaled_out, shard_count=2)
+        cfg_scaled = fast_config(manifest, scaled_out)
         run_mean(cfg_scaled)
         scaled_scores = read_scores(run_similarity(cfg_scaled))
 

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 import potsim
 
 from conftest import blob_video, write_corpus
-from potsim.cli import main, render_heatmap
+from potsim.cli import build_parser, main, render_heatmap
 from potsim.frames import decode_pgm
 
 FAST_FLAGS = [
@@ -85,8 +87,7 @@ class TestExtractCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--resize", "0x24"], ["--levels", "1,0"], ["--workers", "0"], ["--shards", "0"],
-         ["--winsize", "4"]],
+        [["--resize", "0x24"], ["--levels", "1,0"], ["--workers", "0"], ["--winsize", "4"]],
         ids=" ".join,
     )
     def test_unusable_setting_is_usage_error(self, tmp_path, capsys, flags):
@@ -251,10 +252,30 @@ class TestHeatmapCommand:
         assert main(["heatmap", str(out / "similarity.csv"), "--out", str(tmp_path / "h")]) == 0
         assert (tmp_path / "h.keys.txt").read_text() == '"q\nv01\nv02\n'
 
+    def test_no_pairs_writes_nothing(self, tmp_path, capsys):
+        """A header-only similarity.csv would make a 0x0 PGM, which no PGM
+        reader accepts."""
+        csv_path = tmp_path / "similarity.csv"
+        self.write_sim_csv(csv_path, [])
+        assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "h")]) == 1
+        assert f"{csv_path}: no pairs" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["similarity.csv"]
+
     def test_malformed_csv(self, tmp_path):
         csv_path = tmp_path / "similarity.csv"
         csv_path.write_text("nope\n")
         assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "h")]) == 1
+
+
+def test_readme_lists_every_run_flag():
+    """README's "Common flags" paragraph names exactly the flags of `run`,
+    beyond the --manifest and --out that every example shows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Common flags:.*?\n\n", readme, re.M | re.S).group()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {f for a in sub.choices["run"]._actions for f in a.option_strings if f[1] == "-"}
+    named = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    assert named == flags - {"--help", "--manifest", "--out"}
 
 
 def test_usage_error_exit_code(capsys):

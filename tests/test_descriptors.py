@@ -12,7 +12,6 @@ from potsim.descriptors import (
     dump_series_text,
     hof_frame,
     hog_frame,
-    load_series_text,
 )
 from potsim.flow import FarnebackParams, FlowField, farneback_flow
 from potsim.frames import FrameSequence
@@ -150,6 +149,13 @@ class TestComputeSeries:
                 tracemalloc.stop()
 
         assert peak(33) <= 1.25 * peak(9)
+
+
+def load_series_text(path, kind):
+    """Read back a text series dump: one line of HISTOGRAM_DIM values per
+    frame pair."""
+    rows = [[float(v) for v in line.split()] for line in path.read_text().splitlines()]
+    return HistogramSeries(kind=kind, histograms=np.array(rows).reshape(-1, HISTOGRAM_DIM))
 
 
 class TestSeriesTextDump:

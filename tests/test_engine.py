@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import re
 import shutil
@@ -23,7 +24,6 @@ from potsim.engine import (
     config_fingerprint,
     parse_manifest,
     plan_pair_stage,
-    resolve_shard_count,
     run_extract,
     run_mean,
     run_pipeline,
@@ -31,7 +31,7 @@ from potsim.engine import (
 )
 from potsim.flow import FarnebackParams
 from potsim.pooling import SLOTS, PoTFeature
-from potsim.similarity import chi_square, generate_pairs, mean_csd, write_mean_csd_csv
+from potsim.similarity import chi_square, mean_csd, write_mean_csd_csv
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
 
@@ -60,6 +60,14 @@ def task_outcomes(caplog):
     """{target: outcome} from the engine's per-task log lines."""
     lines = [re.search(r"target=(\S+) outcome=(\w+)", m) for m in caplog.messages]
     return dict(m.groups() for m in lines if m)
+
+
+def set_shards(monkeypatch, video_count, shards):
+    """Set VIDEOS_PER_SHARD so that video_count videos make that many
+    shards; forked pool workers inherit it."""
+    size = math.ceil(video_count / shards)
+    assert math.ceil(video_count / size) == shards
+    monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", size)
 
 
 def small_corpus(root, n=3, frames=6, size=24):
@@ -99,14 +107,28 @@ class TestManifest:
         with pytest.raises(ConfigError, match="expected"):
             parse_manifest(path)
 
+    def test_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"v0,v0\n\xff\xfe,v1\n")
+        with pytest.raises(ConfigError, match=f"manifest {re.escape(str(path))} is not UTF-8"):
+            parse_manifest(path)
+        assert main(fast_argv("run", path, tmp_path / "out")) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPlanning:
     def test_shard_count_default(self, tmp_path):
-        manifest = small_corpus(tmp_path / "c", n=2)
-        cfg = fast_config(manifest, tmp_path / "out")
-        assert resolve_shard_count(cfg, 2) == 1
-        assert resolve_shard_count(cfg, 64) == 1
-        assert resolve_shard_count(cfg, 65) == 2
+        """The layout is the fewest near-equal shards of the sorted keys
+        that hold at most VIDEOS_PER_SHARD each. The directories are
+        missing, so nothing is extracted."""
+        for n, sizes in ((64, [64]), (65, [33, 32]), (129, [43, 43, 43])):
+            manifest = tmp_path / f"m{n}.txt"
+            manifest.write_text("".join(f"v{i:03d},gone{i}\n" for i in reversed(range(n))))
+            _, shard_keys, _ = engine._prepare_stage(fast_config(manifest, tmp_path / f"o{n}"))
+            assert [len(keys) for keys in shard_keys] == sizes
+            assert max(sizes) <= engine.VIDEOS_PER_SHARD
+            assert [key for keys in shard_keys for key in keys] == [f"v{i:03d}" for i in range(n)]
 
     def test_pair_stage_task_count(self, tmp_path):
         tasks = plan_pair_stage(3, tmp_path)
@@ -139,9 +161,6 @@ class TestConfigCheck:
             {"hog_threshold": float("nan")},
             {"hog_threshold": "5"},
             {"workers": 0},
-            # refused before the state dir at the parent too: kept as a case
-            # of the one check
-            {"shard_count": 0},
             pytest.param({"farneback": FarnebackParams(levels=1, winsize=4)}, id="winsize=4"),
             pytest.param({"farneback": FarnebackParams(iterations=0)}, id="iterations=0"),
         ],
@@ -156,18 +175,6 @@ class TestConfigCheck:
             run_pipeline(fast_config(manifest, out, **override))
         assert not (out / "state").exists()
 
-    def test_more_shards_than_videos(self, tmp_path):
-        """Covers behaviour no test ran before: a requested shard count
-        above the video count gives one shard per video."""
-        manifest = small_corpus(tmp_path / "c", n=4)
-        out = tmp_path / "out"
-        run_pipeline(fast_config(manifest, out, shard_count=10))
-        assert len(list(out.glob("features-*.potf"))) == 4
-        assert len(list((out / "state" / "mean").glob("task-*.out"))) == 10
-        rows = (out / "similarity.csv").read_text().splitlines()[1:]
-        pairs = [tuple(row.split(",")[:2]) for row in rows]
-        assert pairs == generate_pairs(["v00", "v01", "v02", "v03"])
-
 
 class TestExtractStage:
     def test_writes_shards_with_all_records(self, tmp_path):
@@ -177,10 +184,10 @@ class TestExtractStage:
         records = [r for p in shards for r in read_archive(p)]
         assert sorted(r.key for r in records) == ["v00", "v01", "v02"]
 
-    def test_requested_shard_count(self, tmp_path):
+    def test_requested_shard_count(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=5)
-        cfg = fast_config(manifest, tmp_path / "out", shard_count=2)
-        shards = run_extract(cfg)
+        set_shards(monkeypatch, 5, 2)
+        shards = run_extract(fast_config(manifest, tmp_path / "out"))
         assert len(shards) == 2
         assert [len(read_archive(p)) for p in shards] == [3, 2]
 
@@ -194,6 +201,22 @@ class TestExtractStage:
             run_extract(cfg)
         assert len(err.value.failures) == 1
         assert "v01" in err.value.failures[0][1] or "v01" == err.value.failures[0][0]
+
+    def test_unstatable_frame_fails_its_task(self, tmp_path, capsys):
+        """A dangling frame symlink fingerprints its video as unreadable:
+        that video's task fails under its key, and the others run."""
+        root = tmp_path / "c"
+        manifest = small_corpus(root, n=3)
+        (root / "v01" / "frame9999.pgm").symlink_to(root / "v01" / "nowhere.pgm")
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as err:
+            run_extract(fast_config(manifest, out))
+        assert [label for label, _ in err.value.failures] == ["v01"]
+        assert "frame9999.pgm" in err.value.failures[0][1]
+        done = sorted(p.name for p in (out / "state" / "extract").iterdir())
+        assert done == ["task-0.out", "task-2.out"]
+        assert main(fast_argv("run", manifest, out)) == 1
+        assert "v01: FileNotFoundError" in capsys.readouterr().err
 
     def test_resume_skips_completed_tasks(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=3)
@@ -221,20 +244,23 @@ class TestFullPipeline:
         assert all(line.endswith(",3") for line in mean_lines[1:])
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 7, pytest.param(None, id="default")])
-    def test_multi_shard_equals_single_shard(self, tmp_path, shards):
+    def test_multi_shard_equals_single_shard(self, tmp_path, monkeypatch, shards):
         """The mean reduce sums in global key-pair order, so both outputs
         are byte-identical to one shard's at any shard count."""
-        videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
+        videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(14)}
         manifest = write_corpus(tmp_path / "c", videos)
-        run_pipeline(fast_config(manifest, tmp_path / "one", shard_count=1))
-        run_pipeline(fast_config(manifest, tmp_path / "many", shard_count=shards))
+        run_pipeline(fast_config(manifest, tmp_path / "one"))
+        if shards is not None:
+            set_shards(monkeypatch, 14, shards)
+        run_pipeline(fast_config(manifest, tmp_path / "many"))
         for name in ("mean_csd.csv", "similarity.csv"):
             assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path):
+    def test_worker_count_invariance(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=4)
-        cfg1 = fast_config(manifest, tmp_path / "out1", workers=1, shard_count=2)
-        cfg2 = fast_config(manifest, tmp_path / "out2", workers=2, shard_count=2)
+        set_shards(monkeypatch, 4, 2)
+        cfg1 = fast_config(manifest, tmp_path / "out1", workers=1)
+        cfg2 = fast_config(manifest, tmp_path / "out2", workers=2)
         assert run_pipeline(cfg1).read_text() == run_pipeline(cfg2).read_text()
 
     def test_staged_resume_matches_uninterrupted(self, tmp_path):
@@ -303,11 +329,13 @@ class TestFullPipeline:
             run_extract(fast_config(manifest, tmp_path / "out"))
         assert [label for label, _ in err.value.failures] == ["gone"]
 
-    def test_stale_shard_from_earlier_run_is_ignored(self, tmp_path):
+    def test_stale_shard_from_earlier_run_is_ignored(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=5)
         out = tmp_path / "out"
-        run_pipeline(fast_config(manifest, out, shard_count=3, state_dir=str(tmp_path / "s3")))
-        cfg = fast_config(manifest, out, shard_count=2, state_dir=str(tmp_path / "s2"))
+        set_shards(monkeypatch, 5, 3)
+        run_pipeline(fast_config(manifest, out, state_dir=str(tmp_path / "s3")))
+        set_shards(monkeypatch, 5, 2)
+        cfg = fast_config(manifest, out, state_dir=str(tmp_path / "s2"))
         rows = run_pipeline(cfg).read_text().splitlines()[1:]
         assert (out / "features-00002.potf").exists()  # left by the first run
         assert len(rows) == 10
@@ -327,13 +355,14 @@ class TestFullPipeline:
             "mean.done", "mean/task-0.out", "sim.done",
         ]
 
-    def test_earlier_layout_state_dir_resumes(self, tmp_path, caplog):
+    def test_earlier_layout_state_dir_resumes(self, tmp_path, monkeypatch, caplog):
         """A state dir with each stage marker inside extract/, mean/ and a
         marker-only sim/ skips every task and reruns each stage's final
         step to the same bytes."""
         manifest = small_corpus(tmp_path / "c", n=3)
         out = tmp_path / "out"
-        cfg = fast_config(manifest, out, shard_count=2)
+        set_shards(monkeypatch, 3, 2)
+        cfg = fast_config(manifest, out)
         run_pipeline(cfg)
         names = ["features-00000.potf", "features-00001.potf", "mean_csd.csv", "similarity.csv"]
         before = [(out / name).read_bytes() for name in names]
@@ -398,18 +427,34 @@ class TestFullPipeline:
         assert not (extract_dir / "task-1.out.tmp").exists()
         assert shard.read_bytes() == before
 
-    def test_mean_refuses_shards_of_other_keys(self, tmp_path, capsys):
+    def test_mean_refuses_shards_of_other_keys(self, tmp_path, monkeypatch, capsys):
         root = tmp_path / "c"
         manifest = small_corpus(root, n=4)
         out = tmp_path / "out"
-        assert main(fast_argv("run", manifest, out) + ["--shards", "2"]) == 0
+        set_shards(monkeypatch, 4, 2)
+        assert main(fast_argv("run", manifest, out)) == 0
         manifest.write_text(manifest.read_text().replace("v03,", "zz,"))
         shutil.rmtree(out / "state")
         capsys.readouterr()
-        assert main(fast_argv("mean", manifest, out) + ["--shards", "2"]) == 1
+        assert main(fast_argv("mean", manifest, out)) == 1
         err = capsys.readouterr().err
         assert "features-00001.potf: key 'v03' where the manifest has 'zz'" in err
-        assert main(fast_argv("sim", manifest, out) + ["--shards", "2"]) == 2
+        assert main(fast_argv("sim", manifest, out)) == 2
+
+    def test_other_layout_refuses_resume(self, tmp_path, monkeypatch, caplog, capsys):
+        """Mean outputs are named by position in the layout, so a state
+        dir made under another shard count is refused before any task."""
+        manifest = small_corpus(tmp_path / "c", n=4)
+        out = tmp_path / "out"
+        set_shards(monkeypatch, 4, 2)
+        assert main(fast_argv("run", manifest, out)) == 0
+        set_shards(monkeypatch, 4, 1)
+        capsys.readouterr()
+        caplog.clear()
+        caplog.set_level("INFO", logger="potsim.engine")
+        assert main(fast_argv("run", manifest, out)) == 2
+        assert "different parameters or inputs" in capsys.readouterr().err
+        assert task_outcomes(caplog) == {}
 
     def test_dead_worker_is_stage_error_and_resumable(self, tmp_path, monkeypatch):
         # pool workers are forked, so they inherit the patched runner table
@@ -480,17 +525,19 @@ class TestPairStages:
             return real_csd_block(a, block, start)
 
         monkeypatch.setattr(engine, "csd_block", counting)
-        sim = run_pipeline(fast_config(manifest, tmp_path / "out", shard_count=2))
+        set_shards(monkeypatch, 4, 2)
+        sim = run_pipeline(fast_config(manifest, tmp_path / "out"))
         assert len(sim.read_text().splitlines()) - 1 == 6
         # every partner column scored is one pair's chi-square pass
         assert sum(columns) == 6
 
-    def test_sim_reads_no_shard(self, tmp_path):
+    def test_sim_reads_no_shard(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=4)
-        direct = run_pipeline(fast_config(manifest, tmp_path / "direct", shard_count=2))
+        set_shards(monkeypatch, 4, 2)
+        direct = run_pipeline(fast_config(manifest, tmp_path / "direct"))
 
         out = tmp_path / "out"
-        cfg = fast_config(manifest, out, shard_count=2)
+        cfg = fast_config(manifest, out)
         run_extract(cfg)
         run_mean(cfg)
         for shard in out.glob("features-*.potf"):
@@ -546,14 +593,15 @@ class TestPairStages:
             assert not (out / "similarity.csv").exists()
 
     @pytest.mark.parametrize("shards", [1, 3, 12])
-    def test_mean_sums_rows_in_order(self, tmp_path, shards):
+    def test_mean_sums_rows_in_order(self, tmp_path, monkeypatch, shards):
         """mean_csd.csv is byte-identical to one += loop over all pairs in
         key-pair order, at any shard count. 12 shards of 12 videos give
         tasks of one pair (or none), 1 shard one task of 66 pairs."""
         videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
         manifest = write_corpus(tmp_path / "c", videos)
         out = tmp_path / "out"
-        cfg = fast_config(manifest, out, shard_count=shards)
+        set_shards(monkeypatch, 12, shards)
+        cfg = fast_config(manifest, out)
         run_extract(cfg)
         run_mean(cfg)
 
@@ -567,17 +615,15 @@ class TestPairStages:
         write_mean_csd_csv(mean_csd(sums, len(pairs)), tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("block", [64, 5])
     @pytest.mark.parametrize("shards", [1, 3, 12])
-    def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards, block):
+    def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards):
         """Every mean task's rows are byte-identical to rows built pair by
-        pair from chi_square per slot, as csd_sixtuple gives them; column
-        blocks of 5 split a shard of 12 into blocks of 5, 5 and 2 partners."""
-        monkeypatch.setattr(engine, "DEFAULT_VIDEOS_PER_SHARD", block)
+        pair from chi_square per slot, as csd_sixtuple gives them."""
+        set_shards(monkeypatch, 12, shards)
         videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
         manifest = write_corpus(tmp_path / "c", videos)
         out = tmp_path / "out"
-        cfg = fast_config(manifest, out, shard_count=shards)
+        cfg = fast_config(manifest, out)
         run_extract(cfg)
         run_mean(cfg)
 
@@ -594,12 +640,13 @@ class TestPairStages:
             expected = np.array(rows, dtype="<f8").tobytes()
             assert Path(task.out_path).read_bytes() == expected, task.label
 
-    def test_mean_refuses_shards_of_other_slot_bounds(self, tmp_path, capsys):
+    def test_mean_refuses_shards_of_other_slot_bounds(self, tmp_path, monkeypatch, capsys):
         """Two hand-written shards of equal vector length but different slot
         bounds: the task that pairs them fails, naming the mismatch."""
         manifest = small_corpus(tmp_path / "c", n=4)
         out = tmp_path / "out"
-        assert main(fast_argv("extract", manifest, out) + ["--shards", "2"]) == 0
+        set_shards(monkeypatch, 4, 2)
+        assert main(fast_argv("extract", manifest, out)) == 0
         rng = np.random.default_rng(3)
         shards = [(["v00", "v01"], (4, 8, 4, 4, 8, 4)), (["v02", "v03"], (8, 4, 4, 4, 8, 4))]
         for index, (keys, dims) in enumerate(shards):
@@ -609,31 +656,33 @@ class TestPairStages:
             ]
             write_archive(records, out / f"features-{index:05d}.potf")
         capsys.readouterr()
-        assert main(fast_argv("mean", manifest, out) + ["--shards", "2"]) == 1
+        assert main(fast_argv("mean", manifest, out)) == 1
         err = capsys.readouterr().err
         assert "shards (0,1): ValueError: dimension mismatch: slot bounds" in err
         assert "Traceback" not in err
         assert not (out / "mean_csd.csv").exists()
 
-    def test_run_under_low_open_file_limit(self, tmp_path):
-        """sim holds at most one row of mean outputs open: 30 videos in 12
+    def test_run_under_low_open_file_limit(self, tmp_path, monkeypatch):
+        """sim holds at most one row of mean outputs open: 24 videos in 12
         shards make 78 mean tasks, and the run succeeds under a soft limit
         of 64 open files with the same similarity.csv as without it."""
-        manifest = small_corpus(tmp_path / "c", n=30)
+        manifest = small_corpus(tmp_path / "c", n=24)
         assert len(plan_pair_stage(12, tmp_path)) == 78
-        assert main([*fast_argv("run", manifest, tmp_path / "free"), "--shards", "12"]) == 0
+        set_shards(monkeypatch, 24, 12)
+        assert main(fast_argv("run", manifest, tmp_path / "free")) == 0
 
         limited = (
             "import resource, sys\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
             "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            "from potsim import engine\n"
             "from potsim.cli import main\n"
+            "engine.VIDEOS_PER_SHARD = 2\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
         result = subprocess.run(
-            [sys.executable, "-c", limited, *fast_argv("run", manifest, tmp_path / "limited"),
-             "--shards", "12"],
+            [sys.executable, "-c", limited, *fast_argv("run", manifest, tmp_path / "limited")],
             env=env, capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr[-2000:]
