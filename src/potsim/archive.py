@@ -53,7 +53,6 @@ class ArchiveShard:
     """A written archive file holding one contiguous key range."""
 
     path: Path
-    record_count: int
 
 
 def write_archive(records: list[ArchiveRecord], path: str | Path) -> ArchiveShard:
@@ -75,7 +74,7 @@ def write_archive(records: list[ArchiveRecord], path: str | Path) -> ArchiveShar
                 vec = np.ascontiguousarray(record.feature.vectors[slot], dtype="<f8")
                 fh.write(_U32.pack(vec.shape[0]))
                 fh.write(vec.tobytes())
-    return ArchiveShard(path=path, record_count=len(records))
+    return ArchiveShard(path=path)
 
 
 def _record_count(path: Path, data: bytes) -> int:
@@ -158,15 +157,13 @@ def partners(shard_b: Sequence[T], k: int, same_shard: bool) -> Sequence[T]:
     return shard_b[k + 1 :] if same_shard else shard_b
 
 
-def write_shards(
-    paths: list[str | Path], out_dir: str | Path, shard_count: int
-) -> list[ArchiveShard]:
-    """Stream single-record archives, given in key order, into
-    range-partitioned shard files without decoding their records."""
+def write_shards(groups: Sequence[Sequence[str | Path]], out_dir: str | Path) -> list[ArchiveShard]:
+    """Write one shard per group of single-record archives, the groups being
+    the layout's shards in key order, streaming the records undecoded."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards = []
-    for index, sources in enumerate(shard_records(paths, shard_count)):
+    for index, sources in enumerate(groups):
         path = out_dir / SHARD_NAME_FORMAT.format(index)
         with committed(path) as tmp, open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(sources)))
@@ -176,6 +173,6 @@ def write_shards(
                 if count != 1:
                     raise ValueError(f"{source}: expected 1 record, found {count}")
                 fh.write(data[_HEADER.size :])
-        shards.append(ArchiveShard(path=path, record_count=len(sources)))
+        shards.append(ArchiveShard(path=path))
     return shards
 

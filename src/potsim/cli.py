@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -106,10 +107,9 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _read_similarity_csv(path: Path) -> dict[tuple[str, str], float]:
-    """Read similarity.csv as the engine writes it: a key holds no comma,
+def _similarity_rows(path: str | Path) -> Iterator[tuple[str, str, float]]:
+    """Stream similarity.csv as the engine writes it: a key holds no comma,
     so each line splits on ',' (a quote is part of a key, not CSV quoting)."""
-    scores: dict[tuple[str, str], float] = {}
     with open(path) as fh:
         header = fh.readline()
         if header != SIMILARITY_HEADER:
@@ -118,26 +118,26 @@ def _read_similarity_csv(path: Path) -> dict[tuple[str, str], float]:
             row = line.rstrip("\n").split(",")
             if len(row) != 3:
                 raise ValueError(f"{path}: malformed row {line.rstrip()!r}")
-            scores[(row[0], row[1])] = float(row[2])
-    return scores
+            yield row[0], row[1], float(row[2])
 
 
 def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, Path]:
-    """Render similarity.csv as an NxN PGM plus a key-order listing."""
-    sim_csv = Path(sim_csv)
-    scores = _read_similarity_csv(sim_csv)
-    if not scores:
+    """Render similarity.csv as an NxN PGM plus a key-order listing. The file
+    is read twice, keys then scores, so memory holds two NxN byte arrays."""
+    keys = sorted({key for key_a, key_b, _ in _similarity_rows(sim_csv) for key in (key_a, key_b)})
+    if not keys:
         raise ValueError(f"{sim_csv}: no pairs to render")
-    keys = sorted({k for pair in scores for k in pair})
-    n = len(keys)
-    image = np.full((n, n), 255.0)
-    for i, key_a in enumerate(keys):
-        for j in range(i + 1, n):
-            pair = (key_a, keys[j])
-            if pair not in scores:
-                raise ValueError(f"{sim_csv}: missing pair ({pair[0]}, {pair[1]})")
-            value = round(255.0 * scores[pair])
-            image[i, j] = image[j, i] = value
+    index = {key: i for i, key in enumerate(keys)}
+    image = np.full((len(keys), len(keys)), 255, dtype=np.uint8)
+    filled = np.tri(len(keys), dtype=bool)  # the a < b pairs are above the diagonal
+    for key_a, key_b, score in _similarity_rows(sim_csv):
+        i, j = index[key_a], index[key_b]
+        if i < j:  # a later duplicate wins
+            image[i, j] = image[j, i] = min(max(round(255.0 * score), 0), 255)
+            filled[i, j] = True
+    if not filled.all():
+        i, j = np.unravel_index(np.argmin(filled), filled.shape)
+        raise ValueError(f"{sim_csv}: missing pair ({keys[i]}, {keys[j]})")
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     pgm_path = out_prefix.with_name(out_prefix.name + ".pgm")

@@ -5,11 +5,11 @@ Three strictly sequential stages mirror a mapper/reducer layout:
 
 * extract: one task per video computes both histogram series and the pooled
   feature into a single-record archive; a finalization step streams those
-  archives in key order into range-partitioned shards without decoding
-  them.
+  archives into the layout's shards without decoding them.
 * mean: one task per shard pair (i, j), i <= j, writes the six per-slot
   chi-square distances of each of its pairs as one row of six little-endian
-  float64 (48 bytes, no keys), in key-pair order. A shard holds at most 64
+  float64 (48 bytes, no keys), in key-pair order. It checks that its two
+  shards hold the keys the layout gives them. A shard holds at most 64
   keys, so the task stacks shard j's features into one block and scores
   each key of shard i against all its partners in one pass
   (``similarity.csd_block``). The reduce walks the rows in global key-pair
@@ -50,7 +50,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import combinations_with_replacement, zip_longest
 from pathlib import Path
 from typing import Iterator
 
@@ -162,16 +162,16 @@ def check_config(config: PipelineConfig) -> None:
 
 
 def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
-    """Read `<key>,<frames-directory>` lines; keys unique, without commas,
-    '/' or NUL, since a key names output files.
+    """Read `<key>,<frames-directory>` lines, returned in key order; keys
+    unique, without commas, '/' or NUL, since a key names output files.
 
-    Relative directories are resolved against the manifest's location.
+    Relative directories resolve against the manifest's location; a BOM is dropped.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"manifest {path} is not UTF-8 text: {exc}") from None
     entries: list[tuple[str, str]] = []
@@ -195,7 +195,7 @@ def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
         entries.append((key, str((path.parent / directory).resolve())))
     if not entries:
         raise ConfigError(f"manifest is empty: {path}")
-    return entries
+    return sorted(entries)
 
 
 def shard_count(video_count: int) -> int:
@@ -212,7 +212,7 @@ def _input_digest(entries: list[tuple[str, str]]) -> str:
     reports either per task.
     """
     digest = hashlib.sha256()
-    for key, directory in sorted(entries):
+    for key, directory in entries:
         digest.update(json.dumps([key, directory]).encode())
         if not os.path.isdir(directory):
             digest.update(b"missing")
@@ -282,10 +282,10 @@ ShardKeys = list[list[str]]
 def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], ShardKeys, Path]:
     """Preamble shared by all stages: the checked config, the manifest
     entries, the shard layout (each shard's sorted keys, empty shards
-    omitted) and the validated state dir."""
+    omitted) and the validated state dir. The layout is made here only."""
     check_config(config)
     entries = parse_manifest(config.manifest)
-    keys = sorted(key for key, _ in entries)
+    keys = [key for key, _ in entries]
     shard_keys = shard_records(keys, shard_count(len(keys)))
     state_dir = prepare_state(config, config_fingerprint(config, entries))
     return entries, shard_keys, state_dir
@@ -310,20 +310,20 @@ def plan_extract(
             out_path=str(work_dir / f"task-{task_id}.out"),
             dump_paths=tuple(str(series_dump_path(config.out_dir, key, k)) for k in dumps),
         )
-        for task_id, (key, directory) in enumerate(sorted(entries))
+        for task_id, (key, directory) in enumerate(entries)
     ]
 
 
-def plan_pair_stage(shards: int, state_dir: Path) -> list[Task]:
-    """Mean tasks: one per shard pair (i, j) with i <= j, S(S+1)/2 in all."""
+def plan_pair_stage(shard_keys: ShardKeys, state_dir: Path) -> list[Task]:
+    """Mean tasks: one per shard pair i <= j, each with its shards' keys."""
     work_dir = state_dir / STAGE_MEAN
-    pairs = [(i, j) for i in range(shards) for j in range(i, shards)]
+    pairs = combinations_with_replacement(range(len(shard_keys)), 2)
     return [
         Task(
             id=task_id,
             stage=STAGE_MEAN,
             label=f"shards ({i},{j})",
-            payload=(i, j),
+            payload=(i, j, tuple(shard_keys[i]), tuple(shard_keys[j])),
             out_path=str(work_dir / f"task-{task_id}.out"),
         )
         for task_id, (i, j) in enumerate(pairs)
@@ -357,6 +357,16 @@ ROW_DTYPE = np.dtype("<f8")
 ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
 
 
+def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> list[ArchiveRecord]:
+    """Shard ``index``'s records, checked to hold exactly ``keys``."""
+    path = _shard_path(config, index)
+    records = read_archive(path)
+    for key, expected in zip_longest((record.key for record in records), keys):
+        if key != expected:
+            raise ValueError(f"{path}: key {key!r} where the manifest has {expected!r}")
+    return records
+
+
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     """Write each pair's row, each key of shard i with its ``partners`` in
     shard j, with no keys: shards are key ranges, so that is key-pair order.
@@ -364,9 +374,9 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     A shard holds at most VIDEOS_PER_SHARD keys, so shard j is stacked into
     one block, and each key of shard i is scored against all its partners
     in one pass."""
-    i, j = task.payload
-    records_a = read_archive(_shard_path(config, i))
-    records_b = records_a if i == j else read_archive(_shard_path(config, j))
+    i, j, keys_a, keys_b = task.payload
+    records_a = _read_shard(config, i, keys_a)
+    records_b = records_a if i == j else _read_shard(config, j, keys_b)
     block = PartnerBlock.stack([record.feature for record in records_b])
     # key k's partners are the last columns of the block
     rows = [
@@ -377,12 +387,12 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
         tmp.write_bytes(np.vstack(rows).astype(ROW_DTYPE).tobytes())
 
 
-def _open_rows(task: Task, shard_keys: ShardKeys):
+def _open_rows(task: Task):
     """Open a mean task's rows, checking that they hold one row per pair
     of its shards: a short, long or old-format file fails here, naming its
     path."""
-    i, j = task.payload
-    pair_count = sum(len(partners(shard_keys[j], k, i == j)) for k in range(len(shard_keys[i])))
+    i, j, keys_a, keys_b = task.payload
+    pair_count = sum(len(partners(keys_b, k, i == j)) for k in range(len(keys_a)))
     fh = open(task.out_path, "rb")
     size = os.fstat(fh.fileno()).st_size
     if size != pair_count * ROW_BYTES:
@@ -402,11 +412,11 @@ def _key_rows(tasks: list[Task], shard_keys: ShardKeys) -> Iterator[tuple[str, n
     Shards are ordered key ranges, so the pairs of a key of shard i in key
     order are its rows in task (i, i), then in (i, i + 1), and so on: each
     row of tasks is read in lockstep, S files at most."""
-    by_shards = {task.payload: task for task in tasks}
+    by_shards = {task.payload[:2]: task for task in tasks}
     for i, keys_a in enumerate(shard_keys):
         with ExitStack() as stack:
             row = [
-                (j, stack.enter_context(_open_rows(by_shards[(i, j)], shard_keys)))
+                (j, stack.enter_context(_open_rows(by_shards[(i, j)])))
                 for j in range(i, len(shard_keys))
             ]
             for k, key_a in enumerate(keys_a):
@@ -505,8 +515,6 @@ def run_extract(config: PipelineConfig) -> list[Path]:
 def _extract(
     config: PipelineConfig, entries: list[tuple[str, str]], shard_keys: ShardKeys, state_dir: Path
 ) -> list[Path]:
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-
     tasks = plan_extract(config, entries, state_dir)
     shards = [_shard_path(config, i) for i in range(len(shard_keys))]
     dumps = [path for task in tasks for path in task.dump_paths]
@@ -519,24 +527,10 @@ def _extract(
         import scipy.ndimage  # noqa: F401
     execute(tasks, config)
 
-    # task ids follow sorted keys, so the task archives are in key order
-    write_shards([t.out_path for t in tasks], config.out_dir, len(shard_keys))
+    archives = {task.label: task.out_path for task in tasks}
+    write_shards([[archives[key] for key in keys] for keys in shard_keys], config.out_dir)
     _stage_marker(state_dir, STAGE_EXTRACT).touch()
     return shards
-
-
-def _check_shards(config: PipelineConfig, shard_keys: ShardKeys) -> None:
-    """Each shard exists and holds the manifest's sorted keys of its range:
-    mean also scores shards that it did not see extract write."""
-    for index, keys in enumerate(shard_keys):
-        path = _shard_path(config, index)
-        if not path.exists():
-            raise ConfigError(f"missing shard file {path} (run extract first)")
-        found = (record.key for record in read_archive(path))
-        for key, expected in zip_longest(found, keys):
-            if key != expected:
-                message = f"key {key!r} where the manifest has {expected!r}"
-                raise StageError(STAGE_MEAN, [(str(path), message)])
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
@@ -552,12 +546,15 @@ def _mean_outputs(config: PipelineConfig, tasks: list[Task]) -> list[Path]:
 
 
 def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
-    tasks = plan_pair_stage(len(shard_keys), state_dir)
+    tasks = plan_pair_stage(shard_keys, state_dir)
     out_path, *_ = outputs = _mean_outputs(config, tasks)
     if _stage_done(state_dir, STAGE_MEAN, outputs):
         return read_mean_csd_csv(out_path)
 
-    _check_shards(config, shard_keys)
+    for index in range(len(shard_keys)):  # the tasks check the keys they read
+        path = _shard_path(config, index)
+        if not path.exists():
+            raise ConfigError(f"missing shard file {path} (run extract first)")
     execute(tasks, config)
 
     # one row at a time in global key-pair order, as a += loop would: the
@@ -589,7 +586,7 @@ def run_similarity(config: PipelineConfig) -> Path:
 
 
 def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Path:
-    tasks = plan_pair_stage(len(shard_keys), state_dir)
+    tasks = plan_pair_stage(shard_keys, state_dir)
     mean_path, *_ = mean_outputs = _mean_outputs(config, tasks)
     if not _stage_done(state_dir, STAGE_MEAN, mean_outputs):
         raise ConfigError(f"missing {mean_path} or mean task outputs (run mean first)")
@@ -602,7 +599,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
     keys = [key for shard in shard_keys for key in shard]
     with committed(out_path) as tmp, open(tmp, "w") as out:
         out.write(SIMILARITY_HEADER)
-        # mean checked the shards against exactly these keys
+        # the mean tasks checked their shards against exactly these keys
         for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):
             lines = []
             for key_b, csd in zip(keys[g + 1 :], rows.tolist(), strict=True):

@@ -131,14 +131,15 @@ def decode_ppm_to_gray(data: bytes) -> np.ndarray:
 
 
 def encode_pgm(frame: np.ndarray) -> bytes:
-    """Encode a frame as a binary PGM (P5) image, rounding to 8-bit."""
-    frame = np.asarray(frame, dtype=np.float64)
+    """Encode a frame as a binary PGM (P5) image, rounding to 8-bit unless uint8."""
+    frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError("frame must be a 2-D array")
     height, width = frame.shape
     header = f"P5\n{width} {height}\n255\n".encode()
-    raster = np.clip(np.rint(frame), 0, 255).astype(np.uint8).tobytes()
-    return header + raster
+    if frame.dtype != np.uint8:
+        frame = np.clip(np.rint(frame.astype(np.float64)), 0, 255).astype(np.uint8)
+    return header + frame.tobytes()
 
 
 class _Taps(NamedTuple):

@@ -163,19 +163,24 @@ def write_mean_csd_csv(mean: MeanCsd, path: str | Path) -> None:
 
 
 def read_mean_csd_csv(path: str | Path) -> MeanCsd:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MEAN_CSD_HEADER:
-            raise ValueError(f"bad mean CSD header in {path}: {header}")
-        means: dict[Slot, float] = {}
-        pair_count = None
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"bad mean CSD row in {path}: {row}")
-            series, pooling, value, count = row
-            means[(series, pooling)] = float(value)
-            pair_count = int(count)
+    """Read the six per-slot means; a bad line is a ValueError naming it."""
+    means: dict[Slot, float] = {}
+    pair_count = None
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                (row,) = csv.reader([line.decode("utf-8")])
+                if lineno == 1:
+                    if row != MEAN_CSD_HEADER:
+                        raise ValueError(f"bad mean CSD header {row}")
+                    continue
+                if len(row) != 4:
+                    raise ValueError(f"bad mean CSD row {row}")
+                series, pooling, value, count = row
+                means[(series, pooling)] = float(value)
+                pair_count = int(count)
+            except ValueError as exc:  # a UnicodeDecodeError too
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if set(means) != set(SLOTS) or pair_count is None:
         raise ValueError(f"mean CSD file {path} does not cover all six slots")
     return MeanCsd(means=means, pair_count=pair_count)

@@ -281,8 +281,8 @@ def test_criterion_7_pair_accounting(tmp_path, monkeypatch):
                 for i in range(shard_count)
                 for record in read_archive(out / f"features-{i:05d}.potf")
             }
-            for task in plan_pair_stage(shard_count, out / "state"):
-                pairs = sum((shard_of[a], shard_of[b]) == task.payload for a, b in oracle)
+            for task in plan_pair_stage(engine._prepare_stage(cfg)[1], out / "state"):
+                pairs = sum((shard_of[a], shard_of[b]) == task.payload[:2] for a, b in oracle)
                 assert os.path.getsize(task.out_path) == 48 * pairs, task.label
 
 

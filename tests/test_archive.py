@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from potsim.archive import (
     ArchiveRecord,
-    ArchiveShard,
     partners,
     read_archive,
     shard_records,
@@ -153,18 +152,18 @@ class TestSharding:
 
     def test_write_shards_naming(self, tmp_path):
         paths = task_archives(records_for(["a", "b", "c", "d"]), tmp_path)
-        shards = write_shards(paths, tmp_path / "out", 2)
+        shards = write_shards(shard_records(paths, 2), tmp_path / "out")
         assert [s.path.name for s in shards] == [
             "features-00000.potf",
             "features-00001.potf",
         ]
-        assert [s.record_count for s in shards] == [2, 2]
+        assert [len(read_archive(s.path)) for s in shards] == [2, 2]
 
     @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
     def test_streamed_shards_match_write_archive(self, tmp_path, shard_count):
         records = records_for([f"v{i}" for i in range(7)])
         paths = task_archives(records, tmp_path)
-        shards = write_shards(paths, tmp_path / "out", shard_count)
+        shards = write_shards(shard_records(paths, shard_count), tmp_path / "out")
         chunks = shard_records(records, shard_count)
         assert len(shards) == len(chunks)
         for index, (shard, chunk) in enumerate(zip(shards, chunks)):
@@ -172,17 +171,31 @@ class TestSharding:
             write_archive(chunk, reference)
             assert shard.path.read_bytes() == reference.read_bytes()
 
+    def test_shards_follow_the_given_groups(self, tmp_path):
+        """Uneven groups, as no count-based cut makes them: each shard is
+        byte-equal to write_archive of its group."""
+        records = records_for([f"v{i}" for i in range(6)])
+        paths = task_archives(records, tmp_path)
+        bounds = [0, 1, 4, 6]  # groups of 1, 3 and 2
+        groups = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        shards = write_shards([paths[group] for group in groups], tmp_path / "out")
+        assert len(shards) == 3
+        for index, (shard, group) in enumerate(zip(shards, groups)):
+            reference = tmp_path / f"ref-{index}.potf"
+            write_archive(records[group], reference)
+            assert shard.path.read_bytes() == reference.read_bytes()
+
     def test_write_shards_rejects_multi_record_source(self, tmp_path):
         path = tmp_path / "two.potf"
         write_archive(records_for(["a", "b"]), path)
         with pytest.raises(ValueError, match="expected 1 record, found 2"):
-            write_shards([path], tmp_path / "out", 1)
+            write_shards([[path]], tmp_path / "out")
 
     def test_write_shards_rejects_bad_source_header(self, tmp_path):
         (path,) = task_archives(records_for(["a"]), tmp_path)
         path.write_bytes(b"NOPE" + path.read_bytes()[4:])
         with pytest.raises(ValueError, match="not a feature archive"):
-            write_shards([path], tmp_path / "out", 1)
+            write_shards([[path]], tmp_path / "out")
 
 
 def task_pairs(shard_a, shard_b, same_shard):

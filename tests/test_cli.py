@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import potsim
 
 from conftest import blob_video, write_corpus
 from potsim.cli import build_parser, main, render_heatmap
-from potsim.frames import decode_pgm
+from potsim.frames import decode_pgm, encode_pgm
 
 FAST_FLAGS = [
     "--resize", "24x24",
@@ -260,6 +262,29 @@ class TestHeatmapCommand:
         assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "h")]) == 1
         assert f"{csv_path}: no pairs" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["similarity.csv"]
+
+    def test_memory_holds_the_image_not_the_pairs(self, tmp_path):
+        """400 keys, 79,800 pairs: the render allocates under 4 MiB at its
+        peak (a dict of every pair took ~21 MiB), and its image equals one
+        filled from such a dict."""
+        keys = [f"k{i:03d}" for i in range(400)]
+        scores = dict(zip(combinations(keys, 2), np.random.default_rng(0).random(79_800)))
+        csv_path = tmp_path / "similarity.csv"
+        self.write_sim_csv(csv_path, [(a, b, repr(float(s))) for (a, b), s in scores.items()])
+        expected = np.full((400, 400), 255.0)
+        index = {key: i for i, key in enumerate(keys)}
+        for (a, b), score in scores.items():
+            i, j = index[a], index[b]
+            expected[i, j] = expected[j, i] = round(255.0 * score)
+        tracemalloc.start()
+        try:
+            render_heatmap(csv_path, tmp_path / "h")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert (tmp_path / "h.pgm").read_bytes() == encode_pgm(expected)
+        assert (tmp_path / "h.keys.txt").read_text() == "".join(k + "\n" for k in keys)
 
     def test_malformed_csv(self, tmp_path):
         csv_path = tmp_path / "similarity.csv"

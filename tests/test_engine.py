@@ -58,7 +58,7 @@ def fast_argv(command, manifest, out, workers=1):
 
 def task_outcomes(caplog):
     """{target: outcome} from the engine's per-task log lines."""
-    lines = [re.search(r"target=(\S+) outcome=(\w+)", m) for m in caplog.messages]
+    lines = [re.search(r"target=(.+?) outcome=(\w+)", m) for m in caplog.messages]
     return dict(m.groups() for m in lines if m)
 
 
@@ -116,6 +116,20 @@ class TestManifest:
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_entries_in_key_order(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("b,d2\nc,d3\na,d1\n")
+        assert [key for key, _ in parse_manifest(path)] == ["a", "b", "c"]
+
+    def test_byte_order_mark_is_not_part_of_a_key(self, tmp_path):
+        """A manifest saved with a UTF-8 byte-order mark gives the same
+        similarity.csv bytes as the same manifest without it."""
+        manifest = small_corpus(tmp_path / "c", n=3)
+        plain = run_pipeline(fast_config(manifest, tmp_path / "plain")).read_bytes()
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert run_pipeline(fast_config(manifest, tmp_path / "bom")).read_bytes() == plain
+        assert parse_manifest(manifest)[0][0] == "v00"
+
 
 class TestPlanning:
     def test_shard_count_default(self, tmp_path):
@@ -131,12 +145,12 @@ class TestPlanning:
             assert [key for keys in shard_keys for key in keys] == [f"v{i:03d}" for i in range(n)]
 
     def test_pair_stage_task_count(self, tmp_path):
-        tasks = plan_pair_stage(3, tmp_path)
+        tasks = plan_pair_stage([["a"], ["b"], ["c"]], tmp_path)
         assert len(tasks) == 6
-        assert [t.payload for t in tasks] == [
+        assert [t.payload[:2] for t in tasks] == [
             (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
         ]
-        tasks = plan_pair_stage(1, tmp_path)
+        tasks = plan_pair_stage([["a"]], tmp_path)
         assert len(tasks) == 1
 
     def test_fingerprint_sensitivity(self, tmp_path):
@@ -427,18 +441,26 @@ class TestFullPipeline:
         assert not (extract_dir / "task-1.out.tmp").exists()
         assert shard.read_bytes() == before
 
-    def test_mean_refuses_shards_of_other_keys(self, tmp_path, monkeypatch, capsys):
+    def test_mean_refuses_shards_of_other_keys(self, tmp_path, monkeypatch, caplog, capsys):
+        """Each mean task checks the keys of the shards it reads: only the
+        tasks that read shard 1 fail, under their own labels."""
         root = tmp_path / "c"
-        manifest = small_corpus(root, n=4)
+        manifest = small_corpus(root, n=6)
         out = tmp_path / "out"
-        set_shards(monkeypatch, 4, 2)
+        set_shards(monkeypatch, 6, 3)
         assert main(fast_argv("run", manifest, out)) == 0
-        manifest.write_text(manifest.read_text().replace("v03,", "zz,"))
+        manifest.write_text(manifest.read_text().replace("v03,", "v03x,"))
         shutil.rmtree(out / "state")
         capsys.readouterr()
+        caplog.set_level("INFO", logger="potsim.engine")
         assert main(fast_argv("mean", manifest, out)) == 1
         err = capsys.readouterr().err
-        assert "features-00001.potf: key 'v03' where the manifest has 'zz'" in err
+        assert "features-00001.potf: key 'v03' where the manifest has 'v03x'" in err
+        assert task_outcomes(caplog) == {
+            "shards (0,0)": "ok", "shards (0,1)": "failed", "shards (0,2)": "ok",
+            "shards (1,1)": "failed", "shards (1,2)": "failed", "shards (2,2)": "ok",
+        }
+        assert "stage 'mean' failed (3 task(s)): shards (0,1): ValueError" in err
         assert main(fast_argv("sim", manifest, out)) == 2
 
     def test_other_layout_refuses_resume(self, tmp_path, monkeypatch, caplog, capsys):
@@ -544,6 +566,66 @@ class TestPairStages:
             shard.unlink()
         assert run_similarity(cfg).read_text() == direct.read_text()
 
+    def test_only_mean_tasks_read_shards(self, tmp_path, monkeypatch):
+        """run_mean decodes shards only inside its tasks, each the shards it
+        scores: once for a diagonal task, twice for another, so 9 reads for
+        3 shards and none in the stage's preamble."""
+        manifest = small_corpus(tmp_path / "c", n=6)
+        set_shards(monkeypatch, 6, 3)
+        cfg = fast_config(manifest, tmp_path / "out")
+        run_extract(cfg)
+        running = [None]
+        reads = []
+        real_read, real_task = engine.read_archive, engine._run_mean_task
+
+        def counting_read(path):
+            reads.append((running[0], Path(path).name))
+            return real_read(path)
+
+        def labelled_task(config, task):
+            running[0] = task.label
+            try:
+                real_task(config, task)
+            finally:
+                running[0] = None
+
+        monkeypatch.setattr(engine, "read_archive", counting_read)
+        monkeypatch.setitem(engine._TASK_RUNNERS, engine.STAGE_MEAN, labelled_task)
+        run_mean(cfg)
+        assert [name for label, name in reads if label is None] == []
+        shard = "features-{:05d}.potf".format
+        assert sorted(reads) == sorted(
+            (f"shards ({i},{j})", shard(k))
+            for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+            for k in sorted({i, j})
+        )
+        assert len(reads) == 9
+
+    @pytest.mark.parametrize(
+        "lineno, line, reason",
+        [
+            (2, b"hof,sum,0.5,x", "invalid literal for int()"),
+            (3, b"hof,gradient,abc,3", "could not convert string to float: 'abc'"),
+            (4, b"hof,max,\xff\xfe,3", "can't decode byte 0xff"),
+        ],
+        ids=["pair-count", "mean", "not-utf8"],
+    )
+    def test_bad_mean_csd_line_names_file_and_line(self, tmp_path, capsys, lineno, line, reason):
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        run_extract(cfg)
+        run_mean(cfg)
+        path = out / "mean_csd.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[lineno - 1] = line
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
+            run_similarity(cfg)
+        assert main(fast_argv("sim", manifest, out)) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: " in err and reason in err and "Traceback" not in err
+
     def test_mean_rows_are_validated(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path / "c", n=3)
         out = tmp_path / "out"
@@ -627,9 +709,9 @@ class TestPairStages:
         run_extract(cfg)
         run_mean(cfg)
 
-        tasks = plan_pair_stage(shards, out / "state")
+        tasks = plan_pair_stage(engine._prepare_stage(cfg)[1], out / "state")
         for task in tasks:
-            i, j = task.payload
+            i, j = task.payload[:2]
             features_a = {r.key: r.feature for r in read_archive(out / f"features-{i:05d}.potf")}
             features_b = {r.key: r.feature for r in read_archive(out / f"features-{j:05d}.potf")}
             rows = [
@@ -667,7 +749,7 @@ class TestPairStages:
         shards make 78 mean tasks, and the run succeeds under a soft limit
         of 64 open files with the same similarity.csv as without it."""
         manifest = small_corpus(tmp_path / "c", n=24)
-        assert len(plan_pair_stage(12, tmp_path)) == 78
+        assert len(plan_pair_stage([[f"v{i}"] for i in range(12)], tmp_path)) == 78
         set_shards(monkeypatch, 24, 12)
         assert main(fast_argv("run", manifest, tmp_path / "free")) == 0
 
