@@ -26,7 +26,6 @@ from .similarity import (
     MeanCsd,
     chi_square,
     csd_sixtuple,
-    generate_pairs,
     kernel_distance,
     mean_csd,
     similarity_score,
@@ -53,7 +52,6 @@ __all__ = [
     "decode_ppm_to_gray",
     "encode_pgm",
     "farneback_flow",
-    "generate_pairs",
     "hof_frame",
     "hog_frame",
     "kernel_distance",

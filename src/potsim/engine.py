@@ -15,9 +15,9 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   (``similarity.csd_block``). The reduce walks the rows in global key-pair
   order (``_key_rows``) and sums them strictly in that order into
   ``mean_csd.csv``, so no bit of it depends on the shard layout.
-* similarity: no tasks of its own; it takes the same walk, and each row,
-  normalised by the means, becomes a line of ``similarity.csv``. Every pair
-  is scored by exactly one chi-square pass, and this stage reads no shard.
+* similarity: no tasks of its own and no shard read; it takes the same walk,
+  and each key's rows, normalised by the means in one ``kernel_distance``
+  call, become lines of ``similarity.csv``.
 
 The walk reads, for each shard i, its keys' rows from tasks (i, i),
 (i, i + 1), ..., (i, S - 1) in lockstep, so at most S files are open.
@@ -565,7 +565,7 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
         total = ordered_sum(np.vstack([total, rows]))
         pair_count += len(rows)
     try:
-        mean = mean_csd(dict(zip(SLOTS, total.tolist())), pair_count)
+        mean = mean_csd(total, pair_count)
     except ValueError as exc:
         raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
 
@@ -601,11 +601,10 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
         out.write(SIMILARITY_HEADER)
         # the mean tasks checked their shards against exactly these keys
         for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):
-            lines = []
-            for key_b, csd in zip(keys[g + 1 :], rows.tolist(), strict=True):
-                score = similarity_score(kernel_distance(dict(zip(SLOTS, csd)), mean))
-                lines.append(f"{key_a},{key_b},{score!r}\n")
-            out.write("".join(lines))
+            # one kernel call per key; .tolist() gives Python floats, so
+            # math.exp and repr run as they do on a scalar
+            pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)
+            out.write("".join(f"{key_a},{key_b},{similarity_score(kd)!r}\n" for key_b, kd in pairs))
     _stage_marker(state_dir, STAGE_SIM).touch()
     return out_path
 

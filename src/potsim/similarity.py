@@ -12,22 +12,22 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .pooling import SLOTS, PoTFeature, Slot
+from .pooling import SLOTS, PoTFeature
 
 SCORE_DECAY = 10.0  # kernel-distance scale in exp(-kd / SCORE_DECAY)
 
 
 @dataclass
 class MeanCsd:
-    """Per-slot corpus mean chi-square distance over unordered pairs."""
+    """Per-slot corpus mean chi-square distance over unordered pairs: a
+    (6,) float64 array in SLOTS order."""
 
-    means: dict[Slot, float]
+    means: np.ndarray
     pair_count: int
 
 
@@ -106,29 +106,28 @@ def csd_block(a: PoTFeature, block: PartnerBlock, start: int = 0) -> np.ndarray:
     return 0.5 * sums
 
 
-def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> dict[Slot, float]:
-    """Chi-square distance per (series, pooling) slot: ``csd_block`` with
-    one partner."""
-    return dict(zip(SLOTS, csd_block(a, PartnerBlock.stack([b]))[0].tolist()))
+def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> np.ndarray:
+    """Chi-square distance per (series, pooling) slot, a (6,) array in
+    SLOTS order: ``csd_block`` with one partner."""
+    return csd_block(a, PartnerBlock.stack([b]))[0]
 
 
-def mean_csd(partial_sums: dict[Slot, float], pair_count: int) -> MeanCsd:
-    """Slotwise mean over unordered pairs (i < j)."""
+def mean_csd(sums: np.ndarray, pair_count: int) -> MeanCsd:
+    """Slotwise mean over unordered pairs (i < j) of the (6,) distance sums."""
     if pair_count < 1:
         raise ValueError("corpus has fewer than 2 videos (no pairs)")
-    return MeanCsd(
-        means={slot: partial_sums[slot] / pair_count for slot in SLOTS},
-        pair_count=pair_count,
-    )
+    return MeanCsd(means=sums / pair_count, pair_count=pair_count)
 
 
-def kernel_distance(csd: dict[Slot, float], mean: MeanCsd) -> float:
-    """Sum over slots of csd/mean; slots with zero mean contribute 0."""
-    total = 0.0
-    for slot in SLOTS:
-        m = mean.means[slot]
+def kernel_distance(csd: np.ndarray, mean: MeanCsd) -> np.ndarray:
+    """Sum over slots of csd/mean for each row of a (..., 6) block, added in
+    SLOTS order as a scalar += loop adds; slots with zero mean contribute 0."""
+    if csd.shape[-1:] != (len(SLOTS),):
+        raise ValueError(f"slot distances must be (..., {len(SLOTS)}), got {csd.shape}")
+    total = np.zeros(csd.shape[:-1])
+    for s, m in enumerate(mean.means.tolist()):
         if m > 0.0:
-            total += csd[slot] / m
+            total += csd[..., s] / m
     return total
 
 
@@ -139,15 +138,6 @@ def similarity_score(kd: float) -> float:
     return math.exp(-kd / SCORE_DECAY)
 
 
-def generate_pairs(keys: list[str]) -> list[tuple[str, str]]:
-    """All unordered key pairs (a < b) in lexicographic order."""
-    if len(set(keys)) != len(keys):
-        seen: set[str] = set()
-        dup = next(k for k in keys if k in seen or seen.add(k))  # type: ignore[func-returns-value]
-        raise ValueError(f"duplicate key: '{dup}'")
-    return list(combinations(sorted(keys), 2))
-
-
 MEAN_CSD_HEADER = ["series", "pooling", "mean_csd", "pair_count"]
 
 
@@ -156,16 +146,17 @@ def write_mean_csd_csv(mean: MeanCsd, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MEAN_CSD_HEADER)
-        for series, pooling in SLOTS:
-            writer.writerow(
-                [series, pooling, repr(mean.means[(series, pooling)]), mean.pair_count]
-            )
+        for (series, pooling), value in zip(SLOTS, mean.means.tolist(), strict=True):
+            writer.writerow([series, pooling, repr(value), mean.pair_count])
 
 
 def read_mean_csd_csv(path: str | Path) -> MeanCsd:
-    """Read the six per-slot means; a bad line is a ValueError naming it."""
-    means: dict[Slot, float] = {}
+    """Read the file as the mean stage writes it: the header, then one row
+    per slot in SLOTS order, each with a finite mean >= 0 and the same pair
+    count >= 1. Anything else is a ValueError naming the first bad line."""
+    means: list[float] = []
     pair_count = None
+    lineno = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -174,13 +165,23 @@ def read_mean_csd_csv(path: str | Path) -> MeanCsd:
                     if row != MEAN_CSD_HEADER:
                         raise ValueError(f"bad mean CSD header {row}")
                     continue
-                if len(row) != 4:
-                    raise ValueError(f"bad mean CSD row {row}")
-                series, pooling, value, count = row
-                means[(series, pooling)] = float(value)
-                pair_count = int(count)
+                if len(means) == len(SLOTS):
+                    raise ValueError(f"row {row} after the six slot rows")
+                slot = SLOTS[len(means)]
+                if len(row) != 4 or tuple(row[:2]) != slot:
+                    raise ValueError(f"bad mean CSD row {row} where slot {slot} belongs")
+                mean, count = float(row[2]), int(row[3])
+                if not (math.isfinite(mean) and mean >= 0.0):
+                    raise ValueError(f"mean {row[2]} is not a finite number >= 0")
+                if count < 1:
+                    raise ValueError(f"pair count {count} is not >= 1")
+                if pair_count not in (None, count):
+                    raise ValueError(f"pair count {count} differs from {pair_count} above")
+                means.append(mean)
+                pair_count = count
             except ValueError as exc:  # a UnicodeDecodeError too
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if set(means) != set(SLOTS) or pair_count is None:
-        raise ValueError(f"mean CSD file {path} does not cover all six slots")
-    return MeanCsd(means=means, pair_count=pair_count)
+    if len(means) < len(SLOTS):
+        missing = f"the row of slot {SLOTS[len(means)]}" if lineno else "the header"
+        raise ValueError(f"{path}:{lineno + 1}: missing {missing}")
+    return MeanCsd(means=np.array(means), pair_count=pair_count)

@@ -33,7 +33,6 @@ from potsim.pooling import SLOTS, PoTFeature, pot_vector
 from potsim.similarity import (
     chi_square,
     csd_sixtuple,
-    generate_pairs,
     kernel_distance,
     mean_csd,
     similarity_score,
@@ -76,13 +75,13 @@ def read_scores(sim_path):
 def corpus_scores(features):
     """Mean/kernel/score chain over an in-memory feature corpus."""
     keys = sorted(features)
-    pairs = generate_pairs(keys)
-    sums = {slot: 0.0 for slot in SLOTS}
+    pairs = list(combinations(keys, 2))
+    sums = np.zeros(len(SLOTS))
     csds = {}
     for pair in pairs:
         csds[pair] = csd_sixtuple(features[pair[0]], features[pair[1]])
-        for slot in SLOTS:
-            sums[slot] += csds[pair][slot]
+        for s in range(len(SLOTS)):
+            sums[s] += csds[pair][s]
     mean = mean_csd(sums, len(pairs))
     return {p: similarity_score(kernel_distance(csds[p], mean)) for p in pairs}
 
@@ -127,15 +126,15 @@ def test_criterion_2_mean_kernel_score_chain():
         csd_ab = csd_sixtuple(features["A"], features["B"])
         csd_ac = csd_sixtuple(features["A"], features["C"])
         csd_bc = csd_sixtuple(features["B"], features["C"])
-        for slot in SLOTS:
-            assert abs(csd_ab[slot] - 1.0) <= 1e-12
-            assert abs(csd_ac[slot] - 0.5) <= 1e-12
-            assert abs(csd_bc[slot] - 0.5) <= 1e-12
+        for s in range(len(SLOTS)):
+            assert abs(csd_ab[s] - 1.0) <= 1e-12
+            assert abs(csd_ac[s] - 0.5) <= 1e-12
+            assert abs(csd_bc[s] - 0.5) <= 1e-12
 
-        sums = {slot: csd_ab[slot] + csd_ac[slot] + csd_bc[slot] for slot in SLOTS}
+        sums = np.array([csd_ab[s] + csd_ac[s] + csd_bc[s] for s in range(len(SLOTS))])
         mean = mean_csd(sums, 3)
-        for slot in SLOTS:
-            assert abs(mean.means[slot] - 2.0 / 3.0) <= 1e-12
+        for s in range(len(SLOTS)):
+            assert abs(mean.means[s] - 2.0 / 3.0) <= 1e-12
         assert abs(kernel_distance(csd_ab, mean) - 9.0) <= 1e-12
         assert abs(kernel_distance(csd_ac, mean) - 4.5) <= 1e-12
 
@@ -262,7 +261,7 @@ def test_criterion_7_pair_accounting(tmp_path, monkeypatch):
         cfg = fast_config(manifest, tmp_path / "out1b", working_w=16, working_h=16)
         with pytest.raises(StageError, match="fewer than 2"):
             run_pipeline(cfg)
-        assert generate_pairs(["only"]) == []
+        assert list(combinations(sorted(["only"]), 2)) == []
 
         # the engine's pair enumeration vs brute force, from one shard to
         # shards of one video: the key pairs of similarity.csv, and each

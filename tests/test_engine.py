@@ -607,8 +607,16 @@ class TestPairStages:
             (2, b"hof,sum,0.5,x", "invalid literal for int()"),
             (3, b"hof,gradient,abc,3", "could not convert string to float: 'abc'"),
             (4, b"hof,max,\xff\xfe,3", "can't decode byte 0xff"),
+            (5, b"hog,sum,nan,3", "mean nan is not a finite number >= 0"),
+            (6, b"hog,gradient,-1.0,3", "mean -1.0 is not a finite number >= 0"),
+            # the file ends in a line break, so line 8 takes the place of b""
+            (8, b"hof,sum,0.5,3", "after the six slot rows"),
+            (2, b"hof,sum,0.5,0", "pair count 0 is not >= 1"),
+            (3, b"hof,gradient,0.5,4", "pair count 4 differs from 3 above"),
+            (3, b"hof,max,0.5,3", "where slot ('hof', 'gradient') belongs"),
         ],
-        ids=["pair-count", "mean", "not-utf8"],
+        ids=["pair-count", "mean", "not-utf8", "nan", "negative", "seventh-row",
+             "no-pairs", "other-pair-count", "out-of-order"],
     )
     def test_bad_mean_csd_line_names_file_and_line(self, tmp_path, capsys, lineno, line, reason):
         manifest = small_corpus(tmp_path / "c", n=3)
@@ -625,6 +633,25 @@ class TestPairStages:
         assert main(fast_argv("sim", manifest, out)) == 1
         err = capsys.readouterr().err
         assert f"{path}:{lineno}: " in err and reason in err and "Traceback" not in err
+
+    def test_mean_csd_missing_rows_name_the_line(self, tmp_path):
+        """A mean_csd.csv cut short names the line where the first missing
+        row belongs."""
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        run_extract(cfg)
+        run_mean(cfg)
+        path = out / "mean_csd.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        bad_files = {
+            b"\r\n".join(lines[:5]): r":6: missing the row of slot \('hog', 'gradient'\)",
+            b"": r":1: missing the header",
+        }
+        for data, message in bad_files.items():
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=message):
+                run_similarity(cfg)
 
     def test_mean_rows_are_validated(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path / "c", n=3)
@@ -694,8 +721,40 @@ class TestPairStages:
             for slot in SLOTS:
                 sums[slot] += chi_square(features[a].vectors[slot], features[b].vectors[slot])
         assert len(pairs) == 66
+        sums = np.array([sums[slot] for slot in SLOTS])
         write_mean_csd_csv(mean_csd(sums, len(pairs)), tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_similarity_csv_equals_scalar_oracle(self, tmp_path, monkeypatch, shards):
+        """similarity.csv is byte-identical to a reference built pair by pair
+        from scalars: chi_square per slot, a += mean in key-pair order, the
+        kernel as a loop over slots, math.exp and repr."""
+        videos = {f"n{i:02d}": noise_video(5, 24, seed=70 + i) for i in range(24)}
+        manifest = write_corpus(tmp_path / "c", videos)
+        out = tmp_path / "out"
+        set_shards(monkeypatch, 24, shards)
+        sim = run_pipeline(fast_config(manifest, out))
+
+        features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
+        pairs = list(combinations(sorted(features), 2))
+        csds = {
+            (a, b): [chi_square(features[a].vectors[s], features[b].vectors[s]) for s in SLOTS]
+            for a, b in pairs
+        }
+        sums = [0.0] * len(SLOTS)
+        for pair in pairs:
+            for s in range(len(SLOTS)):
+                sums[s] += csds[pair][s]
+        means = [total / len(pairs) for total in sums]
+        lines = ["video_a,video_b,similarity\n"]
+        for (a, b), csd in csds.items():
+            kd = 0.0
+            for value, m in zip(csd, means):
+                if m > 0.0:
+                    kd += value / m
+            lines.append(f"{a},{b},{math.exp(-kd / 10.0)!r}\n")
+        assert sim.read_bytes() == "".join(lines).encode()
 
     @pytest.mark.parametrize("shards", [1, 3, 12])
     def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards):
@@ -784,3 +843,26 @@ class TestPairStages:
         # re-running mean redoes the missing task
         assert main(fast_argv("run", manifest, out)) == 0
         assert (out / "similarity.csv").read_text() == direct
+
+
+def test_benchmark_tracer_wraps_engine_names(monkeypatch):
+    """The benchmark's traced run (perfbench/run.py) wraps potsim functions
+    by the names their callers look up: installing its wrappers finds every
+    name, and restoring puts each original back. A renamed or dropped name
+    fails here, not only in the benchmark."""
+    from potsim import archive, descriptors, flow, frames, similarity
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import run, tracer
+
+    modules = (engine, archive, descriptors, flow, frames, similarity)
+    before = [dict(vars(module)) for module in modules]
+    t = tracer.Tracer()
+    try:
+        run.install_wrappers(t)
+        # sim's kernel and the one-pair distances are wrapped where the engine binds them
+        assert engine.kernel_distance.__wrapped__ is similarity.kernel_distance
+        assert engine.csd_sixtuple.__wrapped__ is similarity.csd_sixtuple
+    finally:
+        t.restore()
+    assert [dict(vars(module)) for module in modules] == before

@@ -13,7 +13,6 @@ from potsim.similarity import (
     chi_square,
     csd_block,
     csd_sixtuple,
-    generate_pairs,
     kernel_distance,
     mean_csd,
     ordered_sum,
@@ -66,21 +65,21 @@ class TestChiSquare:
 class TestCsdSixtuple:
     def test_identical_features(self):
         f = feature_from([1.0, 2.0])
-        assert all(v == 0.0 for v in csd_sixtuple(f, f).values())
+        assert all(v == 0.0 for v in csd_sixtuple(f, f))
 
     def test_single_slot_difference(self):
         a = feature_from([1.0, 0.0])
         b = feature_from([1.0, 0.0])
         b.vectors[("hof", "sum")][:] = [0.0, 1.0]
         csd = csd_sixtuple(a, b)
-        assert csd[("hof", "sum")] == 1.0
-        assert all(v == 0.0 for slot, v in csd.items() if slot != ("hof", "sum"))
+        assert csd[SLOTS.index(("hof", "sum"))] == 1.0
+        assert all(v == 0.0 for slot, v in zip(SLOTS, csd) if slot != ("hof", "sum"))
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         a = PoTFeature({slot: rng.uniform(0, 10, 16) for slot in SLOTS})
         b = PoTFeature({slot: rng.uniform(0, 10, 16) for slot in SLOTS})
-        assert csd_sixtuple(a, b) == csd_sixtuple(b, a)
+        assert csd_sixtuple(a, b).tolist() == csd_sixtuple(b, a).tolist()
 
     def test_bit_identical_to_per_slot_chi_square(self):
         # full-mantissa values, shared zeros (zero denominators) and a NaN
@@ -97,9 +96,10 @@ class TestCsdSixtuple:
         a, b = feature(), feature()
         a.vectors[("hog", "max")][-1] = np.nan
         csd = csd_sixtuple(a, b)
-        for slot in SLOTS:
+        assert csd.shape == (len(SLOTS),)
+        for s, slot in enumerate(SLOTS):
             expected = chi_square(a.vectors[slot], b.vectors[slot])
-            assert np.float64(csd[slot]).tobytes() == np.float64(expected).tobytes(), slot
+            assert np.float64(csd[s]).tobytes() == np.float64(expected).tobytes(), slot
 
     def test_dimension_mismatch(self):
         a = feature_from([1.0, 2.0])
@@ -168,8 +168,7 @@ class TestCsdBlock:
             # a block of exactly ``count`` partners
             got = csd_block(a, PartnerBlock.stack(partners[64 - count :]))
             assert got.tobytes() == expected.tobytes()
-            last = csd_sixtuple(a, partners[-1])
-            assert np.array([last[slot] for slot in SLOTS]).tobytes() == expected[-1].tobytes()
+            assert csd_sixtuple(a, partners[-1]).tobytes() == expected[-1].tobytes()
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
@@ -179,39 +178,67 @@ class TestCsdBlock:
             csd_block(a, block)
 
 
+def per_slot(value):
+    """A (6,) array holding ``value`` in every slot."""
+    return np.full(len(SLOTS), value)
+
+
 class TestMeanCsd:
     def test_single_pair(self):
-        mean = mean_csd({slot: 4.0 for slot in SLOTS}, 1)
-        assert all(v == 4.0 for v in mean.means.values())
+        mean = mean_csd(per_slot(4.0), 1)
+        assert all(v == 4.0 for v in mean.means)
 
     def test_three_pairs(self):
-        mean = mean_csd({slot: 1.0 + 2.0 + 3.0 for slot in SLOTS}, 3)
-        assert all(v == 2.0 for v in mean.means.values())
+        mean = mean_csd(per_slot(1.0 + 2.0 + 3.0), 3)
+        assert all(v == 2.0 for v in mean.means)
 
     def test_identical_corpus(self):
-        mean = mean_csd({slot: 0.0 for slot in SLOTS}, 3)
-        assert all(v == 0.0 for v in mean.means.values())
+        mean = mean_csd(per_slot(0.0), 3)
+        assert all(v == 0.0 for v in mean.means)
 
     def test_no_pairs(self):
         with pytest.raises(ValueError, match="fewer than 2"):
-            mean_csd({slot: 0.0 for slot in SLOTS}, 0)
+            mean_csd(per_slot(0.0), 0)
 
 
 class TestKernelDistance:
     def test_all_zero_csd(self):
-        mean = MeanCsd(means={slot: 1.0 for slot in SLOTS}, pair_count=1)
-        assert kernel_distance({slot: 0.0 for slot in SLOTS}, mean) == 0.0
+        mean = MeanCsd(means=per_slot(1.0), pair_count=1)
+        assert kernel_distance(per_slot(0.0), mean) == 0.0
 
     def test_unit_ratios(self):
-        mean = MeanCsd(means={slot: 0.25 for slot in SLOTS}, pair_count=1)
-        assert kernel_distance({slot: 0.25 for slot in SLOTS}, mean) == 6.0
+        mean = MeanCsd(means=per_slot(0.25), pair_count=1)
+        assert kernel_distance(per_slot(0.25), mean) == 6.0
 
     def test_single_slot_ratio(self):
-        means = {slot: 0.0 for slot in SLOTS}
-        means[("hog", "max")] = 0.5
-        csd = {slot: 0.0 for slot in SLOTS}
-        csd[("hog", "max")] = 2.0
+        means = per_slot(0.0)
+        means[SLOTS.index(("hog", "max"))] = 0.5
+        csd = per_slot(0.0)
+        csd[SLOTS.index(("hog", "max"))] = 2.0
         assert kernel_distance(csd, MeanCsd(means=means, pair_count=1)) == 4.0
+
+    def test_block_equals_scalar_loop_bit_for_bit(self):
+        """Full-mantissa rows over many decades, and one zero-mean slot: each
+        row's distance is the scalar loop's, in its order of additions."""
+        rng = np.random.default_rng(11)
+        block = rng.random((300, len(SLOTS))) * 10.0 ** rng.integers(-6, 6, (300, len(SLOTS)))
+        means = rng.random(len(SLOTS)) * 10.0 ** rng.integers(-3, 3, len(SLOTS))
+        means[2] = 0.0
+        expected = []
+        for row in block.tolist():
+            total = 0.0
+            for value, m in zip(row, means.tolist()):
+                if m > 0.0:
+                    total += value / m
+            expected.append(total)
+        got = kernel_distance(block, MeanCsd(means=means, pair_count=1))
+        assert got.shape == (300,)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_rejects_block_not_six_wide(self, width):
+        with pytest.raises(ValueError, match=rf"must be \(\.\.\., 6\), got \(4, {width}\)"):
+            kernel_distance(np.ones((4, width)), MeanCsd(means=per_slot(1.0), pair_count=1))
 
 
 class TestSimilarityScore:
@@ -239,40 +266,20 @@ class TestSimilarityScore:
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
 
-class TestGeneratePairs:
-    def test_three_keys(self):
-        assert generate_pairs(["v1", "v2", "v3"]) == [
-            ("v1", "v2"),
-            ("v1", "v3"),
-            ("v2", "v3"),
-        ]
-
-    def test_single_key(self):
-        assert generate_pairs(["only"]) == []
-
-    def test_count_formula(self):
-        keys = [f"v{i:05d}" for i in range(200)]
-        assert len(generate_pairs(keys)) == 200 * 199 // 2
-
-    def test_duplicate_key(self):
-        with pytest.raises(ValueError, match="duplicate key"):
-            generate_pairs(["a", "b", "a"])
-
-
 class TestMeanCsdCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         mean = MeanCsd(
-            means={slot: float(rng.uniform(0, 1e6)) for slot in SLOTS}, pair_count=45
+            means=np.array([float(rng.uniform(0, 1e6)) for slot in SLOTS]), pair_count=45
         )
         path = tmp_path / "mean_csd.csv"
         write_mean_csd_csv(mean, path)
         back = read_mean_csd_csv(path)
         assert back.pair_count == 45
-        assert back.means == mean.means
+        assert back.means.tolist() == mean.means.tolist()
 
     def test_row_layout(self, tmp_path):
-        mean = MeanCsd(means={slot: 1.5 for slot in SLOTS}, pair_count=3)
+        mean = MeanCsd(means=per_slot(1.5), pair_count=3)
         path = tmp_path / "mean_csd.csv"
         write_mean_csd_csv(mean, path)
         lines = path.read_text().splitlines()
@@ -295,13 +302,13 @@ def test_scaling_leaves_scores_unchanged():
     ]
 
     def corpus_scores(feats):
-        sums = {slot: 0.0 for slot in SLOTS}
+        sums = per_slot(0.0)
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         csds = {}
         for i, j in pairs:
             csds[(i, j)] = csd_sixtuple(feats[i], feats[j])
-            for slot in SLOTS:
-                sums[slot] += csds[(i, j)][slot]
+            for s in range(len(SLOTS)):
+                sums[s] += csds[(i, j)][s]
         mean = mean_csd(sums, len(pairs))
         return {
             p: similarity_score(kernel_distance(csds[p], mean)) for p in pairs
