@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -114,11 +115,18 @@ def _similarity_rows(path: str | Path) -> Iterator[tuple[str, str, float]]:
         header = fh.readline()
         if header != SIMILARITY_HEADER:
             raise ValueError(f"{path}: bad header {header.rstrip()!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             row = line.rstrip("\n").split(",")
             if len(row) != 3:
-                raise ValueError(f"{path}: malformed row {line.rstrip()!r}")
-            yield row[0], row[1], float(row[2])
+                raise ValueError(f"{path}:{lineno}: malformed row {line.rstrip()!r}")
+            try:
+                score = float(row[2])
+            except ValueError:
+                score = math.nan
+            # a pixel is round(255 * score): inf and nan have no pixel value
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"{path}:{lineno}: score {row[2]!r} is not a number in [0, 1]")
+            yield row[0], row[1], score
 
 
 def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, Path]:

@@ -11,13 +11,16 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   float64 (48 bytes, no keys), in key-pair order. It checks that its two
   shards hold the keys the layout gives them. A shard holds at most 64
   keys, so the task stacks shard j's features into one block and scores
-  each key of shard i against all its partners in one pass
-  (``similarity.csd_block``). The reduce walks the rows in global key-pair
-  order (``_key_rows``) and sums them strictly in that order into
+  all keys of shard i against it in one call of ``similarity.csd_stack``,
+  which walks the features in cache-sized chunks; a diagonal task makes
+  one call per small group of keys, so that it drops few of the pairs it
+  computes. The reduce walks the rows in global key-pair order
+  (``_key_rows``) and sums them strictly in that order into
   ``mean_csd.csv``, so no bit of it depends on the shard layout.
 * similarity: no tasks of its own and no shard read; it takes the same walk,
   and each key's rows, normalised by the means in one ``kernel_distance``
-  call, become lines of ``similarity.csv``.
+  call, become lines of ``similarity.csv``. It refuses, as a resumed mean
+  stage does, a ``mean_csd.csv`` whose pair count is not the layout's.
 
 The walk reads, for each shard i, its keys' rows from tasks (i, i),
 (i, i + 1), ..., (i, S - 1) in lockstep, so at most S files are open.
@@ -74,8 +77,8 @@ from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
 from .similarity import (
     MeanCsd,
     PartnerBlock,
-    csd_block,
     csd_sixtuple,
+    csd_stack,
     kernel_distance,
     mean_csd,
     ordered_sum,
@@ -367,21 +370,30 @@ def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> li
     return records
 
 
+# keys of a diagonal task per csd_stack call: the call scores every key of
+# the group from its first key's partners on, and drops the pairs before a
+# key's own, so small groups waste few pairs and large ones few calls
+_DIAGONAL_GROUP = 10
+
+
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     """Write each pair's row, each key of shard i with its ``partners`` in
     shard j, with no keys: shards are key ranges, so that is key-pair order.
 
     A shard holds at most VIDEOS_PER_SHARD keys, so shard j is stacked into
-    one block, and each key of shard i is scored against all its partners
-    in one pass."""
+    one block, and all keys of shard i are scored against it in one pass,
+    or, on the diagonal, each group of _DIAGONAL_GROUP keys."""
     i, j, keys_a, keys_b = task.payload
     records_a = _read_shard(config, i, keys_a)
     records_b = records_a if i == j else _read_shard(config, j, keys_b)
+    features = [record.feature for record in records_a]
     block = PartnerBlock.stack([record.feature for record in records_b])
     # key k's partners are the last columns of the block
+    starts = [len(records_b) - len(partners(records_b, k, i == j)) for k in range(len(features))]
+    group = _DIAGONAL_GROUP if i == j else len(features)
     rows = [
-        csd_block(record.feature, block, len(records_b) - len(partners(records_b, k, i == j)))
-        for k, record in enumerate(records_a)
+        csd_stack(features[g : g + group], block, starts[g : g + group])
+        for g in range(0, len(features), group)
     ]
     with committed(task.out_path) as tmp:
         tmp.write_bytes(np.vstack(rows).astype(ROW_DTYPE).tobytes())
@@ -545,11 +557,26 @@ def _mean_outputs(config: PipelineConfig, tasks: list[Task]) -> list[Path]:
     return [Path(config.out_dir) / "mean_csd.csv", *(Path(t.out_path) for t in tasks)]
 
 
+def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
+    """mean_csd.csv, refused unless its pair count is the layout's: a file
+    of another corpus (two state dirs sharing one --out, say) would
+    normalise every score by foreign means."""
+    mean = read_mean_csd_csv(path)
+    n = sum(map(len, shard_keys))
+    pair_count = n * (n - 1) // 2
+    if mean.pair_count != pair_count:
+        raise ValueError(
+            f"{path}: pair count {mean.pair_count} where the manifest's {n} videos "
+            f"make {pair_count} pairs"
+        )
+    return mean
+
+
 def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
     tasks = plan_pair_stage(shard_keys, state_dir)
     out_path, *_ = outputs = _mean_outputs(config, tasks)
     if _stage_done(state_dir, STAGE_MEAN, outputs):
-        return read_mean_csd_csv(out_path)
+        return _read_mean(out_path, shard_keys)
 
     for index in range(len(shard_keys)):  # the tasks check the keys they read
         path = _shard_path(config, index)
@@ -595,7 +622,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
     if _stage_done(state_dir, STAGE_SIM, [out_path]):
         return out_path
 
-    mean = read_mean_csd_csv(mean_path)
+    mean = _read_mean(mean_path, shard_keys)
     keys = [key for shard in shard_keys for key in shard]
     with committed(out_path) as tmp, open(tmp, "w") as out:
         out.write(SIMILARITY_HEADER)

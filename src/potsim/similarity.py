@@ -47,8 +47,8 @@ def ordered_sum(a: np.ndarray) -> np.ndarray:
 
     numpy adds row by row along an axis that is not the fast one, so a 2-D
     array whose last axis is contiguous and at least 2 wide goes through
-    ``np.add.reduce``; a narrower one would be summed pairwise along its
-    first axis, so it and every other shape go through ``cumsum``.
+    ``np.add.reduce``; a narrower one, (rows, 1), would be summed pairwise
+    along its first axis, so it and every other shape go through ``cumsum``.
     """
     if len(a) == 0:
         return np.zeros(a.shape[1:])
@@ -68,7 +68,7 @@ def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PartnerBlock:
-    """Partners' features stacked for ``csd_block``: ``values`` is a
+    """Partners' features stacked for ``csd_stack``: ``values`` is a
     C-contiguous (features x partners) float64 array, one column per
     partner, and ``zero_terms`` holds the chi-square terms of every column
     against an all-zero feature."""
@@ -84,26 +84,75 @@ class PartnerBlock:
         return cls(values, _chi_square_terms(0.0, values), features[0].bounds)
 
 
+# values in the chunk buffer of csd_stack, (1 + rows, keys, partners)
+# float64: 1 MiB, so that a chunk is summed while it is still in cache
+_CHUNK_VALUES = 1 << 17
+
+
+def csd_stack(
+    keys: Sequence[PoTFeature], block: PartnerBlock, starts: Sequence[int]
+) -> np.ndarray:
+    """``csd_block`` for a stack of keys in one pass: the chi-square
+    distance per slot of each key k against each partner of ``block`` from
+    column ``starts[k]`` on, as a (pairs, 6) array holding key 0's rows
+    first, then key 1's, and so on.
+
+    Each slot's feature rows are walked in chunks through one reused
+    buffer, whose row 0 carries the sum so far, from 0.0 on. The partners'
+    zero terms are written into it for every key, and only the (row, key)
+    entries where the key is not zero are computed anew, on a gathered copy
+    of the partner rows: where a key is +-0.0, ``a - b = -b`` and ``a + b = b``
+    exactly, so its term equals the zero term whatever b is (NaN, inf and
+    negative b included). ``ordered_sum`` then adds the chunk onto row 0
+    row by row, so every (key, partner) column is summed strictly from the
+    slot's first row on, as ``chi_square`` sums it. Columns from the
+    smallest start on are computed for every key; those before a key's own
+    start are dropped.
+    """
+    for a in keys:
+        if a.bounds != block.bounds:
+            raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {block.bounds}")
+    first = min(starts)
+    values = block.values[:, first:]
+    zero_terms = block.zero_terms[:, first:]
+    stacked = np.stack([a.values for a in keys], axis=1)  # (features, keys)
+    columns = len(keys) * values.shape[1]
+    if columns == 0:
+        return np.zeros((0, len(SLOTS)))
+    slots = list(zip(block.bounds, block.bounds[1:]))
+    chunk = max(1, min(_CHUNK_VALUES // columns - 1, max(hi - lo for lo, hi in slots)))
+    flat = np.empty((1 + chunk, columns))
+    buffer = flat.reshape(1 + chunk, len(keys), values.shape[1])
+    sums = np.empty((len(keys), values.shape[1], len(SLOTS)))
+    for s, (lo, hi) in enumerate(slots):
+        # no term is -0.0, so 0.0 + term is the term bit for bit
+        flat[0] = 0.0
+        for row in range(lo, hi, chunk):
+            end = min(hi, row + chunk)
+            terms = buffer[1 : 1 + end - row]
+            terms[...] = zero_terms[row:end, None, :]
+            live_rows, live_keys = np.nonzero(stacked[row:end])
+            a = stacked[row + live_rows, live_keys][:, None]
+            b = values[row + live_rows]  # a copy: the terms are made in it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                denom = b + a
+                b -= a  # (b - a)^2 is (a - b)^2 exactly
+                b *= b
+                b /= denom
+            b[~(denom > 0.0)] = 0.0
+            terms[live_rows, live_keys] = b
+            flat[0] = ordered_sum(flat[: 1 + end - row])
+        sums[:, :, s] = buffer[0]
+    rows = [sums[k, start - first :] for k, start in enumerate(starts)]
+    return 0.5 * np.concatenate(rows)
+
+
 def csd_block(a: PoTFeature, block: PartnerBlock, start: int = 0) -> np.ndarray:
     """Chi-square distance per slot of ``a`` against each partner of
-    ``block`` from column ``start`` on, in one pass: a (partners, 6) array
-    whose row p holds ``chi_square`` of each slot's vectors bit for bit.
-
-    Where ``a`` is +-0.0, ``diff = -b`` and ``denom = b`` exactly, so a term
-    equals the zero term whatever b is (NaN, inf and negative b included):
-    only the rows where ``a`` is not zero are computed. Each slot is then
-    summed over its rows by ``ordered_sum``, in the order ``chi_square``
-    sums.
-    """
-    if a.bounds != block.bounds:
-        raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {block.bounds}")
-    terms = block.zero_terms[:, start:].copy()
-    live = np.flatnonzero(a.values)
-    terms[live] = _chi_square_terms(a.values[live, None], block.values[live, start:])
-    sums = np.empty((terms.shape[1], len(SLOTS)))
-    for s, (lo, hi) in enumerate(zip(block.bounds, block.bounds[1:])):
-        sums[:, s] = ordered_sum(terms[lo:hi])
-    return 0.5 * sums
+    ``block`` from column ``start`` on: a (partners, 6) array whose row p
+    holds ``chi_square`` of each slot's vectors bit for bit. A one-key
+    ``csd_stack``."""
+    return csd_stack([a], block, [start])
 
 
 def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> np.ndarray:

@@ -286,6 +286,19 @@ class TestHeatmapCommand:
         assert (tmp_path / "h.pgm").read_bytes() == encode_pgm(expected)
         assert (tmp_path / "h.keys.txt").read_text() == "".join(k + "\n" for k in keys)
 
+    @pytest.mark.parametrize("score", ["inf", "nan", "-0.5", "1.5"])
+    def test_score_outside_unit_interval_names_the_line(self, tmp_path, capsys, score):
+        """A pixel is round(255 * score): an inf score would overflow and a
+        nan one has no integer, so both are refused like any score outside
+        [0, 1], naming the file and line, and nothing is written."""
+        csv_path = tmp_path / "similarity.csv"
+        self.write_sim_csv(csv_path, [("a", "b", "0.5"), ("a", "c", score), ("b", "c", "0.1")])
+        assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "h")]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv_path}:3: score '{score}' is not a number in [0, 1]" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["similarity.csv"]
+
     def test_malformed_csv(self, tmp_path):
         csv_path = tmp_path / "similarity.csv"
         csv_path.write_text("nope\n")

@@ -540,13 +540,13 @@ class TestPairStages:
     def test_each_pair_scored_once(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=4)
         columns = []
-        real_csd_block = engine.csd_block
+        real_csd_stack = engine.csd_stack
 
-        def counting(a, block, start=0):
-            columns.append(block.values.shape[1] - start)
-            return real_csd_block(a, block, start)
+        def counting(keys, block, starts):
+            columns.append(sum(block.values.shape[1] - start for start in starts))
+            return real_csd_stack(keys, block, starts)
 
-        monkeypatch.setattr(engine, "csd_block", counting)
+        monkeypatch.setattr(engine, "csd_stack", counting)
         set_shards(monkeypatch, 4, 2)
         sim = run_pipeline(fast_config(manifest, tmp_path / "out"))
         assert len(sim.read_text().splitlines()) - 1 == 6
@@ -652,6 +652,31 @@ class TestPairStages:
             path.write_bytes(data)
             with pytest.raises(ValueError, match=message):
                 run_similarity(cfg)
+
+    def test_mean_csd_of_another_corpus_is_refused(self, tmp_path, capsys):
+        """A well-formed mean_csd.csv of a 6-video corpus (15 pairs) in the
+        --out of a 4-video one (6 pairs): sim, and mean or run resuming
+        past mean.done, refuse it, naming the file and both counts."""
+        other = tmp_path / "other"
+        run_pipeline(fast_config(small_corpus(tmp_path / "c6", n=6), other))
+        manifest = small_corpus(tmp_path / "c4", n=4)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        run_pipeline(cfg)
+        path = out / "mean_csd.csv"
+        shutil.copyfile(other / "mean_csd.csv", path)
+        (out / "similarity.csv").unlink()
+        (out / "state" / "sim.done").unlink()
+
+        message = f"{path}: pair count 15 where the manifest's 4 videos make 6 pairs"
+        for run in (run_similarity, run_mean, run_pipeline):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(cfg)
+        for command in ("sim", "mean", "run"):
+            assert main(fast_argv(command, manifest, out)) == 1
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not (out / "similarity.csv").exists()
 
     def test_mean_rows_are_validated(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path / "c", n=3)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from potsim import similarity
 from potsim.pooling import SLOTS, PoTFeature
 from potsim.similarity import (
     MeanCsd,
@@ -13,6 +15,7 @@ from potsim.similarity import (
     chi_square,
     csd_block,
     csd_sixtuple,
+    csd_stack,
     kernel_distance,
     mean_csd,
     ordered_sum,
@@ -176,6 +179,69 @@ class TestCsdBlock:
         block = PartnerBlock.stack(self.features(rng, 2, (28, 14, 14, 14, 28, 14)))
         with pytest.raises(ValueError, match="dimension mismatch: slot bounds"):
             csd_block(a, block)
+
+
+class TestCsdStack:
+    @staticmethod
+    def reference(keys, partners, starts):
+        """chi_square per slot of each key with its partners from its start
+        on, key by key: the independent oracle."""
+        rows = [
+            [chi_square(a.vectors[s], b.vectors[s]) for s in SLOTS]
+            for a, start in zip(keys, starts)
+            for b in partners[start:]
+        ]
+        return np.array(rows, dtype=np.float64).reshape(-1, len(SLOTS))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_chi_square_bit_for_bit(self, data):
+        """1-5 keys x 1-5 partners, any start per key, slots of 0-6 values
+        drawn with +-0.0, NaN, +-inf and negatives, and chunks from one
+        feature row up, so that sums are carried across chunks."""
+        dims = data.draw(st.lists(st.integers(0, 6), min_size=len(SLOTS), max_size=len(SLOTS)))
+        special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -1.5])
+        values = arrays(np.float64, sum(dims), elements=st.one_of(special, st.floats()))
+
+        def features(count):
+            return [PoTFeature.from_values(data.draw(values), dims) for _ in range(count)]
+
+        keys = features(data.draw(st.integers(1, 5)))
+        partners = features(data.draw(st.integers(1, 5)))
+        starts = data.draw(
+            st.lists(st.integers(0, len(partners)), min_size=len(keys), max_size=len(keys))
+        )
+        chunk_values = data.draw(st.integers(1, 4 * len(keys) * len(partners)))
+        chunking = mock.patch.object(similarity, "_CHUNK_VALUES", chunk_values)
+        # inf - inf and overflow warn, in the oracle at least
+        with chunking, np.errstate(all="ignore"):
+            got = csd_stack(keys, PartnerBlock.stack(partners), starts)
+            expected = self.reference(keys, partners, starts)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_64_keys_by_64_partners(self):
+        """A full off-diagonal task and a full diagonal one (key k's
+        partners start at column k + 1), over slots many chunks long."""
+        rng = np.random.default_rng(64)
+        dims = [10 * dim for dim in TestCsdBlock.DIMS]
+        keys = TestCsdBlock.features(rng, 64, dims)
+        partners = TestCsdBlock.features(rng, 64, dims)
+        keys[0].values[:4] = [-0.0, np.nan, np.inf, -3.0]
+        partners[5].values[3:6] = [np.inf, -2.5, np.nan]
+        for starts, others in (([0] * 64, partners), (range(1, 65), keys)):
+            got = csd_stack(keys, PartnerBlock.stack(others), list(starts))
+            expected = self.reference(keys, others, starts)
+            assert got.shape == (sum(64 - start for start in starts), len(SLOTS))
+            assert got.tobytes() == expected.tobytes()
+
+    def test_dimension_mismatch_of_any_key(self):
+        rng = np.random.default_rng(2)
+        keys = TestCsdBlock.features(rng, 2, TestCsdBlock.DIMS)
+        keys += TestCsdBlock.features(rng, 1, (28, 14, 14, 14, 28, 14))
+        block = PartnerBlock.stack(keys[:2])
+        with pytest.raises(ValueError, match="dimension mismatch: slot bounds"):
+            csd_stack(keys, block, [0, 0, 0])
 
 
 def per_slot(value):
