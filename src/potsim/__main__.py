@@ -1,0 +1,8 @@
+"""``python -m potsim``: the ``potsim`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,12 +31,14 @@ then cuts the manifest's sorted keys into ``shard_count(N)`` near-equal
 shards once (``archive.shard_records``) and hands those key lists to every
 stage. The layout is a function of the key set alone.
 
-Every task and stage output is written to ``<path>.tmp`` and renamed into
-place, so an output that exists is finished: a task is done, and skipped on
-resume, once its outputs exist; a stage once its marker in the state dir
-and its outputs do. The state dir's fingerprint covers the parameters and
-the frame files (names, sizes, mtimes), so a resume never reuses results of
-changed inputs. Outputs are byte-identical for any worker count and shard
+Every task and stage output is written to a temporary file of its own
+attempt and renamed into place (``commit.committed``), so an output that
+exists is finished: a task is done, and skipped on resume, once its outputs
+exist; a stage once its marker in the state dir and its outputs do. A stage
+with tasks first removes the temporary files in its work dir that attempts
+which died left there (``commit.remove_stray_tmp``). The state dir's
+fingerprint covers the parameters and the frame files (names, sizes,
+mtimes), so a resume never reuses results of changed inputs. Outputs are byte-identical for any worker count and shard
 layout: task outputs do not depend on scheduling, and the reduce runs
 single-threaded in global key-pair order after the stage barrier.
 """
@@ -68,7 +70,7 @@ from .archive import (
     write_archive,
     write_shards,
 )
-from .commit import committed
+from .commit import committed, remove_stray_tmp
 from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text, series_dump_path
 from .flow import FarnebackParams
 from .frames import frame_paths, load_frame_sequence
@@ -411,7 +413,9 @@ def _open_rows(task: Task):
         fh.close()
         raise ValueError(
             f"{task.out_path}: {size} bytes where {pair_count} rows of six "
-            f"float64 distances take {pair_count * ROW_BYTES}"
+            f"float64 distances take {pair_count * ROW_BYTES}; to repair it, "
+            f"delete that file and rerun `potsim mean`, which reruns its task "
+            f"and the reduce"
         )
     return fh
 
@@ -527,6 +531,7 @@ def run_extract(config: PipelineConfig) -> list[Path]:
 def _extract(
     config: PipelineConfig, entries: list[tuple[str, str]], shard_keys: ShardKeys, state_dir: Path
 ) -> list[Path]:
+    remove_stray_tmp(state_dir / STAGE_EXTRACT, time.time_ns())
     tasks = plan_extract(config, entries, state_dir)
     shards = [_shard_path(config, i) for i in range(len(shard_keys))]
     dumps = [path for task in tasks for path in task.dump_paths]
@@ -573,6 +578,7 @@ def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
 
 
 def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
+    remove_stray_tmp(state_dir / STAGE_MEAN, time.time_ns())
     tasks = plan_pair_stage(shard_keys, state_dir)
     out_path, *_ = outputs = _mean_outputs(config, tasks)
     if _stage_done(state_dir, STAGE_MEAN, outputs):

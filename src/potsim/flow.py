@@ -19,6 +19,18 @@ frame pairs. Every frame is then expanded once, and each filter, warp and
 solve runs once per stack; the flow of each pair is bit-identical to a
 separate two-frame call.
 
+The kernels compute the same IEEE operations, on the same operands in the
+same order, as the plain array expressions their comments and docstrings
+give (``a11 = 0.5 * (prev.a11 + warped.a11)`` and so on), but in place:
+each step writes into a buffer with ``out=`` instead of allocating its
+result. Work that two expressions share is done once: ``poly_expand``'s
+three horizontal filter passes feed its six vertical ones, and the five
+window sums of a flow update are one stacked ``uniform_filter`` call.
+Scratch buffers come from a per-thread workspace that keeps one buffer
+from call to call (``_Workspace``), so a worker that runs many blocks of
+one shape allocates them once. Nothing handed back to a caller lies in
+that buffer.
+
 ``scipy.ndimage`` is imported by the functions that filter, not by this
 module, so that importing potsim costs no scipy in commands that run no
 flow.
@@ -26,6 +38,9 @@ flow.
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +52,52 @@ from .frames import resize_bilinear
 SINGULAR_DET_EPS = 1e-9
 
 _MIN_PYRAMID_DIM = 8
+
+# Each array the workspace hands out starts a multiple of this many bytes
+# (a cache line) into its buffer.
+_ALIGN = 64
+
+
+class _Workspace(threading.local):
+    """Scratch memory of the flow kernels, one buffer per thread, kept from
+    call to call.
+
+    ``scope()`` yields ``take(shape, dtype)``, which lays arrays end to end
+    in the buffer; they are given back together when the scope closes. So
+    scopes stack: a kernel's scratch lies above its caller's, and two
+    kernels called one after the other reuse the same memory. A request
+    past the buffer's end gets a fresh array, and when the outermost scope
+    closes the buffer grows to the most bytes ever in use. After the first
+    block of a shape nothing is allocated; a smaller stack or pyramid level
+    uses the front of the buffer.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.top = 0  # bytes in use
+        self.high = 0  # most bytes in use at once
+
+    @contextmanager
+    def scope(self):
+        mark = self.top
+        try:
+            yield self.take
+        finally:
+            self.top = mark
+            if mark == 0 and self.high > self.buffer.size:
+                self.buffer = np.empty(self.high, dtype=np.uint8)
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = self.top
+        self.top += -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
+        self.high = max(self.high, self.top)
+        if self.top > self.buffer.size:
+            return np.empty(shape, dtype)
+        return np.ndarray(shape, dtype, buffer=self.buffer, offset=start)
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -95,7 +156,19 @@ class FlowField:
     v: np.ndarray  # vertical displacement (pixels/frame)
 
 
-def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpansion:
+# The weighted projections onto the basis 1, x, y, x^2, y^2, xy, as
+# (horizontal, vertical) kernel indices into (w, w * offset, w * offset^2).
+_PROJECTION_KERNELS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+
+# The rows of the solved coefficients that PolyExpansion keeps, in its field
+# order: x^2 (a11), xy (2 * a12), y^2 (a22), x (b1), y (b2); row 0, the
+# constant c, is never solved.
+_EXPANSION_ROWS = [3, 5, 4, 1, 2]
+
+
+def poly_expand(
+    frame: np.ndarray, poly_n: int, poly_sigma: float, *, out: np.ndarray | None = None
+) -> PolyExpansion:
     """Fit the per-pixel quadratic model over a Gaussian window.
 
     The fit is a weighted least squares over a ``poly_n`` x ``poly_n``
@@ -104,6 +177,10 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
     pixel, the normal matrix is constant and the fit reduces to six separable
     correlations followed by a fixed 6x6 solve; A and b are kept. A
     ``(..., H, W)`` stack is expanded frame by frame along its last two axes.
+
+    The six correlations share their three horizontal passes, so nine 1-D
+    passes run. The fields are views of one ``(5, ..., H, W)`` array in
+    field order: ``out`` if given, else a new one.
     """
     from scipy import ndimage
 
@@ -121,25 +198,19 @@ def poly_expand(frame: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpans
     gram = (basis * weights2d) @ basis.T
     gram_inv = np.linalg.inv(gram)
 
-    k0, k1, k2 = w, w * offsets, w * offsets**2
-
-    def corr(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-        tmp = ndimage.correlate1d(frame, kx, axis=-1, mode="nearest")
-        return ndimage.correlate1d(tmp, ky, axis=-2, mode="nearest")
-
-    # Weighted moment projections onto each basis function.
-    proj = np.stack(
-        [
-            corr(k0, k0),  # 1
-            corr(k1, k0),  # x
-            corr(k0, k1),  # y
-            corr(k2, k0),  # x^2
-            corr(k0, k2),  # y^2
-            corr(k1, k1),  # xy
-        ]
-    )
-    r = np.einsum("ij,j...->i...", gram_inv, proj)
-    return PolyExpansion(a11=r[3], a12=0.5 * r[5], a22=r[4], b1=r[1], b2=r[2])
+    kernels = (w, w * offsets, w * offsets**2)
+    if out is None:
+        out = np.empty((5,) + frame.shape)
+    with _WORKSPACE.scope() as take:
+        across = take((3,) + frame.shape)
+        proj = take((6,) + frame.shape)
+        for kernel, dst in zip(kernels, across):
+            ndimage.correlate1d(frame, kernel, axis=-1, output=dst, mode="nearest")
+        for (kx, ky), dst in zip(_PROJECTION_KERNELS, proj):
+            ndimage.correlate1d(across[kx], kernels[ky], axis=-2, output=dst, mode="nearest")
+        np.einsum("ij,j...->i...", gram_inv[_EXPANSION_ROWS], proj, out=out)
+    np.multiply(0.5, out[1], out=out[1])
+    return PolyExpansion(*out)
 
 
 def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
@@ -164,7 +235,7 @@ def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _warp_expansion(
-    exp: PolyExpansion, u: np.ndarray, v: np.ndarray
+    exp: PolyExpansion, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
     """Sample (a11, a12, a22, b1, b2) bilinearly at the displaced positions,
     border-clamped.
@@ -173,39 +244,64 @@ def _warp_expansion(
     weights are computed once for all five fields, with the arithmetic of
     ``ndimage.map_coordinates(order=1, mode="nearest")`` so that the result
     is bit-identical to it: the upper weight is one minus the lower, and the
-    four terms are summed left to right from 0.0.
+    four terms are summed left to right from 0.0. The warped fields are
+    written into ``out``, a ``(5, ..., H, W)`` array, or a new one.
     """
     h, w = u.shape[-2:]
-    cy = np.clip(np.arange(h, dtype=np.float64)[:, None] + v, 0.0, h - 1.0)
-    cx = np.clip(np.arange(w, dtype=np.float64) + u, 0.0, w - 1.0)
-    y0, x0 = np.floor(cy), np.floor(cx)
-    wy0 = np.subtract(1.0, np.subtract(cy, y0, out=cy), out=cy)
-    wx0 = np.subtract(1.0, np.subtract(cx, x0, out=cx), out=cx)
-    wy1, wx1 = 1.0 - wy0, 1.0 - wx0
-    # flat index of the upper-left neighbour in the (..., H, W) fields; the
-    # lower and right neighbours are clamped to it at the border
-    frame_base = np.arange(u.size // (h * w)).reshape(u.shape[:-2] + (1, 1)) * (h * w)
-    i00 = y0.astype(np.intp) * w + x0.astype(np.intp) + frame_base
-    down = (y0 < h - 1) * w
-    right = x0 < w - 1
-    i01 = i00 + right
-    i10 = i00 + down
-    i11 = i10 + right
-    corners = ((i00, wy0, wx0), (i01, wy0, wx1), (i10, wy1, wx0), (i11, wy1, wx1))
+    if out is None:
+        out = np.empty((5,) + u.shape)
+    with _WORKSPACE.scope() as take:
+        wy0, wx0, wy1, wx1 = take((4,) + u.shape)
+        base, index, down = take((3,) + u.shape, np.intp)
+        right = take(u.shape, np.bool_)
+        # cy = clip(row + v, 0, h - 1), cx = clip(column + u, 0, w - 1)
+        np.add(np.arange(h, dtype=np.float64)[:, None], v, out=wy0)
+        np.clip(wy0, 0.0, h - 1.0, out=wy0)
+        np.add(np.arange(w, dtype=np.float64), u, out=wx0)
+        np.clip(wx0, 0.0, w - 1.0, out=wx0)
+        y0, x0 = np.floor(wy0, out=wy1), np.floor(wx0, out=wx1)
+        # flat index of the upper-left neighbour in the (..., H, W) fields; the
+        # lower and right neighbours are clamped to it at the border
+        np.copyto(base, y0, casting="unsafe")
+        base *= w
+        np.copyto(index, x0, casting="unsafe")
+        base += index
+        base += np.arange(u.size // (h * w)).reshape(u.shape[:-2] + (1, 1)) * (h * w)
+        np.less(y0, h - 1, out=right)
+        np.multiply(right, w, out=down)
+        np.less(x0, w - 1, out=right)
+        # wy0 = 1 - (cy - y0), wy1 = 1 - wy0, and the same along x
+        np.subtract(1.0, np.subtract(wy0, y0, out=wy0), out=wy0)
+        np.subtract(1.0, np.subtract(wx0, x0, out=wx0), out=wx0)
+        np.subtract(1.0, wy0, out=wy1)
+        np.subtract(1.0, wx0, out=wx1)
 
-    def warp(field: np.ndarray) -> np.ndarray:
-        flat = field.reshape(-1)
-        out = np.zeros(u.shape)  # summing from 0.0 turns a -0.0 sum into 0.0
-        for index, wy, wx in corners:
-            term = flat.take(index)
-            term *= wy
-            term *= wx
-            out += term
-        return out
-
-    # a non-finite value times a zero weight is NaN, silently, as in map_coordinates
-    with np.errstate(invalid="ignore"):
-        return tuple(warp(f) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2))
+        term = take(u.shape)
+        flats = [f.reshape(-1) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2)]
+        # a non-finite value times a zero weight is NaN, silently, as in map_coordinates
+        with np.errstate(invalid="ignore"):
+            for corner, (wy, wx) in enumerate(((wy0, wx0), (wy0, wx1), (wy1, wx0), (wy1, wx1))):
+                # the corner's flat index: base, base + right, base + down,
+                # base + down + right
+                if corner == 0:
+                    corner_index = base
+                elif corner == 1:
+                    corner_index = np.add(base, right, out=index)
+                elif corner == 2:
+                    corner_index = np.add(base, down, out=index)
+                else:
+                    corner_index += right
+                for flat, dst in zip(flats, out):
+                    # the indices are in range by construction, and "clip"
+                    # takes into ``out`` without a buffer
+                    flat.take(corner_index, out=term, mode="clip")
+                    term *= wy
+                    term *= wx
+                    if corner == 0:  # summing from 0.0 turns a -0.0 sum into 0.0
+                        np.add(0.0, term, out=dst)
+                    else:
+                        dst += term
+    return tuple(out)
 
 
 def _flow_update(
@@ -214,41 +310,61 @@ def _flow_update(
     u: np.ndarray,
     v: np.ndarray,
     winsize: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One displacement solve given the current flow estimate.
+) -> None:
+    """One displacement solve given the current flow estimate, written into
+    ``u`` and ``v``.
 
     The next-frame expansion is warped by the current flow; the constraint
     A_avg * d = delta_b (with the warp compensation term A_avg * d0 folded
     into delta_b) is turned into per-pixel normal equations, box-averaged
     over winsize x winsize, and solved. Near-singular pixels get zero flow.
-    All arrays are ``(K, H, W)`` stacks, one frame per pair.
+    All arrays are ``(K, H, W)`` stacks, one frame per pair. Each comment
+    gives the expression a block computes in place, operand for operand.
     """
     from scipy import ndimage
 
-    w11, w12, w22, wb1, wb2 = _warp_expansion(next_exp, u, v)
-    a11 = 0.5 * (prev_exp.a11 + w11)
-    a12 = 0.5 * (prev_exp.a12 + w12)
-    a22 = 0.5 * (prev_exp.a22 + w22)
-    db1 = -0.5 * (wb1 - prev_exp.b1) + a11 * u + a12 * v
-    db2 = -0.5 * (wb2 - prev_exp.b2) + a12 * u + a22 * v
+    with _WORKSPACE.scope() as take:
+        tmp = take(u.shape)
+        a11, a12, a22, db1, db2 = _warp_expansion(next_exp, u, v, out=take((5,) + u.shape))
+        # a11 = 0.5 * (prev.a11 + w11), and a12, a22 alike
+        for avg, prev in ((a11, prev_exp.a11), (a12, prev_exp.a12), (a22, prev_exp.a22)):
+            np.add(prev, avg, out=avg)
+            np.multiply(0.5, avg, out=avg)
+        # db1 = -0.5 * (wb1 - prev.b1) + a11 * u + a12 * v
+        # db2 = -0.5 * (wb2 - prev.b2) + a12 * u + a22 * v
+        for db, prev, au, av in ((db1, prev_exp.b1, a11, a12), (db2, prev_exp.b2, a12, a22)):
+            np.subtract(db, prev, out=db)
+            np.multiply(-0.5, db, out=db)
+            db += np.multiply(au, u, out=tmp)
+            db += np.multiply(av, v, out=tmp)
 
-    # Normal equations of A d = db, accumulated over the averaging window.
-    g11 = a11 * a11 + a12 * a12
-    g12 = a12 * (a11 + a22)
-    g22 = a12 * a12 + a22 * a22
-    h1 = a11 * db1 + a12 * db2
-    h2 = a12 * db1 + a22 * db2
+        # Normal equations of A d = db, accumulated over the averaging window.
+        normal = take((5,) + u.shape)
+        g11, g12, g22, h1, h2 = normal
+        np.multiply(a12, a12, out=g22)
+        np.add(np.multiply(a11, a11, out=g11), g22, out=g11)  # a11 * a11 + a12 * a12
+        np.multiply(a12, np.add(a11, a22, out=g12), out=g12)  # a12 * (a11 + a22)
+        g22 += np.multiply(a22, a22, out=tmp)  # a12 * a12 + a22 * a22
+        np.multiply(a11, db1, out=h1)
+        h1 += np.multiply(a12, db2, out=tmp)  # a11 * db1 + a12 * db2
+        np.multiply(a12, db1, out=h2)
+        h2 += np.multiply(a22, db2, out=tmp)  # a12 * db1 + a22 * db2
+        window = (1,) * (normal.ndim - 2) + (winsize, winsize)
+        ndimage.uniform_filter(normal, size=window, mode="nearest", output=normal)
 
-    box = lambda f: ndimage.uniform_filter(f, size=(1, winsize, winsize), mode="nearest")
-    g11, g12, g22 = box(g11), box(g12), box(g22)
-    h1, h2 = box(h1), box(h2)
-
-    det = g11 * g22 - g12 * g12
-    ok = det >= SINGULAR_DET_EPS
-    safe_det = np.where(ok, det, 1.0)
-    new_u = np.where(ok, (g22 * h1 - g12 * h2) / safe_det, 0.0)
-    new_v = np.where(ok, (g11 * h2 - g12 * h1) / safe_det, 0.0)
-    return new_u, new_v
+        # det = g11 * g22 - g12 * g12; singular = not (det >= SINGULAR_DET_EPS)
+        det = np.multiply(g11, g22, out=take(u.shape))
+        det -= np.multiply(g12, g12, out=tmp)
+        singular = np.greater_equal(det, SINGULAR_DET_EPS, out=take(u.shape, np.bool_))
+        np.logical_not(singular, out=singular)
+        np.copyto(det, 1.0, where=singular)
+        # u = (g22 * h1 - g12 * h2) / det, v = (g11 * h2 - g12 * h1) / det,
+        # and 0.0 where singular
+        for new, ga, hb, hc in ((u, g22, h1, h2), (v, g11, h2, h1)):
+            np.multiply(ga, hb, out=new)
+            new -= np.multiply(g12, hc, out=tmp)
+            new /= det
+            np.copyto(new, 0.0, where=singular)
 
 
 def _expansion_slice(exp: PolyExpansion, index) -> PolyExpansion:
@@ -278,29 +394,39 @@ def farneback_flow(
         )
     if prev.shape != next.shape[-2:]:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {next.shape}")
-    stack = np.concatenate([prev[None], next.reshape((-1,) + prev.shape)])
 
-    pyramid = [stack]
-    for _ in range(params.levels - 1):
-        pyramid.append(pyramid_downsample(pyramid[-1], params.pyr_scale))
+    with _WORKSPACE.scope() as take:
+        stack = take((1 + (len(next) if next.ndim == 3 else 1),) + prev.shape)
+        stack[0] = prev
+        stack[1:] = next
+        pyramid = [stack]
+        for _ in range(params.levels - 1):
+            pyramid.append(pyramid_downsample(pyramid[-1], params.pyr_scale))
 
-    u = v = None
-    for level in reversed(pyramid):
-        h, w = level.shape[-2:]
-        if u is None:
-            u = np.zeros((len(level) - 1, h, w))
-            v = np.zeros((len(level) - 1, h, w))
-        else:
-            u = resize_bilinear(u, w, h) / params.pyr_scale
-            v = resize_bilinear(v, w, h) / params.pyr_scale
-        exp = poly_expand(level, params.poly_n, params.poly_sigma)
-        prev_exp = _expansion_slice(exp, slice(None, -1))
-        next_exp = _expansion_slice(exp, slice(1, None))
-        for _ in range(params.iterations):
-            u, v = _flow_update(prev_exp, next_exp, u, v, params.winsize)
+        # u and v: new arrays at each level, not in the workspace, so the
+        # flow handed back is the caller's own
+        u = v = None
+        for level in reversed(pyramid):
+            h, w = level.shape[-2:]
+            if u is None:
+                u = np.zeros((len(level) - 1, h, w))
+                v = np.zeros((len(level) - 1, h, w))
+            else:
+                u = resize_bilinear(u, w, h)
+                u /= params.pyr_scale
+                v = resize_bilinear(v, w, h)
+                v /= params.pyr_scale
+            with _WORKSPACE.scope() as take_level:
+                exp = poly_expand(
+                    level, params.poly_n, params.poly_sigma, out=take_level((5,) + level.shape)
+                )
+                prev_exp = _expansion_slice(exp, slice(None, -1))
+                next_exp = _expansion_slice(exp, slice(1, None))
+                for _ in range(params.iterations):
+                    _flow_update(prev_exp, next_exp, u, v, params.winsize)
 
-    u = np.nan_to_num(u, nan=0.0, posinf=0.0, neginf=0.0)
-    v = np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
+    np.nan_to_num(u, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+    np.nan_to_num(v, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     if next.ndim == 2:
         u, v = u[0], v[0]
     return FlowField(u=u, v=v)

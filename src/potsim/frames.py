@@ -193,11 +193,28 @@ def _sampled_taps(src_len: int, dst_len: int, group: int) -> tuple[np.ndarray | 
 
 
 def _blend(frame: np.ndarray, rows: _Taps, cols: _Taps) -> np.ndarray:
-    y0, y1, fy = rows.lo[:, None], rows.hi[:, None], rows.frac[:, None]
-    x0, x1, fx = cols.lo, cols.hi, cols.frac
-    top = frame[..., y0, x0] * (1 - fx) + frame[..., y0, x1] * fx
-    bot = frame[..., y1, x0] * (1 - fx) + frame[..., y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+    """Bilinear blend of the last two axes, separably: columns first, over
+    every source row, then rows. Output element (i, j) is, operand for
+    operand,
+
+        top = f[y0, x0] * (1 - fx) + f[y0, x1] * fx
+        bot = f[y1, x0] * (1 - fx) + f[y1, x1] * fx
+        out = top * (1 - fy) + bot * fy
+
+    with (y0, y1, fy) the row taps of i and (x0, x1, fx) the column taps of j.
+    """
+    fx, fy = cols.frac, rows.frac[:, None]
+    across = frame.take(cols.lo, axis=-1)
+    across *= 1 - fx
+    right = frame.take(cols.hi, axis=-1)
+    right *= fx
+    across += right
+    out = across.take(rows.lo, axis=-2)
+    out *= 1 - fy
+    bot = across.take(rows.hi, axis=-2)
+    bot *= fy
+    out += bot
+    return out
 
 
 def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:

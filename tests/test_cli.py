@@ -168,8 +168,30 @@ class TestSimCommand:
         rows.write_bytes(rows.read_bytes()[:-8])
         assert run_cli("sim", manifest, out) == 1
         assert str(rows) in capsys.readouterr().err
-        assert not (out / "similarity.csv.tmp").exists()
+        assert not list(out.glob("*.tmp"))
         assert not (out / "similarity.csv").exists()
+
+    def test_advice_for_a_bad_mean_task_output_repairs_it(self, tmp_path, capsys):
+        """A mean task output of the wrong size: sim's error names the file
+        and says to delete it and rerun `potsim mean`; doing so gives the
+        similarity.csv of a fresh run."""
+        manifest = make_corpus(tmp_path / "c", n=4)
+        fresh = tmp_path / "fresh"
+        assert run_cli("run", manifest, fresh) == 0
+        out = tmp_path / "out"
+        assert run_cli("extract", manifest, out) == 0
+        assert run_cli("mean", manifest, out) == 0
+        rows = out / "state" / "mean" / "task-0.out"
+        rows.write_bytes(rows.read_bytes()[:-8])
+        capsys.readouterr()
+        assert run_cli("sim", manifest, out) == 1
+        err = capsys.readouterr().err
+        assert f"{rows}: " in err and "delete that file and rerun `potsim mean`" in err
+        rows.unlink()
+        assert run_cli("mean", manifest, out) == 0
+        assert run_cli("sim", manifest, out) == 0
+        assert (out / "similarity.csv").read_bytes() == (fresh / "similarity.csv").read_bytes()
+        assert (out / "mean_csd.csv").read_bytes() == (fresh / "mean_csd.csv").read_bytes()
 
     def test_single_video_no_pairs(self, tmp_path):
         manifest = make_corpus(tmp_path / "c", n=1)
@@ -331,6 +353,15 @@ def test_unknown_log_level_is_usage_error():
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and "BOGUS" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_python_m_potsim_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "potsim", "--help"], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.startswith("usage: potsim ")
 
 
 def test_pair_stages_import_no_scipy(tmp_path):
