@@ -7,7 +7,7 @@ six-vector representation used for similarity scoring.
 
 import numpy as np
 
-from potsim import FrameSequence, compute_series, pot_vector
+from potsim import compute_series, pot_vector
 from potsim.flow import FarnebackParams
 
 
@@ -17,15 +17,15 @@ def moving_blob_clip(n_frames=10, size=64, velocity=(1.5, 0.0)):
     for t in range(n_frames):
         cx, cy = 16 + velocity[0] * t, 32 + velocity[1] * t
         frames[t] = 255.0 * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / 50.0)
-    return FrameSequence(key="demo", frames=frames)
+    return frames
 
 
 def main():
-    seq = moving_blob_clip()
-    hof, hog = compute_series(seq, FarnebackParams())
-    print(f"frames: {seq.frame_count}, series length: {len(hof)}")
-    print(f"HoF mass per frame pair: {hof.histograms.sum(axis=1).round(1)}")
-    print(f"HoG mass per frame pair: {hog.histograms.sum(axis=1).round(1)}")
+    frames = moving_blob_clip()
+    hof, hog = compute_series(frames, FarnebackParams())
+    print(f"frames: {len(frames)}, series length: {len(hof)}")
+    print(f"HoF mass per frame pair: {hof.sum(axis=1).round(1)}")
+    print(f"HoG mass per frame pair: {hog.sum(axis=1).round(1)}")
 
     feature = pot_vector(hof, hog, levels=(1, 2, 4))
     print("\npooled vector dimensions (K = 7 intervals):")

@@ -2,7 +2,7 @@
 gradient histograms, computed by a local parallel, checkpointable pipeline."""
 
 from .archive import ArchiveRecord, read_archive, write_archive
-from .descriptors import HistogramSeries, compute_series, hof_frame, hog_frame
+from .descriptors import compute_series, hof_frame, hog_frame
 from .engine import (
     ConfigError,
     PipelineConfig,
@@ -14,7 +14,6 @@ from .engine import (
 )
 from .flow import FarnebackParams, FlowField, farneback_flow, poly_expand
 from .frames import (
-    FrameSequence,
     decode_pgm,
     decode_ppm_to_gray,
     encode_pgm,
@@ -38,8 +37,6 @@ __all__ = [
     "ConfigError",
     "FarnebackParams",
     "FlowField",
-    "FrameSequence",
-    "HistogramSeries",
     "MeanCsd",
     "PipelineConfig",
     "PoTFeature",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import re
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -32,7 +31,7 @@ _ATTEMPT_PID = re.compile(r"\.(\d+)\.[0-9a-f]+\.tmp$")
 def _create_tmp(path: Path) -> Path:
     """Create and return a new, empty temporary file beside ``path``."""
     while True:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}{TMP_SUFFIX}")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}{TMP_SUFFIX}")
         try:
             os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         except FileExistsError:

@@ -12,14 +12,12 @@ pair, each flattened from a 5x5 spatial grid x 8 orientation bins (200 bins):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .commit import committed
 from .flow import FarnebackParams, FlowField, farneback_flow
-from .frames import FrameSequence
 
 GRID = 5
 ORIENTATION_BINS = 8
@@ -34,17 +32,6 @@ _BLOCK_PIXELS = 1 << 16
 
 _TWO_PI = 2.0 * np.pi
 _BIN_WIDTH = _TWO_PI / ORIENTATION_BINS
-
-
-@dataclass
-class HistogramSeries:
-    """One histogram per consecutive frame pair of a video."""
-
-    kind: str  # "hof" or "hog"
-    histograms: np.ndarray  # shape (frame_count - 1, 200)
-
-    def __len__(self) -> int:
-        return self.histograms.shape[0]
 
 
 def _cell_index(height: int, width: int) -> np.ndarray:
@@ -120,21 +107,22 @@ def hog_frame(
 
 
 def compute_series(
-    seq: FrameSequence,
+    frames: np.ndarray,
     fb: FarnebackParams | None = None,
     threshold: float = DEFAULT_HOG_THRESHOLD,
-) -> tuple[HistogramSeries, HistogramSeries]:
-    """Compute the (HoF, HoG) series for one video, one entry per frame pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (HoF, HoG) series of a ``(frames, H, W)`` video: two
+    ``(frames - 1, 200)`` arrays, one histogram per frame pair.
 
     Flow is computed over blocks of consecutive pairs (see ``_BLOCK_PIXELS``);
     the series are bit-identical to one two-frame flow call per pair.
     """
-    if seq.frame_count < 2:
-        raise ValueError(f"video '{seq.key}': need >= 2 frames")
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or len(frames) < 2:
+        raise ValueError(f"expected a (frames >= 2, H, W) video, got shape {frames.shape}")
     if fb is None:
         fb = FarnebackParams()
-    frames = seq.frames
-    n = seq.frame_count - 1
+    n = len(frames) - 1
     hof = np.empty((n, HISTOGRAM_DIM))
     hog = np.empty((n, HISTOGRAM_DIM))
     block = max(1, _BLOCK_PIXELS // (frames.shape[1] * frames.shape[2]))
@@ -144,10 +132,7 @@ def compute_series(
             hof[start + k] = hof_frame(FlowField(u=flow.u[k], v=flow.v[k]))
     for t in range(n):
         hog[t] = hog_frame(frames[t], frames[t + 1], threshold)
-    return (
-        HistogramSeries(kind="hof", histograms=hof),
-        HistogramSeries(kind="hog", histograms=hog),
-    )
+    return hof, hog
 
 
 _SERIES_SUFFIX = {"hof": ".of.txt", "hog": ".hog.txt"}
@@ -158,14 +143,13 @@ def series_dump_path(out_dir: str | Path, key: str, kind: str) -> Path:
     return Path(out_dir) / (key + _SERIES_SUFFIX[kind])
 
 
-def dump_series_text(series: HistogramSeries, key: str, out_dir: str | Path) -> Path:
-    """Write a series as `<key>.of.txt` / `<key>.hog.txt`, one line per frame
-    pair, 200 space-separated values with full round-trip precision."""
-    path = series_dump_path(out_dir, key, series.kind)
+def dump_series_text(series: np.ndarray, kind: str, key: str, out_dir: str | Path) -> Path:
+    """Write a ``(pairs, 200)`` series of ``kind`` ("hof" or "hog") as
+    `<key>.of.txt` / `<key>.hog.txt`, one line per frame pair, 200
+    space-separated values with full round-trip precision."""
+    path = series_dump_path(out_dir, key, kind)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        " ".join(repr(float(v)) for v in row) for row in series.histograms
-    ]
+    lines = [" ".join(repr(float(v)) for v in row) for row in series]
     with committed(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n")
     return path

@@ -52,7 +52,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, zip_longest
@@ -73,7 +72,7 @@ from .archive import (
 from .commit import committed, remove_stray_tmp
 from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text, series_dump_path
 from .flow import FarnebackParams
-from .frames import frame_paths, load_frame_sequence
+from .frames import frame_files, load_frame_sequence
 from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
 # csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
 from .similarity import (
@@ -222,14 +221,16 @@ def _input_digest(entries: list[tuple[str, str]]) -> str:
         if not os.path.isdir(directory):
             digest.update(b"missing")
             continue
+        records = []
         try:
-            stats = [(path.name, os.stat(path)) for path in frame_paths(Path(directory))]
+            for entry in frame_files(directory):
+                st = entry.stat()
+                # a file name holds no NUL, so the record is unambiguous
+                records.append(f"{entry.name}\0{st.st_size}\0{st.st_mtime_ns}\n")
         except OSError:
             digest.update(b"unreadable")
             continue
-        for name, st in stats:
-            # a file name holds no NUL, so the record is unambiguous
-            digest.update(f"{name}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
+        digest.update("".join(records).encode())
     return digest.hexdigest()
 
 
@@ -345,13 +346,13 @@ def _shard_path(config: PipelineConfig, index: int) -> Path:
 
 def _run_extract_task(config: PipelineConfig, task: Task) -> None:
     key, directory = task.payload
-    seq = load_frame_sequence(directory, key, config.working_w, config.working_h)
-    hof, hog = compute_series(seq, config.farneback, config.hog_threshold)
+    frames = load_frame_sequence(directory, key, config.working_w, config.working_h)
+    hof, hog = compute_series(frames, config.farneback, config.hog_threshold)
     feature = pot_vector(hof, hog, config.levels)
-    record = ArchiveRecord(key=key, frame_count=seq.frame_count, feature=feature)
+    record = ArchiveRecord(key=key, frame_count=len(frames), feature=feature)
     if task.dump_paths:
-        dump_series_text(hof, key, config.out_dir)
-        dump_series_text(hog, key, config.out_dir)
+        dump_series_text(hof, "hof", key, config.out_dir)
+        dump_series_text(hog, "hog", key, config.out_dir)
     # the task's last act: its archive exists only once the dumps do
     with committed(task.out_path) as tmp:
         write_archive([record], tmp)
@@ -493,6 +494,9 @@ def execute(tasks: list[Task], config: PipelineConfig) -> None:
         for task in pending:
             record(*_run_task(config, task))
     else:
+        # imported here, so that a command that runs no pool does not pay for it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         start = time.monotonic()
         # no idle workers: a fork pool starts all of them at the first submit
         with ProcessPoolExecutor(max_workers=min(config.workers, len(pending))) as pool:

@@ -127,23 +127,6 @@ class FarnebackParams:
 
 
 @dataclass
-class PolyExpansion:
-    """Per-pixel quadratic model coefficients.
-
-    The symmetric 2x2 matrix A is stored as (a11, a12, a22); b is the
-    gradient-like 2-vector (b1 along x, b2 along y). The constant term c
-    cancels in the displacement (Farneback, SCIA 2003), so it is not kept.
-    All arrays share the shape of the expanded frame or frame stack.
-    """
-
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
 class FlowField:
     """Per-pixel displacement between two frames, or for each of K
     consecutive frame pairs.
@@ -160,7 +143,7 @@ class FlowField:
 # (horizontal, vertical) kernel indices into (w, w * offset, w * offset^2).
 _PROJECTION_KERNELS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
-# The rows of the solved coefficients that PolyExpansion keeps, in its field
+# The rows of the solved coefficients that poly_expand keeps, in its field
 # order: x^2 (a11), xy (2 * a12), y^2 (a22), x (b1), y (b2); row 0, the
 # constant c, is never solved.
 _EXPANSION_ROWS = [3, 5, 4, 1, 2]
@@ -168,19 +151,22 @@ _EXPANSION_ROWS = [3, 5, 4, 1, 2]
 
 def poly_expand(
     frame: np.ndarray, poly_n: int, poly_sigma: float, *, out: np.ndarray | None = None
-) -> PolyExpansion:
+) -> np.ndarray:
     """Fit the per-pixel quadratic model over a Gaussian window.
 
     The fit is a weighted least squares over a ``poly_n`` x ``poly_n``
     neighborhood with Gaussian weights of std ``poly_sigma``; borders use the
     same window with edge replication. Because the weights do not vary per
     pixel, the normal matrix is constant and the fit reduces to six separable
-    correlations followed by a fixed 6x6 solve; A and b are kept. A
-    ``(..., H, W)`` stack is expanded frame by frame along its last two axes.
+    correlations followed by a fixed 6x6 solve. A ``(..., H, W)`` stack is
+    expanded frame by frame along its last two axes.
 
-    The six correlations share their three horizontal passes, so nine 1-D
-    passes run. The fields are views of one ``(5, ..., H, W)`` array in
-    field order: ``out`` if given, else a new one.
+    Returns the five fields (a11, a12, a22, b1, b2) as one ``(5, ..., H, W)``
+    array: ``out`` if given, else a new one. The symmetric 2x2 matrix A is
+    (a11, a12, a22); b is the gradient-like 2-vector (b1 along x, b2 along
+    y). The constant term c cancels in the displacement (Farneback, SCIA
+    2003), so it is not kept. The six correlations share their three
+    horizontal passes, so nine 1-D passes run.
     """
     from scipy import ndimage
 
@@ -210,7 +196,7 @@ def poly_expand(
             ndimage.correlate1d(across[kx], kernels[ky], axis=-2, output=dst, mode="nearest")
         np.einsum("ij,j...->i...", gram_inv[_EXPANSION_ROWS], proj, out=out)
     np.multiply(0.5, out[1], out=out[1])
-    return PolyExpansion(*out)
+    return out
 
 
 def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
@@ -235,13 +221,14 @@ def pyramid_downsample(frame: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _warp_expansion(
-    exp: PolyExpansion, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """Sample (a11, a12, a22, b1, b2) bilinearly at the displaced positions,
-    border-clamped.
+    exp: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sample the five fields of an expansion bilinearly at the displaced
+    positions, border-clamped.
 
-    The fields and ``u``, ``v`` share one ``(..., H, W)`` shape. Indices and
-    weights are computed once for all five fields, with the arithmetic of
+    ``exp`` is a ``(5, ..., H, W)`` expansion, whose fields share their
+    shape with ``u`` and ``v``. Indices and weights are computed once for
+    all five fields, with the arithmetic of
     ``ndimage.map_coordinates(order=1, mode="nearest")`` so that the result
     is bit-identical to it: the upper weight is one minus the lower, and the
     four terms are summed left to right from 0.0. The warped fields are
@@ -277,7 +264,7 @@ def _warp_expansion(
         np.subtract(1.0, wx0, out=wx1)
 
         term = take(u.shape)
-        flats = [f.reshape(-1) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2)]
+        flats = [f.reshape(-1) for f in exp]
         # a non-finite value times a zero weight is NaN, silently, as in map_coordinates
         with np.errstate(invalid="ignore"):
             for corner, (wy, wx) in enumerate(((wy0, wx0), (wy0, wx1), (wy1, wx0), (wy1, wx1))):
@@ -301,12 +288,12 @@ def _warp_expansion(
                         np.add(0.0, term, out=dst)
                     else:
                         dst += term
-    return tuple(out)
+    return out
 
 
 def _flow_update(
-    prev_exp: PolyExpansion,
-    next_exp: PolyExpansion,
+    prev_exp: np.ndarray,
+    next_exp: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
     winsize: int,
@@ -318,21 +305,23 @@ def _flow_update(
     A_avg * d = delta_b (with the warp compensation term A_avg * d0 folded
     into delta_b) is turned into per-pixel normal equations, box-averaged
     over winsize x winsize, and solved. Near-singular pixels get zero flow.
-    All arrays are ``(K, H, W)`` stacks, one frame per pair. Each comment
-    gives the expression a block computes in place, operand for operand.
+    ``u`` and ``v`` are ``(K, H, W)`` stacks, one frame per pair, and the
+    expansions ``(5, K, H, W)``. Each comment gives the expression a block
+    computes in place, operand for operand.
     """
     from scipy import ndimage
 
+    prev_a11, prev_a12, prev_a22, prev_b1, prev_b2 = prev_exp
     with _WORKSPACE.scope() as take:
         tmp = take(u.shape)
         a11, a12, a22, db1, db2 = _warp_expansion(next_exp, u, v, out=take((5,) + u.shape))
         # a11 = 0.5 * (prev.a11 + w11), and a12, a22 alike
-        for avg, prev in ((a11, prev_exp.a11), (a12, prev_exp.a12), (a22, prev_exp.a22)):
+        for avg, prev in ((a11, prev_a11), (a12, prev_a12), (a22, prev_a22)):
             np.add(prev, avg, out=avg)
             np.multiply(0.5, avg, out=avg)
         # db1 = -0.5 * (wb1 - prev.b1) + a11 * u + a12 * v
         # db2 = -0.5 * (wb2 - prev.b2) + a12 * u + a22 * v
-        for db, prev, au, av in ((db1, prev_exp.b1, a11, a12), (db2, prev_exp.b2, a12, a22)):
+        for db, prev, au, av in ((db1, prev_b1, a11, a12), (db2, prev_b2, a12, a22)):
             np.subtract(db, prev, out=db)
             np.multiply(-0.5, db, out=db)
             db += np.multiply(au, u, out=tmp)
@@ -365,10 +354,6 @@ def _flow_update(
             new -= np.multiply(g12, hc, out=tmp)
             new /= det
             np.copyto(new, 0.0, where=singular)
-
-
-def _expansion_slice(exp: PolyExpansion, index) -> PolyExpansion:
-    return PolyExpansion(*(f[index] for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2)))
 
 
 def farneback_flow(
@@ -420,10 +405,8 @@ def farneback_flow(
                 exp = poly_expand(
                     level, params.poly_n, params.poly_sigma, out=take_level((5,) + level.shape)
                 )
-                prev_exp = _expansion_slice(exp, slice(None, -1))
-                next_exp = _expansion_slice(exp, slice(1, None))
                 for _ in range(params.iterations):
-                    _flow_update(prev_exp, next_exp, u, v, params.winsize)
+                    _flow_update(exp[:, :-1], exp[:, 1:], u, v, params.winsize)
 
     np.nan_to_num(u, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     np.nan_to_num(v, copy=False, nan=0.0, posinf=0.0, neginf=0.0)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,18 +27,6 @@ import numpy as np
 
 # BT.601 luma weights for color -> grayscale conversion.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-
-
-@dataclass
-class FrameSequence:
-    """Ordered grayscale frames of one video, all at one resolution."""
-
-    key: str
-    frames: np.ndarray  # shape (frame_count, height, width), float64
-
-    @property
-    def frame_count(self) -> int:
-        return self.frames.shape[0]
 
 
 def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
@@ -262,38 +249,41 @@ def decode_frame_file(path: Path, out_w: int, out_h: int) -> np.ndarray:
     return _blend(_to_gray(pixels, maxval), rows, cols)
 
 
-def frame_paths(directory: Path) -> list[Path]:
+def frame_files(directory: str | Path) -> list[os.DirEntry]:
     """The frame files of a video directory (.pgm/.ppm, any case), in
-    ascending lexicographic filename order."""
+    ascending lexicographic filename order, as the entries of one
+    ``os.scandir`` pass: ``entry.stat()`` is ``os.stat`` of the file."""
     with os.scandir(directory) as entries:
-        names = sorted(
-            entry.name
+        files = [
+            entry
             for entry in entries
             if os.path.splitext(entry.name)[1].lower() in _FRAME_EXTENSIONS
-        )
-    return [directory / name for name in names]
+        ]
+    return sorted(files, key=lambda entry: entry.name)
 
 
 def load_frame_sequence(
     directory: str | Path, key: str, working_w: int, working_h: int
-) -> FrameSequence:
-    """Load all .pgm/.ppm frames of one video at the working resolution.
+) -> np.ndarray:
+    """Load all .pgm/.ppm frames of one video at the working resolution, as
+    a ``(frames, working_h, working_w)`` float64 array.
 
     Frames are read in ascending lexicographic filename order (zero-padded
     names are the expected convention), grayscale-converted, and resized.
+    ``key`` names the video in errors.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"video '{key}': frame directory not found: {directory}")
-    paths = frame_paths(directory)
-    if len(paths) < 2:
+    files = frame_files(directory)
+    if len(files) < 2:
         raise ValueError(
-            f"video '{key}': insufficient frames ({len(paths)} found, need >= 2)"
+            f"video '{key}': insufficient frames ({len(files)} found, need >= 2)"
         )
-    frames = np.empty((len(paths), working_h, working_w), dtype=np.float64)
-    for i, path in enumerate(paths):
+    frames = np.empty((len(files), working_h, working_w), dtype=np.float64)
+    for i, entry in enumerate(files):
         try:
-            frames[i] = decode_frame_file(path, working_w, working_h)
+            frames[i] = decode_frame_file(directory / entry.name, working_w, working_h)
         except ValueError as exc:
-            raise ValueError(f"video '{key}': frame '{path.name}': {exc}") from exc
-    return FrameSequence(key=key, frames=frames)
+            raise ValueError(f"video '{key}': frame '{entry.name}': {exc}") from exc
+    return frames

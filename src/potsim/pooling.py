@@ -22,8 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .descriptors import HistogramSeries
-
 SERIES_KINDS = ("hof", "hog")
 POOL_OPS = ("sum", "gradient", "max")
 # Fixed slot order used everywhere downstream (archives, CSVs).
@@ -99,31 +97,29 @@ def build_intervals(
     return intervals
 
 
-def _check_interval(series: HistogramSeries, iv: tuple[int, int]) -> None:
+def _window(series: np.ndarray, iv: tuple[int, int]) -> np.ndarray:
     start, end = iv
     if not 0 <= start < end <= len(series):
         raise ValueError(f"interval {iv} out of bounds for series of length {len(series)}")
+    return series[start:end]
 
 
-def sum_pool(series: HistogramSeries, iv: tuple[int, int]) -> np.ndarray:
-    _check_interval(series, iv)
-    return series.histograms[iv[0] : iv[1]].sum(axis=0)
+def sum_pool(series: np.ndarray, iv: tuple[int, int]) -> np.ndarray:
+    return _window(series, iv).sum(axis=0)
 
 
-def max_pool(series: HistogramSeries, iv: tuple[int, int]) -> np.ndarray:
-    _check_interval(series, iv)
-    return series.histograms[iv[0] : iv[1]].max(axis=0)
+def max_pool(series: np.ndarray, iv: tuple[int, int]) -> np.ndarray:
+    return _window(series, iv).max(axis=0)
 
 
-def gradient_pool(series: HistogramSeries, iv: tuple[int, int]) -> np.ndarray:
+def gradient_pool(series: np.ndarray, iv: tuple[int, int]) -> np.ndarray:
     """Positive then negative temporal variation over the interval.
 
     For each dimension, sums of max(0, x[t+1]-x[t]) and max(0, x[t]-x[t+1])
     over consecutive pairs inside [start, end); a single-entry interval
     yields all zeros.
     """
-    _check_interval(series, iv)
-    window = series.histograms[iv[0] : iv[1]]
+    window = _window(series, iv)
     if window.shape[0] < 2:
         return np.zeros(2 * window.shape[1])
     steps = np.diff(window, axis=0)
@@ -136,11 +132,12 @@ _POOL_FNS = {"sum": sum_pool, "gradient": gradient_pool, "max": max_pool}
 
 
 def pot_vector(
-    hof: HistogramSeries,
-    hog: HistogramSeries,
+    hof: np.ndarray,
+    hog: np.ndarray,
     levels: list[int] | tuple[int, ...] = DEFAULT_LEVELS,
 ) -> PoTFeature:
-    """Pool both series over the temporal pyramid into the six-slot feature."""
+    """Pool both ``(pairs, 200)`` series over the temporal pyramid into the
+    six-slot feature."""
     if len(hof) != len(hog):
         raise ValueError(f"series lengths differ: {len(hof)} vs {len(hog)}")
     intervals = build_intervals(len(hof), levels)

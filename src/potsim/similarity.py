@@ -92,10 +92,10 @@ _CHUNK_VALUES = 1 << 17
 def csd_stack(
     keys: Sequence[PoTFeature], block: PartnerBlock, starts: Sequence[int]
 ) -> np.ndarray:
-    """``csd_block`` for a stack of keys in one pass: the chi-square
-    distance per slot of each key k against each partner of ``block`` from
-    column ``starts[k]`` on, as a (pairs, 6) array holding key 0's rows
-    first, then key 1's, and so on.
+    """The chi-square distance per slot of each key k against each partner
+    of ``block`` from column ``starts[k]`` on, in one pass: a (pairs, 6)
+    array holding key 0's rows first, then key 1's, and so on. Each row
+    holds ``chi_square`` of each slot's vectors bit for bit.
 
     Each slot's feature rows are walked in chunks through one reused
     buffer, whose row 0 carries the sum so far, from 0.0 on. The partners'
@@ -147,18 +147,10 @@ def csd_stack(
     return 0.5 * np.concatenate(rows)
 
 
-def csd_block(a: PoTFeature, block: PartnerBlock, start: int = 0) -> np.ndarray:
-    """Chi-square distance per slot of ``a`` against each partner of
-    ``block`` from column ``start`` on: a (partners, 6) array whose row p
-    holds ``chi_square`` of each slot's vectors bit for bit. A one-key
-    ``csd_stack``."""
-    return csd_stack([a], block, [start])
-
-
 def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> np.ndarray:
     """Chi-square distance per (series, pooling) slot, a (6,) array in
-    SLOTS order: ``csd_block`` with one partner."""
-    return csd_block(a, PartnerBlock.stack([b]))[0]
+    SLOTS order: ``csd_stack`` with one key and one partner."""
+    return csd_stack([a], PartnerBlock.stack([b]), [0])[0]
 
 
 def mean_csd(sums: np.ndarray, pair_count: int) -> MeanCsd:

@@ -27,7 +27,7 @@ from potsim.engine import (
     run_similarity,
 )
 from potsim.flow import FarnebackParams, farneback_flow
-from potsim.frames import FrameSequence, resize_bilinear
+from potsim.frames import resize_bilinear
 from potsim.descriptors import compute_series
 from potsim.pooling import SLOTS, PoTFeature, pot_vector
 from potsim.similarity import (
@@ -86,11 +86,8 @@ def corpus_scores(features):
     return {p: similarity_score(kernel_distance(csds[p], mean)) for p in pairs}
 
 
-def extract_feature(key, frames, fb=FAST_FB):
-    hof, hog = compute_series(
-        FrameSequence(key=key, frames=np.asarray(frames, dtype=float)), fb
-    )
-    return pot_vector(hof, hog)
+def extract_feature(frames, fb=FAST_FB):
+    return pot_vector(*compute_series(frames, fb))
 
 
 def test_criterion_1_chi_square_oracle():
@@ -186,7 +183,7 @@ def test_criterion_4_resolution_invariance():
             "noise_a": working(noise_video(12, 128, seed=21)),
             "noise_b": working(noise_video(12, 128, seed=22)),
         }
-        features = {k: extract_feature(k, v, fb) for k, v in clips.items()}
+        features = {k: extract_feature(v, fb) for k, v in clips.items()}
         scores = corpus_scores(features)
         assert scores[("blob064", "blob128")] >= 0.95
 
@@ -207,9 +204,9 @@ def test_criterion_5_subset_clip_ordering():
         for seed in range(5):
             long_clip = drifting_texture_video(60, 64, seed)
             features = {
-                "long": extract_feature("long", long_clip, fb),
-                "prefix": extract_feature("prefix", long_clip[:30], fb),
-                "noise": extract_feature("noise", noise_video(30, 64, seed + 100), fb),
+                "long": extract_feature(long_clip, fb),
+                "prefix": extract_feature(long_clip[:30], fb),
+                "noise": extract_feature(noise_video(30, 64, seed + 100), fb),
             }
             scores = corpus_scores(features)
             assert scores[("long", "prefix")] > scores[("long", "noise")], (

@@ -7,14 +7,12 @@ from conftest import blob_video, noise_video
 from potsim import descriptors
 from potsim.descriptors import (
     HISTOGRAM_DIM,
-    HistogramSeries,
     compute_series,
     dump_series_text,
     hof_frame,
     hog_frame,
 )
 from potsim.flow import FarnebackParams, FlowField, farneback_flow
-from potsim.frames import FrameSequence
 
 FAST_FB = FarnebackParams(levels=2, winsize=9, iterations=2)
 
@@ -98,26 +96,21 @@ class TestHogFrame:
 
 
 class TestComputeSeries:
-    def make_seq(self, frames):
-        return FrameSequence(key="v", frames=np.asarray(frames, dtype=float))
-
     def test_two_frame_video(self):
-        seq = self.make_seq(blob_video(2, 64, (20, 32), (2, 0)))
-        hof, hog = compute_series(seq, FAST_FB)
-        assert len(hof) == 1 and len(hog) == 1
-        assert hof.kind == "hof" and hog.kind == "hog"
+        frames = blob_video(2, 64, (20, 32), (2, 0))
+        hof, hog = compute_series(frames, FAST_FB)
+        assert hof.shape == hog.shape == (1, HISTOGRAM_DIM)
 
     def test_series_length(self):
-        seq = self.make_seq(blob_video(8, 48, (12, 24), (1.5, 0)))
-        hof, hog = compute_series(seq, FAST_FB)
-        assert len(hof) == 7 and len(hog) == 7
+        frames = blob_video(8, 48, (12, 24), (1.5, 0))
+        hof, hog = compute_series(frames, FAST_FB)
+        assert hof.shape == hog.shape == (7, HISTOGRAM_DIM)
 
     def test_static_video_is_all_zero(self):
-        frame = np.full((32, 32), 120.0)
-        seq = self.make_seq([frame, frame, frame])
-        hof, hog = compute_series(seq, FAST_FB)
-        np.testing.assert_array_equal(hof.histograms, 0.0)
-        np.testing.assert_array_equal(hog.histograms, 0.0)
+        frames = np.full((3, 32, 32), 120.0)
+        hof, hog = compute_series(frames, FAST_FB)
+        np.testing.assert_array_equal(hof, 0.0)
+        np.testing.assert_array_equal(hog, 0.0)
 
     def test_blocks_match_per_pair_flow(self, monkeypatch):
         # 7 frames of 128x128: blocks of 4 and 2 pairs, the block-boundary
@@ -130,20 +123,20 @@ class TestComputeSeries:
             return farneback_flow(prev, next, params)
 
         monkeypatch.setattr(descriptors, "farneback_flow", recording_flow)
-        hof, hog = compute_series(self.make_seq(frames))
+        hof, hog = compute_series(frames)
         assert blocks == [(4, 128, 128), (2, 128, 128)]
         for t in range(6):
             flow = farneback_flow(frames[t], frames[t + 1])
-            assert hof.histograms[t].tobytes() == hof_frame(flow).tobytes()
-            assert hog.histograms[t].tobytes() == hog_frame(frames[t], frames[t + 1]).tobytes()
+            assert hof[t].tobytes() == hof_frame(flow).tobytes()
+            assert hog[t].tobytes() == hog_frame(frames[t], frames[t + 1]).tobytes()
 
     def test_peak_memory_flat_in_video_length(self):
         # flow runs over bounded blocks, never over the whole video at once
         def peak(frame_count):
-            seq = self.make_seq(noise_video(frame_count, 128, seed=frame_count))
+            frames = noise_video(frame_count, 128, seed=frame_count)
             tracemalloc.start()
             try:
-                compute_series(seq)
+                compute_series(frames)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -151,28 +144,23 @@ class TestComputeSeries:
         assert peak(33) <= 1.25 * peak(9)
 
 
-def load_series_text(path, kind):
+def load_series_text(path):
     """Read back a text series dump: one line of HISTOGRAM_DIM values per
     frame pair."""
     rows = [[float(v) for v in line.split()] for line in path.read_text().splitlines()]
-    return HistogramSeries(kind=kind, histograms=np.array(rows).reshape(-1, HISTOGRAM_DIM))
+    return np.array(rows).reshape(-1, HISTOGRAM_DIM)
 
 
 class TestSeriesTextDump:
     def test_filenames_and_line_counts(self, tmp_path):
-        hof = HistogramSeries(kind="hof", histograms=np.zeros((2, HISTOGRAM_DIM)))
-        hog = HistogramSeries(kind="hog", histograms=np.ones((1, HISTOGRAM_DIM)))
-        p1 = dump_series_text(hof, "vid", tmp_path)
-        p2 = dump_series_text(hog, "vid", tmp_path)
+        p1 = dump_series_text(np.zeros((2, HISTOGRAM_DIM)), "hof", "vid", tmp_path)
+        p2 = dump_series_text(np.ones((1, HISTOGRAM_DIM)), "hog", "vid", tmp_path)
         assert p1.name == "vid.of.txt" and p2.name == "vid.hog.txt"
         assert len(p1.read_text().splitlines()) == 2
         assert len(p2.read_text().splitlines()) == 1
 
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
-        series = HistogramSeries(
-            kind="hof", histograms=rng.uniform(0, 1000, size=(3, HISTOGRAM_DIM))
-        )
-        path = dump_series_text(series, "v", tmp_path)
-        back = load_series_text(path, "hof")
-        np.testing.assert_array_equal(back.histograms, series.histograms)
+        series = rng.uniform(0, 1000, size=(3, HISTOGRAM_DIM))
+        path = dump_series_text(series, "hof", "v", tmp_path)
+        np.testing.assert_array_equal(load_series_text(path), series)

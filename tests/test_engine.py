@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import math
@@ -160,6 +161,44 @@ class TestPlanning:
         assert config_fingerprint(base, entries) == config_fingerprint(base, entries)
         changed = fast_config(manifest, tmp_path / "out", working_w=32)
         assert config_fingerprint(base, entries) != config_fingerprint(changed, entries)
+
+    def test_input_digest_equals_a_listing_then_stat_per_frame(self, tmp_path):
+        """The digest takes names and stats from one directory scan, with
+        the same bytes as listing the frames and then calling os.stat on
+        each, so state dirs made before still resume."""
+
+        def listed_then_stated(entries):
+            import hashlib
+
+            digest = hashlib.sha256()
+            for key, directory in entries:
+                digest.update(json.dumps([key, directory]).encode())
+                if not os.path.isdir(directory):
+                    digest.update(b"missing")
+                    continue
+                try:
+                    names = sorted(
+                        name for name in os.listdir(directory)
+                        if os.path.splitext(name)[1].lower() in (".pgm", ".ppm")
+                    )
+                    stats = [(name, os.stat(Path(directory) / name)) for name in names]
+                except OSError:
+                    digest.update(b"unreadable")
+                    continue
+                for name, st in stats:
+                    digest.update(f"{name}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
+            return digest.hexdigest()
+
+        root = tmp_path / "c"
+        manifest = small_corpus(root, n=3, frames=3, size=8)
+        for name in ("F10.PGM", "f11.Ppm", "notes.txt", "f12.pgm.bak", "pgm"):
+            (root / "v00" / name).write_bytes(b"P5\n1 1\n255\n\x00" * len(name))
+        (root / "v01" / "frame9999.pgm").symlink_to(root / "v01" / "nowhere.pgm")
+        with manifest.open("a") as fh:
+            fh.write("v03,gone\n")
+        entries = parse_manifest(manifest)
+        assert [key for key, _ in entries] == ["v00", "v01", "v02", "v03"]
+        assert engine._input_digest(entries) == listed_then_stated(entries)
 
 
 class TestConfigCheck:
@@ -398,7 +437,8 @@ class TestFullPipeline:
     def test_pool_is_sized_to_pending_tasks(self, tmp_path, monkeypatch):
         """A fork pool starts all its workers at the first submit: 64
         workers on 3 videos start 3. A thread pool stands in, so nothing
-        forks."""
+        forks. The engine imports the pool class from its module when it
+        starts a pool, so the stand-in goes there."""
         manifest = small_corpus(tmp_path / "c", n=3)
         direct = run_pipeline(fast_config(manifest, tmp_path / "direct"))
         sizes = []
@@ -407,7 +447,7 @@ class TestFullPipeline:
             sizes.append(max_workers)
             return ThreadPoolExecutor(max_workers=1)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         sim = run_pipeline(fast_config(manifest, tmp_path / "out", workers=64))
         assert sizes == [3]
         for name in ("similarity.csv", "mean_csd.csv"):

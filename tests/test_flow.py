@@ -5,14 +5,11 @@ from scipy import ndimage
 from conftest import gaussian_blob, smooth_texture
 from potsim.flow import (
     FarnebackParams,
-    PolyExpansion,
     _warp_expansion,
     farneback_flow,
     poly_expand,
     pyramid_downsample,
 )
-
-FIELDS = ("a11", "a12", "a22", "b1", "b2")
 
 
 def random_stack(k, h=24, w=40, seed=0):
@@ -27,35 +24,28 @@ def assert_same_bytes(actual, expected):
 class TestPolyExpand:
     def test_constant_frame(self):
         exp = poly_expand(np.full((16, 16), 42.0), 5, 1.1)
-        np.testing.assert_allclose(exp.a11, 0.0, atol=1e-12)
-        np.testing.assert_allclose(exp.a12, 0.0, atol=1e-12)
-        np.testing.assert_allclose(exp.a22, 0.0, atol=1e-12)
-        np.testing.assert_allclose(exp.b1, 0.0, atol=1e-12)
-        np.testing.assert_allclose(exp.b2, 0.0, atol=1e-12)
+        assert exp.shape == (5, 16, 16)
+        np.testing.assert_allclose(exp, 0.0, atol=1e-12)
 
     def test_linear_ramp(self):
         ramp = np.tile(np.arange(32, dtype=float), (32, 1))
-        exp = poly_expand(ramp, 5, 1.1)
+        a11, _, _, b1, b2 = poly_expand(ramp, 5, 1.1)
         interior = (slice(4, -4), slice(4, -4))
-        np.testing.assert_allclose(exp.b1[interior], 1.0, atol=1e-9)
-        np.testing.assert_allclose(exp.b2[interior], 0.0, atol=1e-9)
-        np.testing.assert_allclose(exp.a11[interior], 0.0, atol=1e-9)
+        np.testing.assert_allclose(b1[interior], 1.0, atol=1e-9)
+        np.testing.assert_allclose(b2[interior], 0.0, atol=1e-9)
+        np.testing.assert_allclose(a11[interior], 0.0, atol=1e-9)
 
     def test_quadratic_bowl(self):
         x = np.tile(np.arange(32, dtype=float), (32, 1))
-        exp = poly_expand(x**2, 5, 1.1)
+        a11 = poly_expand(x**2, 5, 1.1)[0]
         interior = (slice(4, -4), slice(4, -4))
-        np.testing.assert_allclose(exp.a11[interior], 1.0, atol=1e-6)
+        np.testing.assert_allclose(a11[interior], 1.0, atol=1e-6)
 
     def test_brightness_shift_changes_only_c(self):
         frame = smooth_texture(24, seed=5)
         base = poly_expand(frame, 5, 1.1)
         shifted = poly_expand(frame + 17.0, 5, 1.1)
-        np.testing.assert_allclose(shifted.a11, base.a11, atol=1e-10)
-        np.testing.assert_allclose(shifted.a12, base.a12, atol=1e-10)
-        np.testing.assert_allclose(shifted.a22, base.a22, atol=1e-10)
-        np.testing.assert_allclose(shifted.b1, base.b1, atol=1e-10)
-        np.testing.assert_allclose(shifted.b2, base.b2, atol=1e-10)
+        np.testing.assert_allclose(shifted, base, atol=1e-10)
 
 
     def test_stack_matches_per_frame(self):
@@ -63,8 +53,7 @@ class TestPolyExpand:
         exp = poly_expand(stack, 5, 1.1)
         for k in range(3):
             single = poly_expand(stack[k], 5, 1.1)
-            for name in FIELDS:
-                assert_same_bytes(getattr(exp, name)[k], getattr(single, name))
+            assert_same_bytes(exp[:, k], single)
 
 
 class TestPyramidDownsample:
@@ -129,11 +118,10 @@ class TestWarpExpansion:
         v[:, :8, :8] = 0.0
         u[0, -1, -1] = 1e9
         v[1, 0, 0] = -1e9
-        exp = PolyExpansion(*fields)
-        warped = _warp_expansion(exp, u, v)
-        for name, out in zip(FIELDS, warped):
+        warped = _warp_expansion(fields, u, v)
+        for field, out in zip(fields, warped):
             for i in range(k):
-                assert_same_bytes(out[i], self.reference(getattr(exp, name)[i], u[i], v[i]))
+                assert_same_bytes(out[i], self.reference(field[i], u[i], v[i]))
 
 
 class TestFlowStack:

@@ -142,9 +142,9 @@ class TestLoadFrameSequence:
 
     def test_resizes_to_working_resolution(self, tmp_path):
         self.write(tmp_path / "v", ["f0.pgm", "f1.pgm"])
-        seq = load_frame_sequence(tmp_path / "v", "v", 8, 8)
-        assert seq.frame_count == 2
-        assert seq.frames.shape == (2, 8, 8)
+        frames = load_frame_sequence(tmp_path / "v", "v", 8, 8)
+        assert frames.shape == (2, 8, 8)
+        assert frames.dtype == np.float64
 
     def test_insufficient_frames(self, tmp_path):
         self.write(tmp_path / "v", ["f0.pgm"])
@@ -156,9 +156,9 @@ class TestLoadFrameSequence:
         d.mkdir()
         (d / "b.pgm").write_bytes(encode_pgm(np.full((2, 2), 20.0)))
         (d / "a.pgm").write_bytes(encode_pgm(np.full((2, 2), 10.0)))
-        seq = load_frame_sequence(d, "v", 2, 2)
-        assert seq.frames[0, 0, 0] == 10.0
-        assert seq.frames[1, 0, 0] == 20.0
+        frames = load_frame_sequence(d, "v", 2, 2)
+        assert frames[0, 0, 0] == 10.0
+        assert frames[1, 0, 0] == 20.0
 
     def test_undecodable_frame_names_file(self, tmp_path):
         d = tmp_path / "v"
@@ -172,7 +172,7 @@ class TestLoadFrameSequence:
         self.write(tmp_path / "v", ["f0.pgm", "f1.pgm", "f2.pgm"], size=6)
         a = load_frame_sequence(tmp_path / "v", "v", 4, 4)
         b = load_frame_sequence(tmp_path / "v", "v", 4, 4)
-        np.testing.assert_array_equal(a.frames, b.frames)
+        np.testing.assert_array_equal(a, b)
 
 
 def netpbm_bytes(magic, width, height, maxval, raster):
@@ -252,9 +252,9 @@ class TestLoadFrameSequenceAtWorkingResolution:
         }
         for name, data in files.items():
             (d / name).write_bytes(data)
-        seq = load_frame_sequence(d, "v", 32, 24)
-        assert seq.frames.shape == (3, 24, 32)
-        for frame, data in zip(seq.frames, files.values()):
+        frames = load_frame_sequence(d, "v", 32, 24)
+        assert frames.shape == (3, 24, 32)
+        for frame, data in zip(frames, files.values()):
             assert frame.tobytes() == decode_then_resize(data, 32, 24).tobytes()
 
     def write_video(self, directory, bad_frame):

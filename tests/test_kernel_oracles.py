@@ -15,16 +15,12 @@ from potsim import flow
 from potsim.flow import (
     SINGULAR_DET_EPS,
     FarnebackParams,
-    PolyExpansion,
-    _expansion_slice,
     _flow_update,
     _warp_expansion,
     farneback_flow,
     poly_expand,
 )
 from potsim.frames import _axis_taps, _blend, resize_bilinear
-
-FIELDS = ("a11", "a12", "a22", "b1", "b2")
 
 PARAMS = [
     FarnebackParams(),
@@ -71,7 +67,7 @@ def oracle_poly_expand(frame, poly_n, poly_sigma):
         [corr(k0, k0), corr(k1, k0), corr(k0, k1), corr(k2, k0), corr(k0, k2), corr(k1, k1)]
     )
     r = np.einsum("ij,j...->i...", gram_inv, proj)
-    return PolyExpansion(a11=r[3], a12=0.5 * r[5], a22=r[4], b1=r[1], b2=r[2])
+    return np.stack([r[3], 0.5 * r[5], r[4], r[1], r[2]])  # a11, a12, a22, b1, b2
 
 
 def oracle_warp_expansion(exp, u, v):
@@ -102,16 +98,17 @@ def oracle_warp_expansion(exp, u, v):
         return out
 
     with np.errstate(invalid="ignore"):
-        return tuple(warp(f) for f in (exp.a11, exp.a12, exp.a22, exp.b1, exp.b2))
+        return tuple(warp(f) for f in exp)
 
 
 def oracle_flow_update(prev_exp, next_exp, u, v, winsize):
+    p11, p12, p22, pb1, pb2 = prev_exp
     w11, w12, w22, wb1, wb2 = oracle_warp_expansion(next_exp, u, v)
-    a11 = 0.5 * (prev_exp.a11 + w11)
-    a12 = 0.5 * (prev_exp.a12 + w12)
-    a22 = 0.5 * (prev_exp.a22 + w22)
-    db1 = -0.5 * (wb1 - prev_exp.b1) + a11 * u + a12 * v
-    db2 = -0.5 * (wb2 - prev_exp.b2) + a12 * u + a22 * v
+    a11 = 0.5 * (p11 + w11)
+    a12 = 0.5 * (p12 + w12)
+    a22 = 0.5 * (p22 + w22)
+    db1 = -0.5 * (wb1 - pb1) + a11 * u + a12 * v
+    db2 = -0.5 * (wb2 - pb2) + a12 * u + a22 * v
     g11 = a11 * a11 + a12 * a12
     g12 = a12 * (a11 + a22)
     g22 = a12 * a12 + a22 * a22
@@ -156,10 +153,8 @@ def oracle_farneback_flow(prev, next, params):
             u = oracle_resize(u, w, h) / params.pyr_scale
             v = oracle_resize(v, w, h) / params.pyr_scale
         exp = oracle_poly_expand(level, params.poly_n, params.poly_sigma)
-        prev_exp = _expansion_slice(exp, slice(None, -1))
-        next_exp = _expansion_slice(exp, slice(1, None))
         for _ in range(params.iterations):
-            u, v = oracle_flow_update(prev_exp, next_exp, u, v, params.winsize)
+            u, v = oracle_flow_update(exp[:, :-1], exp[:, 1:], u, v, params.winsize)
     u = np.nan_to_num(u, nan=0.0, posinf=0.0, neginf=0.0)
     v = np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
     return u, v
@@ -207,16 +202,14 @@ class TestPolyExpand:
         out = np.full((5,) + shape, np.nan)
         for exp in (poly_expand(frames, poly_n, poly_sigma),
                     poly_expand(frames, poly_n, poly_sigma, out=out)):
-            for name in FIELDS:
-                assert_same_bytes(getattr(exp, name), getattr(expected, name))
-        assert np.shares_memory(exp.a11, out)
+            assert_same_bytes(exp, expected)
+        assert exp is out
 
     def test_second_call_leaves_the_first_unchanged(self):
         first = poly_expand(random_stack((3, 32, 32), seed=1), 5, 1.1)
-        kept = [getattr(first, name).copy() for name in FIELDS]
+        kept = first.copy()
         poly_expand(random_stack((3, 32, 32), seed=2), 5, 1.1)
-        for name, before in zip(FIELDS, kept):
-            assert_same_bytes(getattr(first, name), before)
+        assert_same_bytes(first, kept)
 
 
 def random_expansion(shape, seed):
@@ -228,7 +221,7 @@ class TestWarpExpansion:
     def test_matches_oracle(self, shape):
         rng = np.random.default_rng(shape[2])
         k = shape[0] - 1
-        exp = _expansion_slice(random_expansion(shape, seed=3), slice(1, None))
+        exp = random_expansion(shape, seed=3)[:, 1:]
         u = rng.uniform(-8.0, 8.0, size=(k,) + shape[1:])
         v = rng.uniform(-8.0, 8.0, size=(k,) + shape[1:])
         u[:, ::4] = np.round(u[:, ::4])
@@ -247,8 +240,7 @@ class TestFlowUpdate:
         rng = np.random.default_rng(winsize)
         k = shape[0] - 1
         exp = random_expansion(shape, seed=4)
-        prev_exp = _expansion_slice(exp, slice(None, -1))
-        next_exp = _expansion_slice(exp, slice(1, None))
+        prev_exp, next_exp = exp[:, :-1], exp[:, 1:]
         u = rng.uniform(-3.0, 3.0, size=(k,) + shape[1:])
         v = rng.uniform(-3.0, 3.0, size=(k,) + shape[1:])
         u[:, :3] = 0.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potsim.descriptors import HISTOGRAM_DIM, HistogramSeries
+from potsim.descriptors import HISTOGRAM_DIM
 from potsim.pooling import (
     SLOTS,
     build_intervals,
@@ -14,10 +14,9 @@ from potsim.pooling import (
 )
 
 
-def series_from(values, kind="hof"):
+def series_from(values):
     """Series where every histogram dim carries the same scalar per step."""
-    arr = np.tile(np.asarray(values, dtype=float)[:, None], (1, HISTOGRAM_DIM))
-    return HistogramSeries(kind=kind, histograms=arr)
+    return np.tile(np.asarray(values, dtype=float)[:, None], (1, HISTOGRAM_DIM))
 
 
 class TestBuildIntervals:
@@ -74,10 +73,7 @@ class TestPoolOperators:
         np.testing.assert_allclose(sum_pool(series, (1, 2)), 9.0)
 
     def test_sum_hand_example(self):
-        series = HistogramSeries(
-            kind="hof",
-            histograms=np.array([[1.0, 2.0], [3.0, 4.0]]),
-        )
+        series = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(sum_pool(series, (0, 2)), [4.0, 6.0])
 
     def test_max(self):
@@ -110,11 +106,8 @@ class TestPoolOperators:
             sum_pool(series_from([1.0]), (0, 2))
 
 
-def random_series(length, seed, kind="hof"):
-    rng = np.random.default_rng(seed)
-    return HistogramSeries(
-        kind=kind, histograms=rng.uniform(0, 100, size=(length, HISTOGRAM_DIM))
-    )
+def random_series(length, seed):
+    return np.random.default_rng(seed).uniform(0, 100, size=(length, HISTOGRAM_DIM))
 
 
 class TestPoolProperties:
@@ -135,9 +128,7 @@ class TestPoolProperties:
 
     def test_reversal_swaps_gradient_blocks(self):
         series = random_series(7, seed=3)
-        reversed_series = HistogramSeries(
-            kind="hof", histograms=series.histograms[::-1].copy()
-        )
+        reversed_series = series[::-1].copy()
         fwd = gradient_pool(series, (0, 7))
         rev = gradient_pool(reversed_series, (0, 7))
         np.testing.assert_allclose(fwd[:HISTOGRAM_DIM], rev[HISTOGRAM_DIM:], rtol=1e-12)
@@ -146,8 +137,8 @@ class TestPoolProperties:
 
 class TestPotVector:
     def test_dimensions(self):
-        hof = random_series(8, seed=4, kind="hof")
-        hog = random_series(8, seed=5, kind="hog")
+        hof = random_series(8, seed=4)
+        hog = random_series(8, seed=5)
         feature = pot_vector(hof, hog, [1, 2, 4])
         for kind in ("hof", "hog"):
             assert feature.vectors[(kind, "sum")].shape == (1400,)
@@ -155,27 +146,26 @@ class TestPotVector:
             assert feature.vectors[(kind, "max")].shape == (1400,)
 
     def test_all_zero_series(self):
-        zero = HistogramSeries(kind="hof", histograms=np.zeros((8, HISTOGRAM_DIM)))
-        zero2 = HistogramSeries(kind="hog", histograms=np.zeros((8, HISTOGRAM_DIM)))
-        feature = pot_vector(zero, zero2, [1, 2, 4])
+        zero = np.zeros((8, HISTOGRAM_DIM))
+        feature = pot_vector(zero, zero, [1, 2, 4])
         for slot in SLOTS:
             np.testing.assert_array_equal(feature.vectors[slot], 0.0)
 
     def test_degenerate_single_entry(self):
-        hof = random_series(1, seed=6, kind="hof")
-        hog = random_series(1, seed=7, kind="hog")
+        hof = random_series(1, seed=6)
+        hog = random_series(1, seed=7)
         feature = pot_vector(hof, hog, [1])
-        np.testing.assert_array_equal(feature.vectors[("hof", "sum")], hof.histograms[0])
-        np.testing.assert_array_equal(feature.vectors[("hof", "max")], hof.histograms[0])
+        np.testing.assert_array_equal(feature.vectors[("hof", "sum")], hof[0])
+        np.testing.assert_array_equal(feature.vectors[("hof", "max")], hof[0])
         np.testing.assert_array_equal(
             feature.vectors[("hof", "gradient")], np.zeros(2 * HISTOGRAM_DIM)
         )
 
     def test_nonnegative(self):
-        feature = pot_vector(random_series(6, 8), random_series(6, 9, "hog"), [1, 2])
+        feature = pot_vector(random_series(6, 8), random_series(6, 9), [1, 2])
         for slot in SLOTS:
             assert (feature.vectors[slot] >= 0).all()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            pot_vector(random_series(4, 1), random_series(5, 2, "hog"), [1])
+            pot_vector(random_series(4, 1), random_series(5, 2), [1])

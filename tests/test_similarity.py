@@ -13,7 +13,6 @@ from potsim.similarity import (
     MeanCsd,
     PartnerBlock,
     chi_square,
-    csd_block,
     csd_sixtuple,
     csd_stack,
     kernel_distance,
@@ -132,6 +131,8 @@ class TestOrderedSum:
 
 
 class TestCsdBlock:
+    """One key against a PartnerBlock: ``csd_stack`` with one key."""
+
     DIMS = (14, 28, 14, 14, 28, 14)
 
     @staticmethod
@@ -148,7 +149,7 @@ class TestCsdBlock:
     @staticmethod
     def reference(a, partners):
         """chi_square per slot, the independent oracle: csd_sixtuple is a
-        one-partner csd_block."""
+        one-partner, one-key csd_stack."""
         rows = [[chi_square(a.vectors[s], b.vectors[s]) for s in SLOTS] for b in partners]
         return np.array(rows, dtype=np.float64).reshape(-1, len(SLOTS))
 
@@ -163,13 +164,13 @@ class TestCsdBlock:
             p.values[1:3] = [-1.0, np.nan]
         # the last ``count`` partners of a 64-wide block, as on a diagonal task
         block = PartnerBlock.stack(partners)
-        got = csd_block(a, block, start=64 - count)
+        got = csd_stack([a], block, [64 - count])
         expected = self.reference(a, partners[64 - count :])
         assert got.shape == (count, len(SLOTS))
         assert got.tobytes() == expected.tobytes()
         if count:
             # a block of exactly ``count`` partners
-            got = csd_block(a, PartnerBlock.stack(partners[64 - count :]))
+            got = csd_stack([a], PartnerBlock.stack(partners[64 - count :]), [0])
             assert got.tobytes() == expected.tobytes()
             assert csd_sixtuple(a, partners[-1]).tobytes() == expected[-1].tobytes()
 
@@ -178,7 +179,7 @@ class TestCsdBlock:
         (a,) = self.features(rng, 1, self.DIMS)
         block = PartnerBlock.stack(self.features(rng, 2, (28, 14, 14, 14, 28, 14)))
         with pytest.raises(ValueError, match="dimension mismatch: slot bounds"):
-            csd_block(a, block)
+            csd_stack([a], block, [0])
 
 
 class TestCsdStack:
