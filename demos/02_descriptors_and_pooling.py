@@ -2,13 +2,14 @@
 
 Builds a short synthetic clip of a moving blob, computes the HoF and HoG
 histogram series, and pools them over the temporal pyramid into the
-six-vector representation used for similarity scoring.
+feature used for similarity scoring: one vector holding six slots.
 """
 
 import numpy as np
 
-from potsim import compute_series, pot_vector
+from potsim import compute_series, pot_vector, slot_bounds
 from potsim.flow import FarnebackParams
+from potsim.pooling import SLOTS
 
 
 def moving_blob_clip(n_frames=10, size=64, velocity=(1.5, 0.0)):
@@ -28,9 +29,10 @@ def main():
     print(f"HoG mass per frame pair: {hog.sum(axis=1).round(1)}")
 
     feature = pot_vector(hof, hog, levels=(1, 2, 4))
-    print("\npooled vector dimensions (K = 7 intervals):")
-    for (series, pooling), vec in feature.vectors.items():
-        print(f"  {series}/{pooling}: {vec.shape[0]}")
+    bounds = slot_bounds(len(feature))
+    print(f"\npooled vector: {len(feature)} values; slot dimensions (K = 7 intervals):")
+    for (series, pooling), lo, hi in zip(SLOTS, bounds, bounds[1:]):
+        print(f"  {series}/{pooling}: {hi - lo}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .frames import (
     load_frame_sequence,
     resize_bilinear,
 )
-from .pooling import PoTFeature, build_intervals, pot_vector
+from .pooling import build_intervals, pot_vector, slot_bounds
 from .similarity import (
     MeanCsd,
     chi_square,
@@ -39,7 +39,6 @@ __all__ = [
     "FlowField",
     "MeanCsd",
     "PipelineConfig",
-    "PoTFeature",
     "StageError",
     "build_intervals",
     "chi_square",
@@ -63,5 +62,6 @@ __all__ = [
     "run_pipeline",
     "run_similarity",
     "similarity_score",
+    "slot_bounds",
     "write_archive",
 ]

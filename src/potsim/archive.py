@@ -11,6 +11,9 @@ stages never re-parse or recompute features. The format is bit-exact:
             hog/sum, hog/gradient, hog/max), each:
             dim u32 LE | dim float64 LE values
 
+The six dims are those ``pooling.slot_bounds`` gives for their total, and
+every record of a file has the same total.
+
 Archives are written sorted by key and sharded into contiguous key ranges
 so cross-shard cartesian pairs automatically satisfy key_a < key_b.
 """
@@ -26,7 +29,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 from .commit import committed
-from .pooling import SLOTS, PoTFeature
+from .pooling import SLOTS, slot_bounds
 
 MAGIC = b"POTF"
 VERSION = 1
@@ -41,11 +44,12 @@ T = TypeVar("T")
 
 @dataclass
 class ArchiveRecord:
-    """One video's key, frame count, and pooled feature."""
+    """One video's key, frame count, and pooled feature (the float64
+    vector ``pooling.pot_vector`` returns)."""
 
     key: str
     frame_count: int
-    feature: PoTFeature
+    feature: np.ndarray
 
 
 @dataclass
@@ -70,10 +74,11 @@ def write_archive(records: list[ArchiveRecord], path: str | Path) -> ArchiveShar
             fh.write(_U32.pack(len(key_bytes)))
             fh.write(key_bytes)
             fh.write(_U32.pack(record.frame_count))
-            for slot in SLOTS:
-                vec = np.ascontiguousarray(record.feature.vectors[slot], dtype="<f8")
-                fh.write(_U32.pack(vec.shape[0]))
-                fh.write(vec.tobytes())
+            values = np.ascontiguousarray(record.feature, dtype="<f8")
+            bounds = slot_bounds(len(values))
+            for lo, hi in zip(bounds, bounds[1:]):
+                fh.write(_U32.pack(hi - lo))
+                fh.write(values[lo:hi].tobytes())
     return ArchiveShard(path=path)
 
 
@@ -94,7 +99,6 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
     count = _record_count(path, data)
     pos = _HEADER.size
     records: list[ArchiveRecord] = []
-    dims: list[int] | None = None
     for index in range(count):
         try:
             (key_len,) = _U32.unpack_from(data, pos)
@@ -120,21 +124,22 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
             raise ValueError(f"{path}: truncated record {index}: {exc}") from exc
         if not key:
             raise ValueError(f"{path}: record {index} has an empty key")
-        record_dims = [dim for _, dim in blocks]
-        if dims is None:
-            dims = record_dims
-        elif record_dims != dims:
+        dims = [dim for _, dim in blocks]
+        try:
+            bounds = slot_bounds(sum(dims))
+            if dims != [hi - lo for lo, hi in zip(bounds, bounds[1:])]:
+                raise ValueError(f"slot dims {dims} are not the slot layout of their sum")
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {index} ('{key}'): {exc}") from None
+        if records and len(records[0].feature) != bounds[-1]:
             raise ValueError(
                 f"{path}: record {index} ('{key}') has inconsistent vector "
                 f"dimensions (mixed pyramid configurations?)"
             )
         # the slots' values, copied straight into one array in SLOTS order
-        values = np.empty(sum(dims))
-        at = 0
-        for offset, dim in blocks:
-            values[at : at + dim] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset)
-            at += dim
-        feature = PoTFeature.from_values(values, dims)
+        feature = np.empty(bounds[-1])
+        for (offset, dim), lo in zip(blocks, bounds):
+            feature[lo : lo + dim] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset)
         records.append(ArchiveRecord(key=key, frame_count=frame_count, feature=feature))
     return records
 

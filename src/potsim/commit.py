@@ -11,21 +11,21 @@ Each attempt writes ``<path>.<pid>.<random>.tmp``, created exclusively, so
 two writers of one path (two runs on one state dir, say) never share a
 temporary file: whichever renames last wins, with a complete file. An
 attempt that dies without its ``finally`` (a killed process) leaves its
-temporary file behind; ``remove_stray_tmp`` clears such files from a work
-dir, and keeps those of writers still running.
+temporary file behind; ``remove_stray_tmp`` clears such files from a
+directory, and keeps those of writers still running.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 TMP_SUFFIX = ".tmp"
-# the pid in ``<path>.<pid>.<random>.tmp``
-_ATTEMPT_PID = re.compile(r"\.(\d+)\.[0-9a-f]+\.tmp$")
+# the output's name and the pid in ``<name>.<pid>.<random>.tmp``
+_ATTEMPT = re.compile(r"(.*)\.(\d+)\.[0-9a-f]+\.tmp$", re.DOTALL)
 
 
 def _create_tmp(path: Path) -> Path:
@@ -54,13 +54,13 @@ def committed(path: str | Path) -> Iterator[Path]:
     os.replace(tmp, path)
 
 
-def _writer_running(name: str) -> bool:
-    """Whether the temporary file ``name`` was made by another process of
-    this host that is still running (by the pid in its name)."""
-    match = _ATTEMPT_PID.search(name)
-    if match is None:
+def _writer_running(attempt: re.Match | None) -> bool:
+    """Whether the temporary file that ``attempt`` matched was made by
+    another process of this host that is still running (by the pid in its
+    name)."""
+    if attempt is None:
         return False
-    pid = int(match.group(1))
+    pid = int(attempt.group(2))
     if pid in (0, os.getpid()):
         return False
     try:
@@ -72,16 +72,26 @@ def _writer_running(name: str) -> bool:
     return True
 
 
-def remove_stray_tmp(work_dir: str | Path, before_ns: int) -> None:
-    """Remove the temporary files in ``work_dir`` that an attempt left when
+def remove_stray_tmp(
+    directory: str | Path, before_ns: int, outputs: Collection[str] | None = None
+) -> None:
+    """Remove the temporary files in ``directory`` that an attempt left when
     it died: those last modified before ``before_ns`` (``time.time_ns()`` at
     the start of the run calling this) whose writer is not running. A file
     modified since, or whose writer runs, belongs to an attempt that may
     still be writing it, such as one of a second run on the same state dir.
-    A pid reused since only keeps a stray file until a later run."""
-    with os.scandir(work_dir) as entries:
+    A pid reused since only keeps a stray file until a later run.
+
+    In a work dir every ``*.tmp`` file is one. In a directory shared with
+    other files (``--out``, say) pass ``outputs``, the names written there:
+    then only their attempts' files ``<name>.<pid>.<hex>.tmp`` are. A
+    missing directory holds none."""
+    with suppress(FileNotFoundError), os.scandir(directory) as entries:
         for entry in entries:
-            if not entry.name.endswith(TMP_SUFFIX) or _writer_running(entry.name):
+            attempt = _ATTEMPT.match(entry.name)
+            if outputs is not None and (attempt is None or attempt.group(1) not in outputs):
+                continue
+            if not entry.name.endswith(TMP_SUFFIX) or _writer_running(attempt):
                 continue
             try:
                 if entry.stat(follow_symlinks=False).st_mtime_ns < before_ns:

@@ -11,12 +11,12 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   float64 (48 bytes, no keys), in key-pair order. It checks that its two
   shards hold the keys the layout gives them. A shard holds at most 64
   keys, so the task stacks shard j's features into one block and scores
-  all keys of shard i against it in one call of ``similarity.csd_stack``,
-  which walks the features in cache-sized chunks; a diagonal task makes
-  one call per small group of keys, so that it drops few of the pairs it
-  computes. The reduce walks the rows in global key-pair order
-  (``_key_rows``) and sums them strictly in that order into
-  ``mean_csd.csv``, so no bit of it depends on the shard layout.
+  all keys of shard i, stacked once, against it in one call of
+  ``similarity.csd_stack``, which walks the features in cache-sized chunks;
+  a diagonal task makes one call per small group of the block's own
+  columns, so that it drops few of the pairs it computes. The reduce walks
+  the rows in global key-pair order (``_key_rows``) and sums them strictly
+  in that order into ``mean_csd.csv``, so no bit of it depends on the shard layout.
 * similarity: no tasks of its own and no shard read; it takes the same walk,
   and each key's rows, normalised by the means in one ``kernel_distance``
   call, become lines of ``similarity.csv``. It refuses, as a resumed mean
@@ -34,9 +34,10 @@ stage. The layout is a function of the key set alone.
 Every task and stage output is written to a temporary file of its own
 attempt and renamed into place (``commit.committed``), so an output that
 exists is finished: a task is done, and skipped on resume, once its outputs
-exist; a stage once its marker in the state dir and its outputs do. A stage
-with tasks first removes the temporary files in its work dir that attempts
-which died left there (``commit.remove_stray_tmp``). The state dir's
+exist; a stage once its marker in the state dir and its outputs do. Each
+stage first removes the temporary files that attempts which died left of
+the outputs it writes (``commit.remove_stray_tmp``): all in its work dir,
+in ``--out`` and the state root only those of its outputs. The state dir's
 fingerprint covers the parameters and the frame files (names, sizes,
 mtimes), so a resume never reuses results of changed inputs. Outputs are byte-identical for any worker count and shard
 layout: task outputs do not depend on scheduling, and the reduce runs
@@ -266,6 +267,7 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
     root = Path(config.state_dir) if config.state_dir else Path(config.out_dir) / "state"
     root.mkdir(parents=True, exist_ok=True)
     fp_file = root / "fingerprint"
+    remove_stray_tmp(root, time.time_ns(), {fp_file.name})
     if fp_file.exists():
         existing = fp_file.read_text().strip()
         if existing != fingerprint:
@@ -384,19 +386,20 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     shard j, with no keys: shards are key ranges, so that is key-pair order.
 
     A shard holds at most VIDEOS_PER_SHARD keys, so shard j is stacked into
-    one block, and all keys of shard i are scored against it in one pass,
-    or, on the diagonal, each group of _DIAGONAL_GROUP keys."""
+    one block, and all keys of shard i, stacked once, are scored against it
+    in one pass, or, on the diagonal, each group of _DIAGONAL_GROUP of the
+    block's own columns."""
     i, j, keys_a, keys_b = task.payload
     records_a = _read_shard(config, i, keys_a)
     records_b = records_a if i == j else _read_shard(config, j, keys_b)
-    features = [record.feature for record in records_a]
     block = PartnerBlock.stack([record.feature for record in records_b])
+    keys = block.values if i == j else np.stack([r.feature for r in records_a], axis=1)
     # key k's partners are the last columns of the block
-    starts = [len(records_b) - len(partners(records_b, k, i == j)) for k in range(len(features))]
-    group = _DIAGONAL_GROUP if i == j else len(features)
+    starts = [len(records_b) - len(partners(records_b, k, i == j)) for k in range(len(records_a))]
+    group = _DIAGONAL_GROUP if i == j else len(records_a)
     rows = [
-        csd_stack(features[g : g + group], block, starts[g : g + group])
-        for g in range(0, len(features), group)
+        csd_stack(keys[:, g : g + group], block, starts[g : g + group])
+        for g in range(0, len(records_a), group)
     ]
     with committed(task.out_path) as tmp:
         tmp.write_bytes(np.vstack(rows).astype(ROW_DTYPE).tobytes())
@@ -539,6 +542,7 @@ def _extract(
     tasks = plan_extract(config, entries, state_dir)
     shards = [_shard_path(config, i) for i in range(len(shard_keys))]
     dumps = [path for task in tasks for path in task.dump_paths]
+    remove_stray_tmp(config.out_dir, time.time_ns(), {Path(p).name for p in shards + dumps})
     if _stage_done(state_dir, STAGE_EXTRACT, shards + dumps):
         return shards
 
@@ -585,6 +589,7 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
     remove_stray_tmp(state_dir / STAGE_MEAN, time.time_ns())
     tasks = plan_pair_stage(shard_keys, state_dir)
     out_path, *_ = outputs = _mean_outputs(config, tasks)
+    remove_stray_tmp(out_path.parent, time.time_ns(), {out_path.name})
     if _stage_done(state_dir, STAGE_MEAN, outputs):
         return _read_mean(out_path, shard_keys)
 
@@ -629,6 +634,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
         raise ConfigError(f"missing {mean_path} or mean task outputs (run mean first)")
 
     out_path = Path(config.out_dir) / "similarity.csv"
+    remove_stray_tmp(out_path.parent, time.time_ns(), {out_path.name})
     if _stage_done(state_dir, STAGE_SIM, [out_path]):
         return out_path
 

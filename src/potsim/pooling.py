@@ -11,14 +11,12 @@ intervals). Three pooling operators run per interval:
 * max: per-dimension maximum (200 dims per interval)
 
 Concatenating per-interval vectors over the K intervals, for both the HoF
-and HoG series, yields the six pooled vectors that represent a video.
+and HoG series, yields the six pooled vectors that represent a video; a
+video's feature is those six, one after another in SLOTS order, in one
+float64 vector (``slot_bounds`` gives where each starts).
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
-from types import MappingProxyType
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,41 +27,19 @@ SLOTS = tuple((s, p) for s in SERIES_KINDS for p in POOL_OPS)
 
 DEFAULT_LEVELS = (1, 2, 4)
 
-Slot = tuple[str, str]
 
+def slot_bounds(size: int) -> tuple[int, ...]:
+    """Where each slot of a feature of ``size`` values starts, in SLOTS
+    order, then ``size``: the one place the slot layout is computed.
 
-class PoTFeature:
-    """The six pooled vectors of one video, keyed by (series, pooling).
-
-    ``values`` is one contiguous float64 array holding the six vectors in
-    SLOTS order, and ``vectors[slot]`` is a view of its slice
-    ``values[bounds[k]:bounds[k + 1]]``. The mapping is read-only, so a slot
-    cannot be rebound away from ``values``; writing into a view writes to
-    ``values``. Built from a mapping, the vectors are copied into one array.
+    Per series the pyramid gives the sum and max slots n values each and
+    the gradient slot 2n, so a feature of ``size`` values has slot dims
+    ``(n, 2n, n, n, 2n, n)`` with ``n = size / 8``.
     """
-
-    def __init__(self, vectors: Mapping[Slot, np.ndarray]):
-        parts = [np.asarray(vectors[slot], dtype=np.float64) for slot in SLOTS]
-        self._bind(np.concatenate(parts), [part.shape[0] for part in parts])
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, dims: Sequence[int]) -> PoTFeature:
-        """Wrap ``values``, the six vectors of ``dims`` in SLOTS order,
-        without copying it."""
-        feature = cls.__new__(cls)
-        feature._bind(values, dims)
-        return feature
-
-    def _bind(self, values: np.ndarray, dims: Sequence[int]) -> None:
-        if values.dtype != np.float64 or values.shape != (sum(dims),):
-            raise ValueError(
-                f"expected {sum(dims)} float64 values, got {values.dtype} {values.shape}"
-            )
-        self.values = values
-        self.bounds = tuple(accumulate(dims, initial=0))
-        self.vectors = MappingProxyType(
-            {slot: values[lo:hi] for slot, lo, hi in zip(SLOTS, self.bounds, self.bounds[1:])}
-        )
+    n, rem = divmod(size, 8)
+    if rem:
+        raise ValueError(f"a feature's length must be a multiple of 8, got {size}")
+    return tuple(n * offset for offset in (0, 1, 3, 4, 5, 7, 8))
 
 
 def build_intervals(
@@ -135,14 +111,14 @@ def pot_vector(
     hof: np.ndarray,
     hog: np.ndarray,
     levels: list[int] | tuple[int, ...] = DEFAULT_LEVELS,
-) -> PoTFeature:
+) -> np.ndarray:
     """Pool both ``(pairs, 200)`` series over the temporal pyramid into the
-    six-slot feature."""
+    feature: one float64 vector holding the six slots in SLOTS order."""
     if len(hof) != len(hog):
         raise ValueError(f"series lengths differ: {len(hof)} vs {len(hog)}")
+    if hof.shape[1:] != hog.shape[1:]:  # slot_bounds needs one width for both
+        raise ValueError(f"series widths differ: {hof.shape[1:]} vs {hog.shape[1:]}")
     intervals = build_intervals(len(hof), levels)
     by_kind = {"hof": hof, "hog": hog}
-    pooled = [[_POOL_FNS[op](by_kind[kind], iv) for iv in intervals] for kind, op in SLOTS]
-    dims = [sum(part.shape[0] for part in parts) for parts in pooled]
-    values = np.concatenate([part for parts in pooled for part in parts], dtype=np.float64)
-    return PoTFeature.from_values(values, dims)
+    parts = [_POOL_FNS[op](by_kind[kind], iv) for kind, op in SLOTS for iv in intervals]
+    return np.concatenate(parts, dtype=np.float64)

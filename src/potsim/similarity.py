@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pooling import SLOTS, PoTFeature
+from .pooling import SLOTS, slot_bounds
 
 SCORE_DECAY = 10.0  # kernel-distance scale in exp(-kd / SCORE_DECAY)
 
@@ -75,13 +75,12 @@ class PartnerBlock:
 
     values: np.ndarray
     zero_terms: np.ndarray
-    bounds: tuple[int, ...]
 
     @classmethod
-    def stack(cls, features: Sequence[PoTFeature]) -> PartnerBlock:
-        """Stack one or more features of equal slot bounds."""
-        values = np.stack([feature.values for feature in features], axis=1)
-        return cls(values, _chi_square_terms(0.0, values), features[0].bounds)
+    def stack(cls, features: Sequence[np.ndarray]) -> PartnerBlock:
+        """Stack one or more features of equal length."""
+        values = np.stack(features, axis=1)
+        return cls(values, _chi_square_terms(0.0, values))
 
 
 # values in the chunk buffer of csd_stack, (1 + rows, keys, partners)
@@ -89,13 +88,13 @@ class PartnerBlock:
 _CHUNK_VALUES = 1 << 17
 
 
-def csd_stack(
-    keys: Sequence[PoTFeature], block: PartnerBlock, starts: Sequence[int]
-) -> np.ndarray:
-    """The chi-square distance per slot of each key k against each partner
-    of ``block`` from column ``starts[k]`` on, in one pass: a (pairs, 6)
-    array holding key 0's rows first, then key 1's, and so on. Each row
-    holds ``chi_square`` of each slot's vectors bit for bit.
+def csd_stack(keys: np.ndarray, block: PartnerBlock, starts: Sequence[int]) -> np.ndarray:
+    """The chi-square distance per slot of each key k, column k of the
+    (features x keys) array ``keys``, against each partner of ``block``
+    from column ``starts[k]`` on, in one pass: a (pairs, 6) array holding
+    key 0's rows first, then key 1's, and so on. Each row holds
+    ``chi_square`` of each slot's vectors bit for bit, the slots being
+    ``slot_bounds`` of the feature length.
 
     Each slot's feature rows are walked in chunks through one reused
     buffer, whose row 0 carries the sum so far, from 0.0 on. The partners'
@@ -109,21 +108,21 @@ def csd_stack(
     smallest start on are computed for every key; those before a key's own
     start are dropped.
     """
-    for a in keys:
-        if a.bounds != block.bounds:
-            raise ValueError(f"dimension mismatch: slot bounds {a.bounds} vs {block.bounds}")
+    size, key_count = keys.shape
+    if size != len(block.values):
+        raise ValueError(f"dimension mismatch: {size} feature rows vs {len(block.values)}")
+    bounds = slot_bounds(size)
     first = min(starts)
     values = block.values[:, first:]
     zero_terms = block.zero_terms[:, first:]
-    stacked = np.stack([a.values for a in keys], axis=1)  # (features, keys)
-    columns = len(keys) * values.shape[1]
+    columns = key_count * values.shape[1]
     if columns == 0:
         return np.zeros((0, len(SLOTS)))
-    slots = list(zip(block.bounds, block.bounds[1:]))
+    slots = list(zip(bounds, bounds[1:]))
     chunk = max(1, min(_CHUNK_VALUES // columns - 1, max(hi - lo for lo, hi in slots)))
     flat = np.empty((1 + chunk, columns))
-    buffer = flat.reshape(1 + chunk, len(keys), values.shape[1])
-    sums = np.empty((len(keys), values.shape[1], len(SLOTS)))
+    buffer = flat.reshape(1 + chunk, key_count, values.shape[1])
+    sums = np.empty((key_count, values.shape[1], len(SLOTS)))
     for s, (lo, hi) in enumerate(slots):
         # no term is -0.0, so 0.0 + term is the term bit for bit
         flat[0] = 0.0
@@ -131,8 +130,8 @@ def csd_stack(
             end = min(hi, row + chunk)
             terms = buffer[1 : 1 + end - row]
             terms[...] = zero_terms[row:end, None, :]
-            live_rows, live_keys = np.nonzero(stacked[row:end])
-            a = stacked[row + live_rows, live_keys][:, None]
+            live_rows, live_keys = np.nonzero(keys[row:end])
+            a = keys[row + live_rows, live_keys][:, None]
             b = values[row + live_rows]  # a copy: the terms are made in it
             with np.errstate(divide="ignore", invalid="ignore"):
                 denom = b + a
@@ -147,10 +146,10 @@ def csd_stack(
     return 0.5 * np.concatenate(rows)
 
 
-def csd_sixtuple(a: PoTFeature, b: PoTFeature) -> np.ndarray:
-    """Chi-square distance per (series, pooling) slot, a (6,) array in
-    SLOTS order: ``csd_stack`` with one key and one partner."""
-    return csd_stack([a], PartnerBlock.stack([b]), [0])[0]
+def csd_sixtuple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chi-square distance per (series, pooling) slot of two features, a
+    (6,) array in SLOTS order: ``csd_stack`` with one key and one partner."""
+    return csd_stack(np.stack([a], axis=1), PartnerBlock.stack([b]), [0])[0]
 
 
 def mean_csd(sums: np.ndarray, pair_count: int) -> MeanCsd:

@@ -1,4 +1,4 @@
-"""Shared synthetic-corpus helpers for the test suite."""
+"""Shared synthetic-corpus and feature helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from potsim.frames import encode_pgm
+from potsim.pooling import slot_bounds
 
 
 def gaussian_blob(cx: float, cy: float, size: int, sigma: float = 6.0, peak: float = 255.0) -> np.ndarray:
@@ -61,3 +62,9 @@ def write_corpus(root: Path, videos: dict[str, np.ndarray]) -> Path:
     manifest = root / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+def slots_of(feature: np.ndarray) -> list[np.ndarray]:
+    """The six slots of a feature vector in SLOTS order, as views."""
+    bounds = slot_bounds(len(feature))
+    return [feature[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

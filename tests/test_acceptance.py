@@ -29,7 +29,7 @@ from potsim.engine import (
 from potsim.flow import FarnebackParams, farneback_flow
 from potsim.frames import resize_bilinear
 from potsim.descriptors import compute_series
-from potsim.pooling import SLOTS, PoTFeature, pot_vector
+from potsim.pooling import SLOTS, pot_vector, slot_bounds
 from potsim.similarity import (
     chi_square,
     csd_sixtuple,
@@ -117,7 +117,12 @@ def test_criterion_2_mean_kernel_score_chain():
     # KD(A,B) = 6*(1 / (2/3)) = 9;  KD(A,C) = KD(B,C) = 6*(3/4) = 9/2
     with criterion(2, "mean/kernel/score chain matches hand computation"):
         def feat(values):
-            return PoTFeature({slot: np.array(values, dtype=float) for slot in SLOTS})
+            # each slot starts with ``values``; the rest of a gradient slot
+            # is zeros, which add no chi-square term
+            feature = np.zeros(8 * len(values))
+            for lo in slot_bounds(len(feature))[:-1]:
+                feature[lo : lo + len(values)] = values
+            return feature
 
         features = {"A": feat([1, 0]), "B": feat([0, 1]), "C": feat([1, 1])}
         csd_ab = csd_sixtuple(features["A"], features["B"])
@@ -331,9 +336,7 @@ def test_criterion_9_scaling_invariance(tmp_path, monkeypatch):
                 ArchiveRecord(
                     key=r.key,
                     frame_count=r.frame_count,
-                    feature=PoTFeature(
-                        {slot: 7.3 * r.feature.vectors[slot] for slot in SLOTS}
-                    ),
+                    feature=7.3 * r.feature,
                 )
                 for r in records
             ]

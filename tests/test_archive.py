@@ -1,3 +1,5 @@
+import hashlib
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -13,16 +15,15 @@ from potsim.archive import (
     write_archive,
     write_shards,
 )
-from potsim.pooling import SLOTS, PoTFeature
+from potsim.pooling import pot_vector
 
 
 def make_record(key, seed=0, interval_count=7, frame_count=30):
+    """A record whose feature has the length of ``interval_count`` pyramid
+    intervals of 200-bin histograms."""
     rng = np.random.default_rng(seed)
-    vectors = {}
-    for series, pooling in SLOTS:
-        dim = (400 if pooling == "gradient" else 200) * interval_count
-        vectors[(series, pooling)] = rng.uniform(0, 100, size=dim)
-    return ArchiveRecord(key=key, frame_count=frame_count, feature=PoTFeature(vectors))
+    feature = rng.uniform(0, 100, size=8 * 200 * interval_count)
+    return ArchiveRecord(key=key, frame_count=frame_count, feature=feature)
 
 
 def records_for(keys):
@@ -54,10 +55,8 @@ class TestArchiveRoundtrip:
         assert [r.key for r in back] == ["a", "b", "c"]
         assert [r.frame_count for r in back] == [30, 30, 30]
         for orig, rt in zip(records, back):
-            for slot in SLOTS:
-                orig_bits = orig.feature.vectors[slot].view(np.uint64)
-                rt_bits = rt.feature.vectors[slot].view(np.uint64)
-                np.testing.assert_array_equal(orig_bits, rt_bits)
+            assert rt.feature.dtype == np.float64
+            assert rt.feature.tobytes() == orig.feature.tobytes()
 
     def test_file_size_formula(self, tmp_path):
         record = make_record("v1", interval_count=7)
@@ -65,6 +64,21 @@ class TestArchiveRoundtrip:
         write_archive([record], path)
         expected = 16 + 4 + 2 + 4 + 6 * 4 + 8 * (1400 + 2800 + 1400) * 2
         assert path.stat().st_size == expected
+
+    def test_bytes_of_a_pooled_record_are_pinned(self, tmp_path):
+        """One record of seeded series through pot_vector and write_archive
+        has the bytes, slot layout included, that it had when a feature was
+        still six separate vectors: the digest was taken from that code."""
+        rng = np.random.default_rng(2029)
+        hof = rng.random((9, 200))
+        hog = rng.random((9, 200))
+        path = tmp_path / "golden.potf"
+        write_archive([ArchiveRecord("video-a", 10, pot_vector(hof, hog))], path)
+        data = path.read_bytes()
+        assert len(data) == 89655
+        assert hashlib.sha256(data).hexdigest() == (
+            "e97a65f4b283caf5f69e2e5e3c79ae3e0e69553e8838ad2d7edc8dc156bb9766"
+        )
 
     def test_unsorted_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sorted"):
@@ -119,6 +133,24 @@ class TestArchiveErrors:
         assert data[second_key : second_key + 1] == b"b"
         path.write_bytes(data[:second_key] + b"\xff" + data[second_key + 1 :])
         with pytest.raises(ValueError, match=r"u\.potf: record 1 has a non-UTF-8 key"):
+            read_archive(path)
+
+    @pytest.mark.parametrize(
+        "dim, reason",
+        [(16, "slot dims"), (1, "a feature's length must be a multiple of 8")],
+    )
+    def test_slot_dims_not_of_the_layout_rejected(self, tmp_path, dim, reason):
+        """Six slots of 16 values are 96 values, whose layout is 12, 24, 12,
+        12, 24 and 12; six of 1 value are no layout's. The error names the
+        file and the record."""
+        path = tmp_path / "even.potf"
+        write_archive([], path)
+        record = struct.pack("<I", 1) + b"a" + struct.pack("<I", 6)
+        record += (struct.pack("<I", dim) + np.arange(dim, dtype="<f8").tobytes()) * 6
+        data = bytearray(path.read_bytes() + record)
+        data[8:16] = struct.pack("<Q", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"even\.potf: record 0 \('a'\): {reason}"):
             read_archive(path)
 
     def test_mixed_dims_rejected(self, tmp_path):

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import blob_video, noise_video, write_corpus, write_video_dir
+from conftest import blob_video, noise_video, slots_of, write_corpus, write_video_dir
 from potsim import engine
 from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.cli import main
@@ -31,7 +32,7 @@ from potsim.engine import (
     run_similarity,
 )
 from potsim.flow import FarnebackParams
-from potsim.pooling import SLOTS, PoTFeature
+from potsim.pooling import SLOTS
 from potsim.similarity import chi_square, mean_csd, write_mean_csd_csv
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
@@ -481,6 +482,29 @@ class TestFullPipeline:
         assert not (extract_dir / "task-1.out.tmp").exists()
         assert shard.read_bytes() == before
 
+    def test_stray_tmp_of_outputs_removed_from_out_and_state_root(self, tmp_path):
+        """Temporary files that a dead writer left an hour ago of each output
+        a stage writes in --out (the series dumps with --dump-series) or the
+        state root are gone after a run; files of other names, a user's
+        ``notes.tmp`` among them, stay."""
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        (out / "state").mkdir(parents=True)
+        attempt = f".{gone.pid}.deadbeef.tmp"
+        outputs = ["features-00000.potf", "v01.of.txt", "v01.hog.txt", "mean_csd.csv"]
+        strays = [out / f"{name}{attempt}" for name in [*outputs, "similarity.csv"]]
+        strays.append(out / "state" / f"fingerprint{attempt}")
+        kept = [out / "notes.tmp", out / f"notes.txt{attempt}", out / "state" / "notes.tmp"]
+        hour_ago = time.time_ns() - 3600 * 10**9
+        for path in strays + kept:
+            path.write_bytes(b"x")
+            os.utime(path, ns=(hour_ago, hour_ago))
+        run_pipeline(fast_config(manifest, out, dump_series=True))
+        assert [path.name for path in strays if path.exists()] == []
+        assert all(path.exists() for path in kept)
+
     def test_mean_refuses_shards_of_other_keys(self, tmp_path, monkeypatch, caplog, capsys):
         """Each mean task checks the keys of the shards it reads: only the
         tasks that read shard 1 fail, under their own labels."""
@@ -781,12 +805,11 @@ class TestPairStages:
 
         features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
         pairs = list(combinations(sorted(features), 2))
-        sums = {slot: 0.0 for slot in SLOTS}
+        sums = np.zeros(len(SLOTS))
         for a, b in pairs:
-            for slot in SLOTS:
-                sums[slot] += chi_square(features[a].vectors[slot], features[b].vectors[slot])
+            for s, pair in enumerate(zip(slots_of(features[a]), slots_of(features[b]))):
+                sums[s] += chi_square(*pair)
         assert len(pairs) == 66
-        sums = np.array([sums[slot] for slot in SLOTS])
         write_mean_csd_csv(mean_csd(sums, len(pairs)), tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -804,7 +827,9 @@ class TestPairStages:
         features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
         pairs = list(combinations(sorted(features), 2))
         csds = {
-            (a, b): [chi_square(features[a].vectors[s], features[b].vectors[s]) for s in SLOTS]
+            (a, b): [
+                chi_square(*pair) for pair in zip(slots_of(features[a]), slots_of(features[b]))
+            ]
             for a, b in pairs
         }
         sums = [0.0] * len(SLOTS)
@@ -839,7 +864,10 @@ class TestPairStages:
             features_a = {r.key: r.feature for r in read_archive(out / f"features-{i:05d}.potf")}
             features_b = {r.key: r.feature for r in read_archive(out / f"features-{j:05d}.potf")}
             rows = [
-                [chi_square(features_a[a].vectors[s], features_b[b].vectors[s]) for s in SLOTS]
+                [
+                    chi_square(*pair)
+                    for pair in zip(slots_of(features_a[a]), slots_of(features_b[b]))
+                ]
                 for a, b in combinations(sorted(features_a | features_b), 2)
                 if a in features_a and b in features_b
             ]
@@ -847,24 +875,22 @@ class TestPairStages:
             assert Path(task.out_path).read_bytes() == expected, task.label
 
     def test_mean_refuses_shards_of_other_slot_bounds(self, tmp_path, monkeypatch, capsys):
-        """Two hand-written shards of equal vector length but different slot
-        bounds: the task that pairs them fails, naming the mismatch."""
+        """Two hand-written shards of different feature lengths, so of
+        different slot bounds: the task that pairs them fails, naming the
+        mismatch."""
         manifest = small_corpus(tmp_path / "c", n=4)
         out = tmp_path / "out"
         set_shards(monkeypatch, 4, 2)
         assert main(fast_argv("extract", manifest, out)) == 0
         rng = np.random.default_rng(3)
-        shards = [(["v00", "v01"], (4, 8, 4, 4, 8, 4)), (["v02", "v03"], (8, 4, 4, 4, 8, 4))]
-        for index, (keys, dims) in enumerate(shards):
-            records = [
-                ArchiveRecord(key, 6, PoTFeature.from_values(rng.random(32), dims))
-                for key in keys
-            ]
+        shards = [(["v00", "v01"], 32), (["v02", "v03"], 40)]
+        for index, (keys, size) in enumerate(shards):
+            records = [ArchiveRecord(key, 6, rng.random(size)) for key in keys]
             write_archive(records, out / f"features-{index:05d}.potf")
         capsys.readouterr()
         assert main(fast_argv("mean", manifest, out)) == 1
         err = capsys.readouterr().err
-        assert "shards (0,1): ValueError: dimension mismatch: slot bounds" in err
+        assert "shards (0,1): ValueError: dimension mismatch" in err
         assert "Traceback" not in err
         assert not (out / "mean_csd.csv").exists()
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import slots_of
 from potsim.descriptors import HISTOGRAM_DIM
 from potsim.pooling import (
     SLOTS,
@@ -10,6 +11,7 @@ from potsim.pooling import (
     gradient_pool,
     max_pool,
     pot_vector,
+    slot_bounds,
     sum_pool,
 )
 
@@ -135,37 +137,51 @@ class TestPoolProperties:
         np.testing.assert_allclose(fwd[HISTOGRAM_DIM:], rev[:HISTOGRAM_DIM], rtol=1e-12)
 
 
+class TestSlotBounds:
+    def test_layout(self):
+        """Per series n values of sum, 2n of gradient and n of max."""
+        assert slot_bounds(16) == (0, 2, 6, 8, 10, 14, 16)
+        assert slot_bounds(0) == (0,) * 7
+
+    @pytest.mark.parametrize("size", [1, 12, 97])
+    def test_length_not_a_multiple_of_8_rejected(self, size):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            slot_bounds(size)
+
+
 class TestPotVector:
     def test_dimensions(self):
         hof = random_series(8, seed=4)
         hog = random_series(8, seed=5)
         feature = pot_vector(hof, hog, [1, 2, 4])
-        for kind in ("hof", "hog"):
-            assert feature.vectors[(kind, "sum")].shape == (1400,)
-            assert feature.vectors[(kind, "gradient")].shape == (2800,)
-            assert feature.vectors[(kind, "max")].shape == (1400,)
+        assert feature.shape == (11200,) and feature.dtype == np.float64
+        assert [len(vec) for vec in slots_of(feature)] == [1400, 2800, 1400] * 2
 
     def test_all_zero_series(self):
         zero = np.zeros((8, HISTOGRAM_DIM))
         feature = pot_vector(zero, zero, [1, 2, 4])
-        for slot in SLOTS:
-            np.testing.assert_array_equal(feature.vectors[slot], 0.0)
+        np.testing.assert_array_equal(feature, 0.0)
 
     def test_degenerate_single_entry(self):
         hof = random_series(1, seed=6)
         hog = random_series(1, seed=7)
         feature = pot_vector(hof, hog, [1])
-        np.testing.assert_array_equal(feature.vectors[("hof", "sum")], hof[0])
-        np.testing.assert_array_equal(feature.vectors[("hof", "max")], hof[0])
-        np.testing.assert_array_equal(
-            feature.vectors[("hof", "gradient")], np.zeros(2 * HISTOGRAM_DIM)
-        )
+        by_slot = dict(zip(SLOTS, slots_of(feature)))
+        np.testing.assert_array_equal(by_slot[("hof", "sum")], hof[0])
+        np.testing.assert_array_equal(by_slot[("hof", "max")], hof[0])
+        np.testing.assert_array_equal(by_slot[("hof", "gradient")], np.zeros(2 * HISTOGRAM_DIM))
+        np.testing.assert_array_equal(by_slot[("hog", "sum")], hog[0])
 
     def test_nonnegative(self):
         feature = pot_vector(random_series(6, 8), random_series(6, 9), [1, 2])
-        for slot in SLOTS:
-            assert (feature.vectors[slot] >= 0).all()
+        assert (feature >= 0).all()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
             pot_vector(random_series(4, 1), random_series(5, 2), [1])
+
+    def test_width_mismatch(self):
+        """The feature's length alone gives its slots, so both series must
+        be equally wide."""
+        with pytest.raises(ValueError, match="widths differ"):
+            pot_vector(np.ones((4, HISTOGRAM_DIM)), np.ones((4, 40)), [1])

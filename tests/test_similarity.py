@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import slots_of
 from potsim import similarity
-from potsim.pooling import SLOTS, PoTFeature
+from potsim.pooling import SLOTS
 from potsim.similarity import (
     MeanCsd,
     PartnerBlock,
@@ -25,8 +26,9 @@ from potsim.similarity import (
 
 
 def feature_from(values):
-    vec = np.asarray(values, dtype=float)
-    return PoTFeature(vectors={slot: vec.copy() for slot in SLOTS})
+    """A feature of 8 copies of ``values``: one in each sum and max slot,
+    two in each gradient slot."""
+    return np.tile(np.asarray(values, dtype=float), 8)
 
 
 class TestChiSquare:
@@ -72,36 +74,35 @@ class TestCsdSixtuple:
     def test_single_slot_difference(self):
         a = feature_from([1.0, 0.0])
         b = feature_from([1.0, 0.0])
-        b.vectors[("hof", "sum")][:] = [0.0, 1.0]
+        slots_of(b)[SLOTS.index(("hof", "sum"))][:] = [0.0, 1.0]
         csd = csd_sixtuple(a, b)
         assert csd[SLOTS.index(("hof", "sum"))] == 1.0
         assert all(v == 0.0 for slot, v in zip(SLOTS, csd) if slot != ("hof", "sum"))
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        a = PoTFeature({slot: rng.uniform(0, 10, 16) for slot in SLOTS})
-        b = PoTFeature({slot: rng.uniform(0, 10, 16) for slot in SLOTS})
+        a = rng.uniform(0, 10, 8 * 16)
+        b = rng.uniform(0, 10, 8 * 16)
         assert csd_sixtuple(a, b).tolist() == csd_sixtuple(b, a).tolist()
 
     def test_bit_identical_to_per_slot_chi_square(self):
         # full-mantissa values, shared zeros (zero denominators) and a NaN
         rng = np.random.default_rng(7)
-        dims = [14, 28, 14, 14, 28, 14]
 
         def feature():
-            vectors = {slot: rng.uniform(0, 1e3, dim) ** 1.5 for slot, dim in zip(SLOTS, dims)}
-            for vec in vectors.values():
+            values = rng.uniform(0, 1e3, 8 * 14) ** 1.5
+            for vec in slots_of(values):
                 vec[: vec.shape[0] // 4] = 0.0
                 vec[rng.random(vec.shape[0]) < 0.2] = 0.0
-            return PoTFeature(vectors)
+            return values
 
         a, b = feature(), feature()
-        a.vectors[("hog", "max")][-1] = np.nan
+        a[-1] = np.nan  # the last value of hog/max
         csd = csd_sixtuple(a, b)
         assert csd.shape == (len(SLOTS),)
-        for s, slot in enumerate(SLOTS):
-            expected = chi_square(a.vectors[slot], b.vectors[slot])
-            assert np.float64(csd[s]).tobytes() == np.float64(expected).tobytes(), slot
+        for s, (slot_a, slot_b) in enumerate(zip(slots_of(a), slots_of(b))):
+            expected = chi_square(slot_a, slot_b)
+            assert np.float64(csd[s]).tobytes() == np.float64(expected).tobytes(), SLOTS[s]
 
     def test_dimension_mismatch(self):
         a = feature_from([1.0, 2.0])
@@ -133,53 +134,53 @@ class TestOrderedSum:
 class TestCsdBlock:
     """One key against a PartnerBlock: ``csd_stack`` with one key."""
 
-    DIMS = (14, 28, 14, 14, 28, 14)
+    SIZE = 8 * 14  # slots of 14, 28, 14, 14, 28 and 14 values
 
     @staticmethod
-    def features(rng, count, dims):
+    def features(rng, count, size):
         """Full-mantissa values with zeros shared by all features."""
-        shared_zeros = rng.random(sum(dims)) < 0.3
+        shared_zeros = rng.random(size) < 0.3
         out = []
         for _ in range(count):
-            values = rng.uniform(0, 1e3, sum(dims)) ** 1.5
-            values[shared_zeros | (rng.random(sum(dims)) < 0.3)] = 0.0
-            out.append(PoTFeature.from_values(values, dims))
+            values = rng.uniform(0, 1e3, size) ** 1.5
+            values[shared_zeros | (rng.random(size) < 0.3)] = 0.0
+            out.append(values)
         return out
 
     @staticmethod
     def reference(a, partners):
         """chi_square per slot, the independent oracle: csd_sixtuple is a
         one-partner, one-key csd_stack."""
-        rows = [[chi_square(a.vectors[s], b.vectors[s]) for s in SLOTS] for b in partners]
+        rows = [[chi_square(*pair) for pair in zip(slots_of(a), slots_of(b))] for b in partners]
         return np.array(rows, dtype=np.float64).reshape(-1, len(SLOTS))
 
     @pytest.mark.parametrize("count", [0, 1, 2, 64])
     def test_equals_csd_sixtuple_bit_for_bit(self, count):
         rng = np.random.default_rng(count)
-        a, *partners = self.features(rng, 65, self.DIMS)
-        a.values[:4] = [0.0, -0.0, np.nan, -3.0]
-        partners[0].values[3:6] = [np.inf, -2.5, -0.0]
-        partners[-1].values[:3] = [-0.0, np.nan, np.inf]
+        a, *partners = self.features(rng, 65, self.SIZE)
+        a[:4] = [0.0, -0.0, np.nan, -3.0]
+        partners[0][3:6] = [np.inf, -2.5, -0.0]
+        partners[-1][:3] = [-0.0, np.nan, np.inf]
         for p in partners[1::5]:
-            p.values[1:3] = [-1.0, np.nan]
+            p[1:3] = [-1.0, np.nan]
         # the last ``count`` partners of a 64-wide block, as on a diagonal task
         block = PartnerBlock.stack(partners)
-        got = csd_stack([a], block, [64 - count])
+        got = csd_stack(a[:, None], block, [64 - count])
         expected = self.reference(a, partners[64 - count :])
         assert got.shape == (count, len(SLOTS))
         assert got.tobytes() == expected.tobytes()
         if count:
             # a block of exactly ``count`` partners
-            got = csd_stack([a], PartnerBlock.stack(partners[64 - count :]), [0])
+            got = csd_stack(a[:, None], PartnerBlock.stack(partners[64 - count :]), [0])
             assert got.tobytes() == expected.tobytes()
             assert csd_sixtuple(a, partners[-1]).tobytes() == expected[-1].tobytes()
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
-        (a,) = self.features(rng, 1, self.DIMS)
-        block = PartnerBlock.stack(self.features(rng, 2, (28, 14, 14, 14, 28, 14)))
-        with pytest.raises(ValueError, match="dimension mismatch: slot bounds"):
-            csd_stack([a], block, [0])
+        (a,) = self.features(rng, 1, self.SIZE)
+        block = PartnerBlock.stack(self.features(rng, 2, self.SIZE + 8))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            csd_stack(a[:, None], block, [0])
 
 
 class TestCsdStack:
@@ -188,7 +189,7 @@ class TestCsdStack:
         """chi_square per slot of each key with its partners from its start
         on, key by key: the independent oracle."""
         rows = [
-            [chi_square(a.vectors[s], b.vectors[s]) for s in SLOTS]
+            [chi_square(*pair) for pair in zip(slots_of(a), slots_of(b))]
             for a, start in zip(keys, starts)
             for b in partners[start:]
         ]
@@ -197,15 +198,16 @@ class TestCsdStack:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_equals_chi_square_bit_for_bit(self, data):
-        """1-5 keys x 1-5 partners, any start per key, slots of 0-6 values
-        drawn with +-0.0, NaN, +-inf and negatives, and chunks from one
-        feature row up, so that sums are carried across chunks."""
-        dims = data.draw(st.lists(st.integers(0, 6), min_size=len(SLOTS), max_size=len(SLOTS)))
+        """1-5 keys x 1-5 partners, any start per key, slots of n, 2n, n,
+        n, 2n and n values for n from 0 (all slots empty) to 3, drawn with
+        +-0.0, NaN, +-inf and negatives, and chunks from one feature row up,
+        so that sums are carried across chunks."""
+        size = 8 * data.draw(st.integers(0, 3))
         special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -1.5])
-        values = arrays(np.float64, sum(dims), elements=st.one_of(special, st.floats()))
+        values = arrays(np.float64, size, elements=st.one_of(special, st.floats()))
 
         def features(count):
-            return [PoTFeature.from_values(data.draw(values), dims) for _ in range(count)]
+            return [data.draw(values) for _ in range(count)]
 
         keys = features(data.draw(st.integers(1, 5)))
         partners = features(data.draw(st.integers(1, 5)))
@@ -216,7 +218,7 @@ class TestCsdStack:
         chunking = mock.patch.object(similarity, "_CHUNK_VALUES", chunk_values)
         # inf - inf and overflow warn, in the oracle at least
         with chunking, np.errstate(all="ignore"):
-            got = csd_stack(keys, PartnerBlock.stack(partners), starts)
+            got = csd_stack(np.stack(keys, axis=1), PartnerBlock.stack(partners), starts)
             expected = self.reference(keys, partners, starts)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -225,24 +227,28 @@ class TestCsdStack:
         """A full off-diagonal task and a full diagonal one (key k's
         partners start at column k + 1), over slots many chunks long."""
         rng = np.random.default_rng(64)
-        dims = [10 * dim for dim in TestCsdBlock.DIMS]
-        keys = TestCsdBlock.features(rng, 64, dims)
-        partners = TestCsdBlock.features(rng, 64, dims)
-        keys[0].values[:4] = [-0.0, np.nan, np.inf, -3.0]
-        partners[5].values[3:6] = [np.inf, -2.5, np.nan]
+        size = 10 * TestCsdBlock.SIZE
+        keys = TestCsdBlock.features(rng, 64, size)
+        partners = TestCsdBlock.features(rng, 64, size)
+        keys[0][:4] = [-0.0, np.nan, np.inf, -3.0]
+        partners[5][3:6] = [np.inf, -2.5, np.nan]
         for starts, others in (([0] * 64, partners), (range(1, 65), keys)):
-            got = csd_stack(keys, PartnerBlock.stack(others), list(starts))
+            got = csd_stack(np.stack(keys, axis=1), PartnerBlock.stack(others), list(starts))
             expected = self.reference(keys, others, starts)
             assert got.shape == (sum(64 - start for start in starts), len(SLOTS))
             assert got.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch_of_any_key(self):
+        """Keys of another length than the block's, and a length that is no
+        slot layout's, are refused."""
         rng = np.random.default_rng(2)
-        keys = TestCsdBlock.features(rng, 2, TestCsdBlock.DIMS)
-        keys += TestCsdBlock.features(rng, 1, (28, 14, 14, 14, 28, 14))
-        block = PartnerBlock.stack(keys[:2])
-        with pytest.raises(ValueError, match="dimension mismatch: slot bounds"):
+        keys = np.stack(TestCsdBlock.features(rng, 3, TestCsdBlock.SIZE + 8), axis=1)
+        block = PartnerBlock.stack(TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE))
+        with pytest.raises(ValueError, match="dimension mismatch"):
             csd_stack(keys, block, [0, 0, 0])
+        odd = TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE + 1)
+        with pytest.raises(ValueError, match="multiple of 8"):
+            csd_stack(np.stack(odd, axis=1), PartnerBlock.stack(odd), [0, 1])
 
 
 def per_slot(value):
@@ -364,9 +370,7 @@ class TestMeanCsdCsv:
 def test_scaling_leaves_scores_unchanged():
     # degree-1 homogeneity cancels through the mean normalization
     rng = np.random.default_rng(3)
-    features = [
-        PoTFeature({slot: rng.uniform(0, 20, 24) for slot in SLOTS}) for _ in range(4)
-    ]
+    features = [rng.uniform(0, 20, 8 * 24) for _ in range(4)]
 
     def corpus_scores(feats):
         sums = per_slot(0.0)
@@ -382,8 +386,6 @@ def test_scaling_leaves_scores_unchanged():
         }
 
     base = corpus_scores(features)
-    scaled = corpus_scores(
-        [PoTFeature({s: 7.3 * f.vectors[s] for s in SLOTS}) for f in features]
-    )
+    scaled = corpus_scores([7.3 * f for f in features])
     for pair in base:
         assert scaled[pair] == pytest.approx(base[pair], abs=1e-9)
