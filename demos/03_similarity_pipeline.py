@@ -47,7 +47,7 @@ def write_corpus(root: Path) -> Path:
             (clip_dir / f"frame{i:04d}.pgm").write_bytes(encode_pgm(frame))
         lines.append(f"{key},{key}")
     manifest = root / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -65,7 +65,7 @@ def main():
         sim_path = run_pipeline(config)
 
         print(f"\n{sim_path.name}:")
-        print(sim_path.read_text())
+        print(sim_path.read_text(encoding="utf-8"))
 
         pgm, keys = render_heatmap(sim_path, root / "results" / "heatmap")
         print(f"heatmap written to {pgm.name} (key order in {keys.name})")

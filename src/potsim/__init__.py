@@ -12,7 +12,7 @@ from .engine import (
     run_pipeline,
     run_similarity,
 )
-from .flow import FarnebackParams, FlowField, farneback_flow, poly_expand
+from .flow import FarnebackParams, farneback_flow, poly_expand
 from .frames import (
     decode_pgm,
     decode_ppm_to_gray,
@@ -36,7 +36,6 @@ __all__ = [
     "ArchiveRecord",
     "ConfigError",
     "FarnebackParams",
-    "FlowField",
     "MeanCsd",
     "PipelineConfig",
     "StageError",

@@ -111,7 +111,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _similarity_rows(path: str | Path) -> Iterator[tuple[str, str, float]]:
     """Stream similarity.csv as the engine writes it: a key holds no comma,
     so each line splits on ',' (a quote is part of a key, not CSV quoting)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if header != SIMILARITY_HEADER:
             raise ValueError(f"{path}: bad header {header.rstrip()!r}")
@@ -151,7 +151,7 @@ def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, P
     pgm_path = out_prefix.with_name(out_prefix.name + ".pgm")
     keys_path = out_prefix.with_name(out_prefix.name + ".keys.txt")
     pgm_path.write_bytes(encode_pgm(image))
-    keys_path.write_text("".join(key + "\n" for key in keys))
+    keys_path.write_text("".join(key + "\n" for key in keys), encoding="utf-8")
     return pgm_path, keys_path
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .commit import committed
-from .flow import FarnebackParams, FlowField, farneback_flow
+from .flow import FarnebackParams, farneback_flow
 
 GRID = 5
 ORIENTATION_BINS = 8
@@ -41,13 +41,13 @@ def _cell_index(height: int, width: int) -> np.ndarray:
     return (rows[:, None] * GRID + cols[None, :]).astype(np.intp)
 
 
-def hof_frame(flow: FlowField) -> np.ndarray:
-    """Histogram of flow: per-pixel magnitude into (cell, orientation) bins.
+def hof_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Histogram of flow: per-pixel magnitude of the ``(H, W)`` displacement
+    fields ``u``, ``v`` into (cell, orientation) bins.
 
     Orientation uses hard assignment: bin = floor(atan2(v, u) / (pi/4)),
     angle normalized to [0, 2*pi).
     """
-    u, v = flow.u, flow.v
     magnitude = np.hypot(u, v)
     theta = np.mod(np.arctan2(v, u), _TWO_PI)
     obin = np.minimum(
@@ -127,9 +127,9 @@ def compute_series(
     hog = np.empty((n, HISTOGRAM_DIM))
     block = max(1, _BLOCK_PIXELS // (frames.shape[1] * frames.shape[2]))
     for start in range(0, n, block):
-        flow = farneback_flow(frames[start], frames[start + 1 : start + 1 + block], fb)
-        for k in range(len(flow.u)):
-            hof[start + k] = hof_frame(FlowField(u=flow.u[k], v=flow.v[k]))
+        u, v = farneback_flow(frames[start], frames[start + 1 : start + 1 + block], fb)
+        for k in range(len(u)):
+            hof[start + k] = hof_frame(u[k], v[k])
     for t in range(n):
         hog[t] = hog_frame(frames[t], frames[t + 1], threshold)
     return hof, hog
@@ -151,5 +151,5 @@ def dump_series_text(series: np.ndarray, kind: str, key: str, out_dir: str | Pat
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [" ".join(repr(float(v)) for v in row) for row in series]
     with committed(path) as tmp:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -39,7 +39,12 @@ stage first removes the temporary files that attempts which died left of
 the outputs it writes (``commit.remove_stray_tmp``): all in its work dir,
 in ``--out`` and the state root only those of its outputs. The state dir's
 fingerprint covers the parameters and the frame files (names, sizes,
-mtimes), so a resume never reuses results of changed inputs. Outputs are byte-identical for any worker count and shard
+mtimes), so a resume never reuses the results that state dir holds for
+changed inputs. The files in ``--out`` are not covered: mean reads the
+shards there as they are, and a stage whose marker is in its state dir
+keeps its outputs there, so two state dirs with other parameters sharing
+one ``--out`` can leave means and scores of one run beside the shards of
+the other. Outputs are byte-identical for any worker count and shard
 layout: task outputs do not depend on scheduling, and the reduce runs
 single-threaded in global key-pair order after the stage barrier.
 """
@@ -54,7 +59,7 @@ import numbers
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import combinations_with_replacement, zip_longest
 from pathlib import Path
 from typing import Iterator
@@ -78,7 +83,6 @@ from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
 # csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
 from .similarity import (
     MeanCsd,
-    PartnerBlock,
     csd_sixtuple,
     csd_stack,
     kernel_distance,
@@ -237,7 +241,6 @@ def _input_digest(entries: list[tuple[str, str]]) -> str:
 
 def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -> str:
     """Hash of all parameters and inputs that affect pipeline output."""
-    fb = config.farneback
     payload = {
         "inputs": _input_digest(entries),
         "working": [config.working_w, config.working_h],
@@ -245,14 +248,8 @@ def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -
         "hog_threshold": config.hog_threshold,
         # mean task outputs are named by position in the layout
         "shard_count": shard_count(len(entries)),
-        "farneback": [
-            fb.pyr_scale,
-            fb.levels,
-            fb.winsize,
-            fb.iterations,
-            fb.poly_n,
-            fb.poly_sigma,
-        ],
+        # every FarnebackParams field, in declaration order
+        "farneback": astuple(config.farneback),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -269,7 +266,7 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
     fp_file = root / "fingerprint"
     remove_stray_tmp(root, time.time_ns(), {fp_file.name})
     if fp_file.exists():
-        existing = fp_file.read_text().strip()
+        existing = fp_file.read_text(encoding="utf-8").strip()
         if existing != fingerprint:
             raise ConfigError(
                 f"state dir {root} was produced with different parameters or inputs "
@@ -278,7 +275,7 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
             )
     else:
         with committed(fp_file) as tmp:
-            tmp.write_text(fingerprint + "\n")
+            tmp.write_text(fingerprint + "\n", encoding="utf-8")
     for stage in (STAGE_EXTRACT, STAGE_MEAN):  # the stages with tasks
         (root / stage).mkdir(exist_ok=True)
     return root
@@ -392,8 +389,8 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     i, j, keys_a, keys_b = task.payload
     records_a = _read_shard(config, i, keys_a)
     records_b = records_a if i == j else _read_shard(config, j, keys_b)
-    block = PartnerBlock.stack([record.feature for record in records_b])
-    keys = block.values if i == j else np.stack([r.feature for r in records_a], axis=1)
+    block = np.stack([record.feature for record in records_b], axis=1)
+    keys = block if i == j else np.stack([r.feature for r in records_a], axis=1)
     # key k's partners are the last columns of the block
     starts = [len(records_b) - len(partners(records_b, k, i == j)) for k in range(len(records_a))]
     group = _DIAGONAL_GROUP if i == j else len(records_a)
@@ -640,7 +637,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
 
     mean = _read_mean(mean_path, shard_keys)
     keys = [key for shard in shard_keys for key in shard]
-    with committed(out_path) as tmp, open(tmp, "w") as out:
+    with committed(out_path) as tmp, open(tmp, "w", encoding="utf-8") as out:
         out.write(SIMILARITY_HEADER)
         # the mean tasks checked their shards against exactly these keys
         for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):

@@ -126,19 +126,6 @@ class FarnebackParams:
             raise ValueError(f"poly_sigma must be > 0, got {self.poly_sigma}")
 
 
-@dataclass
-class FlowField:
-    """Per-pixel displacement between two frames, or for each of K
-    consecutive frame pairs.
-
-    ``u`` and ``v`` have shape ``(H, W)`` for one pair and ``(K, H, W)``
-    for K consecutive pairs, where ``[k]`` is the flow of the k-th pair.
-    """
-
-    u: np.ndarray  # horizontal displacement (pixels/frame)
-    v: np.ndarray  # vertical displacement (pixels/frame)
-
-
 # The weighted projections onto the basis 1, x, y, x^2, y^2, xy, as
 # (horizontal, vertical) kernel indices into (w, w * offset, w * offset^2).
 _PROJECTION_KERNELS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
@@ -358,14 +345,16 @@ def _flow_update(
 
 def farneback_flow(
     prev: np.ndarray, next: np.ndarray, params: FarnebackParams | None = None
-) -> FlowField:
-    """Estimate dense flow from ``prev`` to ``next`` coarse-to-fine.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate dense flow from ``prev`` to ``next`` coarse-to-fine: the
+    pair ``u, v`` of horizontal and vertical displacement fields.
 
-    ``next`` is one ``(H, W)`` frame, or a ``(K, H, W)`` stack of the K
-    frames that follow ``prev``. The flow then has shape ``(K, H, W)``: its
-    ``[k]`` is the flow of the consecutive pair ``(next[k - 1], next[k])``
-    (``(prev, next[0])`` for k = 0), bit-identical to a two-frame call on
-    that pair. Each frame is expanded once per pyramid level.
+    ``next`` is one ``(H, W)`` frame, giving ``(H, W)`` fields, or a
+    ``(K, H, W)`` stack of the K frames that follow ``prev``. The fields
+    then have shape ``(K, H, W)``: their ``[k]`` is the flow of the
+    consecutive pair ``(next[k - 1], next[k])`` (``(prev, next[0])`` for
+    k = 0), bit-identical to a two-frame call on that pair. Each frame is
+    expanded once per pyramid level.
     """
     if params is None:
         params = FarnebackParams()
@@ -411,5 +400,5 @@ def farneback_flow(
     np.nan_to_num(u, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     np.nan_to_num(v, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     if next.ndim == 2:
-        u, v = u[0], v[0]
-    return FlowField(u=u, v=v)
+        return u[0], v[0]
+    return u, v

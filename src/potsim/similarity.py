@@ -66,55 +66,39 @@ def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
     return 0.5 * float(ordered_sum(_chi_square_terms(fa, fb)))
 
 
-@dataclass(frozen=True)
-class PartnerBlock:
-    """Partners' features stacked for ``csd_stack``: ``values`` is a
-    C-contiguous (features x partners) float64 array, one column per
-    partner, and ``zero_terms`` holds the chi-square terms of every column
-    against an all-zero feature."""
-
-    values: np.ndarray
-    zero_terms: np.ndarray
-
-    @classmethod
-    def stack(cls, features: Sequence[np.ndarray]) -> PartnerBlock:
-        """Stack one or more features of equal length."""
-        values = np.stack(features, axis=1)
-        return cls(values, _chi_square_terms(0.0, values))
-
-
 # values in the chunk buffer of csd_stack, (1 + rows, keys, partners)
 # float64: 1 MiB, so that a chunk is summed while it is still in cache
 _CHUNK_VALUES = 1 << 17
 
 
-def csd_stack(keys: np.ndarray, block: PartnerBlock, starts: Sequence[int]) -> np.ndarray:
+def csd_stack(keys: np.ndarray, partners: np.ndarray, starts: Sequence[int]) -> np.ndarray:
     """The chi-square distance per slot of each key k, column k of the
-    (features x keys) array ``keys``, against each partner of ``block``
-    from column ``starts[k]`` on, in one pass: a (pairs, 6) array holding
+    (features x keys) array ``keys``, against each partner, a column of the
+    (features x partners) float64 array ``partners``, from column
+    ``starts[k]`` on, in one pass: a (pairs, 6) array holding
     key 0's rows first, then key 1's, and so on. Each row holds
     ``chi_square`` of each slot's vectors bit for bit, the slots being
     ``slot_bounds`` of the feature length.
 
     Each slot's feature rows are walked in chunks through one reused
-    buffer, whose row 0 carries the sum so far, from 0.0 on. The partners'
-    zero terms are written into it for every key, and only the (row, key)
-    entries where the key is not zero are computed anew, on a gathered copy
-    of the partner rows: where a key is +-0.0, ``a - b = -b`` and ``a + b = b``
-    exactly, so its term equals the zero term whatever b is (NaN, inf and
-    negative b included). ``ordered_sum`` then adds the chunk onto row 0
+    buffer, whose row 0 carries the sum so far, from 0.0 on. The chunk's
+    partner terms against an all-zero feature (its zero terms) are written
+    into it for every key, and only the (row, key) entries where the key is
+    not zero are computed anew, on a gathered copy of the partner rows:
+    where a key is +-0.0, ``a - b = -b`` and ``a + b = b`` exactly, so its
+    term equals the zero term whatever b is (NaN, inf and negative b
+    included). ``ordered_sum`` then adds the chunk onto row 0
     row by row, so every (key, partner) column is summed strictly from the
     slot's first row on, as ``chi_square`` sums it. Columns from the
     smallest start on are computed for every key; those before a key's own
     start are dropped.
     """
     size, key_count = keys.shape
-    if size != len(block.values):
-        raise ValueError(f"dimension mismatch: {size} feature rows vs {len(block.values)}")
+    if size != len(partners):
+        raise ValueError(f"dimension mismatch: {size} feature rows vs {len(partners)}")
     bounds = slot_bounds(size)
     first = min(starts)
-    values = block.values[:, first:]
-    zero_terms = block.zero_terms[:, first:]
+    values = partners[:, first:]
     columns = key_count * values.shape[1]
     if columns == 0:
         return np.zeros((0, len(SLOTS)))
@@ -129,7 +113,7 @@ def csd_stack(keys: np.ndarray, block: PartnerBlock, starts: Sequence[int]) -> n
         for row in range(lo, hi, chunk):
             end = min(hi, row + chunk)
             terms = buffer[1 : 1 + end - row]
-            terms[...] = zero_terms[row:end, None, :]
+            terms[...] = _chi_square_terms(0.0, values[row:end])[:, None, :]
             live_rows, live_keys = np.nonzero(keys[row:end])
             a = keys[row + live_rows, live_keys][:, None]
             b = values[row + live_rows]  # a copy: the terms are made in it
@@ -149,7 +133,7 @@ def csd_stack(keys: np.ndarray, block: PartnerBlock, starts: Sequence[int]) -> n
 def csd_sixtuple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chi-square distance per (series, pooling) slot of two features, a
     (6,) array in SLOTS order: ``csd_stack`` with one key and one partner."""
-    return csd_stack(np.stack([a], axis=1), PartnerBlock.stack([b]), [0])[0]
+    return csd_stack(np.stack([a], axis=1), np.stack([b], axis=1), [0])[0]
 
 
 def mean_csd(sums: np.ndarray, pair_count: int) -> MeanCsd:
@@ -183,7 +167,7 @@ MEAN_CSD_HEADER = ["series", "pooling", "mean_csd", "pair_count"]
 
 def write_mean_csd_csv(mean: MeanCsd, path: str | Path) -> None:
     """Persist the six per-slot means with round-trip float formatting."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MEAN_CSD_HEADER)
         for (series, pooling), value in zip(SLOTS, mean.means.tolist(), strict=True):
@@ -219,7 +203,8 @@ def read_mean_csd_csv(path: str | Path) -> MeanCsd:
                     raise ValueError(f"pair count {count} differs from {pair_count} above")
                 means.append(mean)
                 pair_count = count
-            except ValueError as exc:  # a UnicodeDecodeError too
+            # csv.Error: a CR inside a row, or a field past csv's size limit
+            except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError too
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(means) < len(SLOTS):
         missing = f"the row of slot {SLOTS[len(means)]}" if lineno else "the header"

@@ -12,7 +12,7 @@ import pytest
 
 import potsim
 
-from conftest import blob_video, write_corpus
+from conftest import blob_video, write_corpus, write_video_dir
 from potsim.cli import build_parser, main, render_heatmap
 from potsim.frames import decode_pgm, encode_pgm
 
@@ -230,6 +230,16 @@ class TestRunCommand:
         monkeypatch.setenv("POT_STATE_DIR", str(state))
         assert run_cli("run", manifest, tmp_path / "out") == 0
         assert (state / "fingerprint").exists()
+        assert not (tmp_path / "out" / "state").exists()
+
+    def test_state_dir_flag_wins_over_env(self, tmp_path, monkeypatch):
+        manifest = make_corpus(tmp_path / "c", n=2)
+        monkeypatch.setenv("POT_STATE_DIR", str(tmp_path / "env-state"))
+        flag_state = tmp_path / "flag-state"
+        assert run_cli("run", manifest, tmp_path / "out", ["--state-dir", str(flag_state)]) == 0
+        assert (flag_state / "fingerprint").exists()
+        assert not (tmp_path / "env-state").exists()
+        assert not (tmp_path / "out" / "state").exists()
 
 
 class TestHeatmapCommand:
@@ -362,6 +372,37 @@ def test_python_m_potsim_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.startswith("usage: potsim ")
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale with UTF-8 mode off, a non-ASCII key goes
+    through run and heatmap, and every text file potsim writes is UTF-8:
+    the same bytes as an in-process run. The directories are ASCII, since
+    file names go through the filesystem encoding."""
+    videos = {"vide": (6, 12), "other": (8, 12)}
+    for directory, start in videos.items():
+        write_video_dir(tmp_path / "c" / directory, blob_video(6, 24, start, (1.0, 0.0)))
+    manifest = tmp_path / "c" / "manifest.txt"
+    manifest.write_text("vidé,vide\nother,other\n", encoding="utf-8")
+    assert run_cli("run", manifest, tmp_path / "utf8") == 0
+
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]), PYTHONUTF8="0", LC_ALL="C"
+    )
+    out = tmp_path / "ascii"
+    commands = [
+        ["run", "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS],
+        ["heatmap", str(out / "similarity.csv"), "--out", str(out / "heat")],
+    ]
+    for argv in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "potsim", *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+    for name in ("similarity.csv", "mean_csd.csv", "state/fingerprint"):
+        assert (out / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes(), name
+    assert "other,vidé," in (out / "similarity.csv").read_text(encoding="utf-8")
+    assert (out / "heat.keys.txt").read_bytes() == "other\nvidé\n".encode()
 
 
 def test_pair_stages_import_no_scipy(tmp_path):

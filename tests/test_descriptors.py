@@ -12,29 +12,29 @@ from potsim.descriptors import (
     hof_frame,
     hog_frame,
 )
-from potsim.flow import FarnebackParams, FlowField, farneback_flow
+from potsim.flow import FarnebackParams, farneback_flow
 
 FAST_FB = FarnebackParams(levels=2, winsize=9, iterations=2)
 
 
 def uniform_flow(u, v, size=128):
-    return FlowField(u=np.full((size, size), float(u)), v=np.full((size, size), float(v)))
+    return np.full((size, size), float(u)), np.full((size, size), float(v))
 
 
 class TestHofFrame:
     def test_zero_flow(self):
-        hist = hof_frame(uniform_flow(0, 0))
+        hist = hof_frame(*uniform_flow(0, 0))
         np.testing.assert_array_equal(hist, np.zeros(HISTOGRAM_DIM))
 
     def test_uniform_right_flow(self):
-        hist = hof_frame(uniform_flow(1, 0))
+        hist = hof_frame(*uniform_flow(1, 0))
         grid = hist.reshape(25, 8)
         assert (grid[:, 1:] == 0).all()
         assert (grid[:, 0] > 0).all()
         assert hist.sum() == pytest.approx(128 * 128)
 
     def test_uniform_down_flow(self):
-        hist = hof_frame(uniform_flow(0, 2))
+        hist = hof_frame(*uniform_flow(0, 2))
         grid = hist.reshape(25, 8)
         populated = np.nonzero(grid.sum(axis=0))[0]
         np.testing.assert_array_equal(populated, [2])
@@ -44,7 +44,7 @@ class TestHofFrame:
         rng = np.random.default_rng(8)
         u = rng.normal(size=(64, 64))
         v = rng.normal(size=(64, 64))
-        hist = hof_frame(FlowField(u=u, v=v))
+        hist = hof_frame(u, v)
         assert hist.sum() == pytest.approx(np.hypot(u, v).sum(), rel=1e-9)
 
     def test_spatial_locality(self):
@@ -52,7 +52,7 @@ class TestHofFrame:
         size = 100
         u = np.zeros((size, size))
         u[: size // 5, : size // 5] = 1.0
-        hist = hof_frame(FlowField(u=u, v=np.zeros_like(u)))
+        hist = hof_frame(u, np.zeros_like(u))
         grid = hist.reshape(25, 8)
         assert grid[0].sum() > 0
         assert grid[1:].sum() == 0
@@ -126,8 +126,8 @@ class TestComputeSeries:
         hof, hog = compute_series(frames)
         assert blocks == [(4, 128, 128), (2, 128, 128)]
         for t in range(6):
-            flow = farneback_flow(frames[t], frames[t + 1])
-            assert hof[t].tobytes() == hof_frame(flow).tobytes()
+            u, v = farneback_flow(frames[t], frames[t + 1])
+            assert hof[t].tobytes() == hof_frame(u, v).tobytes()
             assert hog[t].tobytes() == hog_frame(frames[t], frames[t + 1]).tobytes()
 
     def test_peak_memory_flat_in_video_length(self):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import errno
 import json
 import math
@@ -23,6 +24,7 @@ from potsim.engine import (
     ConfigError,
     PipelineConfig,
     StageError,
+    check_config,
     config_fingerprint,
     parse_manifest,
     plan_pair_stage,
@@ -156,12 +158,27 @@ class TestPlanning:
         assert len(tasks) == 1
 
     def test_fingerprint_sensitivity(self, tmp_path):
+        """Every output-affecting setting, each FarnebackParams field
+        included, moves the fingerprint."""
         manifest = small_corpus(tmp_path / "c", n=2)
         entries = parse_manifest(manifest)
         base = fast_config(manifest, tmp_path / "out")
         assert config_fingerprint(base, entries) == config_fingerprint(base, entries)
-        changed = fast_config(manifest, tmp_path / "out", working_w=32)
-        assert config_fingerprint(base, entries) != config_fingerprint(changed, entries)
+        overrides = [
+            {"working_w": 32},
+            {"working_h": 32},
+            {"levels": (1, 2)},
+            {"hog_threshold": 20.0},
+        ]
+        # an int field + 2 stays odd where it must be; a float field halves
+        for param in dataclasses.fields(FarnebackParams):
+            value = getattr(FAST_FB, param.name)
+            changed = value + 2 if isinstance(value, int) else value / 2
+            overrides.append({"farneback": dataclasses.replace(FAST_FB, **{param.name: changed})})
+        for override in overrides:
+            changed = fast_config(manifest, tmp_path / "out", **override)
+            check_config(changed)
+            assert config_fingerprint(base, entries) != config_fingerprint(changed, entries), override
 
     def test_input_digest_equals_a_listing_then_stat_per_frame(self, tmp_path):
         """The digest takes names and stats from one directory scan, with
@@ -606,9 +623,9 @@ class TestPairStages:
         columns = []
         real_csd_stack = engine.csd_stack
 
-        def counting(keys, block, starts):
-            columns.append(sum(block.values.shape[1] - start for start in starts))
-            return real_csd_stack(keys, block, starts)
+        def counting(keys, partners, starts):
+            columns.append(sum(partners.shape[1] - start for start in starts))
+            return real_csd_stack(keys, partners, starts)
 
         monkeypatch.setattr(engine, "csd_stack", counting)
         set_shards(monkeypatch, 4, 2)
@@ -678,9 +695,11 @@ class TestPairStages:
             (2, b"hof,sum,0.5,0", "pair count 0 is not >= 1"),
             (3, b"hof,gradient,0.5,4", "pair count 4 differs from 3 above"),
             (3, b"hof,max,0.5,3", "where slot ('hof', 'gradient') belongs"),
+            (2, b"hof,sum\r0.5,3", "new-line character seen in unquoted field"),
+            (4, b"hof,max," + b"1" * 131_073 + b",3", "field larger than field limit"),
         ],
         ids=["pair-count", "mean", "not-utf8", "nan", "negative", "seventh-row",
-             "no-pairs", "other-pair-count", "out-of-order"],
+             "no-pairs", "other-pair-count", "out-of-order", "cr-in-row", "huge-field"],
     )
     def test_bad_mean_csd_line_names_file_and_line(self, tmp_path, capsys, lineno, line, reason):
         manifest = small_corpus(tmp_path / "c", n=3)

@@ -256,20 +256,20 @@ class TestFarnebackFlow:
     def test_matches_oracle(self, shape, params):
         frames = random_stack(shape, seed=sum(shape))
         expected_u, expected_v = oracle_farneback_flow(frames[0], frames[1:], params)
-        actual = farneback_flow(frames[0], frames[1:], params)
-        assert_same_bytes(actual.u, expected_u)
-        assert_same_bytes(actual.v, expected_v)
+        u, v = farneback_flow(frames[0], frames[1:], params)
+        assert_same_bytes(u, expected_u)
+        assert_same_bytes(v, expected_v)
 
     def test_second_call_leaves_the_first_unchanged(self):
         frames = random_stack((5, 64, 64), seed=5)
-        first = farneback_flow(frames[0], frames[1:])
-        kept = first.u.copy(), first.v.copy()
+        first_u, first_v = farneback_flow(frames[0], frames[1:])
+        kept = first_u.copy(), first_v.copy()
         for shape, seed in (((5, 64, 64), 6), ((3, 64, 64), 7), ((2, 16, 16), 8)):
             other = random_stack(shape, seed)
             farneback_flow(other[0], other[1:])
-        assert_same_bytes(first.u, kept[0])
-        assert_same_bytes(first.v, kept[1])
+        assert_same_bytes(first_u, kept[0])
+        assert_same_bytes(first_v, kept[1])
         workspace = flow._WORKSPACE.buffer
         assert workspace.size > 0
-        assert not np.shares_memory(first.u, workspace)
-        assert not np.shares_memory(first.v, workspace)
+        assert not np.shares_memory(first_u, workspace)
+        assert not np.shares_memory(first_v, workspace)

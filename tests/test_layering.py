@@ -37,7 +37,7 @@ def test_pair_path_does_not_import_the_extract_path(module):
 
 def test_potsim_imports_sees_each_form():
     source = (
-        "from .flow import FlowField\n"
+        "from .flow import farneback_flow\n"
         "from . import frames\n"
         "def f():\n"
         "    import potsim.descriptors\n"

@@ -12,7 +12,6 @@ from potsim import similarity
 from potsim.pooling import SLOTS
 from potsim.similarity import (
     MeanCsd,
-    PartnerBlock,
     chi_square,
     csd_sixtuple,
     csd_stack,
@@ -132,7 +131,7 @@ class TestOrderedSum:
 
 
 class TestCsdBlock:
-    """One key against a PartnerBlock: ``csd_stack`` with one key."""
+    """One key against a stack of partners: ``csd_stack`` with one key."""
 
     SIZE = 8 * 14  # slots of 14, 28, 14, 14, 28 and 14 values
 
@@ -164,21 +163,21 @@ class TestCsdBlock:
         for p in partners[1::5]:
             p[1:3] = [-1.0, np.nan]
         # the last ``count`` partners of a 64-wide block, as on a diagonal task
-        block = PartnerBlock.stack(partners)
+        block = np.stack(partners, axis=1)
         got = csd_stack(a[:, None], block, [64 - count])
         expected = self.reference(a, partners[64 - count :])
         assert got.shape == (count, len(SLOTS))
         assert got.tobytes() == expected.tobytes()
         if count:
             # a block of exactly ``count`` partners
-            got = csd_stack(a[:, None], PartnerBlock.stack(partners[64 - count :]), [0])
+            got = csd_stack(a[:, None], np.stack(partners[64 - count :], axis=1), [0])
             assert got.tobytes() == expected.tobytes()
             assert csd_sixtuple(a, partners[-1]).tobytes() == expected[-1].tobytes()
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
         (a,) = self.features(rng, 1, self.SIZE)
-        block = PartnerBlock.stack(self.features(rng, 2, self.SIZE + 8))
+        block = np.stack(self.features(rng, 2, self.SIZE + 8), axis=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             csd_stack(a[:, None], block, [0])
 
@@ -218,7 +217,7 @@ class TestCsdStack:
         chunking = mock.patch.object(similarity, "_CHUNK_VALUES", chunk_values)
         # inf - inf and overflow warn, in the oracle at least
         with chunking, np.errstate(all="ignore"):
-            got = csd_stack(np.stack(keys, axis=1), PartnerBlock.stack(partners), starts)
+            got = csd_stack(np.stack(keys, axis=1), np.stack(partners, axis=1), starts)
             expected = self.reference(keys, partners, starts)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -233,7 +232,7 @@ class TestCsdStack:
         keys[0][:4] = [-0.0, np.nan, np.inf, -3.0]
         partners[5][3:6] = [np.inf, -2.5, np.nan]
         for starts, others in (([0] * 64, partners), (range(1, 65), keys)):
-            got = csd_stack(np.stack(keys, axis=1), PartnerBlock.stack(others), list(starts))
+            got = csd_stack(np.stack(keys, axis=1), np.stack(others, axis=1), list(starts))
             expected = self.reference(keys, others, starts)
             assert got.shape == (sum(64 - start for start in starts), len(SLOTS))
             assert got.tobytes() == expected.tobytes()
@@ -243,12 +242,12 @@ class TestCsdStack:
         slot layout's, are refused."""
         rng = np.random.default_rng(2)
         keys = np.stack(TestCsdBlock.features(rng, 3, TestCsdBlock.SIZE + 8), axis=1)
-        block = PartnerBlock.stack(TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE))
+        block = np.stack(TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE), axis=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             csd_stack(keys, block, [0, 0, 0])
         odd = TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE + 1)
         with pytest.raises(ValueError, match="multiple of 8"):
-            csd_stack(np.stack(odd, axis=1), PartnerBlock.stack(odd), [0, 1])
+            csd_stack(np.stack(odd, axis=1), np.stack(odd, axis=1), [0, 1])
 
 
 def per_slot(value):
