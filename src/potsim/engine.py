@@ -31,22 +31,22 @@ then cuts the manifest's sorted keys into ``shard_count(N)`` near-equal
 shards once (``archive.shard_records``) and hands those key lists to every
 stage. The layout is a function of the key set alone.
 
-Every task and stage output is written to a temporary file of its own
-attempt and renamed into place (``commit.committed``), so an output that
-exists is finished: a task is done, and skipped on resume, once its outputs
-exist; a stage once its marker in the state dir and its outputs do. Each
-stage first removes the temporary files that attempts which died left of
-the outputs it writes (``commit.remove_stray_tmp``): all in its work dir,
-in ``--out`` and the state root only those of its outputs. The state dir's
-fingerprint covers the parameters and the frame files (names, sizes,
-mtimes), so a resume never reuses the results that state dir holds for
-changed inputs. The files in ``--out`` are not covered: mean reads the
-shards there as they are, and a stage whose marker is in its state dir
-keeps its outputs there, so two state dirs with other parameters sharing
-one ``--out`` can leave means and scores of one run beside the shards of
-the other. Outputs are byte-identical for any worker count and shard
-layout: task outputs do not depend on scheduling, and the reduce runs
-single-threaded in global key-pair order after the stage barrier.
+Every file, markers included, is written to a temporary file of its own
+attempt and renamed into place (``commit.committed``), so a file that
+exists is finished. Each stage is its plan plus its reduce, run by
+``_run_stage``: it removes what dead attempts left of the stage's files
+(``commit.remove_stray_tmp``), returns if the marker ``<stage>.done`` and
+the outputs exist, refuses missing inputs, runs the tasks whose outputs are
+missing and skips the rest, logs the task counts, reduces and commits the
+marker. The state dir's fingerprint covers the parameters and the frame
+files (names, sizes, mtimes), so a resume never reuses the results that
+state dir holds for changed inputs. The files in ``--out`` are not covered:
+mean reads the shards there as they are, and a stage whose marker is in
+its state dir keeps its outputs there, so two state dirs with other
+parameters sharing one ``--out`` can leave means and scores of one run
+beside the shards of the other. Outputs are byte-identical for any worker
+count and shard layout: task outputs do not depend on scheduling, and the
+reduce runs single-threaded in global key-pair order after the stage barrier.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field
 from itertools import combinations_with_replacement, zip_longest
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -276,8 +276,6 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
     else:
         with committed(fp_file) as tmp:
             tmp.write_text(fingerprint + "\n", encoding="utf-8")
-    for stage in (STAGE_EXTRACT, STAGE_MEAN):  # the stages with tasks
-        (root / stage).mkdir(exist_ok=True)
     return root
 
 
@@ -449,50 +447,78 @@ _TASK_RUNNERS = {
 }
 
 
-def _run_task(config: PipelineConfig, task: Task) -> tuple[int, str | None, float]:
+def _run_task(config: PipelineConfig, task: Task) -> tuple[str | None, float]:
+    """The task's error, None if it succeeded, and its duration in ms."""
     start = time.monotonic()
     try:
         _TASK_RUNNERS[task.stage](config, task)
-        return task.id, None, (time.monotonic() - start) * 1000.0
+        return None, (time.monotonic() - start) * 1000.0
     except Exception as exc:  # surfaced per task, stage fails afterwards
-        return task.id, f"{type(exc).__name__}: {exc}", (time.monotonic() - start) * 1000.0
+        return f"{type(exc).__name__}: {exc}", (time.monotonic() - start) * 1000.0
 
 
 # ---------------------------------------------------------------------------
-# Execution
+# Stages
+
+STAGES = (STAGE_EXTRACT, STAGE_MEAN, STAGE_SIM)
 
 
-def execute(tasks: list[Task], config: PipelineConfig) -> None:
-    """Run a stage's tasks on the worker pool; skip completed, fail late."""
-    by_id = {t.id: t for t in tasks}
+def _run_stage(
+    config: PipelineConfig,
+    state_dir: Path,
+    stage: str,
+    tasks: list[Task],
+    outputs: list[Path],
+    reduce: Callable[[], None],
+    needs: list[Path],
+) -> None:
+    """Run ``stage`` unless its marker and ``outputs`` exist (see the module
+    docstring). Dead attempts' temporary files go from its work dir, and
+    from --out and the state root those of ``outputs`` and the marker;
+    ``needs`` are the earlier stage's outputs that it reads."""
+    marker = state_dir / f"{stage}.done"
+    work_dir = state_dir / stage
+    started = time.time_ns()
+    remove_stray_tmp(work_dir, started)
+    for directory in (Path(config.out_dir), state_dir):
+        names = {path.name for path in (*outputs, marker) if path.parent == directory}
+        remove_stray_tmp(directory, started, names)
+    if marker.exists() and all(map(os.path.exists, outputs)):
+        return
+    missing = next((path for path in needs if not path.exists()), None)
+    if missing is not None:
+        raise ConfigError(f"missing {missing} (run {STAGES[STAGES.index(stage) - 1]} first)")
+
     pending = []
     for task in tasks:
         if task.is_done():
-            logger.info(
-                "task=%d stage=%s target=%s outcome=skipped", task.id, task.stage, task.label
-            )
+            logger.info("task=%d stage=%s target=%s outcome=skipped", task.id, stage, task.label)
         else:
             pending.append(task)
     failures: list[tuple[str, str]] = []
 
-    def record(task_id: int, error: str | None, duration_ms: float) -> None:
-        task = by_id[task_id]
-        outcome = "ok" if error is None else "failed"
+    def record(task: Task, error: str | None, duration_ms: float) -> None:
         logger.info(
             "task=%d stage=%s target=%s outcome=%s duration_ms=%.1f%s",
             task.id,
-            task.stage,
+            stage,
             task.label,
-            outcome,
+            "ok" if error is None else "failed",
             duration_ms,
             "" if error is None else f" error={error}",
         )
         if error is not None:
             failures.append((task.label, error))
 
+    if pending:
+        work_dir.mkdir(exist_ok=True)
+        if stage == STAGE_EXTRACT:
+            # flow's filters: imported once, before any task, so that forked
+            # workers inherit them and no task's time holds the import
+            import scipy.ndimage  # noqa: F401
     if config.workers <= 1 or len(pending) <= 1:
         for task in pending:
-            record(*_run_task(config, task))
+            record(task, *_run_task(config, task))
     else:
         # imported here, so that a command that runs no pool does not pay for it
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -503,28 +529,18 @@ def execute(tasks: list[Task], config: PipelineConfig) -> None:
             futures = {pool.submit(_run_task, config, task): task for task in pending}
             for future in as_completed(futures):
                 try:
-                    record(*future.result())
+                    record(futures[future], *future.result())
                 except Exception as exc:  # e.g. BrokenProcessPool: a worker died
                     elapsed_ms = (time.monotonic() - start) * 1000.0
-                    record(futures[future].id, f"{type(exc).__name__}: {exc}", elapsed_ms)
+                    record(futures[future], f"{type(exc).__name__}: {exc}", elapsed_ms)
 
+    ran, skipped, failed = len(pending) - len(failures), len(tasks) - len(pending), len(failures)
+    logger.info("stage=%s tasks_ran=%d tasks_skipped=%d tasks_failed=%d", stage, ran, skipped, failed)
     if failures:
-        failures.sort(key=lambda f: f[0])
-        raise StageError(tasks[0].stage, failures)
-
-
-# ---------------------------------------------------------------------------
-# Stages
-
-
-def _stage_marker(state_dir: Path, stage: str) -> Path:
-    return state_dir / f"{stage}.done"
-
-
-def _stage_done(state_dir: Path, stage: str, outputs: list[Path | str]) -> bool:
-    """This state dir's marker for ``stage`` and every listed output exist;
-    the marker keeps a reset state dir from reusing an earlier run's files."""
-    return _stage_marker(state_dir, stage).exists() and all(map(os.path.exists, outputs))
+        raise StageError(stage, sorted(failures))
+    reduce()
+    with committed(marker):
+        pass
 
 
 def run_extract(config: PipelineConfig) -> list[Path]:
@@ -535,23 +551,15 @@ def run_extract(config: PipelineConfig) -> list[Path]:
 def _extract(
     config: PipelineConfig, entries: list[tuple[str, str]], shard_keys: ShardKeys, state_dir: Path
 ) -> list[Path]:
-    remove_stray_tmp(state_dir / STAGE_EXTRACT, time.time_ns())
     tasks = plan_extract(config, entries, state_dir)
     shards = [_shard_path(config, i) for i in range(len(shard_keys))]
-    dumps = [path for task in tasks for path in task.dump_paths]
-    remove_stray_tmp(config.out_dir, time.time_ns(), {Path(p).name for p in shards + dumps})
-    if _stage_done(state_dir, STAGE_EXTRACT, shards + dumps):
-        return shards
-
-    if not all(task.is_done() for task in tasks):
-        # flow's filters: imported once here, so that forked workers inherit
-        # them, and only by a stage that runs flow
-        import scipy.ndimage  # noqa: F401
-    execute(tasks, config)
-
+    dumps = [Path(path) for task in tasks for path in task.dump_paths]
     archives = {task.label: task.out_path for task in tasks}
-    write_shards([[archives[key] for key in keys] for keys in shard_keys], config.out_dir)
-    _stage_marker(state_dir, STAGE_EXTRACT).touch()
+
+    def reduce() -> None:
+        write_shards([[archives[key] for key in keys] for keys in shard_keys], config.out_dir)
+
+    _run_stage(config, state_dir, STAGE_EXTRACT, tasks, shards + dumps, reduce, needs=[])
     return shards
 
 
@@ -583,35 +591,28 @@ def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
 
 
 def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
-    remove_stray_tmp(state_dir / STAGE_MEAN, time.time_ns())
     tasks = plan_pair_stage(shard_keys, state_dir)
     out_path, *_ = outputs = _mean_outputs(config, tasks)
-    remove_stray_tmp(out_path.parent, time.time_ns(), {out_path.name})
-    if _stage_done(state_dir, STAGE_MEAN, outputs):
-        return _read_mean(out_path, shard_keys)
 
-    for index in range(len(shard_keys)):  # the tasks check the keys they read
-        path = _shard_path(config, index)
-        if not path.exists():
-            raise ConfigError(f"missing shard file {path} (run extract first)")
-    execute(tasks, config)
+    def reduce() -> None:
+        # one row at a time in global key-pair order, as a += loop would:
+        # the same order whatever the shard layout
+        total = np.zeros(len(SLOTS))
+        pair_count = 0
+        for _, rows in _key_rows(tasks, shard_keys):
+            total = ordered_sum(np.vstack([total, rows]))
+            pair_count += len(rows)
+        try:
+            mean = mean_csd(total, pair_count)
+        except ValueError as exc:
+            raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
+        with committed(out_path) as tmp:
+            write_mean_csd_csv(mean, tmp)
 
-    # one row at a time in global key-pair order, as a += loop would: the
-    # same order whatever the shard layout
-    total = np.zeros(len(SLOTS))
-    pair_count = 0
-    for _, rows in _key_rows(tasks, shard_keys):
-        total = ordered_sum(np.vstack([total, rows]))
-        pair_count += len(rows)
-    try:
-        mean = mean_csd(total, pair_count)
-    except ValueError as exc:
-        raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
-
-    with committed(out_path) as tmp:
-        write_mean_csd_csv(mean, tmp)
-    _stage_marker(state_dir, STAGE_MEAN).touch()
-    return mean
+    # the tasks check the keys of the shards they read
+    shards = [_shard_path(config, i) for i in range(len(shard_keys))]
+    _run_stage(config, state_dir, STAGE_MEAN, tasks, outputs, reduce, needs=shards)
+    return _read_mean(out_path, shard_keys)
 
 
 SIMILARITY_HEADER = "video_a,video_b,similarity\n"
@@ -627,25 +628,22 @@ def run_similarity(config: PipelineConfig) -> Path:
 def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Path:
     tasks = plan_pair_stage(shard_keys, state_dir)
     mean_path, *_ = mean_outputs = _mean_outputs(config, tasks)
-    if not _stage_done(state_dir, STAGE_MEAN, mean_outputs):
-        raise ConfigError(f"missing {mean_path} or mean task outputs (run mean first)")
-
     out_path = Path(config.out_dir) / "similarity.csv"
-    remove_stray_tmp(out_path.parent, time.time_ns(), {out_path.name})
-    if _stage_done(state_dir, STAGE_SIM, [out_path]):
-        return out_path
 
-    mean = _read_mean(mean_path, shard_keys)
-    keys = [key for shard in shard_keys for key in shard]
-    with committed(out_path) as tmp, open(tmp, "w", encoding="utf-8") as out:
-        out.write(SIMILARITY_HEADER)
-        # the mean tasks checked their shards against exactly these keys
-        for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):
-            # one kernel call per key; .tolist() gives Python floats, so
-            # math.exp and repr run as they do on a scalar
-            pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)
-            out.write("".join(f"{key_a},{key_b},{similarity_score(kd)!r}\n" for key_b, kd in pairs))
-    _stage_marker(state_dir, STAGE_SIM).touch()
+    def reduce() -> None:
+        mean = _read_mean(mean_path, shard_keys)
+        keys = [key for shard in shard_keys for key in shard]
+        with committed(out_path) as tmp, open(tmp, "w", encoding="utf-8") as out:
+            out.write(SIMILARITY_HEADER)
+            # the mean tasks checked their shards against exactly these keys
+            for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):
+                # one kernel call per key; .tolist() gives Python floats, so
+                # math.exp and repr run as they do on a scalar
+                pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)
+                out.write("".join(f"{key_a},{key_b},{similarity_score(kd)!r}\n" for key_b, kd in pairs))
+
+    needs = [state_dir / f"{STAGE_MEAN}.done", *mean_outputs]
+    _run_stage(config, state_dir, STAGE_SIM, [], [out_path], reduce, needs)
     return out_path
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, slots_of, write_corpus, write_video_dir
-from potsim import engine
+from potsim import archive, commit, descriptors, engine
 from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.cli import main
 from potsim.engine import (
@@ -64,6 +65,14 @@ def task_outcomes(caplog):
     """{target: outcome} from the engine's per-task log lines."""
     lines = [re.search(r"target=(.+?) outcome=(\w+)", m) for m in caplog.messages]
     return dict(m.groups() for m in lines if m)
+
+
+def stage_counts(caplog):
+    """{stage: (ran, skipped, failed)} from the engine's per-stage lines,
+    which hold no token of the per-task lines."""
+    pattern = r"stage=(\w+) tasks_ran=(\d+) tasks_skipped=(\d+) tasks_failed=(\d+)"
+    lines = [re.fullmatch(pattern, m) for m in caplog.messages]
+    return {m[1]: tuple(map(int, m.groups()[1:])) for m in lines if m}
 
 
 def set_shards(monkeypatch, video_count, shards):
@@ -392,13 +401,15 @@ class TestFullPipeline:
         assert main(fast_argv("run", manifest, out)) == 2
         assert "parameters or inputs" in capsys.readouterr().err
 
-    def test_missing_directory_fails_its_task(self, tmp_path):
+    def test_missing_directory_fails_its_task(self, tmp_path, caplog):
         root = tmp_path / "c"
         manifest = small_corpus(root, n=3)
         manifest.write_text(manifest.read_text() + "gone,gone\n")
+        caplog.set_level("INFO", logger="potsim.engine")
         with pytest.raises(StageError) as err:
             run_extract(fast_config(manifest, tmp_path / "out"))
         assert [label for label, _ in err.value.failures] == ["gone"]
+        assert stage_counts(caplog) == {"extract": (3, 0, 1)}
 
     def test_stale_shard_from_earlier_run_is_ignored(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=5)
@@ -451,6 +462,27 @@ class TestFullPipeline:
         assert outcomes == [("extract", "skipped")] * 3 + [("mean", "skipped")] * 3
         assert all((state / f"{stage}.done").exists() for stage in ("extract", "mean", "sim"))
         assert [(out / name).read_bytes() for name in names] == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stage_lines_count_tasks(self, tmp_path, monkeypatch, caplog, workers):
+        """Each stage that runs logs its tasks ran, skipped and failed; a
+        finished stage logs none. A resume after one extract task output
+        and the shard holding it are deleted reruns that one task."""
+        manifest = small_corpus(tmp_path / "c", n=4)
+        out = tmp_path / "out"
+        set_shards(monkeypatch, 4, 2)
+        cfg = fast_config(manifest, out, workers=workers)
+        caplog.set_level("INFO", logger="potsim.engine")
+        before = run_pipeline(cfg).read_bytes()
+        assert stage_counts(caplog) == {"extract": (4, 0, 0), "mean": (3, 0, 0), "sim": (0, 0, 0)}
+        (out / "state" / "extract" / "task-1.out").unlink()
+        (out / "features-00000.potf").unlink()
+        caplog.clear()
+        assert run_pipeline(cfg).read_bytes() == before
+        assert stage_counts(caplog) == {"extract": (1, 3, 0)}
+        assert task_outcomes(caplog) == {
+            "v00": "skipped", "v01": "ok", "v02": "skipped", "v03": "skipped",
+        }
 
     def test_pool_is_sized_to_pending_tasks(self, tmp_path, monkeypatch):
         """A fork pool starts all its workers at the first submit: 64
@@ -512,7 +544,7 @@ class TestFullPipeline:
         attempt = f".{gone.pid}.deadbeef.tmp"
         outputs = ["features-00000.potf", "v01.of.txt", "v01.hog.txt", "mean_csd.csv"]
         strays = [out / f"{name}{attempt}" for name in [*outputs, "similarity.csv"]]
-        strays.append(out / "state" / f"fingerprint{attempt}")
+        strays += [out / "state" / f"{name}{attempt}" for name in ("fingerprint", "sim.done")]
         kept = [out / "notes.tmp", out / f"notes.txt{attempt}", out / "state" / "notes.tmp"]
         hour_ago = time.time_ns() - 3600 * 10**9
         for path in strays + kept:
@@ -586,6 +618,22 @@ class TestFullPipeline:
         cfg = fast_config(manifest, tmp_path / "out")
         with pytest.raises(ConfigError, match="run extract first"):
             run_mean(cfg)
+
+    def test_finished_sim_needs_no_mean_rows(self, tmp_path, capsys):
+        """A stage whose marker and outputs exist is done before its inputs
+        are checked: sim with similarity.csv written needs no mean rows."""
+        manifest = small_corpus(tmp_path / "c", n=4)
+        out = tmp_path / "out"
+        assert main(fast_argv("run", manifest, out)) == 0
+        before = (out / "similarity.csv").read_bytes()
+        shutil.rmtree(out / "state" / "mean")
+        assert main(fast_argv("sim", manifest, out)) == 0
+        assert (out / "similarity.csv").read_bytes() == before
+        (out / "similarity.csv").unlink()
+        capsys.readouterr()
+        assert main(fast_argv("sim", manifest, out)) == 2
+        rows = out / "state" / "mean" / "task-0.out"
+        assert capsys.readouterr().err == f"error: missing {rows} (run mean first)\n"
 
     def test_sim_requires_mean(self, tmp_path):
         manifest = small_corpus(tmp_path / "c", n=2)
@@ -953,6 +1001,64 @@ class TestPairStages:
         # re-running mean redoes the missing task
         assert main(fast_argv("run", manifest, out)) == 0
         assert (out / "similarity.csv").read_text() == direct
+
+
+KILLED = 86  # the exit status of a run cut short at a commit point
+
+
+def hook_commit_points(monkeypatch, at: int | None) -> list[int]:
+    """Make committed() count its blocks; at block ``at`` cut the file the
+    block wrote to half its length and exit, as a process killed
+    mid-write would. Returns the counter."""
+    count = [0]
+    real = commit.committed
+
+    @contextmanager
+    def hooked(path):
+        with real(path) as tmp:
+            yield tmp
+            count[0] += 1
+            if count[0] == at:
+                os.truncate(tmp, os.path.getsize(tmp) // 2)
+                os._exit(KILLED)
+
+    for module in (engine, archive, descriptors):
+        monkeypatch.setattr(module, "committed", hooked)
+    return count
+
+
+def test_every_commit_point_killed_and_resumed(tmp_path, monkeypatch):
+    """A run killed at each committed() block in turn resumes to exactly an
+    uninterrupted run's files under --out, the state dir included, and
+    leaves no temporary file. 8 videos in 2 shards make 19 commit points:
+    the fingerprint, 8 extract tasks, 2 shards, 3 mean tasks, mean_csd.csv,
+    similarity.csv and 3 stage markers."""
+    manifest = small_corpus(tmp_path / "c", n=8)
+    set_shards(monkeypatch, 8, 2)
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    with monkeypatch.context() as patch:
+        count = hook_commit_points(patch, None)
+        run_pipeline(fast_config(manifest, tmp_path / "direct"))
+    direct = files(tmp_path / "direct")
+    assert count[0] == 19
+
+    for k in range(1, count[0] + 1):
+        cfg = fast_config(manifest, tmp_path / f"killed-at-{k}")
+        pid = os.fork()
+        if pid == 0:
+            try:
+                hook_commit_points(monkeypatch, k)
+                run_pipeline(cfg)
+            finally:
+                os._exit(1)  # not killed: the k-th commit point is missing
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == KILLED, k
+        run_pipeline(cfg)
+        out = Path(cfg.out_dir)
+        assert list(out.rglob("*.tmp")) == [], k
+        assert files(out) == direct, k
 
 
 def test_benchmark_tracer_wraps_engine_names(monkeypatch):
