@@ -46,8 +46,11 @@ def hof_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     fields ``u``, ``v`` into (cell, orientation) bins.
 
     Orientation uses hard assignment: bin = floor(atan2(v, u) / (pi/4)),
-    angle normalized to [0, 2*pi).
+    angle normalized to [0, 2*pi). The fields are read as float64 (flow
+    returns float32), so the histogram is computed in float64.
     """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     magnitude = np.hypot(u, v)
     theta = np.mod(np.arctan2(v, u), _TWO_PI)
     obin = np.minimum(

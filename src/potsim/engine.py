@@ -38,9 +38,10 @@ exists is finished. Each stage is its plan plus its reduce, run by
 (``commit.remove_stray_tmp``), returns if the marker ``<stage>.done`` and
 the outputs exist, refuses missing inputs, runs the tasks whose outputs are
 missing and skips the rest, logs the task counts, reduces and commits the
-marker. The state dir's fingerprint covers the parameters and the frame
-files (names, sizes, mtimes), so a resume never reuses the results that
-state dir holds for changed inputs. The files in ``--out`` are not covered:
+marker. The state dir's fingerprint covers the parameters, the flow's
+precision and the frame files (names, sizes, mtimes), so a resume never
+reuses the results that state dir holds for changed inputs or for a flow
+of another precision. The files in ``--out`` are not covered:
 mean reads the shards there as they are, and a stage whose marker is in
 its state dir keeps its outputs there, so two state dirs with other
 parameters sharing one ``--out`` can leave means and scores of one run
@@ -77,7 +78,7 @@ from .archive import (
 )
 from .commit import committed, remove_stray_tmp
 from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text, series_dump_path
-from .flow import FarnebackParams
+from .flow import FLOW_DTYPE, FarnebackParams
 from .frames import frame_files, load_frame_sequence
 from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
 # csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
@@ -250,6 +251,8 @@ def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -
         "shard_count": shard_count(len(entries)),
         # every FarnebackParams field, in declaration order
         "farneback": astuple(config.farneback),
+        # a state dir of the float64 flow engine is refused, not mixed in
+        "flow_dtype": np.dtype(FLOW_DTYPE).name,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -31,6 +31,17 @@ from call to call (``_Workspace``), so a worker that runs many blocks of
 one shape allocates them once. Nothing handed back to a caller lies in
 that buffer.
 
+The iterative solve runs in float32, as OpenCV's
+``calcOpticalFlowFarneback`` (the flow of the Pooled Time Series papers)
+computes it: ``farneback_flow`` rounds each level's expansion once into a
+float32 array, and the warp, the flow updates and the upsampled ``u, v``
+are float32 from there, so it returns float32 fields. The solve is
+memory-bound elementwise work, so half the bytes is most of its time. The
+frames, the pyramid and ``poly_expand`` stay float64. ``_warp_expansion``
+and ``_flow_update`` take their dtype from ``u``; every constant they mix
+with their fields is cast to that dtype first, so numpy's older
+value-based casting and its NEP 50 promotion pick the same loops.
+
 ``scipy.ndimage`` is imported by the functions that filter, not by this
 module, so that importing potsim costs no scipy in commands that run no
 flow.
@@ -50,6 +61,10 @@ from .frames import resize_bilinear
 # Per-pixel 2x2 systems with determinant below this resolve to zero
 # displacement (untextured regions).
 SINGULAR_DET_EPS = 1e-9
+
+# The precision of the iterative solve and of the fields farneback_flow
+# returns; the state dir's fingerprint records it.
+FLOW_DTYPE = np.float32
 
 _MIN_PYRAMID_DIM = 8
 
@@ -219,20 +234,22 @@ def _warp_expansion(
     ``ndimage.map_coordinates(order=1, mode="nearest")`` so that the result
     is bit-identical to it: the upper weight is one minus the lower, and the
     four terms are summed left to right from 0.0. The warped fields are
-    written into ``out``, a ``(5, ..., H, W)`` array, or a new one.
+    written into ``out``, a ``(5, ..., H, W)`` array, or a new one. It
+    computes in ``u.dtype``; ``exp``, ``v`` and ``out`` share it.
     """
     h, w = u.shape[-2:]
+    real = u.dtype.type
     if out is None:
-        out = np.empty((5,) + u.shape)
+        out = np.empty((5,) + u.shape, u.dtype)
     with _WORKSPACE.scope() as take:
-        wy0, wx0, wy1, wx1 = take((4,) + u.shape)
+        wy0, wx0, wy1, wx1 = take((4,) + u.shape, u.dtype)
         base, index, down = take((3,) + u.shape, np.intp)
         right = take(u.shape, np.bool_)
         # cy = clip(row + v, 0, h - 1), cx = clip(column + u, 0, w - 1)
-        np.add(np.arange(h, dtype=np.float64)[:, None], v, out=wy0)
-        np.clip(wy0, 0.0, h - 1.0, out=wy0)
-        np.add(np.arange(w, dtype=np.float64), u, out=wx0)
-        np.clip(wx0, 0.0, w - 1.0, out=wx0)
+        np.add(np.arange(h, dtype=u.dtype)[:, None], v, out=wy0)
+        np.clip(wy0, real(0.0), real(h - 1.0), out=wy0)
+        np.add(np.arange(w, dtype=u.dtype), u, out=wx0)
+        np.clip(wx0, real(0.0), real(w - 1.0), out=wx0)
         y0, x0 = np.floor(wy0, out=wy1), np.floor(wx0, out=wx1)
         # flat index of the upper-left neighbour in the (..., H, W) fields; the
         # lower and right neighbours are clamped to it at the border
@@ -245,12 +262,13 @@ def _warp_expansion(
         np.multiply(right, w, out=down)
         np.less(x0, w - 1, out=right)
         # wy0 = 1 - (cy - y0), wy1 = 1 - wy0, and the same along x
-        np.subtract(1.0, np.subtract(wy0, y0, out=wy0), out=wy0)
-        np.subtract(1.0, np.subtract(wx0, x0, out=wx0), out=wx0)
-        np.subtract(1.0, wy0, out=wy1)
-        np.subtract(1.0, wx0, out=wx1)
+        one = real(1.0)
+        np.subtract(one, np.subtract(wy0, y0, out=wy0), out=wy0)
+        np.subtract(one, np.subtract(wx0, x0, out=wx0), out=wx0)
+        np.subtract(one, wy0, out=wy1)
+        np.subtract(one, wx0, out=wx1)
 
-        term = take(u.shape)
+        term = take(u.shape, u.dtype)
         flats = [f.reshape(-1) for f in exp]
         # a non-finite value times a zero weight is NaN, silently, as in map_coordinates
         with np.errstate(invalid="ignore"):
@@ -272,7 +290,7 @@ def _warp_expansion(
                     term *= wy
                     term *= wx
                     if corner == 0:  # summing from 0.0 turns a -0.0 sum into 0.0
-                        np.add(0.0, term, out=dst)
+                        np.add(real(0.0), term, out=dst)
                     else:
                         dst += term
     return out
@@ -293,29 +311,33 @@ def _flow_update(
     into delta_b) is turned into per-pixel normal equations, box-averaged
     over winsize x winsize, and solved. Near-singular pixels get zero flow.
     ``u`` and ``v`` are ``(K, H, W)`` stacks, one frame per pair, and the
-    expansions ``(5, K, H, W)``. Each comment gives the expression a block
-    computes in place, operand for operand.
+    expansions ``(5, K, H, W)``, all of ``u.dtype``, in which it computes.
+    Each comment gives the expression a block computes in place, operand
+    for operand.
     """
     from scipy import ndimage
 
+    real = u.dtype.type
     prev_a11, prev_a12, prev_a22, prev_b1, prev_b2 = prev_exp
     with _WORKSPACE.scope() as take:
-        tmp = take(u.shape)
-        a11, a12, a22, db1, db2 = _warp_expansion(next_exp, u, v, out=take((5,) + u.shape))
+        tmp = take(u.shape, u.dtype)
+        a11, a12, a22, db1, db2 = _warp_expansion(
+            next_exp, u, v, out=take((5,) + u.shape, u.dtype)
+        )
         # a11 = 0.5 * (prev.a11 + w11), and a12, a22 alike
         for avg, prev in ((a11, prev_a11), (a12, prev_a12), (a22, prev_a22)):
             np.add(prev, avg, out=avg)
-            np.multiply(0.5, avg, out=avg)
+            np.multiply(real(0.5), avg, out=avg)
         # db1 = -0.5 * (wb1 - prev.b1) + a11 * u + a12 * v
         # db2 = -0.5 * (wb2 - prev.b2) + a12 * u + a22 * v
         for db, prev, au, av in ((db1, prev_b1, a11, a12), (db2, prev_b2, a12, a22)):
             np.subtract(db, prev, out=db)
-            np.multiply(-0.5, db, out=db)
+            np.multiply(real(-0.5), db, out=db)
             db += np.multiply(au, u, out=tmp)
             db += np.multiply(av, v, out=tmp)
 
         # Normal equations of A d = db, accumulated over the averaging window.
-        normal = take((5,) + u.shape)
+        normal = take((5,) + u.shape, u.dtype)
         g11, g12, g22, h1, h2 = normal
         np.multiply(a12, a12, out=g22)
         np.add(np.multiply(a11, a11, out=g11), g22, out=g11)  # a11 * a11 + a12 * a12
@@ -329,18 +351,18 @@ def _flow_update(
         ndimage.uniform_filter(normal, size=window, mode="nearest", output=normal)
 
         # det = g11 * g22 - g12 * g12; singular = not (det >= SINGULAR_DET_EPS)
-        det = np.multiply(g11, g22, out=take(u.shape))
+        det = np.multiply(g11, g22, out=take(u.shape, u.dtype))
         det -= np.multiply(g12, g12, out=tmp)
-        singular = np.greater_equal(det, SINGULAR_DET_EPS, out=take(u.shape, np.bool_))
+        singular = np.greater_equal(det, real(SINGULAR_DET_EPS), out=take(u.shape, np.bool_))
         np.logical_not(singular, out=singular)
-        np.copyto(det, 1.0, where=singular)
+        np.copyto(det, real(1.0), where=singular)
         # u = (g22 * h1 - g12 * h2) / det, v = (g11 * h2 - g12 * h1) / det,
         # and 0.0 where singular
         for new, ga, hb, hc in ((u, g22, h1, h2), (v, g11, h2, h1)):
             np.multiply(ga, hb, out=new)
             new -= np.multiply(g12, hc, out=tmp)
             new /= det
-            np.copyto(new, 0.0, where=singular)
+            np.copyto(new, real(0.0), where=singular)
 
 
 def farneback_flow(
@@ -354,7 +376,8 @@ def farneback_flow(
     then have shape ``(K, H, W)``: their ``[k]`` is the flow of the
     consecutive pair ``(next[k - 1], next[k])`` (``(prev, next[0])`` for
     k = 0), bit-identical to a two-frame call on that pair. Each frame is
-    expanded once per pyramid level.
+    expanded once per pyramid level, in float64, and the solve runs in
+    ``FLOW_DTYPE`` (float32), the dtype of the fields returned.
     """
     if params is None:
         params = FarnebackParams()
@@ -380,20 +403,24 @@ def farneback_flow(
         # u and v: new arrays at each level, not in the workspace, so the
         # flow handed back is the caller's own
         u = v = None
+        scale = FLOW_DTYPE(params.pyr_scale)
         for level in reversed(pyramid):
             h, w = level.shape[-2:]
             if u is None:
-                u = np.zeros((len(level) - 1, h, w))
-                v = np.zeros((len(level) - 1, h, w))
+                u = np.zeros((len(level) - 1, h, w), FLOW_DTYPE)
+                v = np.zeros((len(level) - 1, h, w), FLOW_DTYPE)
             else:
                 u = resize_bilinear(u, w, h)
-                u /= params.pyr_scale
+                u /= scale
                 v = resize_bilinear(v, w, h)
-                v /= params.pyr_scale
+                v /= scale
             with _WORKSPACE.scope() as take_level:
-                exp = poly_expand(
-                    level, params.poly_n, params.poly_sigma, out=take_level((5,) + level.shape)
-                )
+                # expanded in float64, then rounded once to the solve's dtype
+                exp = take_level((5,) + level.shape, FLOW_DTYPE)
+                with _WORKSPACE.scope() as take_exact:
+                    exact = take_exact((5,) + level.shape)
+                    poly_expand(level, params.poly_n, params.poly_sigma, out=exact)
+                    np.copyto(exp, exact, casting="same_kind")
                 for _ in range(params.iterations):
                     _flow_update(exp[:, :-1], exp[:, 1:], u, v, params.winsize)
 

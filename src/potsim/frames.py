@@ -188,9 +188,11 @@ def _blend(frame: np.ndarray, rows: _Taps, cols: _Taps) -> np.ndarray:
         bot = f[y1, x0] * (1 - fx) + f[y1, x1] * fx
         out = top * (1 - fy) + bot * fy
 
-    with (y0, y1, fy) the row taps of i and (x0, x1, fx) the column taps of j.
+    with (y0, y1, fy) the row taps of i and (x0, x1, fx) the column taps of j,
+    in the frame's dtype: the fractions are cast to it first.
     """
-    fx, fy = cols.frac, rows.frac[:, None]
+    fx = cols.frac.astype(frame.dtype, copy=False)
+    fy = rows.frac.astype(frame.dtype, copy=False)[:, None]
     across = frame.take(cols.lo, axis=-1)
     across *= 1 - fx
     right = frame.take(cols.hi, axis=-1)
@@ -208,8 +210,12 @@ def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Resize a frame with corner-aligned bilinear interpolation.
 
     A ``(..., H, W)`` stack is resized frame by frame along its last two axes.
+    A float32 frame (the flow's fields) is resized in float32, any other in
+    float64.
     """
-    frame = np.asarray(frame, dtype=np.float64)
+    frame = np.asarray(frame)
+    if frame.dtype != np.float32:
+        frame = frame.astype(np.float64, copy=False)
     src_h, src_w = frame.shape[-2:]
     if (out_w, out_h) == (src_w, src_h):
         return frame.copy()

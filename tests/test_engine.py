@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -381,6 +382,37 @@ class TestFullPipeline:
         changed = fast_config(manifest, tmp_path / "out", working_w=32)
         with pytest.raises(ConfigError, match="fingerprint"):
             run_extract(changed)
+
+    def test_float64_flow_state_dir_refused(self, tmp_path, capsys, caplog):
+        """A state dir of the engine whose flow solved in float64, with no
+        flow precision in its fingerprint payload, is refused with exit 2
+        before any extract task runs, so no shard or mean mixes features
+        of both precisions."""
+        manifest = small_corpus(tmp_path / "c", n=2)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        entries = parse_manifest(manifest)
+        payload = {
+            "inputs": engine._input_digest(entries),
+            "working": [cfg.working_w, cfg.working_h],
+            "levels": list(cfg.levels),
+            "hog_threshold": cfg.hog_threshold,
+            "shard_count": engine.shard_count(len(entries)),
+            "farneback": dataclasses.astuple(cfg.farneback),
+        }
+
+        def fingerprint(payload):
+            return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+        # today's payload is that one plus the flow's precision
+        assert fingerprint({**payload, "flow_dtype": "float32"}) == config_fingerprint(cfg, entries)
+        (out / "state").mkdir(parents=True)
+        (out / "state" / "fingerprint").write_text(fingerprint(payload) + "\n")
+        caplog.set_level("INFO", logger="potsim.engine")
+        assert main(fast_argv("run", manifest, out)) == 2
+        assert "parameters or inputs" in capsys.readouterr().err
+        assert task_outcomes(caplog) == {}
+        assert not (out / "state" / "extract").exists()
 
     @pytest.mark.parametrize("change", ["replaced-frames", "renamed-key", "touched-frame"])
     def test_changed_inputs_refuse_resume(self, tmp_path, capsys, change):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from conftest import gaussian_blob, smooth_texture
+from potsim.descriptors import compute_series
 from potsim.flow import (
     FarnebackParams,
     _warp_expansion,
@@ -190,6 +193,23 @@ class TestFarnebackFlow:
         u, v = farneback_flow(prev, nxt)
         assert np.isfinite(u).all()
         assert np.isfinite(v).all()
+
+    def test_float32_flow_float64_series(self):
+        """The solve, and so the fields returned, is float32; the series
+        built from them are float64. On 0/255 binary noise, where the
+        systems are least smooth, the flow is finite and no overflow or
+        invalid-value warning is raised at any size."""
+        rng = np.random.default_rng(13)
+        for size in (8, 32, 128):
+            frames = 255.0 * rng.integers(0, 2, size=(3, size, size))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                u, v = farneback_flow(frames[0], frames[1:])
+                hof, hog = compute_series(frames)
+            assert u.dtype == v.dtype == np.float32
+            assert np.isfinite(u).all() and np.isfinite(v).all()
+            assert hof.dtype == hog.dtype == np.float64
+            assert hof.shape == hog.shape == (2, 200)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):

@@ -4,14 +4,19 @@ plain array expressions they replace, byte for byte.
 Each ``oracle_*`` function below is the earlier, allocating form of a
 kernel, kept as the reference: the rewritten kernels must perform the same
 IEEE operations on the same operands in the same order, so any difference
-in any bit fails here.
+in any bit fails here. The oracles compute in their inputs' dtype, as the
+kernels do; ``oracle_farneback_flow`` takes the solve's dtype, float32 by
+default as in ``farneback_flow``, and with float64 it is the engine's
+earlier flow, against which the last test compares the scores.
 """
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from potsim import flow
+from conftest import blob_video, noise_video, write_corpus
+from potsim import descriptors, flow
+from potsim.engine import PipelineConfig, run_pipeline
 from potsim.flow import (
     SINGULAR_DET_EPS,
     FarnebackParams,
@@ -34,8 +39,8 @@ STACKS = [(2, 24, 40), (5, 64, 64), (4, 33, 17)]
 
 
 def oracle_blend(frame, rows, cols):
-    y0, y1, fy = rows.lo[:, None], rows.hi[:, None], rows.frac[:, None]
-    x0, x1, fx = cols.lo, cols.hi, cols.frac
+    y0, y1, fy = rows.lo[:, None], rows.hi[:, None], rows.frac[:, None].astype(frame.dtype)
+    x0, x1, fx = cols.lo, cols.hi, cols.frac.astype(frame.dtype)
     top = frame[..., y0, x0] * (1 - fx) + frame[..., y0, x1] * fx
     bot = frame[..., y1, x0] * (1 - fx) + frame[..., y1, x1] * fx
     return top * (1 - fy) + bot * fy
@@ -72,8 +77,8 @@ def oracle_poly_expand(frame, poly_n, poly_sigma):
 
 def oracle_warp_expansion(exp, u, v):
     h, w = u.shape[-2:]
-    cy = np.clip(np.arange(h, dtype=np.float64)[:, None] + v, 0.0, h - 1.0)
-    cx = np.clip(np.arange(w, dtype=np.float64) + u, 0.0, w - 1.0)
+    cy = np.clip(np.arange(h, dtype=u.dtype)[:, None] + v, 0.0, h - 1.0)
+    cx = np.clip(np.arange(w, dtype=u.dtype) + u, 0.0, w - 1.0)
     y0, x0 = np.floor(cy), np.floor(cx)
     wy0 = np.subtract(1.0, np.subtract(cy, y0, out=cy), out=cy)
     wx0 = np.subtract(1.0, np.subtract(cx, x0, out=cx), out=cx)
@@ -89,7 +94,7 @@ def oracle_warp_expansion(exp, u, v):
 
     def warp(field):
         flat = field.reshape(-1)
-        out = np.zeros(u.shape)
+        out = np.zeros(u.shape, u.dtype)
         for index, wy, wx in corners:
             term = flat.take(index)
             term *= wy
@@ -138,7 +143,7 @@ def oracle_pyramid_downsample(frame, scale):
     return oracle_resize(blurred, out_w, out_h)
 
 
-def oracle_farneback_flow(prev, next, params):
+def oracle_farneback_flow(prev, next, params, dtype=np.float32):
     stack = np.concatenate([prev[None], next.reshape((-1,) + prev.shape)])
     pyramid = [stack]
     for _ in range(params.levels - 1):
@@ -147,12 +152,12 @@ def oracle_farneback_flow(prev, next, params):
     for level in reversed(pyramid):
         h, w = level.shape[-2:]
         if u is None:
-            u = np.zeros((len(level) - 1, h, w))
-            v = np.zeros((len(level) - 1, h, w))
+            u = np.zeros((len(level) - 1, h, w), dtype)
+            v = np.zeros((len(level) - 1, h, w), dtype)
         else:
             u = oracle_resize(u, w, h) / params.pyr_scale
             v = oracle_resize(v, w, h) / params.pyr_scale
-        exp = oracle_poly_expand(level, params.poly_n, params.poly_sigma)
+        exp = oracle_poly_expand(level, params.poly_n, params.poly_sigma).astype(dtype)
         for _ in range(params.iterations):
             u, v = oracle_flow_update(exp[:, :-1], exp[:, 1:], u, v, params.winsize)
     u = np.nan_to_num(u, nan=0.0, posinf=0.0, neginf=0.0)
@@ -186,11 +191,22 @@ class TestBlend:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
     @pytest.mark.parametrize("src, dst", CASES)
     def test_matches_oracle(self, lead, src, dst):
+        self.check(lead, src, dst, np.float64)
+
+    @pytest.mark.parametrize("src, dst", CASES)
+    def test_float32_matches_oracle(self, src, dst):
+        """A float32 stack, as the flow upsamples its fields, stays float32."""
+        self.check((3,), src, dst, np.float32)
+
+    def check(self, lead, src, dst, dtype):
         frame = np.random.default_rng(sum(src + dst)).normal(0.0, 100.0, size=lead + src)
+        frame = frame.astype(dtype)
         frame.flat[::5] = -0.0
         rows, cols = _axis_taps(src[0], dst[0]), _axis_taps(src[1], dst[1])
         assert_same_bytes(_blend(frame, rows, cols), oracle_blend(frame, rows, cols))
-        assert_same_bytes(resize_bilinear(frame, dst[1], dst[0]), oracle_resize(frame, dst[1], dst[0]))
+        resized = resize_bilinear(frame, dst[1], dst[0])
+        assert resized.dtype == dtype
+        assert_same_bytes(resized, oracle_resize(frame, dst[1], dst[0]))
 
 
 class TestPolyExpand:
@@ -219,16 +235,24 @@ def random_expansion(shape, seed):
 class TestWarpExpansion:
     @pytest.mark.parametrize("shape", STACKS)
     def test_matches_oracle(self, shape):
+        self.check(shape, np.float64)
+
+    @pytest.mark.parametrize("shape", STACKS)
+    def test_float32_matches_oracle(self, shape):
+        self.check(shape, np.float32)
+
+    def check(self, shape, dtype):
         rng = np.random.default_rng(shape[2])
         k = shape[0] - 1
-        exp = random_expansion(shape, seed=3)[:, 1:]
-        u = rng.uniform(-8.0, 8.0, size=(k,) + shape[1:])
-        v = rng.uniform(-8.0, 8.0, size=(k,) + shape[1:])
+        exp = random_expansion(shape, seed=3)[:, 1:].astype(dtype)
+        u = rng.uniform(-8.0, 8.0, size=(k,) + shape[1:]).astype(dtype)
+        v = rng.uniform(-8.0, 8.0, size=(k,) + shape[1:]).astype(dtype)
         u[:, ::4] = np.round(u[:, ::4])
         v[:, :2] = -0.0
         expected = oracle_warp_expansion(exp, u, v)
-        out = np.empty((5,) + u.shape)
+        out = np.empty((5,) + u.shape, dtype)
         for warped in (_warp_expansion(exp, u, v), _warp_expansion(exp, u, v, out=out)):
+            assert warped.dtype == dtype
             for actual, reference in zip(warped, expected):
                 assert_same_bytes(actual, reference)
 
@@ -237,15 +261,24 @@ class TestFlowUpdate:
     @pytest.mark.parametrize("shape", STACKS)
     @pytest.mark.parametrize("winsize", [5, 15])
     def test_matches_oracle(self, shape, winsize):
+        self.check(shape, winsize, np.float64)
+
+    @pytest.mark.parametrize("shape", STACKS)
+    @pytest.mark.parametrize("winsize", [5, 15])
+    def test_float32_matches_oracle(self, shape, winsize):
+        self.check(shape, winsize, np.float32)
+
+    def check(self, shape, winsize, dtype):
         rng = np.random.default_rng(winsize)
         k = shape[0] - 1
-        exp = random_expansion(shape, seed=4)
+        exp = random_expansion(shape, seed=4).astype(dtype)
         prev_exp, next_exp = exp[:, :-1], exp[:, 1:]
-        u = rng.uniform(-3.0, 3.0, size=(k,) + shape[1:])
-        v = rng.uniform(-3.0, 3.0, size=(k,) + shape[1:])
+        u = rng.uniform(-3.0, 3.0, size=(k,) + shape[1:]).astype(dtype)
+        v = rng.uniform(-3.0, 3.0, size=(k,) + shape[1:]).astype(dtype)
         u[:, :3] = 0.0
         expected_u, expected_v = oracle_flow_update(prev_exp, next_exp, u, v, winsize)
         _flow_update(prev_exp, next_exp, u, v, winsize)
+        assert u.dtype == v.dtype == dtype
         assert_same_bytes(u, expected_u)
         assert_same_bytes(v, expected_v)
 
@@ -273,3 +306,50 @@ class TestFarnebackFlow:
         assert workspace.size > 0
         assert not np.shares_memory(first_u, workspace)
         assert not np.shares_memory(first_v, workspace)
+
+
+class TestFloat32SolveScores:
+    def test_scores_match_the_float64_solve(self, tmp_path, monkeypatch):
+        """The float32 solve against the float64 one, end to end on a small
+        corpus: every score moves by at most 1e-3, every key keeps its
+        nearest neighbour, and two byte-identical videos score exactly 1.0.
+        On this corpus the median score moves by 6e-9, and by 2e-6 when
+        the flow is rounded to float16, a loss of precision the other
+        bounds let through (3e-5 at most); float32's unit roundoff, 2**-24,
+        bounds the median between the two."""
+        videos = {
+            f"blob{i}": blob_video(8, 32, (8.0 + 3 * i, 10.0 + 2 * i), (1.0 + 0.4 * i, 0.5 - 0.3 * i))
+            for i in range(5)
+        }
+        videos.update({f"noise{i}": noise_video(8, 32, seed=i) for i in range(2)})
+        videos["copy"] = videos["blob2"]
+        manifest = write_corpus(tmp_path / "c", videos)
+
+        def scores(out):
+            config = PipelineConfig(
+                manifest=str(manifest), out_dir=str(tmp_path / out), working_w=32, working_h=32
+            )
+            lines = run_pipeline(config).read_text().splitlines()[1:]
+            return {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in lines}
+
+        def nearest(scores):
+            keys = sorted(videos)
+            return {
+                key: max((other for other in keys if other != key),
+                         key=lambda other: scores[tuple(sorted((key, other)))])
+                for key in keys
+            }
+
+        single = scores("float32")
+        monkeypatch.setattr(
+            descriptors,
+            "farneback_flow",
+            lambda prev, next, params: oracle_farneback_flow(prev, next, params, np.float64),
+        )
+        double = scores("float64")
+        assert single.keys() == double.keys()
+        drift = [abs(single[pair] - double[pair]) for pair in single]
+        assert max(drift) <= 1e-3
+        assert np.median(drift) <= 2.0**-24
+        assert nearest(single) == nearest(double)
+        assert single[("blob2", "copy")] == double[("blob2", "copy")] == 1.0
