@@ -155,13 +155,6 @@ def shard_records(records: Sequence[T], shard_count: int) -> list[Sequence[T]]:
     return [records[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def partners(shard_b: Sequence[T], k: int, same_shard: bool) -> Sequence[T]:
-    """The records of ``shard_b`` that the k-th record of a shard pairs with:
-    in the shard itself only the later ones (key_a < key_b), in a later
-    shard all of them (range partitioning puts its keys above)."""
-    return shard_b[k + 1 :] if same_shard else shard_b
-
-
 def write_shards(groups: Sequence[Sequence[str | Path]], out_dir: str | Path) -> list[ArchiveShard]:
     """Write one shard per group of single-record archives, the groups being
     the layout's shards in key order, streaming the records undecoded."""

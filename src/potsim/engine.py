@@ -6,24 +6,24 @@ Three strictly sequential stages mirror a mapper/reducer layout:
 * extract: one task per video computes both histogram series and the pooled
   feature into a single-record archive; a finalization step streams those
   archives into the layout's shards without decoding them.
-* mean: one task per shard pair (i, j), i <= j, writes the six per-slot
-  chi-square distances of each of its pairs as one row of six little-endian
-  float64 (48 bytes, no keys), in key-pair order. It checks that its two
-  shards hold the keys the layout gives them. A shard holds at most 64
-  keys, so the task stacks shard j's features into one block and scores
-  all keys of shard i, stacked once, against it in one call of
+* mean: one task per shard row i, S in all, writes the six per-slot
+  chi-square distances of each pair whose first key is in shard i as one
+  row of six little-endian float64 (48 bytes, no keys), in key-pair order,
+  to ``mean/rows-<i>.out``. It reads shard i and each later shard once and
+  checks that each holds the keys the layout gives it. A shard holds at
+  most 64 keys, so shard i's keys are stacked once and scored against each
+  later shard, stacked into one block, in one call of
   ``similarity.csd_stack``, which walks the features in cache-sized chunks;
-  a diagonal task makes one call per small group of the block's own
-  columns, so that it drops few of the pairs it computes. The reduce walks
-  the rows in global key-pair order (``_key_rows``) and sums them strictly
-  in that order into ``mean_csd.csv``, so no bit of it depends on the shard layout.
+  against shard i itself it makes one call per small group of keys, so that
+  it drops few of the pairs it computes. The rows, at most 64 x (N - 1),
+  land in one array in file order, written as it is. The reduce reads row
+  files 0, ..., S - 1 one after another, one open at a time, which is
+  global key-pair order (``_key_rows``), and sums the rows strictly in that
+  order into ``mean_csd.csv``, so no bit of it depends on the shard layout.
 * similarity: no tasks of its own and no shard read; it takes the same walk,
   and each key's rows, normalised by the means in one ``kernel_distance``
   call, become lines of ``similarity.csv``. It refuses, as a resumed mean
   stage does, a ``mean_csd.csv`` whose pair count is not the layout's.
-
-The walk reads, for each shard i, its keys' rows from tasks (i, i),
-(i, i + 1), ..., (i, S - 1) in lockstep, so at most S files are open.
 
 A preamble shared by the stages checks the whole configuration
 (``check_config``) before it reads the manifest or touches the state dir,
@@ -59,9 +59,8 @@ import math
 import numbers
 import os
 import time
-from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field
-from itertools import combinations_with_replacement, zip_longest
+from itertools import accumulate, zip_longest
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -70,7 +69,6 @@ import numpy as np
 from .archive import (
     SHARD_NAME_FORMAT,
     ArchiveRecord,
-    partners,
     read_archive,
     shard_records,
     write_archive,
@@ -141,7 +139,7 @@ class Task:
 
     id: int
     stage: str
-    # extract: video key; mean: "shards (i,j)"
+    # extract: video key; mean: "shard row i"
     label: str
     payload: tuple
     out_path: str
@@ -167,7 +165,7 @@ def check_config(config: PipelineConfig) -> None:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
     try:
         config.farneback.validate()
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a poly_n window too large to fit
         raise ConfigError(str(exc)) from None
 
 
@@ -321,18 +319,17 @@ def plan_extract(
 
 
 def plan_pair_stage(shard_keys: ShardKeys, state_dir: Path) -> list[Task]:
-    """Mean tasks: one per shard pair i <= j, each with its shards' keys."""
-    work_dir = state_dir / STAGE_MEAN
-    pairs = combinations_with_replacement(range(len(shard_keys)), 2)
+    """Mean tasks: one per shard row i, each with the keys of shards i,
+    i + 1, ..., S - 1."""
     return [
         Task(
-            id=task_id,
+            id=i,
             stage=STAGE_MEAN,
-            label=f"shards ({i},{j})",
-            payload=(i, j, tuple(shard_keys[i]), tuple(shard_keys[j])),
-            out_path=str(work_dir / f"task-{task_id}.out"),
+            label=f"shard row {i}",
+            payload=(i, tuple(map(tuple, shard_keys[i:]))),
+            out_path=str(state_dir / STAGE_MEAN / f"rows-{i}.out"),
         )
-        for task_id, (i, j) in enumerate(pairs)
+        for i in range(len(shard_keys))
     ]
 
 
@@ -373,75 +370,66 @@ def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> li
     return records
 
 
-# keys of a diagonal task per csd_stack call: the call scores every key of
-# the group from its first key's partners on, and drops the pairs before a
-# key's own, so small groups waste few pairs and large ones few calls
+# keys of shard i per csd_stack call against shard i itself: the call
+# scores every key of the group from its first key's partners on, and drops
+# the pairs before a key's own, so small groups waste few pairs and large
+# ones few calls
 _DIAGONAL_GROUP = 10
 
 
+def _row_counts(task: Task) -> list[int]:
+    """Rows of a mean task per key of its shard i: one per later key."""
+    _, shards = task.payload
+    later = sum(map(len, shards))
+    return [later - 1 - k for k in range(len(shards[0]))]
+
+
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
-    """Write each pair's row, each key of shard i with its ``partners`` in
-    shard j, with no keys: shards are key ranges, so that is key-pair order.
-
-    A shard holds at most VIDEOS_PER_SHARD keys, so shard j is stacked into
-    one block, and all keys of shard i, stacked once, are scored against it
-    in one pass, or, on the diagonal, each group of _DIAGONAL_GROUP of the
-    block's own columns."""
-    i, j, keys_a, keys_b = task.payload
-    records_a = _read_shard(config, i, keys_a)
-    records_b = records_a if i == j else _read_shard(config, j, keys_b)
-    block = np.stack([record.feature for record in records_b], axis=1)
-    keys = block if i == j else np.stack([r.feature for r in records_a], axis=1)
-    # key k's partners are the last columns of the block
-    starts = [len(records_b) - len(partners(records_b, k, i == j)) for k in range(len(records_a))]
-    group = _DIAGONAL_GROUP if i == j else len(records_a)
-    rows = [
-        csd_stack(keys[:, g : g + group], block, starts[g : g + group])
-        for g in range(0, len(records_a), group)
-    ]
-    with committed(task.out_path) as tmp:
-        tmp.write_bytes(np.vstack(rows).astype(ROW_DTYPE).tobytes())
-
-
-def _open_rows(task: Task):
-    """Open a mean task's rows, checking that they hold one row per pair
-    of its shards: a short, long or old-format file fails here, naming its
-    path."""
-    i, j, keys_a, keys_b = task.payload
-    pair_count = sum(len(partners(keys_b, k, i == j)) for k in range(len(keys_a)))
-    fh = open(task.out_path, "rb")
-    size = os.fstat(fh.fileno()).st_size
-    if size != pair_count * ROW_BYTES:
-        fh.close()
-        raise ValueError(
-            f"{task.out_path}: {size} bytes where {pair_count} rows of six "
-            f"float64 distances take {pair_count * ROW_BYTES}; to repair it, "
-            f"delete that file and rerun `potsim mean`, which reruns its task "
-            f"and the reduce"
-        )
-    return fh
+    """Write shard row i's rows (see the module docstring): shards are key
+    ranges, so each key's rows in key-pair order are its pairs in shard i,
+    then in shard i + 1, and so on."""
+    i, shards = task.payload
+    counts = _row_counts(task)
+    rows = np.empty((sum(counts), len(SLOTS)), dtype=ROW_DTYPE)
+    free = list(accumulate(counts[:-1], initial=0))  # each key's next row
+    for j, shard in enumerate(shards):
+        block = np.stack([record.feature for record in _read_shard(config, i + j, shard)], axis=1)
+        if j == 0:
+            keys = block
+        group = _DIAGONAL_GROUP if j == 0 else len(counts)
+        for g in range(0, len(counts), group):
+            starts = [k + 1 if j == 0 else 0 for k in range(g, min(g + group, len(counts)))]
+            scored = csd_stack(keys[:, g : g + group], block, starts)
+            for k, start in enumerate(starts, start=g):
+                count = block.shape[1] - start
+                rows[free[k] : free[k] + count], scored = scored[:count], scored[count:]
+                free[k] += count
+    with committed(task.out_path) as tmp, open(tmp, "wb") as fh:
+        fh.write(rows)
 
 
-def _key_rows(tasks: list[Task], shard_keys: ShardKeys) -> Iterator[tuple[str, np.ndarray]]:
-    """Walk the mean rows in global key-pair order: yield each key with
-    its rows, one (partners, 6) array. In that order the partners of the
-    g-th key are the keys after it.
+def _key_rows(tasks: list[Task]) -> Iterator[tuple[str, np.ndarray]]:
+    """Walk the mean rows in global key-pair order, one row file open at a
+    time: yield each key with its rows, one (partners, 6) array. In that
+    order the partners of the g-th key are the keys after it.
 
-    Shards are ordered key ranges, so the pairs of a key of shard i in key
-    order are its rows in task (i, i), then in (i, i + 1), and so on: each
-    row of tasks is read in lockstep, S files at most."""
-    by_shards = {task.payload[:2]: task for task in tasks}
-    for i, keys_a in enumerate(shard_keys):
-        with ExitStack() as stack:
-            row = [
-                (j, stack.enter_context(_open_rows(by_shards[(i, j)])))
-                for j in range(i, len(shard_keys))
-            ]
-            for k, key_a in enumerate(keys_a):
-                data = b"".join(
-                    fh.read(len(partners(shard_keys[j], k, i == j)) * ROW_BYTES) for j, fh in row
+    Each file is checked to hold one row per pair of its task: a short,
+    long or old-format file fails here, naming its path."""
+    for task in tasks:
+        counts = _row_counts(task)
+        pair_count = sum(counts)
+        with open(task.out_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != pair_count * ROW_BYTES:
+                raise ValueError(
+                    f"{task.out_path}: {size} bytes where {pair_count} rows of six "
+                    f"float64 distances take {pair_count * ROW_BYTES}; to repair it, "
+                    f"delete that file and rerun `potsim mean`, which reruns its task "
+                    f"and the reduce"
                 )
-                yield key_a, np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
+            for key, count in zip(task.payload[1][0], counts):
+                data = fh.read(count * ROW_BYTES)
+                yield key, np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
 
 
 _TASK_RUNNERS = {
@@ -602,7 +590,7 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
         # the same order whatever the shard layout
         total = np.zeros(len(SLOTS))
         pair_count = 0
-        for _, rows in _key_rows(tasks, shard_keys):
+        for _, rows in _key_rows(tasks):
             total = ordered_sum(np.vstack([total, rows]))
             pair_count += len(rows)
         try:
@@ -639,7 +627,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
         with committed(out_path) as tmp, open(tmp, "w", encoding="utf-8") as out:
             out.write(SIMILARITY_HEADER)
             # the mean tasks checked their shards against exactly these keys
-            for g, (key_a, rows) in enumerate(_key_rows(tasks, shard_keys)):
+            for g, (key_a, rows) in enumerate(_key_rows(tasks)):
                 # one kernel call per key; .tolist() gives Python floats, so
                 # math.exp and repr run as they do on a scalar
                 pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)

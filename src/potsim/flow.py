@@ -139,6 +139,7 @@ class FarnebackParams:
             raise ValueError(f"poly_n must be odd and >= 3, got {self.poly_n}")
         if not self.poly_sigma > 0.0:  # also rejects NaN
             raise ValueError(f"poly_sigma must be > 0, got {self.poly_sigma}")
+        _expansion_fit(self.poly_n, self.poly_sigma)
 
 
 # The weighted projections onto the basis 1, x, y, x^2, y^2, xy, as
@@ -149,6 +150,32 @@ _PROJECTION_KERNELS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 # order: x^2 (a11), xy (2 * a12), y^2 (a22), x (b1), y (b2); row 0, the
 # constant c, is never solved.
 _EXPANSION_ROWS = [3, 5, 4, 1, 2]
+
+
+def _expansion_fit(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window offsets, their Gaussian weights and the inverse of the
+    6x6 normal matrix of ``poly_expand``'s fit. A ValueError where that
+    matrix cannot be inverted: a ``poly_sigma`` so small that every weight
+    off the centre is 0, or so large that its square overflows."""
+    radius = (poly_n - 1) // 2
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    try:
+        w = np.exp(-(offsets**2) / (2.0 * poly_sigma**2))
+    except OverflowError:
+        raise ValueError(f"poly_sigma {poly_sigma} overflows the expansion's weights") from None
+    # Basis order: 1, x, y, x^2, y^2, xy  (x = column offset, y = row offset)
+    xg, yg = np.meshgrid(offsets, offsets, indexing="xy")
+    basis = np.stack([np.ones_like(xg), xg, yg, xg**2, yg**2, xg * yg]).reshape(6, -1)
+    gram = (basis * np.outer(w, w).ravel()) @ basis.T
+    try:
+        gram_inv = np.linalg.inv(gram)
+        if np.isfinite(gram_inv).all():
+            return offsets, w, gram_inv
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError(
+        f"poly_sigma {poly_sigma} with poly_n {poly_n} leaves the expansion's normal matrix singular"
+    )
 
 
 def poly_expand(
@@ -173,19 +200,7 @@ def poly_expand(
     from scipy import ndimage
 
     frame = np.asarray(frame, dtype=np.float64)
-    radius = (poly_n - 1) // 2
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-(offsets**2) / (2.0 * poly_sigma**2))
-
-    # Basis order: 1, x, y, x^2, y^2, xy  (x = column offset, y = row offset)
-    xg, yg = np.meshgrid(offsets, offsets, indexing="xy")
-    basis = np.stack(
-        [np.ones_like(xg), xg, yg, xg**2, yg**2, xg * yg]
-    ).reshape(6, -1)
-    weights2d = np.outer(w, w).ravel()
-    gram = (basis * weights2d) @ basis.T
-    gram_inv = np.linalg.inv(gram)
-
+    offsets, w, gram_inv = _expansion_fit(poly_n, poly_sigma)
     kernels = (w, w * offsets, w * offsets**2)
     if out is None:
         out = np.empty((5,) + frame.shape)

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from potsim.archive import (
     ArchiveRecord,
-    partners,
     read_archive,
     shard_records,
     write_archive,
     write_shards,
 )
+from potsim.engine import _row_counts, plan_pair_stage
 from potsim.pooling import pot_vector
 
 
@@ -230,22 +231,32 @@ class TestSharding:
             write_shards([[path]], tmp_path / "out")
 
 
-def task_pairs(shard_a, shard_b, same_shard):
-    """The pairs of one shard-pair task: each key of ``shard_a`` with its
-    ``partners`` in ``shard_b``, in that order, as a mean task writes them."""
-    return [(a, b) for k, a in enumerate(shard_a) for b in partners(shard_b, k, same_shard)]
+def row_pairs(shards):
+    """The pairs of each shard row's mean task, in the order it writes
+    their rows: each key of shard i, by the engine's row count per key,
+    with the keys after it in shards i, i + 1, ..."""
+    rows = []
+    for task in plan_pair_stage(shards, Path("state")):
+        later = [key for shard in task.payload[1] for key in shard]
+        counts = _row_counts(task)
+        rows.append([(a, b) for a, n in zip(later, counts) for b in later[len(later) - n :]])
+    return rows
 
 
 class TestCartesianPairs:
     def test_within_shard(self):
         keys = ["v1", "v2", "v3"]
-        assert task_pairs(keys, keys, True) == [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]
+        assert row_pairs([keys]) == [[("v1", "v2"), ("v1", "v3"), ("v2", "v3")]]
 
     def test_cross_shard(self):
-        assert task_pairs(["v1", "v2"], ["v3"], False) == [("v1", "v3"), ("v2", "v3")]
+        assert row_pairs([["v1", "v2"], ["v3"]]) == [
+            [("v1", "v2"), ("v1", "v3"), ("v2", "v3")],
+            [],
+        ]
+        assert row_pairs([["v1"], ["v2", "v3"]]) == [[("v1", "v2"), ("v1", "v3")], [("v2", "v3")]]
 
     def test_single_record_with_itself(self):
-        assert task_pairs(["only"], ["only"], True) == []
+        assert row_pairs([["only"]]) == [[]]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -255,13 +266,7 @@ class TestCartesianPairs:
     def test_shard_tasks_cover_every_pair_exactly_once(self, n, shard_count):
         keys = [f"v{i:03d}" for i in range(n)]
         shards = shard_records(keys, shard_count)
-        # for each shard i, key by key, its partners in shards i, i + 1, ...:
-        # the global key-pair order in which the engine reads the mean rows
-        emitted = [
-            (key_a, key_b)
-            for i, shard_a in enumerate(shards)
-            for k, key_a in enumerate(shard_a)
-            for j in range(i, len(shards))
-            for key_b in partners(shards[j], k, i == j)
-        ]
+        # the shard rows one after another: the global key-pair order in
+        # which the engine reads the mean rows
+        emitted = [pair for row in row_pairs(shards) for pair in row]
         assert emitted == list(combinations(keys, 2))

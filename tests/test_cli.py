@@ -100,6 +100,19 @@ class TestExtractCommand:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "state").exists()
 
+    @pytest.mark.parametrize(
+        "value, reason", [("0.01", "normal matrix singular"), ("1e308", "overflows")]
+    )
+    def test_poly_sigma_without_a_fit_is_usage_error(self, tmp_path, capsys, value, reason):
+        """A poly_sigma for which poly_expand's normal matrix cannot be
+        inverted (every weight off the centre is 0) or cannot be built
+        (its square overflows) is refused before any input is read, not by
+        every extract task."""
+        manifest = make_corpus(tmp_path / "c", n=2)
+        assert run_cli("run", manifest, tmp_path / "out", ["--poly-sigma", value]) == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "out" / "state").exists()
+
     @pytest.mark.parametrize("key", ["../../escaped", "a/b", "a\0b"])
     def test_key_that_is_no_file_name_is_usage_error(self, tmp_path, capsys, key):
         """Keys name the --dump-series files: a '/' would write outside --out."""
@@ -164,7 +177,7 @@ class TestSimCommand:
         assert run_cli("run", manifest, out) == 0
         (out / "similarity.csv").unlink()
         (out / "state" / "sim.done").unlink()
-        rows = out / "state" / "mean" / "task-0.out"
+        rows = out / "state" / "mean" / "rows-0.out"
         rows.write_bytes(rows.read_bytes()[:-8])
         assert run_cli("sim", manifest, out) == 1
         assert str(rows) in capsys.readouterr().err
@@ -181,7 +194,7 @@ class TestSimCommand:
         out = tmp_path / "out"
         assert run_cli("extract", manifest, out) == 0
         assert run_cli("mean", manifest, out) == 0
-        rows = out / "state" / "mean" / "task-0.out"
+        rows = out / "state" / "mean" / "rows-0.out"
         rows.write_bytes(rows.read_bytes()[:-8])
         capsys.readouterr()
         assert run_cli("sim", manifest, out) == 1

@@ -11,8 +11,8 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from itertools import combinations
+from contextlib import contextmanager, suppress
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from potsim.cli import main
 from potsim.engine import (
     ConfigError,
     PipelineConfig,
+    STAGE_MEAN,
     StageError,
     check_config,
     config_fingerprint,
@@ -82,6 +83,34 @@ def set_shards(monkeypatch, video_count, shards):
     size = math.ceil(video_count / shards)
     assert math.ceil(video_count / size) == shards
     monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", size)
+
+
+def outputs_outside_state(out):
+    """Every file under ``out`` outside its state dir, by relative path."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in out.rglob("*")
+        if p.is_file() and "state" not in p.relative_to(out).parts
+    }
+
+
+def to_shard_pair_layout(out, cfg):
+    """Rewrite a state dir's mean rows in the layout of earlier versions:
+    one mean/task-N.out per shard pair (i, j), i <= j, in that order,
+    holding the rows of shard i's keys with their partners in shard j."""
+    _, shard_keys, state = engine._prepare_stage(cfg)
+    tasks = plan_pair_stage(shard_keys, state)
+    keys = [key for shard in shard_keys for key in shard]
+    shard_of = {key: i for i, shard in enumerate(shard_keys) for key in shard}
+    row_of = {}
+    for g, (key_a, rows) in enumerate(engine._key_rows(tasks)):
+        row_of.update(((key_a, key_b), row.tobytes()) for key_b, row in zip(keys[g + 1 :], rows))
+    pairs = combinations_with_replacement(range(len(shard_keys)), 2)
+    for n, shard_pair in enumerate(pairs):
+        data = b"".join(row for (a, b), row in row_of.items() if (shard_of[a], shard_of[b]) == shard_pair)
+        (state / STAGE_MEAN / f"task-{n}.out").write_bytes(data)
+    for task in tasks:
+        os.unlink(task.out_path)
 
 
 def small_corpus(root, n=3, frames=6, size=24):
@@ -159,11 +188,13 @@ class TestPlanning:
             assert [key for keys in shard_keys for key in keys] == [f"v{i:03d}" for i in range(n)]
 
     def test_pair_stage_task_count(self, tmp_path):
+        """One mean task per shard row, each with its own and every later
+        shard's keys, writing rows-<i>.out."""
         tasks = plan_pair_stage([["a"], ["b"], ["c"]], tmp_path)
-        assert len(tasks) == 6
-        assert [t.payload[:2] for t in tasks] == [
-            (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
+        assert [t.payload for t in tasks] == [
+            (0, (("a",), ("b",), ("c",))), (1, (("b",), ("c",))), (2, (("c",),)),
         ]
+        assert [Path(t.out_path).name for t in tasks] == ["rows-0.out", "rows-1.out", "rows-2.out"]
         tasks = plan_pair_stage([["a"]], tmp_path)
         assert len(tasks) == 1
 
@@ -466,7 +497,7 @@ class TestFullPipeline:
         files = sorted(str(p.relative_to(state)) for p in state.rglob("*") if p.is_file())
         assert files == [
             "extract.done", "extract/task-0.out", "extract/task-1.out", "fingerprint",
-            "mean.done", "mean/task-0.out", "sim.done",
+            "mean.done", "mean/rows-0.out", "sim.done",
         ]
 
     def test_earlier_layout_state_dir_resumes(self, tmp_path, monkeypatch, caplog):
@@ -491,9 +522,65 @@ class TestFullPipeline:
             for m in caplog.messages
             if "outcome=" in m
         )
-        assert outcomes == [("extract", "skipped")] * 3 + [("mean", "skipped")] * 3
+        assert outcomes == [("extract", "skipped")] * 3 + [("mean", "skipped")] * 2
         assert all((state / f"{stage}.done").exists() for stage in ("extract", "mean", "sim"))
         assert [(out / name).read_bytes() for name in names] == before
+
+    def test_parent_layout_state_dir_resumes(self, tmp_path, monkeypatch):
+        """A finished state dir of the shard-pair layout: `potsim run` exits
+        0, reruns the mean tasks into row files, and leaves every file in
+        --out outside the state dir as it was."""
+        manifest = small_corpus(tmp_path / "c", n=5)
+        out = tmp_path / "out"
+        set_shards(monkeypatch, 5, 3)
+        assert main(fast_argv("run", manifest, out)) == 0
+        before = outputs_outside_state(out)
+        to_shard_pair_layout(out, fast_config(manifest, out))
+        assert main(fast_argv("run", manifest, out)) == 0
+        assert outputs_outside_state(out) == before
+        assert sorted(p.name for p in (out / "state" / STAGE_MEAN).glob("rows-*.out")) == [
+            "rows-0.out", "rows-1.out", "rows-2.out",
+        ]
+
+    def test_unfinished_parent_layout_state_dir_reruns_mean(self, tmp_path):
+        """A shard-pair-layout state dir cut short in mean: no mean.done, and
+        mean/task-N.out holding (i, j) rows. `potsim run` exits 0 with a
+        fresh run's bytes, and opens none of those files."""
+        manifest = small_corpus(tmp_path / "c", n=5)
+        watched = (
+            "import sys\n"
+            "from potsim import engine\n"
+            "from potsim.cli import main\n"
+            "engine.VIDEOS_PER_SHARD = 2\n"  # 3 shards
+            "opened = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'open' and '/mean/' in str(args[0]):\n"
+            "        opened.append(str(args[0]).rsplit('/', 1)[1])\n"
+            "sys.addaudithook(hook)\n"
+            "status = main(sys.argv[1:])\n"
+            "print(*(f'opened {name}' for name in opened), sep='\\n', file=sys.stderr)\n"
+            "sys.exit(status)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
+
+        def run(out):
+            argv = [sys.executable, "-c", watched, *fast_argv("run", manifest, out)]
+            result = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr[-2000:]
+            return [line[7:] for line in result.stderr.splitlines() if line.startswith("opened ")]
+
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        run(fresh)
+        run(out)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "VIDEOS_PER_SHARD", 2)
+            to_shard_pair_layout(out, fast_config(manifest, out))
+        for name in ("state/mean.done", "state/sim.done", "mean_csd.csv", "similarity.csv"):
+            (out / name).unlink()
+        opened = run(out)
+        assert not [name for name in opened if name.startswith("task-")]
+        assert {"rows-0.out", "rows-1.out", "rows-2.out"} <= set(opened)
+        assert outputs_outside_state(out) == outputs_outside_state(fresh)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stage_lines_count_tasks(self, tmp_path, monkeypatch, caplog, workers):
@@ -506,7 +593,7 @@ class TestFullPipeline:
         cfg = fast_config(manifest, out, workers=workers)
         caplog.set_level("INFO", logger="potsim.engine")
         before = run_pipeline(cfg).read_bytes()
-        assert stage_counts(caplog) == {"extract": (4, 0, 0), "mean": (3, 0, 0), "sim": (0, 0, 0)}
+        assert stage_counts(caplog) == {"extract": (4, 0, 0), "mean": (2, 0, 0), "sim": (0, 0, 0)}
         (out / "state" / "extract" / "task-1.out").unlink()
         (out / "features-00000.potf").unlink()
         caplog.clear()
@@ -588,7 +675,8 @@ class TestFullPipeline:
 
     def test_mean_refuses_shards_of_other_keys(self, tmp_path, monkeypatch, caplog, capsys):
         """Each mean task checks the keys of the shards it reads: only the
-        tasks that read shard 1 fail, under their own labels."""
+        shard rows that read shard 1, rows 0 and 1, fail, under their own
+        labels."""
         root = tmp_path / "c"
         manifest = small_corpus(root, n=6)
         out = tmp_path / "out"
@@ -602,10 +690,9 @@ class TestFullPipeline:
         err = capsys.readouterr().err
         assert "features-00001.potf: key 'v03' where the manifest has 'v03x'" in err
         assert task_outcomes(caplog) == {
-            "shards (0,0)": "ok", "shards (0,1)": "failed", "shards (0,2)": "ok",
-            "shards (1,1)": "failed", "shards (1,2)": "failed", "shards (2,2)": "ok",
+            "shard row 0": "failed", "shard row 1": "failed", "shard row 2": "ok",
         }
-        assert "stage 'mean' failed (3 task(s)): shards (0,1): ValueError" in err
+        assert "stage 'mean' failed (2 task(s)): shard row 0: ValueError" in err
         assert main(fast_argv("sim", manifest, out)) == 2
 
     def test_other_layout_refuses_resume(self, tmp_path, monkeypatch, caplog, capsys):
@@ -664,7 +751,7 @@ class TestFullPipeline:
         (out / "similarity.csv").unlink()
         capsys.readouterr()
         assert main(fast_argv("sim", manifest, out)) == 2
-        rows = out / "state" / "mean" / "task-0.out"
+        rows = out / "state" / "mean" / "rows-0.out"
         assert capsys.readouterr().err == f"error: missing {rows} (run mean first)\n"
 
     def test_sim_requires_mean(self, tmp_path):
@@ -728,9 +815,9 @@ class TestPairStages:
         assert run_similarity(cfg).read_text() == direct.read_text()
 
     def test_only_mean_tasks_read_shards(self, tmp_path, monkeypatch):
-        """run_mean decodes shards only inside its tasks, each the shards it
-        scores: once for a diagonal task, twice for another, so 9 reads for
-        3 shards and none in the stage's preamble."""
+        """run_mean decodes shards only inside its tasks, each once: shard
+        row i reads shards i, ..., S - 1, so 6 reads for 3 shards and none
+        in the stage's preamble."""
         manifest = small_corpus(tmp_path / "c", n=6)
         set_shards(monkeypatch, 6, 3)
         cfg = fast_config(manifest, tmp_path / "out")
@@ -755,12 +842,10 @@ class TestPairStages:
         run_mean(cfg)
         assert [name for label, name in reads if label is None] == []
         shard = "features-{:05d}.potf".format
-        assert sorted(reads) == sorted(
-            (f"shards ({i},{j})", shard(k))
-            for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-            for k in sorted({i, j})
-        )
-        assert len(reads) == 9
+        assert sorted(reads) == [
+            (f"shard row {i}", shard(j)) for i in range(3) for j in range(i, 3)
+        ]
+        assert len(reads) == 6
 
     @pytest.mark.parametrize(
         "lineno, line, reason",
@@ -847,13 +932,13 @@ class TestPairStages:
         cfg = fast_config(manifest, out)
         run_extract(cfg)
         run_mean(cfg)
-        rows = out / "state" / "mean" / "task-0.out"
+        rows = out / "state" / "mean" / "rows-0.out"
         good = rows.read_bytes()
         assert len(good) == 3 * 48  # three pairs of six float64 distances
         bad_files = [good[:-8], good + bytes(48), good + b"\0"]  # truncated, over-long
         for bad in bad_files:
             rows.write_bytes(bad)
-            with pytest.raises(ValueError, match=f"task-0.out: {len(bad)} bytes where 3 rows"):
+            with pytest.raises(ValueError, match=f"rows-0.out: {len(bad)} bytes where 3 rows"):
                 run_similarity(cfg)
             assert main(fast_argv("sim", manifest, out)) == 1
             err = capsys.readouterr().err
@@ -873,7 +958,7 @@ class TestPairStages:
         cfg = fast_config(manifest, out)
         run_extract(cfg)
         run_mean(cfg)
-        rows = out / "state" / "mean" / "task-0.out"
+        rows = out / "state" / "mean" / "rows-0.out"
         csds = np.frombuffer(rows.read_bytes(), dtype="<f8").reshape(3, 6).tolist()
         pairs = [("v00", "v01"), ("v00", "v02"), ("v01", "v02")]
         sums = {f"{s}/{p}": 1.0 for s, p in SLOTS}
@@ -948,7 +1033,9 @@ class TestPairStages:
     @pytest.mark.parametrize("shards", [1, 3, 12])
     def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards):
         """Every mean task's rows are byte-identical to rows built pair by
-        pair from chi_square per slot, as csd_sixtuple gives them."""
+        pair from chi_square per slot, as csd_sixtuple gives them: shard
+        row i holds the pairs whose first key is in shard i, in key-pair
+        order."""
         set_shards(monkeypatch, 12, shards)
         videos = {f"n{i:02d}": noise_video(5, 24, seed=40 + i) for i in range(12)}
         manifest = write_corpus(tmp_path / "c", videos)
@@ -957,20 +1044,17 @@ class TestPairStages:
         run_extract(cfg)
         run_mean(cfg)
 
+        features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
         tasks = plan_pair_stage(engine._prepare_stage(cfg)[1], out / "state")
+        assert len(tasks) == shards
         for task in tasks:
-            i, j = task.payload[:2]
-            features_a = {r.key: r.feature for r in read_archive(out / f"features-{i:05d}.potf")}
-            features_b = {r.key: r.feature for r in read_archive(out / f"features-{j:05d}.potf")}
+            own = task.payload[1][0]
             rows = [
-                [
-                    chi_square(*pair)
-                    for pair in zip(slots_of(features_a[a]), slots_of(features_b[b]))
-                ]
-                for a, b in combinations(sorted(features_a | features_b), 2)
-                if a in features_a and b in features_b
+                [chi_square(*pair) for pair in zip(slots_of(features[a]), slots_of(features[b]))]
+                for a, b in combinations(sorted(features), 2)
+                if a in own
             ]
-            expected = np.array(rows, dtype="<f8").tobytes()
+            expected = np.array(rows, dtype="<f8").reshape(-1, len(SLOTS)).tobytes()
             assert Path(task.out_path).read_bytes() == expected, task.label
 
     def test_mean_refuses_shards_of_other_slot_bounds(self, tmp_path, monkeypatch, capsys):
@@ -989,26 +1073,46 @@ class TestPairStages:
         capsys.readouterr()
         assert main(fast_argv("mean", manifest, out)) == 1
         err = capsys.readouterr().err
-        assert "shards (0,1): ValueError: dimension mismatch" in err
+        assert "shard row 0: ValueError: dimension mismatch" in err
         assert "Traceback" not in err
         assert not (out / "mean_csd.csv").exists()
 
     def test_run_under_low_open_file_limit(self, tmp_path, monkeypatch):
-        """sim holds at most one row of mean outputs open: 24 videos in 12
-        shards make 78 mean tasks, and the run succeeds under a soft limit
-        of 64 open files with the same similarity.csv as without it."""
+        """The mean reduce and sim read the row files one after another: at
+        every key they walk, exactly one file under state/mean is open. 24
+        videos in 24 shards make 24 row files, and a run under a soft limit
+        of 16 open files gives the same similarity.csv as without it."""
         manifest = small_corpus(tmp_path / "c", n=24)
-        assert len(plan_pair_stage([[f"v{i}"] for i in range(12)], tmp_path)) == 78
-        set_shards(monkeypatch, 24, 12)
-        assert main(fast_argv("run", manifest, tmp_path / "free")) == 0
+        set_shards(monkeypatch, 24, 24)
+        free = tmp_path / "free"
+        rows_dir = str(free / "state" / STAGE_MEAN) + os.sep
+        real_key_rows = engine._key_rows
+        open_rows = []
+
+        def open_row_files():
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                with suppress(OSError):  # the listing's own descriptor
+                    count += os.readlink(f"/proc/self/fd/{fd}").startswith(rows_dir)
+            return count
+
+        def counting_key_rows(tasks):
+            for item in real_key_rows(tasks):
+                open_rows.append(open_row_files())
+                yield item
+
+        monkeypatch.setattr(engine, "_key_rows", counting_key_rows)
+        assert main(fast_argv("run", manifest, free)) == 0
+        assert len(list((free / "state" / STAGE_MEAN).glob("rows-*.out"))) == 24
+        assert open_rows == [1] * 48  # 24 keys, by mean's reduce and by sim
 
         limited = (
             "import resource, sys\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
-            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (16, hard))\n"
             "from potsim import engine\n"
             "from potsim.cli import main\n"
-            "engine.VIDEOS_PER_SHARD = 2\n"
+            "engine.VIDEOS_PER_SHARD = 1\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
@@ -1018,7 +1122,7 @@ class TestPairStages:
         )
         assert result.returncode == 0, result.stderr[-2000:]
         assert (tmp_path / "limited" / "similarity.csv").read_bytes() == (
-            tmp_path / "free" / "similarity.csv"
+            free / "similarity.csv"
         ).read_bytes()
 
     def test_missing_mean_task_output_is_usage_error(self, tmp_path, capsys):
@@ -1027,7 +1131,7 @@ class TestPairStages:
         cfg = fast_config(manifest, out)
         direct = run_pipeline(cfg).read_text()
         (out / "similarity.csv").unlink()
-        (out / "state" / "mean" / "task-0.out").unlink()
+        (out / "state" / "mean" / "rows-0.out").unlink()
         assert main(fast_argv("sim", manifest, out)) == 2
         assert "run mean first" in capsys.readouterr().err
         # re-running mean redoes the missing task
@@ -1062,8 +1166,8 @@ def hook_commit_points(monkeypatch, at: int | None) -> list[int]:
 def test_every_commit_point_killed_and_resumed(tmp_path, monkeypatch):
     """A run killed at each committed() block in turn resumes to exactly an
     uninterrupted run's files under --out, the state dir included, and
-    leaves no temporary file. 8 videos in 2 shards make 19 commit points:
-    the fingerprint, 8 extract tasks, 2 shards, 3 mean tasks, mean_csd.csv,
+    leaves no temporary file. 8 videos in 2 shards make 18 commit points:
+    the fingerprint, 8 extract tasks, 2 shards, 2 mean tasks, mean_csd.csv,
     similarity.csv and 3 stage markers."""
     manifest = small_corpus(tmp_path / "c", n=8)
     set_shards(monkeypatch, 8, 2)
@@ -1075,7 +1179,7 @@ def test_every_commit_point_killed_and_resumed(tmp_path, monkeypatch):
         count = hook_commit_points(patch, None)
         run_pipeline(fast_config(manifest, tmp_path / "direct"))
     direct = files(tmp_path / "direct")
-    assert count[0] == 19
+    assert count[0] == 18
 
     for k in range(1, count[0] + 1):
         cfg = fast_config(manifest, tmp_path / f"killed-at-{k}")
