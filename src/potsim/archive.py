@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Sequence, TypeVar
 
@@ -151,7 +150,8 @@ def shard_records(records: Sequence[T], shard_count: int) -> list[Sequence[T]]:
     if shard_count < 1:
         raise ValueError(f"shard count must be >= 1, got {shard_count}")
     base, rem = divmod(len(records), shard_count)
-    bounds = [0, *accumulate(base + (i < rem) for i in range(shard_count))]
+    # shard i holds base + 1 records if i < rem, else base
+    bounds = [i * base + min(i, rem) for i in range(shard_count + 1)]
     return [records[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 

@@ -57,7 +57,10 @@ def committed(path: str | Path) -> Iterator[Path]:
 def _writer_running(attempt: re.Match | None) -> bool:
     """Whether the temporary file that ``attempt`` matched was made by
     another process of this host that is still running (by the pid in its
-    name)."""
+    name). One that died but is not yet reaped, a zombie, is not: signal 0
+    still reaches it, so on Linux its state in ``/proc/<pid>/stat`` is read,
+    after the last ``)``, since the command name before it may hold any
+    character."""
     if attempt is None:
         return False
     pid = int(attempt.group(2))
@@ -67,9 +70,14 @@ def _writer_running(attempt: re.Match | None) -> bool:
         os.kill(pid, 0)
     except (ProcessLookupError, OverflowError):  # no such process, or no pid at all
         return False
-    except PermissionError:  # running, as another user
+    except PermissionError:  # it exists, as another user's
+        pass
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+    except OSError:  # no /proc on this system, or the process just went
         return True
-    return True
+    return stat.rpartition(b")")[2].split()[:1] != [b"Z"]
 
 
 def remove_stray_tmp(

@@ -11,15 +11,17 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   row of six little-endian float64 (48 bytes, no keys), in key-pair order,
   to ``mean/rows-<i>.out``. It reads shard i and each later shard once and
   checks that each holds the keys the layout gives it. A shard holds at
-  most 64 keys, so shard i's keys are stacked once and scored against each
-  later shard, stacked into one block, in one call of
-  ``similarity.csd_stack``, which walks the features in cache-sized chunks;
-  against shard i itself it makes one call per small group of keys, so that
-  it drops few of the pairs it computes. The rows, at most 64 x (N - 1),
-  land in one array in file order, written as it is. The reduce reads row
-  files 0, ..., S - 1 one after another, one open at a time, which is
-  global key-pair order (``_key_rows``), and sums the rows strictly in that
-  order into ``mean_csd.csv``, so no bit of it depends on the shard layout.
+  most 64 keys, so the task fills one (keys, partners, 6) block, at most
+  64 x N x 6: row k holds key k of shard i against every key of shards i,
+  ..., S - 1. ``similarity.csd_stack``, which walks the features in
+  cache-sized chunks, scores each later shard, stacked into one block, in
+  one call, and shard i itself in one call per small group of keys, from
+  the group's second key on, so that few cells at or below the diagonal
+  are computed. Row k from column k + 1 on is key k's rows, written key
+  after key. The reduce reads row files 0, ..., S - 1 one after another,
+  one open at a time, which is global key-pair order (``_key_rows``), and
+  sums the rows strictly in that order into ``mean_csd.csv``, so no bit of
+  it depends on the shard layout.
 * similarity: no tasks of its own and no shard read; it takes the same walk,
   and each key's rows, normalised by the means in one ``kernel_distance``
   call, become lines of ``similarity.csv``. It refuses, as a resumed mean
@@ -60,7 +62,7 @@ import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, field
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -165,7 +167,7 @@ def check_config(config: PipelineConfig) -> None:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
     try:
         config.farneback.validate()
-    except (ValueError, MemoryError) as exc:  # MemoryError: a poly_n window too large to fit
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -360,20 +362,21 @@ ROW_DTYPE = np.dtype("<f8")
 ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
 
 
-def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> list[ArchiveRecord]:
-    """Shard ``index``'s records, checked to hold exactly ``keys``."""
+def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> np.ndarray:
+    """Shard ``index``'s features as the columns of one (features x keys)
+    block, the shard checked to hold exactly ``keys``."""
     path = _shard_path(config, index)
     records = read_archive(path)
     for key, expected in zip_longest((record.key for record in records), keys):
         if key != expected:
             raise ValueError(f"{path}: key {key!r} where the manifest has {expected!r}")
-    return records
+    return np.stack([record.feature for record in records], axis=1)
 
 
 # keys of shard i per csd_stack call against shard i itself: the call
-# scores every key of the group from its first key's partners on, and drops
-# the pairs before a key's own, so small groups waste few pairs and large
-# ones few calls
+# scores every key of the group against the partners from the group's
+# second key on, and the task keeps only each key's later partners, so
+# small groups waste few cells and large ones few calls
 _DIAGONAL_GROUP = 10
 
 
@@ -386,26 +389,23 @@ def _row_counts(task: Task) -> list[int]:
 
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
     """Write shard row i's rows (see the module docstring): shards are key
-    ranges, so each key's rows in key-pair order are its pairs in shard i,
-    then in shard i + 1, and so on."""
+    ranges, so key k's rows in key-pair order are row k of the task's
+    (keys, partners, 6) block from column k + 1 on, the partners being the
+    keys of shards i, i + 1, and so on."""
     i, shards = task.payload
-    counts = _row_counts(task)
-    rows = np.empty((sum(counts), len(SLOTS)), dtype=ROW_DTYPE)
-    free = list(accumulate(counts[:-1], initial=0))  # each key's next row
-    for j, shard in enumerate(shards):
-        block = np.stack([record.feature for record in _read_shard(config, i + j, shard)], axis=1)
-        if j == 0:
-            keys = block
-        group = _DIAGONAL_GROUP if j == 0 else len(counts)
-        for g in range(0, len(counts), group):
-            starts = [k + 1 if j == 0 else 0 for k in range(g, min(g + group, len(counts)))]
-            scored = csd_stack(keys[:, g : g + group], block, starts)
-            for k, start in enumerate(starts, start=g):
-                count = block.shape[1] - start
-                rows[free[k] : free[k] + count], scored = scored[:count], scored[count:]
-                free[k] += count
+    keys = _read_shard(config, i, shards[0])
+    n = keys.shape[1]
+    scores = np.empty((n, sum(map(len, shards)), len(SLOTS)), dtype=ROW_DTYPE)
+    for g in range(0, n, _DIAGONAL_GROUP):
+        group = keys[:, g : g + _DIAGONAL_GROUP]
+        scores[g : g + _DIAGONAL_GROUP, g + 1 : n] = csd_stack(group, keys[:, g + 1 :])
+    column = n
+    for j, shard in enumerate(shards[1:], start=i + 1):
+        scores[:, column : column + len(shard)] = csd_stack(keys, _read_shard(config, j, shard))
+        column += len(shard)
     with committed(task.out_path) as tmp, open(tmp, "wb") as fh:
-        fh.write(rows)
+        for k in range(n):
+            fh.write(scores[k, k + 1 :])
 
 
 def _key_rows(tasks: list[Task]) -> Iterator[tuple[str, np.ndarray]]:

@@ -156,17 +156,21 @@ def _expansion_fit(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, np.ndarr
     """The window offsets, their Gaussian weights and the inverse of the
     6x6 normal matrix of ``poly_expand``'s fit. A ValueError where that
     matrix cannot be inverted: a ``poly_sigma`` so small that every weight
-    off the centre is 0, or so large that its square overflows."""
+    off the centre is 0, or so large that its square overflows; and where
+    the poly_n x poly_n window does not fit in memory."""
     radius = (poly_n - 1) // 2
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     try:
         w = np.exp(-(offsets**2) / (2.0 * poly_sigma**2))
     except OverflowError:
         raise ValueError(f"poly_sigma {poly_sigma} overflows the expansion's weights") from None
-    # Basis order: 1, x, y, x^2, y^2, xy  (x = column offset, y = row offset)
-    xg, yg = np.meshgrid(offsets, offsets, indexing="xy")
-    basis = np.stack([np.ones_like(xg), xg, yg, xg**2, yg**2, xg * yg]).reshape(6, -1)
-    gram = (basis * np.outer(w, w).ravel()) @ basis.T
+    try:
+        # Basis order: 1, x, y, x^2, y^2, xy  (x = column offset, y = row offset)
+        xg, yg = np.meshgrid(offsets, offsets, indexing="xy")
+        basis = np.stack([np.ones_like(xg), xg, yg, xg**2, yg**2, xg * yg]).reshape(6, -1)
+        gram = (basis * np.outer(w, w).ravel()) @ basis.T
+    except MemoryError as exc:
+        raise ValueError(f"poly_n {poly_n} makes a window too large to fit in memory: {exc}") from None
     try:
         gram_inv = np.linalg.inv(gram)
         if np.isfinite(gram_inv).all():

@@ -13,7 +13,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -71,14 +70,14 @@ def chi_square(fa: np.ndarray, fb: np.ndarray) -> float:
 _CHUNK_VALUES = 1 << 17
 
 
-def csd_stack(keys: np.ndarray, partners: np.ndarray, starts: Sequence[int]) -> np.ndarray:
+def csd_stack(keys: np.ndarray, partners: np.ndarray) -> np.ndarray:
     """The chi-square distance per slot of each key k, column k of the
-    (features x keys) array ``keys``, against each partner, a column of the
-    (features x partners) float64 array ``partners``, from column
-    ``starts[k]`` on, in one pass: a (pairs, 6) array holding
-    key 0's rows first, then key 1's, and so on. Each row holds
-    ``chi_square`` of each slot's vectors bit for bit, the slots being
-    ``slot_bounds`` of the feature length.
+    (features x keys) array ``keys``, against each partner p, column p of
+    the (features x partners) float64 array ``partners``, in one pass: a
+    (keys, partners, 6) block whose [k, p] holds ``chi_square`` of each
+    slot's vectors bit for bit, the slots being ``slot_bounds`` of the
+    feature length. A caller that wants only some partners of a key slices
+    the block.
 
     Each slot's feature rows are walked in chunks through one reused
     buffer, whose row 0 carries the sum so far, from 0.0 on. The chunk's
@@ -89,34 +88,31 @@ def csd_stack(keys: np.ndarray, partners: np.ndarray, starts: Sequence[int]) -> 
     term equals the zero term whatever b is (NaN, inf and negative b
     included). ``ordered_sum`` then adds the chunk onto row 0
     row by row, so every (key, partner) column is summed strictly from the
-    slot's first row on, as ``chi_square`` sums it. Columns from the
-    smallest start on are computed for every key; those before a key's own
-    start are dropped.
+    slot's first row on, as ``chi_square`` sums it; the chunk size only
+    moves where a chunk ends.
     """
     size, key_count = keys.shape
     if size != len(partners):
         raise ValueError(f"dimension mismatch: {size} feature rows vs {len(partners)}")
     bounds = slot_bounds(size)
-    first = min(starts)
-    values = partners[:, first:]
-    columns = key_count * values.shape[1]
+    sums = np.zeros((key_count, partners.shape[1], len(SLOTS)))
+    columns = key_count * partners.shape[1]
     if columns == 0:
-        return np.zeros((0, len(SLOTS)))
+        return sums
     slots = list(zip(bounds, bounds[1:]))
     chunk = max(1, min(_CHUNK_VALUES // columns - 1, max(hi - lo for lo, hi in slots)))
     flat = np.empty((1 + chunk, columns))
-    buffer = flat.reshape(1 + chunk, key_count, values.shape[1])
-    sums = np.empty((key_count, values.shape[1], len(SLOTS)))
+    buffer = flat.reshape(1 + chunk, key_count, partners.shape[1])
     for s, (lo, hi) in enumerate(slots):
         # no term is -0.0, so 0.0 + term is the term bit for bit
         flat[0] = 0.0
         for row in range(lo, hi, chunk):
             end = min(hi, row + chunk)
             terms = buffer[1 : 1 + end - row]
-            terms[...] = _chi_square_terms(0.0, values[row:end])[:, None, :]
+            terms[...] = _chi_square_terms(0.0, partners[row:end])[:, None, :]
             live_rows, live_keys = np.nonzero(keys[row:end])
             a = keys[row + live_rows, live_keys][:, None]
-            b = values[row + live_rows]  # a copy: the terms are made in it
+            b = partners[row + live_rows]  # a copy: the terms are made in it
             with np.errstate(divide="ignore", invalid="ignore"):
                 denom = b + a
                 b -= a  # (b - a)^2 is (a - b)^2 exactly
@@ -126,14 +122,13 @@ def csd_stack(keys: np.ndarray, partners: np.ndarray, starts: Sequence[int]) -> 
             terms[live_rows, live_keys] = b
             flat[0] = ordered_sum(flat[: 1 + end - row])
         sums[:, :, s] = buffer[0]
-    rows = [sums[k, start - first :] for k, start in enumerate(starts)]
-    return 0.5 * np.concatenate(rows)
+    return 0.5 * sums
 
 
 def csd_sixtuple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chi-square distance per (series, pooling) slot of two features, a
     (6,) array in SLOTS order: ``csd_stack`` with one key and one partner."""
-    return csd_stack(np.stack([a], axis=1), np.stack([b], axis=1), [0])[0]
+    return csd_stack(a[:, None], b[:, None])[0, 0]
 
 
 def mean_csd(sums: np.ndarray, pair_count: int) -> MeanCsd:

@@ -113,6 +113,20 @@ class TestExtractCommand:
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "out" / "state").exists()
 
+    def test_poly_n_window_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """A --poly-n whose window cannot be allocated (100001 would take
+        74.5 GiB per array) names poly_n and exits 2 before any input is
+        read; the failed allocation is simulated."""
+
+        def unable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        manifest = make_corpus(tmp_path / "c", n=2)
+        monkeypatch.setattr(np, "meshgrid", unable)
+        assert run_cli("run", manifest, tmp_path / "out", ["--poly-n", "100001"]) == 2
+        assert "poly_n 100001" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "state").exists()
+
     @pytest.mark.parametrize("key", ["../../escaped", "a/b", "a\0b"])
     def test_key_that_is_no_file_name_is_usage_error(self, tmp_path, capsys, key):
         """Keys name the --dump-series files: a '/' would write outside --out."""

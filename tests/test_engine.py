@@ -787,19 +787,21 @@ class TestFullPipeline:
 class TestPairStages:
     def test_each_pair_scored_once(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=4)
-        columns = []
+        cells = []
         real_csd_stack = engine.csd_stack
 
-        def counting(keys, partners, starts):
-            columns.append(sum(partners.shape[1] - start for start in starts))
-            return real_csd_stack(keys, partners, starts)
+        def counting(keys, partners):
+            cells.append(keys.shape[1] * partners.shape[1])
+            return real_csd_stack(keys, partners)
 
         monkeypatch.setattr(engine, "csd_stack", counting)
         set_shards(monkeypatch, 4, 2)
         sim = run_pipeline(fast_config(manifest, tmp_path / "out"))
         assert len(sim.read_text().splitlines()) - 1 == 6
-        # every partner column scored is one pair's chi-square pass
-        assert sum(columns) == 6
+        # each cell computed is one chi-square pass: the 6 pairs, once each,
+        # and the one self cell of each shard's diagonal group (key 1 of
+        # the group against its own column)
+        assert sum(cells) == 6 + 2
 
     def test_sim_reads_no_shard(self, tmp_path, monkeypatch):
         manifest = small_corpus(tmp_path / "c", n=4)

@@ -164,14 +164,13 @@ class TestCsdBlock:
             p[1:3] = [-1.0, np.nan]
         # the last ``count`` partners of a 64-wide block, as on a diagonal task
         block = np.stack(partners, axis=1)
-        got = csd_stack(a[:, None], block, [64 - count])
+        got = csd_stack(a[:, None], block[:, 64 - count :])
         expected = self.reference(a, partners[64 - count :])
-        assert got.shape == (count, len(SLOTS))
-        assert got.tobytes() == expected.tobytes()
+        assert got.shape == (1, count, len(SLOTS))
+        assert got[0].tobytes() == expected.tobytes()
         if count:
-            # a block of exactly ``count`` partners
-            got = csd_stack(a[:, None], np.stack(partners[64 - count :], axis=1), [0])
-            assert got.tobytes() == expected.tobytes()
+            # the whole block, sliced after the call
+            assert csd_stack(a[:, None], block)[0, 64 - count :].tobytes() == expected.tobytes()
             assert csd_sixtuple(a, partners[-1]).tobytes() == expected[-1].tobytes()
 
     def test_dimension_mismatch(self):
@@ -179,28 +178,28 @@ class TestCsdBlock:
         (a,) = self.features(rng, 1, self.SIZE)
         block = np.stack(self.features(rng, 2, self.SIZE + 8), axis=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            csd_stack(a[:, None], block, [0])
+            csd_stack(a[:, None], block)
 
 
 class TestCsdStack:
     @staticmethod
-    def reference(keys, partners, starts):
-        """chi_square per slot of each key with its partners from its start
-        on, key by key: the independent oracle."""
+    def reference(keys, partners):
+        """chi_square per slot of each key with each partner, pair by pair:
+        the independent oracle, a (keys, partners, 6) block."""
         rows = [
             [chi_square(*pair) for pair in zip(slots_of(a), slots_of(b))]
-            for a, start in zip(keys, starts)
-            for b in partners[start:]
+            for a in keys
+            for b in partners
         ]
-        return np.array(rows, dtype=np.float64).reshape(-1, len(SLOTS))
+        return np.array(rows, dtype=np.float64).reshape(len(keys), len(partners), len(SLOTS))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_equals_chi_square_bit_for_bit(self, data):
-        """1-5 keys x 1-5 partners, any start per key, slots of n, 2n, n,
-        n, 2n and n values for n from 0 (all slots empty) to 3, drawn with
-        +-0.0, NaN, +-inf and negatives, and chunks from one feature row up,
-        so that sums are carried across chunks."""
+        """1-5 keys x the partners from any column on of 1-5, slots of n,
+        2n, n, n, 2n and n values for n from 0 (all slots empty) to 3, drawn
+        with +-0.0, NaN, +-inf and negatives, and chunks from one feature
+        row up, so that sums are carried across chunks."""
         size = 8 * data.draw(st.integers(0, 3))
         special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -1.5])
         values = arrays(np.float64, size, elements=st.one_of(special, st.floats()))
@@ -210,32 +209,40 @@ class TestCsdStack:
 
         keys = features(data.draw(st.integers(1, 5)))
         partners = features(data.draw(st.integers(1, 5)))
-        starts = data.draw(
-            st.lists(st.integers(0, len(partners)), min_size=len(keys), max_size=len(keys))
-        )
+        first = data.draw(st.integers(0, len(partners)))
         chunk_values = data.draw(st.integers(1, 4 * len(keys) * len(partners)))
         chunking = mock.patch.object(similarity, "_CHUNK_VALUES", chunk_values)
         # inf - inf and overflow warn, in the oracle at least
         with chunking, np.errstate(all="ignore"):
-            got = csd_stack(np.stack(keys, axis=1), np.stack(partners, axis=1), starts)
-            expected = self.reference(keys, partners, starts)
+            got = csd_stack(np.stack(keys, axis=1), np.stack(partners, axis=1)[:, first:])
+            expected = self.reference(keys, partners[first:])
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
     def test_64_keys_by_64_partners(self):
-        """A full off-diagonal task and a full diagonal one (key k's
-        partners start at column k + 1), over slots many chunks long."""
+        """A full off-diagonal task and a full diagonal one, over slots many
+        chunks long: the whole block, and the upper triangle (key k's
+        partners from column k + 1 on) that a diagonal task keeps, scored
+        as it scores it, 10 keys per call from the group's second column on,
+        so with other chunk ends."""
         rng = np.random.default_rng(64)
         size = 10 * TestCsdBlock.SIZE
         keys = TestCsdBlock.features(rng, 64, size)
         partners = TestCsdBlock.features(rng, 64, size)
         keys[0][:4] = [-0.0, np.nan, np.inf, -3.0]
         partners[5][3:6] = [np.inf, -2.5, np.nan]
-        for starts, others in (([0] * 64, partners), (range(1, 65), keys)):
-            got = csd_stack(np.stack(keys, axis=1), np.stack(others, axis=1), list(starts))
-            expected = self.reference(keys, others, starts)
-            assert got.shape == (sum(64 - start for start in starts), len(SLOTS))
+        for others in (partners, keys):
+            got = csd_stack(np.stack(keys, axis=1), np.stack(others, axis=1))
+            # key 0 against itself holds inf - inf, which warns in the oracle
+            with np.errstate(invalid="ignore"):
+                expected = self.reference(keys, others)
+            assert got.shape == (64, 64, len(SLOTS))
             assert got.tobytes() == expected.tobytes()
+        block = np.stack(keys, axis=1)
+        for g in range(0, 64, 10):
+            group = csd_stack(block[:, g : g + 10], block[:, g + 1 :])
+            for k in range(g, min(g + 10, 64)):
+                assert group[k - g, k - g :].tobytes() == expected[k, k + 1 :].tobytes()
 
     def test_dimension_mismatch_of_any_key(self):
         """Keys of another length than the block's, and a length that is no
@@ -244,10 +251,10 @@ class TestCsdStack:
         keys = np.stack(TestCsdBlock.features(rng, 3, TestCsdBlock.SIZE + 8), axis=1)
         block = np.stack(TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE), axis=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            csd_stack(keys, block, [0, 0, 0])
+            csd_stack(keys, block)
         odd = TestCsdBlock.features(rng, 2, TestCsdBlock.SIZE + 1)
         with pytest.raises(ValueError, match="multiple of 8"):
-            csd_stack(np.stack(odd, axis=1), np.stack(odd, axis=1), [0, 1])
+            csd_stack(np.stack(odd, axis=1), np.stack(odd, axis=1))
 
 
 def per_slot(value):
