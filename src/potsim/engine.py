@@ -5,7 +5,14 @@ Three strictly sequential stages mirror a mapper/reducer layout:
 
 * extract: one task per video computes both histogram series and the pooled
   feature into a single-record archive; a finalization step streams those
-  archives into the layout's shards without decoding them.
+  archives into the layout's shards without decoding them. The pending
+  tasks run in packets (``plan_packets``): a packet is a run of consecutive
+  videos whose frames make one flow block, or one longer video, and a
+  worker decodes its videos, computes their series in one
+  ``compute_series`` call, then pools and commits each video on its own,
+  so one video's failure fails only its task. The frame counts that packing
+  needs come from the listing the fingerprint makes. There are never fewer
+  packets than min(workers, pending videos).
 * mean: one task per shard row i, S in all, writes the six per-slot
   chi-square distances of each pair whose first key is in shard i as one
   row of six little-endian float64 (48 bytes, no keys), in key-pair order,
@@ -77,7 +84,13 @@ from .archive import (
     write_shards,
 )
 from .commit import committed, remove_stray_tmp
-from .descriptors import DEFAULT_HOG_THRESHOLD, compute_series, dump_series_text, series_dump_path
+from .descriptors import (
+    DEFAULT_HOG_THRESHOLD,
+    block_pairs,
+    compute_series,
+    dump_series_text,
+    series_dump_path,
+)
 from .flow import FLOW_DTYPE, FarnebackParams
 from .frames import frame_files, load_frame_sequence
 from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
@@ -213,17 +226,21 @@ def shard_count(video_count: int) -> int:
     return math.ceil(video_count / VIDEOS_PER_SHARD)
 
 
-def _input_digest(entries: list[tuple[str, str]]) -> str:
+def _input_digest(entries: list[tuple[str, str]]) -> tuple[str, dict[str, int]]:
     """Hash of the inputs: per manifest entry in key order, its key, its
-    resolved directory and each frame file's name, size and mtime.
+    resolved directory and each frame file's name, size and mtime; and
+    from the same listing, each key's number of frame files, by which
+    extract packs its tasks.
 
     A missing directory hashes as missing, and one whose frames cannot be
-    listed or stat'ed (a dangling symlink, say) as unreadable: extract
-    reports either per task.
+    listed or stat'ed (a dangling symlink, say) as unreadable, each with 0
+    frames: extract reports either per task.
     """
     digest = hashlib.sha256()
+    frame_counts = {}
     for key, directory in entries:
         digest.update(json.dumps([key, directory]).encode())
+        frame_counts[key] = 0
         if not os.path.isdir(directory):
             digest.update(b"missing")
             continue
@@ -237,13 +254,18 @@ def _input_digest(entries: list[tuple[str, str]]) -> str:
             digest.update(b"unreadable")
             continue
         digest.update("".join(records).encode())
-    return digest.hexdigest()
+        frame_counts[key] = len(records)
+    return digest.hexdigest(), frame_counts
 
 
-def config_fingerprint(config: PipelineConfig, entries: list[tuple[str, str]]) -> str:
-    """Hash of all parameters and inputs that affect pipeline output."""
+def config_fingerprint(
+    config: PipelineConfig, entries: list[tuple[str, str]], inputs: str | None = None
+) -> str:
+    """Hash of all parameters and inputs that affect pipeline output;
+    ``inputs`` is the digest of ``_input_digest(entries)``, which is taken
+    here if not given."""
     payload = {
-        "inputs": _input_digest(entries),
+        "inputs": _input_digest(entries)[0] if inputs is None else inputs,
         "working": [config.working_w, config.working_h],
         "levels": list(config.levels),
         "hog_threshold": config.hog_threshold,
@@ -285,16 +307,20 @@ def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
 ShardKeys = list[list[str]]
 
 
-def _prepare_stage(config: PipelineConfig) -> tuple[list[tuple[str, str]], ShardKeys, Path]:
+def _prepare_stage(
+    config: PipelineConfig,
+) -> tuple[list[tuple[str, str]], ShardKeys, Path, dict[str, int]]:
     """Preamble shared by all stages: the checked config, the manifest
     entries, the shard layout (each shard's sorted keys, empty shards
-    omitted) and the validated state dir. The layout is made here only."""
+    omitted), the validated state dir and each key's frame count, from the
+    fingerprint's listing. The layout is made here only."""
     check_config(config)
     entries = parse_manifest(config.manifest)
     keys = [key for key, _ in entries]
     shard_keys = shard_records(keys, shard_count(len(keys)))
-    state_dir = prepare_state(config, config_fingerprint(config, entries))
-    return entries, shard_keys, state_dir
+    inputs, frame_counts = _input_digest(entries)
+    state_dir = prepare_state(config, config_fingerprint(config, entries, inputs))
+    return entries, shard_keys, state_dir, frame_counts
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +346,33 @@ def plan_extract(
     ]
 
 
+def plan_packets(
+    config: PipelineConfig, tasks: list[Task], frame_counts: dict[str, int]
+) -> list[list[Task]]:
+    """Pending extract tasks cut into packets, each run in one call by one
+    worker: runs of consecutive tasks, in key order, whose videos' frames,
+    one after another, make at most one flow block of pairs
+    (``block_pairs`` at the working size); a longer video is a packet of
+    its own. While there are fewer packets than min(workers, tasks), the
+    packet of the most videos (the first such) is cut into two halves."""
+    block = block_pairs(config.working_h, config.working_w)
+    packets: list[list[Task]] = []
+    frames = 0
+    for task in tasks:
+        count = frame_counts[task.label]
+        if packets and frames + count - 1 <= block:
+            packets[-1].append(task)
+            frames += count
+        else:
+            packets.append([task])
+            frames = count
+    while len(packets) < min(config.workers, len(tasks)):
+        i = max(range(len(packets)), key=lambda i: len(packets[i]))
+        half = (len(packets[i]) + 1) // 2
+        packets[i : i + 1] = [packets[i][:half], packets[i][half:]]
+    return packets
+
+
 def plan_pair_stage(shard_keys: ShardKeys, state_dir: Path) -> list[Task]:
     """Mean tasks: one per shard row i, each with the keys of shards i,
     i + 1, ..., S - 1."""
@@ -343,12 +396,77 @@ def _shard_path(config: PipelineConfig, index: int) -> Path:
     return Path(config.out_dir) / SHARD_NAME_FORMAT.format(index)
 
 
-def _run_extract_task(config: PipelineConfig, task: Task) -> None:
-    key, directory = task.payload
-    frames = load_frame_sequence(directory, key, config.working_w, config.working_h)
-    hof, hog = compute_series(frames, config.farneback, config.hog_threshold)
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_extract_packet(
+    config: PipelineConfig, packet: list[Task]
+) -> list[tuple[str | None, float]]:
+    """Run a packet of extract tasks (see ``plan_packets``): decode each
+    video, compute the series of all that decoded in one ``compute_series``
+    call, then pool, dump and commit each video on its own. A task's
+    failure fails only that task.
+
+    Returns each task's error, None if it succeeded, and its duration in
+    ms: its own decode, pooling and commit time plus its frame-pair share
+    of the rest of the packet's time, which is mostly the series', so that
+    the durations add up to the packet's.
+    """
+    start = time.monotonic()
+    errors: list[str | None] = [None] * len(packet)
+    own = [0.0] * len(packet)
+    decoded: dict[int, np.ndarray] = {}
+    for i, task in enumerate(packet):
+        tick = time.monotonic()
+        key, directory = task.payload
+        try:
+            decoded[i] = load_frame_sequence(directory, key, config.working_w, config.working_h)
+        except Exception as exc:  # surfaced per task, its packet-mates go on
+            errors[i] = _describe(exc)
+        own[i] += time.monotonic() - tick
+
+    lengths = {i: len(frames) for i, frames in decoded.items()}
+    if decoded:
+        videos = list(decoded.values())
+        try:
+            # a packet of several videos is at most one block of frames
+            frames = videos[0] if len(videos) == 1 else np.concatenate(videos)
+            hof, hog = compute_series(
+                frames, config.farneback, config.hog_threshold, list(lengths.values())
+            )
+        except Exception as exc:
+            for i in lengths:
+                errors[i] = _describe(exc)
+        else:
+            row = 0
+            for i, length in lengths.items():
+                tick = time.monotonic()
+                series = hof[row : row + length - 1], hog[row : row + length - 1]
+                row += length - 1
+                try:
+                    _commit_features(config, packet[i], length, *series)
+                except Exception as exc:
+                    errors[i] = _describe(exc)
+                own[i] += time.monotonic() - tick
+
+    pairs = [lengths.get(i, 1) - 1 for i in range(len(packet))]
+    shares = pairs if sum(pairs) else [1] * len(packet)
+    rest = time.monotonic() - start - sum(own)
+    return [
+        (error, 1000.0 * (seconds + rest * share / sum(shares)))
+        for error, seconds, share in zip(errors, own, shares)
+    ]
+
+
+def _commit_features(
+    config: PipelineConfig, task: Task, frame_count: int, hof: np.ndarray, hog: np.ndarray
+) -> None:
+    """Pool a video's series into its record and commit it: its series
+    dumps first, if asked for, then its archive."""
+    key = task.label
     feature = pot_vector(hof, hog, config.levels)
-    record = ArchiveRecord(key=key, frame_count=len(frames), feature=feature)
+    record = ArchiveRecord(key=key, frame_count=frame_count, feature=feature)
     if task.dump_paths:
         dump_series_text(hof, "hof", key, config.out_dir)
         dump_series_text(hog, "hog", key, config.out_dir)
@@ -432,8 +550,8 @@ def _key_rows(tasks: list[Task]) -> Iterator[tuple[str, np.ndarray]]:
                 yield key, np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
 
 
+# extract runs its tasks by packets (_run_extract_packet)
 _TASK_RUNNERS = {
-    STAGE_EXTRACT: _run_extract_task,
     STAGE_MEAN: _run_mean_task,
 }
 
@@ -445,7 +563,15 @@ def _run_task(config: PipelineConfig, task: Task) -> tuple[str | None, float]:
         _TASK_RUNNERS[task.stage](config, task)
         return None, (time.monotonic() - start) * 1000.0
     except Exception as exc:  # surfaced per task, stage fails afterwards
-        return f"{type(exc).__name__}: {exc}", (time.monotonic() - start) * 1000.0
+        return _describe(exc), (time.monotonic() - start) * 1000.0
+
+
+def _run_packet(config: PipelineConfig, packet: list[Task]) -> list[tuple[str | None, float]]:
+    """Each task's error and duration in ms, as ``_run_task`` gives them:
+    an extract packet's in one call, any other packet's task by task."""
+    if packet[0].stage == STAGE_EXTRACT:
+        return _run_extract_packet(config, packet)
+    return [_run_task(config, task) for task in packet]
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +588,14 @@ def _run_stage(
     outputs: list[Path],
     reduce: Callable[[], None],
     needs: list[Path],
+    pack: Callable[[list[Task]], list[list[Task]]] | None = None,
 ) -> None:
     """Run ``stage`` unless its marker and ``outputs`` exist (see the module
     docstring). Dead attempts' temporary files go from its work dir, and
     from --out and the state root those of ``outputs`` and the marker;
-    ``needs`` are the earlier stage's outputs that it reads."""
+    ``needs`` are the earlier stage's outputs that it reads. ``pack`` cuts
+    the pending tasks into packets, each run in one call by one worker;
+    without it each task is a packet of its own."""
     marker = state_dir / f"{stage}.done"
     work_dir = state_dir / stage
     started = time.time_ns()
@@ -507,23 +636,28 @@ def _run_stage(
             # flow's filters: imported once, before any task, so that forked
             # workers inherit them and no task's time holds the import
             import scipy.ndimage  # noqa: F401
-    if config.workers <= 1 or len(pending) <= 1:
-        for task in pending:
-            record(task, *_run_task(config, task))
+    packets = pack(pending) if pack else [[task] for task in pending]
+    if config.workers <= 1 or len(packets) <= 1:
+        for packet in packets:
+            for task, result in zip(packet, _run_packet(config, packet)):
+                record(task, *result)
     else:
         # imported here, so that a command that runs no pool does not pay for it
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         start = time.monotonic()
         # no idle workers: a fork pool starts all of them at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(pending))) as pool:
-            futures = {pool.submit(_run_task, config, task): task for task in pending}
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(packets))) as pool:
+            futures = {pool.submit(_run_packet, config, packet): packet for packet in packets}
             for future in as_completed(futures):
+                packet = futures[future]
                 try:
-                    record(futures[future], *future.result())
+                    results = future.result()
                 except Exception as exc:  # e.g. BrokenProcessPool: a worker died
                     elapsed_ms = (time.monotonic() - start) * 1000.0
-                    record(futures[future], f"{type(exc).__name__}: {exc}", elapsed_ms)
+                    results = [(_describe(exc), elapsed_ms)] * len(packet)
+                for task, result in zip(packet, results):
+                    record(task, *result)
 
     ran, skipped, failed = len(pending) - len(failures), len(tasks) - len(pending), len(failures)
     logger.info("stage=%s tasks_ran=%d tasks_skipped=%d tasks_failed=%d", stage, ran, skipped, failed)
@@ -540,7 +674,11 @@ def run_extract(config: PipelineConfig) -> list[Path]:
 
 
 def _extract(
-    config: PipelineConfig, entries: list[tuple[str, str]], shard_keys: ShardKeys, state_dir: Path
+    config: PipelineConfig,
+    entries: list[tuple[str, str]],
+    shard_keys: ShardKeys,
+    state_dir: Path,
+    frame_counts: dict[str, int],
 ) -> list[Path]:
     tasks = plan_extract(config, entries, state_dir)
     shards = [_shard_path(config, i) for i in range(len(shard_keys))]
@@ -550,14 +688,17 @@ def _extract(
     def reduce() -> None:
         write_shards([[archives[key] for key in keys] for keys in shard_keys], config.out_dir)
 
-    _run_stage(config, state_dir, STAGE_EXTRACT, tasks, shards + dumps, reduce, needs=[])
+    def pack(pending: list[Task]) -> list[list[Task]]:
+        return plan_packets(config, pending, frame_counts)
+
+    _run_stage(config, state_dir, STAGE_EXTRACT, tasks, shards + dumps, reduce, [], pack)
     return shards
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-pair slot distances, summed in global key-pair order
     into mean_csd.csv."""
-    _, shard_keys, state_dir = _prepare_stage(config)
+    _, shard_keys, state_dir, _ = _prepare_stage(config)
     return _mean(config, shard_keys, state_dir)
 
 
@@ -612,7 +753,7 @@ SIMILARITY_HEADER = "video_a,video_b,similarity\n"
 def run_similarity(config: PipelineConfig) -> Path:
     """Similarity stage: the mean rows, read in key-pair order and
     normalised by the corpus means into similarity.csv."""
-    _, shard_keys, state_dir = _prepare_stage(config)
+    _, shard_keys, state_dir, _ = _prepare_stage(config)
     return _similarity(config, shard_keys, state_dir)
 
 
@@ -641,7 +782,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
 def run_pipeline(config: PipelineConfig) -> Path:
     """Extract, mean, and similarity in sequence with checkpointing; the
     manifest and the inputs are read and fingerprinted once for all three."""
-    entries, shard_keys, state_dir = _prepare_stage(config)
-    _extract(config, entries, shard_keys, state_dir)
+    entries, shard_keys, state_dir, frame_counts = _prepare_stage(config)
+    _extract(config, entries, shard_keys, state_dir, frame_counts)
     _mean(config, shard_keys, state_dir)
     return _similarity(config, shard_keys, state_dir)

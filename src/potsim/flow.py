@@ -49,6 +49,7 @@ flow.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import resize_bilinear
+from .frames import _frozen, resize_bilinear
 
 # Per-pixel 2x2 systems with determinant below this resolve to zero
 # displacement (untextured regions).
@@ -152,9 +153,11 @@ _PROJECTION_KERNELS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 _EXPANSION_ROWS = [3, 5, 4, 1, 2]
 
 
+@functools.lru_cache(maxsize=16)
 def _expansion_fit(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window offsets, their Gaussian weights and the inverse of the
-    6x6 normal matrix of ``poly_expand``'s fit. A ValueError where that
+    6x6 normal matrix of ``poly_expand``'s fit, as read-only arrays made
+    once per setting. A ValueError, which is not cached, where that
     matrix cannot be inverted: a ``poly_sigma`` so small that every weight
     off the centre is 0, or so large that its square overflows; and where
     the poly_n x poly_n window does not fit in memory."""
@@ -174,6 +177,7 @@ def _expansion_fit(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, np.ndarr
     try:
         gram_inv = np.linalg.inv(gram)
         if np.isfinite(gram_inv).all():
+            _frozen(offsets, w, gram_inv)
             return offsets, w, gram_inv
     except np.linalg.LinAlgError:
         pass

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
+import stat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -232,9 +233,20 @@ def decode_frame_file(path: Path, out_w: int, out_h: int) -> np.ndarray:
 
     The result has the same bytes as ``resize_bilinear`` of the decoded
     frame, but only the source rows and columns the resize samples are
-    converted to float.
+    converted to float. Anything but a regular file (a FIFO, a device, a
+    directory) is refused before a byte is read: a FIFO without a writer
+    would block for ever, and a device may never end.
     """
-    data = path.read_bytes()
+    # O_NONBLOCK: opening a FIFO would wait for a writer; a regular file
+    # reads the same either way
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValueError("not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            data = fh.read()
+    finally:
+        os.close(fd)
     magic = data[:2]
     if magic not in _CHANNELS:
         raise ValueError(f"unsupported image format (magic {magic!r})")

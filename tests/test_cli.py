@@ -432,6 +432,29 @@ def test_text_files_are_utf8_whatever_the_locale(tmp_path):
     assert (out / "heat.keys.txt").read_bytes() == "other\nvidé\n".encode()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_frame_fails_its_task_instead_of_blocking(tmp_path):
+    """A FIFO named like a frame, with no writer, would block extract's
+    read for ever: it fails its video's task (exit 1, naming the frame)
+    and the other videos run. In a child process, which the timeout ends
+    should it block."""
+    manifest = make_corpus(tmp_path / "c", n=3)
+    os.mkfifo(tmp_path / "c" / "v01" / "frame9999.pgm")
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "potsim", "extract", "--manifest", str(manifest), "--out", str(out),
+         *FAST_FLAGS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1, result.stderr[-2000:]
+    reason = "v01: ValueError: video 'v01': frame 'frame9999.pgm': not a regular file"
+    assert reason in result.stderr
+    assert "Traceback" not in result.stderr
+    done = sorted(p.name for p in (out / "state" / "extract").iterdir())
+    assert done == ["task-0.out", "task-2.out"]
+
+
 def test_pair_stages_import_no_scipy(tmp_path):
     """Only flow uses scipy: importing potsim, and the commands that run no
     flow (mean, sim, --help, run on a finished state dir), leave it out."""

@@ -95,6 +95,97 @@ class TestHogFrame:
             hog_frame(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
+class TestStacks:
+    """hof_frame and hog_frame on (K, H, W) stacks: each histogram has the
+    bytes of a call on its frame alone."""
+
+    def test_hof_stack_equals_single_calls(self):
+        rng = np.random.default_rng(3)
+        u = rng.normal(0.0, 2.0, size=(5, 17, 23)).astype(np.float32)
+        v = rng.normal(0.0, 2.0, size=(5, 17, 23)).astype(np.float32)
+        u[2] = v[2] = 0.0
+        stack = hof_frame(u, v)
+        assert stack.shape == (5, HISTOGRAM_DIM)
+        for k in range(5):
+            assert stack[k].tobytes() == hof_frame(u[k], v[k]).tobytes()
+
+    def test_hog_stack_equals_single_calls(self):
+        """Pairs with no HoG mass (equal frames, or a difference below the
+        threshold) sit between pairs with mass."""
+        frames = noise_video(6, 19, seed=5)
+        frames[2] = frames[1]
+        frames[4] = frames[3] + 10.0
+        stack = hog_frame(frames[:-1], frames[1:], 40.0)
+        assert stack.shape == (5, HISTOGRAM_DIM)
+        for k in range(5):
+            single = hog_frame(frames[k], frames[k + 1], 40.0)
+            assert stack[k].tobytes() == single.tobytes()
+        assert not stack[1].any() and not stack[3].any() and stack[0].any()
+
+    def test_hog_stack_without_mass_is_zero(self):
+        frames = np.full((3, 8, 8), 50.0)
+        hist = hog_frame(frames[:-1], frames[1:])
+        assert hist.tobytes() == np.zeros((2, HISTOGRAM_DIM)).tobytes()
+
+    def test_cell_index_is_cached_read_only(self):
+        index = descriptors._cell_index(24, 32)
+        assert descriptors._cell_index(24, 32) is index
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 3
+
+
+class TestPackets:
+    """A packet's series are its videos' own, byte for byte, whatever run
+    of videos the packet is and wherever its blocks cut it."""
+
+    # blocks of 4 pairs at 16x16, so that packets span several blocks and
+    # one video is longer than a block
+    SIZE = 16
+
+    def videos(self):
+        size = self.SIZE
+        return [
+            blob_video(5, size, (5.0, 6.0), (1.0, 0.5)),
+            blob_video(2, size, (8.0, 8.0), (-1.0, 1.0)),
+            np.full((3, size, size), 90.0),  # static: all-zero series
+            noise_video(9, size, seed=2),  # longer than a block
+            np.full((2, size, size), 30.0),
+            blob_video(4, size, (9.0, 4.0), (0.5, 1.5)),
+        ]
+
+    def test_every_run_of_videos_gives_their_own_series(self, monkeypatch):
+        monkeypatch.setattr(descriptors, "_BLOCK_PIXELS", 4 * self.SIZE**2)
+        videos = self.videos()
+        alone = []
+        for video in videos:
+            hof, hog = compute_series(video, FAST_FB)
+            # alone, as one two-frame flow call and one histogram call per pair
+            for t in range(len(video) - 1):
+                u, v = farneback_flow(video[t], video[t + 1], FAST_FB)
+                assert hof[t].tobytes() == hof_frame(u, v).tobytes()
+                assert hog[t].tobytes() == hog_frame(video[t], video[t + 1]).tobytes()
+            alone.append((hof, hog))
+        assert not alone[2][0].any() and not alone[2][1].any()
+        for first in range(len(videos)):
+            for last in range(first + 1, len(videos) + 1):
+                packet = videos[first:last]
+                hof, hog = compute_series(
+                    np.concatenate(packet), FAST_FB, lengths=[len(v) for v in packet]
+                )
+                assert len(hof) == len(hog) == sum(len(v) - 1 for v in packet)
+                row = 0
+                for (a_hof, a_hog), video in zip(alone[first:last], packet):
+                    rows = slice(row, row + len(video) - 1)
+                    assert hof[rows].tobytes() == a_hof.tobytes(), (first, last)
+                    assert hog[rows].tobytes() == a_hog.tobytes(), (first, last)
+                    row += len(video) - 1
+
+    @pytest.mark.parametrize("lengths", [[5, 1], [2, 2, 3], [5]])
+    def test_lengths_must_cut_the_frames_into_videos(self, lengths):
+        with pytest.raises(ValueError, match="video lengths"):
+            compute_series(np.zeros((6, 8, 8)), FAST_FB, lengths=lengths)
+
+
 class TestComputeSeries:
     def test_two_frame_video(self):
         frames = blob_video(2, 64, (20, 32), (2, 0))

@@ -9,7 +9,9 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from itertools import combinations, combinations_with_replacement
@@ -30,6 +32,8 @@ from potsim.engine import (
     check_config,
     config_fingerprint,
     parse_manifest,
+    plan_extract,
+    plan_packets,
     plan_pair_stage,
     run_extract,
     run_mean,
@@ -98,7 +102,7 @@ def to_shard_pair_layout(out, cfg):
     """Rewrite a state dir's mean rows in the layout of earlier versions:
     one mean/task-N.out per shard pair (i, j), i <= j, in that order,
     holding the rows of shard i's keys with their partners in shard j."""
-    _, shard_keys, state = engine._prepare_stage(cfg)
+    _, shard_keys, state, _ = engine._prepare_stage(cfg)
     tasks = plan_pair_stage(shard_keys, state)
     keys = [key for shard in shard_keys for key in shard]
     shard_of = {key: i for i, shard in enumerate(shard_keys) for key in shard}
@@ -182,7 +186,7 @@ class TestPlanning:
         for n, sizes in ((64, [64]), (65, [33, 32]), (129, [43, 43, 43])):
             manifest = tmp_path / f"m{n}.txt"
             manifest.write_text("".join(f"v{i:03d},gone{i}\n" for i in reversed(range(n))))
-            _, shard_keys, _ = engine._prepare_stage(fast_config(manifest, tmp_path / f"o{n}"))
+            _, shard_keys, _, _ = engine._prepare_stage(fast_config(manifest, tmp_path / f"o{n}"))
             assert [len(keys) for keys in shard_keys] == sizes
             assert max(sizes) <= engine.VIDEOS_PER_SHARD
             assert [key for keys in shard_keys for key in keys] == [f"v{i:03d}" for i in range(n)]
@@ -224,14 +228,18 @@ class TestPlanning:
     def test_input_digest_equals_a_listing_then_stat_per_frame(self, tmp_path):
         """The digest takes names and stats from one directory scan, with
         the same bytes as listing the frames and then calling os.stat on
-        each, so state dirs made before still resume."""
+        each, so state dirs made before still resume. The frame counts
+        extract packs by come from the same scan: 0 where the digest says
+        missing or unreadable."""
 
         def listed_then_stated(entries):
             import hashlib
 
             digest = hashlib.sha256()
+            counts = {}
             for key, directory in entries:
                 digest.update(json.dumps([key, directory]).encode())
+                counts[key] = 0
                 if not os.path.isdir(directory):
                     digest.update(b"missing")
                     continue
@@ -246,7 +254,8 @@ class TestPlanning:
                     continue
                 for name, st in stats:
                     digest.update(f"{name}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
-            return digest.hexdigest()
+                counts[key] = len(stats)
+            return digest.hexdigest(), counts
 
         root = tmp_path / "c"
         manifest = small_corpus(root, n=3, frames=3, size=8)
@@ -258,6 +267,7 @@ class TestPlanning:
         entries = parse_manifest(manifest)
         assert [key for key, _ in entries] == ["v00", "v01", "v02", "v03"]
         assert engine._input_digest(entries) == listed_then_stated(entries)
+        assert engine._input_digest(entries)[1] == {"v00": 5, "v01": 0, "v02": 3, "v03": 0}
 
 
 class TestConfigCheck:
@@ -338,6 +348,168 @@ class TestExtractStage:
         shards2 = run_extract(cfg)
         assert shards2 == shards
         assert {p: p.stat().st_mtime_ns for p in shards2} == mtimes
+
+
+def recording_packets(monkeypatch):
+    """Patch plan_packets to record each packing, as lists of keys."""
+    packings = []
+    real = engine.plan_packets
+
+    def recording(config, tasks, frame_counts):
+        packets = real(config, tasks, frame_counts)
+        packings.append([[task.label for task in packet] for packet in packets])
+        return packets
+
+    monkeypatch.setattr(engine, "plan_packets", recording)
+    return packings
+
+
+class TestPackets:
+    """Extract runs its pending tasks in packets: runs of consecutive
+    videos whose frames make one flow block, one call per packet."""
+
+    def plan(self, tmp_path, counts, workers):
+        cfg = fast_config(tmp_path / "manifest.txt", tmp_path / "out", workers=workers)
+        entries = [(key, str(tmp_path / key)) for key in counts]
+        tasks = plan_extract(cfg, entries, tmp_path / "state")
+        return [[task.label for task in packet] for packet in plan_packets(cfg, tasks, counts)]
+
+    def test_packets_fill_blocks_in_key_order(self, tmp_path, monkeypatch):
+        """Blocks of 8 pairs: a and b make 8 pairs; c does not fit beside
+        them; d, longer than a block, is a packet of its own; g, whose
+        directory is missing, counts 0 frames. More workers than packets
+        cut the packet of the most videos in halves, the first such first."""
+        monkeypatch.setattr(descriptors, "_BLOCK_PIXELS", 8 * 24 * 24)
+        counts = {"a": 4, "b": 5, "c": 3, "d": 20, "e": 2, "f": 2, "g": 0}
+        assert self.plan(tmp_path, counts, 1) == [["a", "b"], ["c"], ["d"], ["e", "f", "g"]]
+        assert self.plan(tmp_path, counts, 4) == [["a", "b"], ["c"], ["d"], ["e", "f", "g"]]
+        assert self.plan(tmp_path, counts, 6) == [["a"], ["b"], ["c"], ["d"], ["e", "f"], ["g"]]
+        assert self.plan(tmp_path, counts, 64) == [[key] for key in counts]
+
+    def test_packets_differ_by_workers_and_outputs_do_not(self, tmp_path, monkeypatch):
+        """Six short videos of mixed lengths fit one block at 24x24: one
+        packet at --workers 1, two at 2 and three at 3. Shards, means,
+        scores and series dumps are the same bytes at each."""
+        videos = {
+            f"v{i:02d}": blob_video(n, 24, (6 + i, 12), (1.0 + 0.3 * i, 0.2 * i))
+            for i, n in enumerate([5, 8, 5, 6, 9, 5])
+        }
+        manifest = write_corpus(tmp_path / "c", videos)
+        packings = recording_packets(monkeypatch)
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out{workers}"
+            run_pipeline(fast_config(manifest, out, workers=workers, dump_series=True))
+            outputs.append(outputs_outside_state(out))
+        assert packings == [
+            [["v00", "v01", "v02", "v03", "v04", "v05"]],
+            [["v00", "v01", "v02"], ["v03", "v04", "v05"]],
+            [["v00", "v01"], ["v02"], ["v03", "v04", "v05"]],
+        ]
+        assert len(outputs[0]) == 1 + 1 + 1 + 2 * len(videos)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_failed_videos_fail_alone_in_their_packet(self, tmp_path, monkeypatch, caplog, capsys):
+        """One packet holds an undecodable video and one too short for the
+        temporal pyramid: those two fail with their own reasons, their
+        packet-mates' archives are committed, and a rerun skips the
+        packet-mates and reruns only the two."""
+        root = tmp_path / "c"
+        videos = {
+            f"v{i:02d}": blob_video(3 if i == 3 else 6, 24, (6 + i, 12), (1.0, 0.5))
+            for i in range(5)
+        }
+        manifest = write_corpus(root, videos)
+        (root / "v01" / "frame0002.pgm").write_bytes(b"GIF89a")
+        packings = recording_packets(monkeypatch)
+        out = tmp_path / "out"
+        caplog.set_level("INFO", logger="potsim.engine")
+        assert main(fast_argv("extract", manifest, out)) == 1
+        err = capsys.readouterr().err
+        assert packings == [[["v00", "v01", "v02", "v03", "v04"]]]
+        assert task_outcomes(caplog) == {
+            "v00": "ok", "v01": "failed", "v02": "ok", "v03": "failed", "v04": "ok",
+        }
+        assert "v01: ValueError: video 'v01': frame 'frame0002.pgm': unsupported image" in err
+        assert "v03: ValueError: video too short for temporal pyramid" in err
+        done = sorted(p.name for p in (out / "state" / "extract").iterdir())
+        assert done == ["task-0.out", "task-2.out", "task-4.out"]
+        caplog.clear()
+        assert main(fast_argv("extract", manifest, out)) == 1
+        assert packings[1:] == [[["v01", "v03"]]]
+        assert task_outcomes(caplog) == {
+            "v00": "skipped", "v01": "failed", "v02": "skipped", "v03": "failed", "v04": "skipped",
+        }
+        assert stage_counts(caplog) == {"extract": (0, 3, 2)}
+
+    def test_durations_add_up_to_the_packet(self, tmp_path):
+        """Each task's duration is its own time plus its frame-pair share
+        of the packet's: the sum is the packet's time, and a video that
+        failed to decode gets no share of the flow."""
+        root = tmp_path / "c"
+        videos = {
+            f"v{i:02d}": blob_video(n, 24, (6 + i, 12), (1.0, 0.5))
+            for i, n in enumerate([6, 9, 6])
+        }
+        manifest = write_corpus(root, videos)
+        for frame in (root / "v02").iterdir():
+            frame.write_bytes(b"P5\n")
+        cfg = fast_config(manifest, tmp_path / "out")
+        entries, _, state, counts = engine._prepare_stage(cfg)
+        (state / "extract").mkdir()
+        [packet] = plan_packets(cfg, plan_extract(cfg, entries, state), counts)
+        start = time.monotonic()
+        results = engine._run_extract_packet(cfg, packet)
+        elapsed_ms = (time.monotonic() - start) * 1000.0
+        assert [error is None for error, _ in results] == [True, True, False]
+        total = sum(ms for _, ms in results)
+        assert 0.75 * elapsed_ms <= total <= elapsed_ms
+        assert results[1][1] > results[0][1] > results[2][1]
+
+    def test_worker_peak_is_one_block_and_one_video(self, tmp_path):
+        """A worker's peak while it extracts a packet (tracemalloc, each
+        packet in a thread of its own, so with a fresh flow workspace) is
+        at most one block's flow, as compute_series on one block of frames
+        takes, plus three times the frames of one video or block, the
+        larger: a packet's frames are held twice while they are put one
+        after another, and its series take 40% of their bytes. At 32x32 a
+        block is 64 pairs: 24 eight-frame videos make three packets, and
+        a 193-frame video is a packet of its own. The 24 in one packet
+        would take more."""
+        videos = {f"v{i:02d}": blob_video(8, 32, (8 + i % 9, 12), (1.0, 0.5)) for i in range(24)}
+        videos["w"] = noise_video(193, 32, seed=1)
+        manifest = write_corpus(tmp_path / "c", videos)
+        cfg = PipelineConfig(manifest=str(manifest), out_dir=str(tmp_path / "out"),
+                             working_w=32, working_h=32, workers=1)
+        entries, _, state, counts = engine._prepare_stage(cfg)
+        (state / "extract").mkdir()
+        packets = plan_packets(cfg, plan_extract(cfg, entries, state), counts)
+        assert [len(packet) for packet in packets] == [8, 8, 8, 1]
+
+        def peak(work):
+            peaks = []
+
+            def run():
+                tracemalloc.start()
+                try:
+                    work()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join()
+            return peaks[0]
+
+        block_frames = noise_video(65, 32, seed=2)
+        one_block = peak(lambda: descriptors.compute_series(block_frames))
+        for packet in packets:
+            largest = max(block_frames.nbytes, 8 * 32 * 32 * max(counts[t.label] for t in packet))
+            assert peak(lambda: engine._run_extract_packet(cfg, packet)) <= one_block + 3 * largest
+        every_short_video = [task for packet in packets[:3] for task in packet]
+        every_peak = peak(lambda: engine._run_extract_packet(cfg, every_short_video))
+        assert every_peak > one_block + 3 * block_frames.nbytes
 
 
 class TestFullPipeline:
@@ -424,7 +596,7 @@ class TestFullPipeline:
         cfg = fast_config(manifest, out)
         entries = parse_manifest(manifest)
         payload = {
-            "inputs": engine._input_digest(entries),
+            "inputs": engine._input_digest(entries)[0],
             "working": [cfg.working_w, cfg.working_h],
             "levels": list(cfg.levels),
             "hog_threshold": cfg.hog_threshold,
@@ -605,9 +777,10 @@ class TestFullPipeline:
 
     def test_pool_is_sized_to_pending_tasks(self, tmp_path, monkeypatch):
         """A fork pool starts all its workers at the first submit: 64
-        workers on 3 videos start 3. A thread pool stands in, so nothing
-        forks. The engine imports the pool class from its module when it
-        starts a pool, so the stand-in goes there."""
+        workers on 3 videos, which one block would hold, make 3 packets,
+        one per video, and start 3 workers. A thread pool stands in, so
+        nothing forks. The engine imports the pool class from its module
+        when it starts a pool, so the stand-in goes there."""
         manifest = small_corpus(tmp_path / "c", n=3)
         direct = run_pipeline(fast_config(manifest, tmp_path / "direct"))
         sizes = []
@@ -617,7 +790,9 @@ class TestFullPipeline:
             return ThreadPoolExecutor(max_workers=1)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        packings = recording_packets(monkeypatch)
         sim = run_pipeline(fast_config(manifest, tmp_path / "out", workers=64))
+        assert packings == [[["v00"], ["v01"], ["v02"]]]
         assert sizes == [3]
         for name in ("similarity.csv", "mean_csd.csv"):
             assert (sim.parent / name).read_bytes() == (direct.parent / name).read_bytes()
@@ -711,25 +886,37 @@ class TestFullPipeline:
         assert task_outcomes(caplog) == {}
 
     def test_dead_worker_is_stage_error_and_resumable(self, tmp_path, monkeypatch):
-        # pool workers are forked, so they inherit the patched runner table
+        """A worker that dies mid-packet fails every task of its packet
+        with BrokenProcessPool: 4 videos at --workers 2 are the packets
+        (v00, v01) and (v02, v03), and the worker dies decoding v01. The
+        rerun has two pending tasks or more, so at least two packets in a
+        pool, and its worker dies too; a run without the fault gives a
+        direct run's bytes."""
+        # pool workers are forked, so they inherit the patched decoder
         manifest = small_corpus(tmp_path / "c", n=4)
         direct = run_pipeline(fast_config(manifest, tmp_path / "direct")).read_text()
 
-        real_runner = engine._TASK_RUNNERS[engine.STAGE_EXTRACT]
+        real_load = engine.load_frame_sequence
 
-        def dies_on_v01(config, task):
-            if task.label == "v01":
+        def dies_on_v01(directory, key, *args):
+            if key == "v01":
                 os._exit(3)
-            real_runner(config, task)
+            return real_load(directory, key, *args)
 
         out = tmp_path / "out"
         cfg = fast_config(manifest, out, workers=2)
         with monkeypatch.context() as patch:
-            patch.setitem(engine._TASK_RUNNERS, engine.STAGE_EXTRACT, dies_on_v01)
+            packings = recording_packets(patch)
+            patch.setattr(engine, "load_frame_sequence", dies_on_v01)
             with pytest.raises(StageError) as err:
                 run_pipeline(cfg)
-            assert "BrokenProcessPool" in str(err.value)
+            failed = dict(err.value.failures)
+            assert {"v00", "v01"} <= set(failed)
+            assert all(message.startswith("BrokenProcessPool") for message in failed.values())
             assert main(fast_argv("run", manifest, out, workers=2)) == 1
+        assert packings[0] == [["v00", "v01"], ["v02", "v03"]]
+        # the rerun's pending tasks, v00 and v01 at least, make two packets or more
+        assert len(packings[1]) >= 2 and any("v01" in packet for packet in packings[1])
         assert run_pipeline(cfg).read_text() == direct
 
     def test_mean_requires_shards(self, tmp_path):

@@ -8,6 +8,7 @@ from conftest import gaussian_blob, smooth_texture
 from potsim.descriptors import compute_series
 from potsim.flow import (
     FarnebackParams,
+    _expansion_fit,
     _warp_expansion,
     farneback_flow,
     poly_expand,
@@ -234,3 +235,20 @@ class TestFarnebackParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             FarnebackParams(**kwargs).validate()
+
+    def test_expansion_fit_is_cached_read_only(self):
+        """The fit is made once per (poly_n, poly_sigma), so validate() and
+        poly_expand, which run on every flow call, reuse it; its arrays
+        cannot be written to."""
+        fit = _expansion_fit(7, 1.5)
+        assert _expansion_fit(7, 1.5) is fit
+        for array in fit:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_failed_expansion_fit_is_not_cached(self):
+        size = _expansion_fit.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="singular"):
+                _expansion_fit(5, 0.01)
+        assert _expansion_fit.cache_info().currsize == size

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,23 @@ class TestLoadFrameSequenceAtWorkingResolution:
         assert frames.shape == (3, 24, 32)
         for frame, data in zip(frames, files.values()):
             assert frame.tobytes() == decode_then_resize(data, 32, 24).tobytes()
+
+    @pytest.mark.parametrize("kind", ["directory", "device"])
+    def test_frame_that_is_no_regular_file(self, tmp_path, kind):
+        """A directory named like a frame, or a symlink to a character
+        device, fails as a ValueError naming the video and the frame,
+        before anything is read (a device such as /dev/zero never ends)."""
+        d = tmp_path / "v"
+        d.mkdir()
+        (d / "f0.pgm").write_bytes(random_netpbm("P5", 8, 8, 255, seed=5))
+        if kind == "directory":
+            (d / "f1.pgm").mkdir()
+        else:
+            if not os.path.exists("/dev/null"):
+                pytest.skip("no /dev/null")
+            (d / "f1.pgm").symlink_to("/dev/null")
+        with pytest.raises(ValueError, match=r"^video 'v': frame 'f1.pgm': not a regular file$"):
+            load_frame_sequence(d, "v", 8, 8)
 
     def write_video(self, directory, bad_frame):
         directory.mkdir()
