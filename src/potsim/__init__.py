@@ -1,66 +1,56 @@
 """Pairwise video similarity from pooled time series of optical-flow and
-gradient histograms, computed by a local parallel, checkpointable pipeline."""
+gradient histograms, computed by a local parallel, checkpointable pipeline.
 
-from .archive import ArchiveRecord, read_archive, write_archive
-from .descriptors import compute_series, hof_frame, hog_frame
-from .engine import (
-    ConfigError,
-    PipelineConfig,
-    StageError,
-    run_extract,
-    run_mean,
-    run_pipeline,
-    run_similarity,
-)
-from .flow import FarnebackParams, farneback_flow, poly_expand
-from .frames import (
-    decode_pgm,
-    decode_ppm_to_gray,
-    encode_pgm,
-    load_frame_sequence,
-    resize_bilinear,
-)
-from .pooling import build_intervals, pot_vector, slot_bounds
-from .similarity import (
-    MeanCsd,
-    chi_square,
-    csd_sixtuple,
-    kernel_distance,
-    mean_csd,
-    similarity_score,
-)
+The public names resolve on first use (PEP 562), so ``import potsim``
+loads no numpy: a command that only parses its arguments stays cheap.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArchiveRecord",
-    "ConfigError",
-    "FarnebackParams",
-    "MeanCsd",
-    "PipelineConfig",
-    "StageError",
-    "build_intervals",
-    "chi_square",
-    "compute_series",
-    "csd_sixtuple",
-    "decode_pgm",
-    "decode_ppm_to_gray",
-    "encode_pgm",
-    "farneback_flow",
-    "hof_frame",
-    "hog_frame",
-    "kernel_distance",
-    "load_frame_sequence",
-    "mean_csd",
-    "poly_expand",
-    "pot_vector",
-    "read_archive",
-    "resize_bilinear",
-    "run_extract",
-    "run_mean",
-    "run_pipeline",
-    "run_similarity",
-    "similarity_score",
-    "slot_bounds",
-    "write_archive",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "ArchiveRecord": "archive",
+    "ConfigError": "engine",
+    "FarnebackParams": "params",
+    "MeanCsd": "similarity",
+    "PipelineConfig": "engine",
+    "StageError": "engine",
+    "build_intervals": "pooling",
+    "chi_square": "similarity",
+    "compute_series": "descriptors",
+    "csd_sixtuple": "similarity",
+    "decode_pgm": "frames",
+    "decode_ppm_to_gray": "frames",
+    "encode_pgm": "frames",
+    "farneback_flow": "flow",
+    "hof_frame": "descriptors",
+    "hog_frame": "descriptors",
+    "kernel_distance": "similarity",
+    "load_frame_sequence": "frames",
+    "mean_csd": "similarity",
+    "poly_expand": "flow",
+    "pot_vector": "pooling",
+    "read_archive": "archive",
+    "resize_bilinear": "frames",
+    "run_extract": "engine",
+    "run_mean": "engine",
+    "run_pipeline": "engine",
+    "run_similarity": "engine",
+    "similarity_score": "similarity",
+    "slot_bounds": "pooling",
+    "write_archive": "archive",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # a name outside the table raises, so ``from potsim import engine``
+    # falls through to importing the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -28,12 +28,11 @@ import numpy as np
 from .commit import committed
 from .flow import FarnebackParams, farneback_flow
 from .frames import _frozen
+from .params import DEFAULT_HOG_THRESHOLD
 
 GRID = 5
 ORIENTATION_BINS = 8
 HISTOGRAM_DIM = GRID * GRID * ORIENTATION_BINS  # 200
-
-DEFAULT_HOG_THRESHOLD = 40.0
 
 # Flow runs over blocks of consecutive frame pairs: one call expands each
 # frame of a block once. A block holds up to this many pixels of next
@@ -77,6 +76,15 @@ def _stack_bincount(
     return hist.reshape(shape[:-2] + (HISTOGRAM_DIM,))
 
 
+def _full_turn(theta: np.ndarray) -> np.ndarray:
+    """``np.mod(theta, 2 pi)`` of ``arctan2`` angles in [-pi, pi], in
+    place: theta + 2 pi, rounded once, where theta < 0, which is what
+    ``np.mod`` computes, through a scalar ``fmod`` loop that costs twice
+    this. Only -0.0 differs: it stays -0.0 where ``np.mod`` gives +0.0,
+    and both fall in bin 0 with fraction +0.0."""
+    return np.add(theta, _TWO_PI, out=theta, where=theta < 0.0)
+
+
 def hof_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Histogram of flow: per-pixel magnitude of the ``(H, W)`` displacement
     fields ``u``, ``v`` into (cell, orientation) bins.
@@ -91,7 +99,7 @@ def hof_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     magnitude = np.hypot(u, v)
-    theta = np.mod(np.arctan2(v, u), _TWO_PI)
+    theta = _full_turn(np.arctan2(v, u))
     obin = np.minimum(
         ORIENTATION_BINS - 1, np.floor(theta / _BIN_WIDTH).astype(np.intp)
     )
@@ -131,7 +139,7 @@ def hog_frame(
     if not active.any():
         return np.zeros(diff.shape[:-2] + (HISTOGRAM_DIM,))
 
-    theta = np.mod(np.arctan2(gy[active], gx[active]), _TWO_PI)
+    theta = _full_turn(np.arctan2(gy[active], gx[active]))
     pos = theta / _BIN_WIDTH  # continuous bin coordinate in [0, 8)
     lo = np.floor(pos).astype(np.intp) % ORIENTATION_BINS
     hi = (lo + 1) % ORIENTATION_BINS

@@ -84,16 +84,17 @@ from .archive import (
     write_shards,
 )
 from .commit import committed, remove_stray_tmp
-from .descriptors import (
-    DEFAULT_HOG_THRESHOLD,
-    block_pairs,
-    compute_series,
-    dump_series_text,
-    series_dump_path,
-)
-from .flow import FLOW_DTYPE, FarnebackParams
+from .descriptors import block_pairs, compute_series, dump_series_text, series_dump_path
+from .flow import FLOW_DTYPE
 from .frames import frame_files, load_frame_sequence
-from .pooling import DEFAULT_LEVELS, SLOTS, pot_vector
+from .params import (
+    DEFAULT_HOG_THRESHOLD,
+    DEFAULT_LEVELS,
+    DEFAULT_WORKING_RESOLUTION,
+    FarnebackParams,
+    default_workers,
+)
+from .pooling import SLOTS, pot_vector
 # csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
 from .similarity import (
     MeanCsd,
@@ -109,7 +110,6 @@ from .similarity import (
 
 logger = logging.getLogger("potsim.engine")
 
-DEFAULT_WORKING_RESOLUTION = (128, 128)
 VIDEOS_PER_SHARD = 64  # also the widest block a mean task scores
 
 STAGE_EXTRACT = "extract"
@@ -142,7 +142,7 @@ class PipelineConfig:
     working_h: int = DEFAULT_WORKING_RESOLUTION[1]
     levels: tuple[int, ...] = DEFAULT_LEVELS
     hog_threshold: float = DEFAULT_HOG_THRESHOLD
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
+    workers: int = field(default_factory=default_workers)
     farneback: FarnebackParams = field(default_factory=FarnebackParams)
     state_dir: str | None = None  # default: <out_dir>/state
     dump_series: bool = False

@@ -53,11 +53,11 @@ import functools
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import _frozen, resize_bilinear
+from .params import FarnebackParams
 
 # Per-pixel 2x2 systems with determinant below this resolve to zero
 # displacement (untextured regions).
@@ -114,33 +114,6 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
-
-
-@dataclass(frozen=True)
-class FarnebackParams:
-    """Tuning knobs for the pyramidal polynomial-expansion flow."""
-
-    pyr_scale: float = 0.5
-    levels: int = 3
-    winsize: int = 15
-    iterations: int = 3
-    poly_n: int = 5
-    poly_sigma: float = 1.1
-
-    def validate(self) -> None:
-        if not 0.0 < self.pyr_scale < 1.0:
-            raise ValueError(f"pyr_scale must be in (0, 1), got {self.pyr_scale}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.winsize < 3 or self.winsize % 2 == 0:
-            raise ValueError(f"winsize must be odd and >= 3, got {self.winsize}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.poly_n < 3 or self.poly_n % 2 == 0:
-            raise ValueError(f"poly_n must be odd and >= 3, got {self.poly_n}")
-        if not self.poly_sigma > 0.0:  # also rejects NaN
-            raise ValueError(f"poly_sigma must be > 0, got {self.poly_sigma}")
-        _expansion_fit(self.poly_n, self.poly_sigma)
 
 
 # The weighted projections onto the basis 1, x, y, x^2, y^2, xy, as

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import re
 import subprocess
@@ -457,7 +458,10 @@ def test_fifo_frame_fails_its_task_instead_of_blocking(tmp_path):
 
 def test_pair_stages_import_no_scipy(tmp_path):
     """Only flow uses scipy: importing potsim, and the commands that run no
-    flow (mean, sim, --help, run on a finished state dir), leave it out."""
+    flow (mean, sim, --help, run on a finished state dir), leave it out.
+    Those that only parse arguments (importing potsim, --help, a
+    subcommand's --help, a usage error, an unknown POTSIM_LOG level) leave
+    numpy out too."""
     manifest = make_corpus(tmp_path / "c", n=3)
     out = tmp_path / "out"
     assert run_cli("extract", manifest, out) == 0
@@ -465,18 +469,118 @@ def test_pair_stages_import_no_scipy(tmp_path):
         "import sys\n"
         "import potsim, potsim.cli\n"
         "code = potsim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
     stages = [
-        [command, "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS]
+        ([command, "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS], {}, 0, True)
         for command in ("mean", "sim", "run")
     ]
-    for argv in ([], *stages, ["--help"]):
+    cases = [
+        ([], {}, 0, False),
+        *stages,
+        (["--help"], {}, 0, False),
+        (["extract", "--help"], {}, 0, False),
+        (["bogus"], {}, 2, False),
+        (["--help"], {"POTSIM_LOG": "BOGUS"}, 2, False),
+    ]
+    for argv, extra_env, code, numpy_loaded in cases:
         result = subprocess.run(
-            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-c", probe, *argv], env={**env, **extra_env},
+            capture_output=True, text=True,
         )
-        assert result.returncode == 0, result.stderr[-2000:]
-        assert result.stdout.splitlines()[-1] == "False", argv
+        assert result.returncode == code, (argv, result.stderr[-2000:])
+        assert result.stdout.splitlines()[-1] == f"False {numpy_loaded}", argv
     assert (out / "similarity.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["potsim", "potsim.cli"])
+def test_python_m_exits_with_main_code_after_freezing_gc(tmp_path, module):
+    """``python -m potsim`` and ``python -m potsim.cli`` exit 0, 1 and 2 as
+    main returns them, and freeze the GC first so that the interpreter's
+    last collection skips what the command loaded. runpy.run_module runs
+    the module as -m does, in a child that reports the freeze."""
+    probe = (
+        "import gc, runpy, sys\n"
+        "module = sys.argv.pop(1)\n"
+        "try:\n"
+        "    runpy.run_module(module, run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(gc.get_freeze_count() > 0)\n"
+    )
+    csv_path = tmp_path / "similarity.csv"
+    csv_path.write_text("video_a,video_b,similarity\na,b,0.5\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    cases = [
+        (["--help"], {}, 0),
+        (["heatmap", str(csv_path), "--out", str(tmp_path / "heat")], {}, 0),
+        (["heatmap", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "heat")], {}, 1),
+        (["bogus"], {}, 2),
+        (["--help"], {"POTSIM_LOG": "BOGUS"}, 2),
+    ]
+    for argv, extra_env, code in cases:
+        result = subprocess.run(
+            [sys.executable, "-c", probe, module, *argv], env={**env, **extra_env},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == code, (argv, result.stderr[-2000:])
+        assert result.stdout.splitlines()[-1] == "True", argv
+        assert "Traceback" not in result.stderr
+    assert (tmp_path / "heat.pgm").exists()
+
+
+def test_console_script_is_the_entry():
+    """pyproject.toml's `potsim` script runs the entry that `python -m`
+    runs: the one that freezes the GC before exit."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^potsim = "([\w.]+):(\w+)"$', pyproject, re.M)
+    module = __import__(target.group(1), fromlist=[target.group(2)])
+    assert getattr(module, target.group(2)) is potsim.cli.entry
+
+
+def test_main_in_process_leaves_gc_unfrozen(tmp_path, capsys):
+    """main() returns its code and leaves the GC alone: only the process
+    entry freezes, so a caller's collections still run."""
+    csv_path = tmp_path / "similarity.csv"
+    csv_path.write_text("video_a,video_b,similarity\na,b,0.5\n")
+    before = gc.get_freeze_count()
+    assert main(["--help"]) == 0
+    assert main(["bogus"]) == 2
+    assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "heat")]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    """A process pinned to one CPU of an 8-CPU host defaults to one worker,
+    in the CLI and in PipelineConfig; without an affinity call, every CPU."""
+    from potsim.engine import PipelineConfig
+
+    argv = ["mean", "--manifest", "m.txt", "--out", "out"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert build_parser().parse_args(argv).workers == 1
+    assert PipelineConfig("m.txt", "out").workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert build_parser().parse_args(argv).workers == 8
+    assert PipelineConfig("m.txt", "out").workers == 8
+
+
+def test_public_names_resolve():
+    """Every name of potsim.__all__ resolves, a star import binds them all,
+    another name raises AttributeError, submodules still import by
+    `from potsim import ...`, and the defaults keep their old homes."""
+    from potsim import descriptors, engine, flow, params, pooling
+
+    for name in potsim.__all__:
+        assert getattr(potsim, name).__name__ == name
+    namespace = {}
+    exec("from potsim import *", namespace)
+    assert set(potsim.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="nope"):
+        potsim.nope
+    assert potsim.FarnebackParams is flow.FarnebackParams is engine.FarnebackParams
+    assert engine.DEFAULT_WORKING_RESOLUTION == params.DEFAULT_WORKING_RESOLUTION == (128, 128)
+    assert pooling.DEFAULT_LEVELS == params.DEFAULT_LEVELS == (1, 2, 4)
+    assert descriptors.DEFAULT_HOG_THRESHOLD == params.DEFAULT_HOG_THRESHOLD == 40.0

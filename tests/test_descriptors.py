@@ -134,6 +134,89 @@ class TestStacks:
             index[0, 0] = 3
 
 
+def _mod_turn(theta):
+    """The angle normalisation _full_turn replaces."""
+    return np.mod(theta, 2.0 * np.pi)
+
+
+def _hog_cases():
+    """One 5x5 frame pair per angle case; only the centre pixel has HoG mass
+    (|D| = 100), and its central gradient (gx, gy) of D is set by its four
+    neighbours, each below the threshold: +0.0, -0.0, pi, -pi and a tiny
+    negative angle whose theta + 2 pi rounds to 2 pi."""
+    neighbours = {  # (right, left, below, above) values of D
+        "+0": (2.0, 0.0, 0.0, 0.0),
+        "-0": (2.0, 0.0, -0.0, 0.0),
+        "+pi": (0.0, 2.0, 0.0, 0.0),
+        "-pi": (0.0, 2.0, -0.0, 0.0),
+        "tiny": (2.0, 0.0, 0.0, 2e-300),
+    }
+    prev = np.zeros((len(neighbours), 5, 5))
+    next = np.zeros_like(prev)
+    for k, (right, left, below, above) in enumerate(neighbours.values()):
+        next[k, 2, 2] = 100.0
+        next[k, 2, 3], next[k, 2, 1], next[k, 3, 2], next[k, 1, 2] = right, left, below, above
+    return prev, next
+
+
+class TestFullTurn:
+    """_full_turn gives the bins and the HoG split of np.mod(theta, 2 pi) on
+    every angle arctan2 returns, and hof_frame and hog_frame the same bytes."""
+
+    @staticmethod
+    def split(theta):
+        """hof_frame's bin, and hog_frame's (lo, hi, frac), as they compute them."""
+        width = 2.0 * np.pi / 8
+        obin = np.minimum(7, np.floor(theta / width).astype(np.intp))
+        pos = theta / width
+        lo = np.floor(pos).astype(np.intp) % 8
+        return obin, lo, (lo + 1) % 8, pos - np.floor(pos)
+
+    def test_edge_angles_and_random_angles(self):
+        tiny = -1e-300
+        assert _mod_turn(tiny) == 2.0 * np.pi  # theta + 2 pi rounds to 2 pi
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=(2, 4, 64, 64))
+        theta = np.concatenate([
+            [0.0, -0.0, np.pi, -np.pi, tiny, -1e-17, np.nextafter(-np.pi, 0.0)],
+            np.arctan2(v, u).ravel(),
+            np.arctan2(np.round(v), np.round(u)).ravel(),  # many exact 0, pi, pi/2
+        ])
+        full = descriptors._full_turn(theta.copy())
+        assert np.signbit(full[1])  # -0.0 stays -0.0 ...
+        for ours, mods in zip(self.split(full), self.split(_mod_turn(theta))):
+            assert ours.tobytes() == mods.tobytes()  # ... and its frac is +0.0
+
+    def test_histograms_equal_the_mod_form(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        u, v = rng.normal(0.0, 2.0, size=(2, 3, 17, 23))
+        u[0, :, :4] = 0.0
+        v[0, :, 4:8] = -0.0
+        u[1], v[1] = np.round(u[1]), np.round(v[1])
+        frames = noise_video(4, 19, seed=13)
+        prev, next = _hog_cases()
+        expected = [hof_frame(u, v), hog_frame(frames[:-1], frames[1:]), hog_frame(prev, next)]
+        monkeypatch.setattr(descriptors, "_full_turn", _mod_turn)
+        got = [hof_frame(u, v), hog_frame(frames[:-1], frames[1:]), hog_frame(prev, next)]
+        for a, b in zip(expected, got):
+            assert a.tobytes() == b.tobytes()
+
+    def test_hog_edge_cases_reach_their_bins(self):
+        """The crafted centre gradients give the angles named, and each
+        lands where np.mod puts it: bin 0 for +-0.0 and the tiny angle,
+        bin 4 for +-pi."""
+        prev, next = _hog_cases()
+        gx, gy = descriptors._central_gradient(next - prev)
+        theta = np.arctan2(gy[:, 2, 2], gx[:, 2, 2])
+        assert theta.tobytes() == np.array([0.0, -0.0, np.pi, -np.pi, -1e-300]).tobytes()
+        grid = hog_frame(prev, next).reshape(-1, 25, 8)
+        centre = 2 * 5 + 2
+        for k, obin in enumerate([0, 0, 4, 4, 0]):
+            expected = np.zeros((25, 8))
+            expected[centre, obin] = 255.0
+            assert grid[k].tobytes() == expected.tobytes()
+
+
 class TestPackets:
     """A packet's series are its videos' own, byte for byte, whatever run
     of videos the packet is and wherever its blocks cut it."""
