@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "ArchiveRecord": "archive",
-    "ConfigError": "engine",
+    "ConfigError": "layout",
     "FarnebackParams": "params",
     "MeanCsd": "similarity",
-    "PipelineConfig": "engine",
-    "StageError": "engine",
+    "PipelineConfig": "layout",
+    "StageError": "layout",
     "build_intervals": "pooling",
     "chi_square": "similarity",
     "compute_series": "descriptors",

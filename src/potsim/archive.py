@@ -23,22 +23,20 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .commit import committed
-from .pooling import SLOTS, slot_bounds
+# shard_records: defined here before layout owned it, and bound for its callers
+from .layout import SHARD_NAME_FORMAT, SLOTS, shard_records  # noqa: F401
+from .pooling import slot_bounds
 
 MAGIC = b"POTF"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHHQ")
 _U32 = struct.Struct("<I")
-
-SHARD_NAME_FORMAT = "features-{:05d}.potf"
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -141,18 +139,6 @@ def read_archive(path: str | Path) -> list[ArchiveRecord]:
             feature[lo : lo + dim] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset)
         records.append(ArchiveRecord(key=key, frame_count=frame_count, feature=feature))
     return records
-
-
-def shard_records(records: Sequence[T], shard_count: int) -> list[Sequence[T]]:
-    """Partition sorted records (or their keys, or their files) into
-    contiguous key-range shards of near-equal size, larger shards first and
-    empty shards omitted: the one place the shard layout is made."""
-    if shard_count < 1:
-        raise ValueError(f"shard count must be >= 1, got {shard_count}")
-    base, rem = divmod(len(records), shard_count)
-    # shard i holds base + 1 records if i < rem, else base
-    bounds = [i * base + min(i, rem) for i in range(shard_count + 1)]
-    return [records[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def write_shards(groups: Sequence[Sequence[str | Path]], out_dir: str | Path) -> list[ArchiveShard]:

@@ -13,10 +13,13 @@ Exit codes: 0 success, 1 runtime/task failure, 2 usage or configuration
 error. ``POT_STATE_DIR`` overrides the default state directory.
 
 The parser is built from ``params`` alone, so ``--help``, a subcommand's
-``--help`` and a usage error load no numpy; ``main`` imports the engine
-once the arguments name a command to run. ``entry`` is the process entry
-of ``potsim``, ``python -m potsim`` and ``python -m potsim.cli``: it runs
-``main`` and exits without the interpreter's final GC sweep.
+``--help`` and a usage error load neither numpy nor ``layout``. A stage
+command then asks ``layout.finished`` whether every stage it runs is
+finished; if so it prints its line without loading numpy or the engine,
+and ``main`` imports the engine only for a command with work left.
+``entry`` is the process entry of ``potsim``, ``python -m potsim`` and
+``python -m potsim.cli``: it runs ``main`` and exits without the
+interpreter's final GC sweep.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .params import (
 )
 
 if TYPE_CHECKING:
-    from .engine import PipelineConfig
+    from .layout import PipelineConfig
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -90,7 +93,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    from .engine import PipelineConfig
+    from .layout import PipelineConfig
 
     farneback = FarnebackParams(
         **{p.name: getattr(args, f"flow_{p.name}") for p in dataclasses.fields(FarnebackParams)}
@@ -113,7 +116,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _similarity_rows(path: str | Path) -> Iterator[tuple[str, str, float]]:
     """Stream similarity.csv as the engine writes it: a key holds no comma,
     so each line splits on ',' (a quote is part of a key, not CSV quoting)."""
-    from .engine import SIMILARITY_HEADER
+    from .layout import SIMILARITY_HEADER
 
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -163,6 +166,35 @@ def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, P
     return pgm_path, keys_path
 
 
+def _finished_line(command: str, config: PipelineConfig) -> str | None:
+    """The line ``command`` prints when every stage it runs is finished
+    (``layout.finished``, which also runs the engine's sweeps), without
+    loading numpy or the engine; None if one is not."""
+    from .layout import SIMILARITY_NAME, STAGES, finished
+
+    shard_keys = finished(config, STAGES if command == "run" else (command,))
+    if shard_keys is None:
+        return None
+    if command == "extract":
+        return f"wrote {len(shard_keys)} shard(s) to {config.out_dir}"
+    if command == "mean":
+        n = sum(map(len, shard_keys))  # finished checked mean_csd.csv's count
+        return f"wrote mean_csd.csv (pair_count={n * (n - 1) // 2})"
+    return f"wrote {Path(config.out_dir) / SIMILARITY_NAME}"
+
+
+def _run_line(command: str, config: PipelineConfig) -> str:
+    """Run ``command``'s stages in the engine and return the line it prints."""
+    from .engine import run_extract, run_mean, run_pipeline, run_similarity
+
+    if command == "extract":
+        return f"wrote {len(run_extract(config))} shard(s) to {config.out_dir}"
+    if command == "mean":
+        return f"wrote mean_csd.csv (pair_count={run_mean(config).pair_count})"
+    run = run_pipeline if command == "run" else run_similarity
+    return f"wrote {run(config)}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="potsim",
@@ -210,16 +242,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
 
-    # numpy and the stages load here: parsing, --help and usage errors
-    # never pay for them
-    from .engine import (
-        ConfigError,
-        StageError,
-        run_extract,
-        run_mean,
-        run_pipeline,
-        run_similarity,
-    )
+    # the run's settings and files load here, numpy and the engine only for
+    # a command with work left (_run_line): parsing, --help and usage
+    # errors pay for neither
+    from .layout import ConfigError, StageError
 
     try:
         if args.command == "heatmap":
@@ -228,18 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         config = _config_from_args(args)
-        if args.command == "extract":
-            shards = run_extract(config)
-            print(f"wrote {len(shards)} shard(s) to {config.out_dir}")
-        elif args.command == "mean":
-            mean = run_mean(config)
-            print(f"wrote mean_csd.csv (pair_count={mean.pair_count})")
-        elif args.command == "sim":
-            out = run_similarity(config)
-            print(f"wrote {out}")
-        elif args.command == "run":
-            out = run_pipeline(config)
-            print(f"wrote {out}")
+        print(_finished_line(args.command, config) or _run_line(args.command, config))
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ import numpy as np
 from .commit import committed
 from .flow import FarnebackParams, farneback_flow
 from .frames import _frozen
+from .layout import series_dump_path
 from .params import DEFAULT_HOG_THRESHOLD
 
 GRID = 5
@@ -197,14 +198,6 @@ def compute_series(
     # last starts a pair into the next video
     spanning = np.cumsum(lengths[:-1]) - 1
     return np.delete(hof, spanning, axis=0), np.delete(hog, spanning, axis=0)
-
-
-_SERIES_SUFFIX = {"hof": ".of.txt", "hog": ".hog.txt"}
-
-
-def series_dump_path(out_dir: str | Path, key: str, kind: str) -> Path:
-    """Where `dump_series_text` writes `key`'s series of `kind`."""
-    return Path(out_dir) / (key + _SERIES_SUFFIX[kind])
 
 
 def dump_series_text(series: np.ndarray, kind: str, key: str, out_dir: str | Path) -> Path:

@@ -34,67 +34,92 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   call, become lines of ``similarity.csv``. It refuses, as a resumed mean
   stage does, a ``mean_csd.csv`` whose pair count is not the layout's.
 
+Every decision about the run's files and settings that needs no numpy
+is ``layout``'s: the config, the manifest, the shard layout, the
+fingerprint, the state dir, each marker's and output's name, and a stage's
+sweep and done rule. This module computes with them; the CLI asks
+``layout.finished`` before it imports this module, so a command whose
+stages are all finished never loads it.
+
 A preamble shared by the stages checks the whole configuration
 (``check_config``) before it reads the manifest or touches the state dir,
 then cuts the manifest's sorted keys into ``shard_count(N)`` near-equal
-shards once (``archive.shard_records``) and hands those key lists to every
+shards once (``layout.shard_layout``) and hands those key lists to every
 stage. The layout is a function of the key set alone.
 
 Every file, markers included, is written to a temporary file of its own
 attempt and renamed into place (``commit.committed``), so a file that
 exists is finished. Each stage is its plan plus its reduce, run by
 ``_run_stage``: it removes what dead attempts left of the stage's files
-(``commit.remove_stray_tmp``), returns if the marker ``<stage>.done`` and
-the outputs exist, refuses missing inputs, runs the tasks whose outputs are
-missing and skips the rest, logs the task counts, reduces and commits the
-marker. The state dir's fingerprint covers the parameters, the flow's
-precision and the frame files (names, sizes, mtimes), so a resume never
-reuses the results that state dir holds for changed inputs or for a flow
-of another precision. The files in ``--out`` are not covered:
-mean reads the shards there as they are, and a stage whose marker is in
-its state dir keeps its outputs there, so two state dirs with other
-parameters sharing one ``--out`` can leave means and scores of one run
-beside the shards of the other. Outputs are byte-identical for any worker
+(``layout.sweep_stage``), returns if the marker ``<stage>.done`` and the
+outputs exist (``layout.stage_done``), refuses missing inputs, runs the
+tasks whose outputs are missing and skips the rest, logs the task counts,
+reduces and commits the marker. The state dir's fingerprint covers the
+parameters, the flow's precision and the frame files (names, sizes,
+mtimes), so a resume never reuses the results that state dir holds for
+changed inputs or for a flow of another precision. The files in ``--out``
+are not covered: mean reads the shards there as they are, and a stage
+whose marker is in its state dir keeps its outputs there, so two state
+dirs with other parameters sharing one ``--out`` can leave means and
+scores of one run beside the shards of the other. Outputs are byte-identical for any worker
 count and shard layout: task outputs do not depend on scheduling, and the
 reduce runs single-threaded in global key-pair order after the stage barrier.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import math
 import numbers
 import os
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .archive import (
-    SHARD_NAME_FORMAT,
-    ArchiveRecord,
-    read_archive,
-    shard_records,
-    write_archive,
-    write_shards,
+from .archive import ArchiveRecord, read_archive, write_archive, write_shards
+from .commit import committed
+from .descriptors import block_pairs, compute_series, dump_series_text
+from .flow import validate_params
+from .frames import load_frame_sequence
+from .layout import (
+    SERIES_KINDS,
+    SIMILARITY_HEADER,
+    SLOTS,
+    STAGE_EXTRACT,
+    STAGE_MEAN,
+    STAGE_SIM,
+    STAGES,
+    ConfigError,
+    PipelineConfig,
+    ShardKeys,
+    StageError,
+    _input_digest,
+    check_pair_count,
+    config_fingerprint,
+    marker_path,
+    mean_rows_path,
+    parse_manifest,
+    prepare_state,
+    series_dump_path,
+    shard_layout,
+    shard_path,
+    stage_done,
+    stage_outputs,
+    sweep_stage,
 )
-from .commit import committed, remove_stray_tmp
-from .descriptors import block_pairs, compute_series, dump_series_text, series_dump_path
-from .flow import FLOW_DTYPE
-from .frames import frame_files, load_frame_sequence
-from .params import (
+# names this module defined before layout and params did: bound for its
+# callers, read-only (the layout reads layout.VIDEOS_PER_SHARD)
+from .layout import VIDEOS_PER_SHARD, shard_count  # noqa: F401
+from .params import (  # noqa: F401
     DEFAULT_HOG_THRESHOLD,
     DEFAULT_LEVELS,
     DEFAULT_WORKING_RESOLUTION,
     FarnebackParams,
-    default_workers,
 )
-from .pooling import SLOTS, pot_vector
+from .pooling import pot_vector
 # csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
 from .similarity import (
     MeanCsd,
@@ -109,43 +134,6 @@ from .similarity import (
 )
 
 logger = logging.getLogger("potsim.engine")
-
-VIDEOS_PER_SHARD = 64  # also the widest block a mean task scores
-
-STAGE_EXTRACT = "extract"
-STAGE_MEAN = "mean"
-STAGE_SIM = "sim"
-
-
-class ConfigError(Exception):
-    """Invalid configuration or usage; nothing was computed."""
-
-
-class StageError(Exception):
-    """One or more tasks of a stage failed after all running tasks settled."""
-
-    def __init__(self, stage: str, failures: list[tuple[str, str]]):
-        self.stage = stage
-        self.failures = failures
-        details = "; ".join(f"{label}: {message}" for label, message in failures)
-        super().__init__(f"stage '{stage}' failed ({len(failures)} task(s)): {details}")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything a run needs; all output-affecting values feed the
-    fingerprint used to refuse inconsistent resumes."""
-
-    manifest: str
-    out_dir: str
-    working_w: int = DEFAULT_WORKING_RESOLUTION[0]
-    working_h: int = DEFAULT_WORKING_RESOLUTION[1]
-    levels: tuple[int, ...] = DEFAULT_LEVELS
-    hog_threshold: float = DEFAULT_HOG_THRESHOLD
-    workers: int = field(default_factory=default_workers)
-    farneback: FarnebackParams = field(default_factory=FarnebackParams)
-    state_dir: str | None = None  # default: <out_dir>/state
-    dump_series: bool = False
 
 
 @dataclass(frozen=True)
@@ -179,132 +167,9 @@ def check_config(config: PipelineConfig) -> None:
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
     try:
-        config.farneback.validate()
+        validate_params(config.farneback)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def parse_manifest(path: str | Path) -> list[tuple[str, str]]:
-    """Read `<key>,<frames-directory>` lines, returned in key order; keys
-    unique, without commas, '/' or NUL, since a key names output files.
-
-    Relative directories resolve against the manifest's location; a BOM is dropped.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"manifest {path} is not UTF-8 text: {exc}") from None
-    entries: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "," not in line:
-            raise ConfigError(f"{path}:{lineno}: expected '<key>,<directory>'")
-        key, directory = line.split(",", 1)
-        key = key.strip()
-        directory = directory.strip()
-        if not key or not directory:
-            raise ConfigError(f"{path}:{lineno}: empty key or directory")
-        if "/" in key or "\0" in key:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} holds '/' or NUL")
-        if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        seen.add(key)
-        entries.append((key, str((path.parent / directory).resolve())))
-    if not entries:
-        raise ConfigError(f"manifest is empty: {path}")
-    return sorted(entries)
-
-
-def shard_count(video_count: int) -> int:
-    """The fewest shards of at most VIDEOS_PER_SHARD videos each."""
-    return math.ceil(video_count / VIDEOS_PER_SHARD)
-
-
-def _input_digest(entries: list[tuple[str, str]]) -> tuple[str, dict[str, int]]:
-    """Hash of the inputs: per manifest entry in key order, its key, its
-    resolved directory and each frame file's name, size and mtime; and
-    from the same listing, each key's number of frame files, by which
-    extract packs its tasks.
-
-    A missing directory hashes as missing, and one whose frames cannot be
-    listed or stat'ed (a dangling symlink, say) as unreadable, each with 0
-    frames: extract reports either per task.
-    """
-    digest = hashlib.sha256()
-    frame_counts = {}
-    for key, directory in entries:
-        digest.update(json.dumps([key, directory]).encode())
-        frame_counts[key] = 0
-        if not os.path.isdir(directory):
-            digest.update(b"missing")
-            continue
-        records = []
-        try:
-            for entry in frame_files(directory):
-                st = entry.stat()
-                # a file name holds no NUL, so the record is unambiguous
-                records.append(f"{entry.name}\0{st.st_size}\0{st.st_mtime_ns}\n")
-        except OSError:
-            digest.update(b"unreadable")
-            continue
-        digest.update("".join(records).encode())
-        frame_counts[key] = len(records)
-    return digest.hexdigest(), frame_counts
-
-
-def config_fingerprint(
-    config: PipelineConfig, entries: list[tuple[str, str]], inputs: str | None = None
-) -> str:
-    """Hash of all parameters and inputs that affect pipeline output;
-    ``inputs`` is the digest of ``_input_digest(entries)``, which is taken
-    here if not given."""
-    payload = {
-        "inputs": _input_digest(entries)[0] if inputs is None else inputs,
-        "working": [config.working_w, config.working_h],
-        "levels": list(config.levels),
-        "hog_threshold": config.hog_threshold,
-        # mean task outputs are named by position in the layout
-        "shard_count": shard_count(len(entries)),
-        # every FarnebackParams field, in declaration order
-        "farneback": astuple(config.farneback),
-        # a state dir of the float64 flow engine is refused, not mixed in
-        "flow_dtype": np.dtype(FLOW_DTYPE).name,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# State directory layout
-
-
-def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
-    """Create (or validate) the state dir; refuse fingerprint mismatches."""
-    root = Path(config.state_dir) if config.state_dir else Path(config.out_dir) / "state"
-    root.mkdir(parents=True, exist_ok=True)
-    fp_file = root / "fingerprint"
-    remove_stray_tmp(root, time.time_ns(), {fp_file.name})
-    if fp_file.exists():
-        existing = fp_file.read_text(encoding="utf-8").strip()
-        if existing != fingerprint:
-            raise ConfigError(
-                f"state dir {root} was produced with different parameters or inputs "
-                f"(fingerprint {existing} != {fingerprint}); use a fresh state "
-                f"dir or restore the original configuration and frame files"
-            )
-    else:
-        with committed(fp_file) as tmp:
-            tmp.write_text(fingerprint + "\n", encoding="utf-8")
-    return root
-
-
-ShardKeys = list[list[str]]
 
 
 def _prepare_stage(
@@ -313,11 +178,10 @@ def _prepare_stage(
     """Preamble shared by all stages: the checked config, the manifest
     entries, the shard layout (each shard's sorted keys, empty shards
     omitted), the validated state dir and each key's frame count, from the
-    fingerprint's listing. The layout is made here only."""
+    fingerprint's listing."""
     check_config(config)
     entries = parse_manifest(config.manifest)
-    keys = [key for key, _ in entries]
-    shard_keys = shard_records(keys, shard_count(len(keys)))
+    shard_keys = shard_layout(entries)
     inputs, frame_counts = _input_digest(entries)
     state_dir = prepare_state(config, config_fingerprint(config, entries, inputs))
     return entries, shard_keys, state_dir, frame_counts
@@ -332,7 +196,7 @@ def plan_extract(
 ) -> list[Task]:
     """One task per video, ordered by key."""
     work_dir = state_dir / STAGE_EXTRACT
-    dumps = ("hof", "hog") if config.dump_series else ()
+    dumps = SERIES_KINDS if config.dump_series else ()
     return [
         Task(
             id=task_id,
@@ -382,7 +246,7 @@ def plan_pair_stage(shard_keys: ShardKeys, state_dir: Path) -> list[Task]:
             stage=STAGE_MEAN,
             label=f"shard row {i}",
             payload=(i, tuple(map(tuple, shard_keys[i:]))),
-            out_path=str(state_dir / STAGE_MEAN / f"rows-{i}.out"),
+            out_path=str(mean_rows_path(state_dir, i)),
         )
         for i in range(len(shard_keys))
     ]
@@ -390,10 +254,6 @@ def plan_pair_stage(shard_keys: ShardKeys, state_dir: Path) -> list[Task]:
 
 # ---------------------------------------------------------------------------
 # Task bodies (module-level for multiprocessing)
-
-
-def _shard_path(config: PipelineConfig, index: int) -> Path:
-    return Path(config.out_dir) / SHARD_NAME_FORMAT.format(index)
 
 
 def _describe(exc: Exception) -> str:
@@ -483,7 +343,7 @@ ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
 def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> np.ndarray:
     """Shard ``index``'s features as the columns of one (features x keys)
     block, the shard checked to hold exactly ``keys``."""
-    path = _shard_path(config, index)
+    path = shard_path(config.out_dir, index)
     records = read_archive(path)
     for key, expected in zip_longest((record.key for record in records), keys):
         if key != expected:
@@ -577,8 +437,6 @@ def _run_packet(config: PipelineConfig, packet: list[Task]) -> list[tuple[str | 
 # ---------------------------------------------------------------------------
 # Stages
 
-STAGES = (STAGE_EXTRACT, STAGE_MEAN, STAGE_SIM)
-
 
 def _run_stage(
     config: PipelineConfig,
@@ -590,20 +448,14 @@ def _run_stage(
     needs: list[Path],
     pack: Callable[[list[Task]], list[list[Task]]] | None = None,
 ) -> None:
-    """Run ``stage`` unless its marker and ``outputs`` exist (see the module
-    docstring). Dead attempts' temporary files go from its work dir, and
-    from --out and the state root those of ``outputs`` and the marker;
+    """Run ``stage`` unless it is done (see the module docstring): first
+    ``layout.sweep_stage`` removes what dead attempts left of its files,
+    then ``layout.stage_done`` asks for its marker and ``outputs``.
     ``needs`` are the earlier stage's outputs that it reads. ``pack`` cuts
     the pending tasks into packets, each run in one call by one worker;
     without it each task is a packet of its own."""
-    marker = state_dir / f"{stage}.done"
-    work_dir = state_dir / stage
-    started = time.time_ns()
-    remove_stray_tmp(work_dir, started)
-    for directory in (Path(config.out_dir), state_dir):
-        names = {path.name for path in (*outputs, marker) if path.parent == directory}
-        remove_stray_tmp(directory, started, names)
-    if marker.exists() and all(map(os.path.exists, outputs)):
+    sweep_stage(config, state_dir, stage, outputs)
+    if stage_done(state_dir, stage, outputs):
         return
     missing = next((path for path in needs if not path.exists()), None)
     if missing is not None:
@@ -631,7 +483,7 @@ def _run_stage(
             failures.append((task.label, error))
 
     if pending:
-        work_dir.mkdir(exist_ok=True)
+        (state_dir / stage).mkdir(exist_ok=True)
         if stage == STAGE_EXTRACT:
             # flow's filters: imported once, before any task, so that forked
             # workers inherit them and no task's time holds the import
@@ -664,7 +516,7 @@ def _run_stage(
     if failures:
         raise StageError(stage, sorted(failures))
     reduce()
-    with committed(marker):
+    with committed(marker_path(state_dir, stage)):
         pass
 
 
@@ -681,8 +533,7 @@ def _extract(
     frame_counts: dict[str, int],
 ) -> list[Path]:
     tasks = plan_extract(config, entries, state_dir)
-    shards = [_shard_path(config, i) for i in range(len(shard_keys))]
-    dumps = [Path(path) for task in tasks for path in task.dump_paths]
+    outputs = stage_outputs(config, state_dir, STAGE_EXTRACT, shard_keys)
     archives = {task.label: task.out_path for task in tasks}
 
     def reduce() -> None:
@@ -691,8 +542,8 @@ def _extract(
     def pack(pending: list[Task]) -> list[list[Task]]:
         return plan_packets(config, pending, frame_counts)
 
-    _run_stage(config, state_dir, STAGE_EXTRACT, tasks, shards + dumps, reduce, [], pack)
-    return shards
+    _run_stage(config, state_dir, STAGE_EXTRACT, tasks, outputs, reduce, [], pack)
+    return outputs[: len(shard_keys)]  # the shards, which come first
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
@@ -702,29 +553,17 @@ def run_mean(config: PipelineConfig) -> MeanCsd:
     return _mean(config, shard_keys, state_dir)
 
 
-def _mean_outputs(config: PipelineConfig, tasks: list[Task]) -> list[Path]:
-    """mean_csd.csv, then every task's rows, which sim reads."""
-    return [Path(config.out_dir) / "mean_csd.csv", *(Path(t.out_path) for t in tasks)]
-
-
 def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
-    """mean_csd.csv, refused unless its pair count is the layout's: a file
-    of another corpus (two state dirs sharing one --out, say) would
-    normalise every score by foreign means."""
+    """mean_csd.csv, refused unless its pair count is the layout's
+    (``layout.check_pair_count``)."""
     mean = read_mean_csd_csv(path)
-    n = sum(map(len, shard_keys))
-    pair_count = n * (n - 1) // 2
-    if mean.pair_count != pair_count:
-        raise ValueError(
-            f"{path}: pair count {mean.pair_count} where the manifest's {n} videos "
-            f"make {pair_count} pairs"
-        )
+    check_pair_count(path, mean.pair_count, sum(map(len, shard_keys)))
     return mean
 
 
 def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
     tasks = plan_pair_stage(shard_keys, state_dir)
-    out_path, *_ = outputs = _mean_outputs(config, tasks)
+    out_path, *_ = outputs = stage_outputs(config, state_dir, STAGE_MEAN, shard_keys)
 
     def reduce() -> None:
         # one row at a time in global key-pair order, as a += loop would:
@@ -742,12 +581,9 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
             write_mean_csd_csv(mean, tmp)
 
     # the tasks check the keys of the shards they read
-    shards = [_shard_path(config, i) for i in range(len(shard_keys))]
+    shards = [shard_path(config.out_dir, i) for i in range(len(shard_keys))]
     _run_stage(config, state_dir, STAGE_MEAN, tasks, outputs, reduce, needs=shards)
     return _read_mean(out_path, shard_keys)
-
-
-SIMILARITY_HEADER = "video_a,video_b,similarity\n"
 
 
 def run_similarity(config: PipelineConfig) -> Path:
@@ -759,8 +595,8 @@ def run_similarity(config: PipelineConfig) -> Path:
 
 def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Path:
     tasks = plan_pair_stage(shard_keys, state_dir)
-    mean_path, *_ = mean_outputs = _mean_outputs(config, tasks)
-    out_path = Path(config.out_dir) / "similarity.csv"
+    mean_path, *_ = mean_outputs = stage_outputs(config, state_dir, STAGE_MEAN, shard_keys)
+    (out_path,) = stage_outputs(config, state_dir, STAGE_SIM, shard_keys)
 
     def reduce() -> None:
         mean = _read_mean(mean_path, shard_keys)
@@ -774,7 +610,7 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
                 pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)
                 out.write("".join(f"{key_a},{key_b},{similarity_score(kd)!r}\n" for key_b, kd in pairs))
 
-    needs = [state_dir / f"{STAGE_MEAN}.done", *mean_outputs]
+    needs = [marker_path(state_dir, STAGE_MEAN), *mean_outputs]
     _run_stage(config, state_dir, STAGE_SIM, [], [out_path], reduce, needs)
     return out_path
 

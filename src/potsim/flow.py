@@ -126,6 +126,13 @@ _PROJECTION_KERNELS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 _EXPANSION_ROWS = [3, 5, 4, 1, 2]
 
 
+def validate_params(params: FarnebackParams) -> None:
+    """``params.validate()``, then the expansion's fit of its ``poly_n`` and
+    ``poly_sigma``: a ValueError where either fails."""
+    params.validate()
+    _expansion_fit(params.poly_n, params.poly_sigma)
+
+
 @functools.lru_cache(maxsize=16)
 def _expansion_fit(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window offsets, their Gaussian weights and the inverse of the
@@ -377,7 +384,7 @@ def farneback_flow(
     """
     if params is None:
         params = FarnebackParams()
-    params.validate()
+    validate_params(params)
     prev = np.asarray(prev, dtype=np.float64)
     next = np.asarray(next, dtype=np.float64)
     if prev.ndim != 2 or next.ndim not in (2, 3):

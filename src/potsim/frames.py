@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .layout import frame_files
+
 # BT.601 luma weights for color -> grayscale conversion.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -223,7 +225,6 @@ def resize_bilinear(frame: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return _blend(frame, _axis_taps(src_h, out_h), _axis_taps(src_w, out_w))
 
 
-_FRAME_EXTENSIONS = (".pgm", ".ppm")
 _CHANNELS = {b"P5": 1, b"P6": 3}
 
 
@@ -265,19 +266,6 @@ def decode_frame_file(path: Path, out_w: int, out_h: int) -> np.ndarray:
         samples = samples[:, keep_cols]
     pixels = samples.reshape(len(samples), -1, channels)
     return _blend(_to_gray(pixels, maxval), rows, cols)
-
-
-def frame_files(directory: str | Path) -> list[os.DirEntry]:
-    """The frame files of a video directory (.pgm/.ppm, any case), in
-    ascending lexicographic filename order, as the entries of one
-    ``os.scandir`` pass: ``entry.stat()`` is ``os.stat`` of the file."""
-    with os.scandir(directory) as entries:
-        files = [
-            entry
-            for entry in entries
-            if os.path.splitext(entry.name)[1].lower() in _FRAME_EXTENSIONS
-        ]
-    return sorted(files, key=lambda entry: entry.name)
 
 
 def load_frame_sequence(

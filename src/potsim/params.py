@@ -3,8 +3,8 @@ The settings a run is configured by and their defaults, without numpy.
 
 The CLI builds its parser from this module alone, so ``potsim --help``,
 a subcommand's ``--help`` and a usage error load no numpy. Each default is
-defined here once; the modules that compute with it import it from here
-(``engine.DEFAULT_WORKING_RESOLUTION``, ``pooling.DEFAULT_LEVELS``,
+defined here once; the modules that use it import it from here
+(``layout.PipelineConfig``'s defaults, ``pooling.DEFAULT_LEVELS``,
 ``descriptors.DEFAULT_HOG_THRESHOLD``, ``flow.FarnebackParams``).
 """
 
@@ -30,7 +30,9 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class FarnebackParams:
-    """Tuning knobs for the pyramidal polynomial-expansion flow."""
+    """Tuning knobs for the pyramidal polynomial-expansion flow.
+    ``validate`` checks each knob's range; ``flow.validate_params`` also
+    checks that the expansion's window has a fit, which takes numpy."""
 
     pyr_scale: float = 0.5
     levels: int = 3
@@ -52,6 +54,3 @@ class FarnebackParams:
             raise ValueError(f"poly_n must be odd and >= 3, got {self.poly_n}")
         if not self.poly_sigma > 0.0:  # also rejects NaN
             raise ValueError(f"poly_sigma must be > 0, got {self.poly_sigma}")
-        from .flow import _expansion_fit  # numpy: only a validated run needs it
-
-        _expansion_fit(self.poly_n, self.poly_sigma)

@@ -20,12 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layout import POOL_OPS, SERIES_KINDS, SLOTS  # noqa: F401
 from .params import DEFAULT_LEVELS
-
-SERIES_KINDS = ("hof", "hog")
-POOL_OPS = ("sum", "gradient", "max")
-# Fixed slot order used everywhere downstream (archives, CSVs).
-SLOTS = tuple((s, p) for s in SERIES_KINDS for p in POOL_OPS)
 
 
 def slot_bounds(size: int) -> tuple[int, ...]:

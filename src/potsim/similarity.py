@@ -9,14 +9,14 @@ similarity in (0, 1] by exp(-kd / 10).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .pooling import SLOTS, slot_bounds
+from .layout import MEAN_CSD_HEADER, SLOTS, read_means, write_means  # noqa: F401
+from .pooling import slot_bounds
 
 SCORE_DECAY = 10.0  # kernel-distance scale in exp(-kd / SCORE_DECAY)
 
@@ -157,51 +157,13 @@ def similarity_score(kd: float) -> float:
     return math.exp(-kd / SCORE_DECAY)
 
 
-MEAN_CSD_HEADER = ["series", "pooling", "mean_csd", "pair_count"]
-
-
 def write_mean_csd_csv(mean: MeanCsd, path: str | Path) -> None:
-    """Persist the six per-slot means with round-trip float formatting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEAN_CSD_HEADER)
-        for (series, pooling), value in zip(SLOTS, mean.means.tolist(), strict=True):
-            writer.writerow([series, pooling, repr(value), mean.pair_count])
+    """Persist the six per-slot means as ``layout.write_means`` writes them."""
+    write_means(mean.means.tolist(), mean.pair_count, path)
 
 
 def read_mean_csd_csv(path: str | Path) -> MeanCsd:
-    """Read the file as the mean stage writes it: the header, then one row
-    per slot in SLOTS order, each with a finite mean >= 0 and the same pair
-    count >= 1. Anything else is a ValueError naming the first bad line."""
-    means: list[float] = []
-    pair_count = None
-    lineno = 0
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                (row,) = csv.reader([line.decode("utf-8")])
-                if lineno == 1:
-                    if row != MEAN_CSD_HEADER:
-                        raise ValueError(f"bad mean CSD header {row}")
-                    continue
-                if len(means) == len(SLOTS):
-                    raise ValueError(f"row {row} after the six slot rows")
-                slot = SLOTS[len(means)]
-                if len(row) != 4 or tuple(row[:2]) != slot:
-                    raise ValueError(f"bad mean CSD row {row} where slot {slot} belongs")
-                mean, count = float(row[2]), int(row[3])
-                if not (math.isfinite(mean) and mean >= 0.0):
-                    raise ValueError(f"mean {row[2]} is not a finite number >= 0")
-                if count < 1:
-                    raise ValueError(f"pair count {count} is not >= 1")
-                if pair_count not in (None, count):
-                    raise ValueError(f"pair count {count} differs from {pair_count} above")
-                means.append(mean)
-                pair_count = count
-            # csv.Error: a CR inside a row, or a field past csv's size limit
-            except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError too
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if len(means) < len(SLOTS):
-        missing = f"the row of slot {SLOTS[len(means)]}" if lineno else "the header"
-        raise ValueError(f"{path}:{lineno + 1}: missing {missing}")
+    """The file as the mean stage writes it (``layout.read_means``, which
+    checks every line), as a MeanCsd."""
+    means, pair_count = read_means(path)
     return MeanCsd(means=np.array(means), pair_count=pair_count)

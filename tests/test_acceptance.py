@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, smooth_texture, write_corpus
-from potsim import engine
+from potsim import engine, layout
 from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.engine import (
     PipelineConfig,
@@ -271,7 +271,7 @@ def test_criterion_7_pair_accounting(tmp_path, monkeypatch):
         keys = [f"v{i:02d}" for i in range(10)]
         oracle = list(combinations(keys, 2))
         for size, shard_count in ((10, 1), (5, 2), (4, 3), (2, 5), (1, 10)):
-            monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", size)
+            monkeypatch.setattr(layout, "VIDEOS_PER_SHARD", size)
             out = tmp_path / f"shards{shard_count}"
             cfg = fast_config(manifests[10], out, working_w=16, working_h=16)
             rows = run_pipeline(cfg).read_text().splitlines()[1:]
@@ -300,7 +300,7 @@ def determinism_corpus(root):
 def test_criterion_8_determinism(tmp_path, monkeypatch):
     with criterion(8, "worker counts and staged resume give byte-identical output"):
         manifest = determinism_corpus(tmp_path / "corpus")
-        monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", 4)  # 12 videos in 3 shards
+        monkeypatch.setattr(layout, "VIDEOS_PER_SHARD", 4)  # 12 videos in 3 shards
 
         cfg1 = fast_config(manifest, tmp_path / "w1", workers=1)
         reference = run_pipeline(cfg1).read_bytes()
@@ -324,7 +324,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
 def test_criterion_9_scaling_invariance(tmp_path, monkeypatch):
     with criterion(9, "scaling all features by 7.3 leaves scores unchanged"):
         manifest = determinism_corpus(tmp_path / "corpus")
-        monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", 6)  # 12 videos in 2 shards
+        monkeypatch.setattr(layout, "VIDEOS_PER_SHARD", 6)  # 12 videos in 2 shards
         cfg = fast_config(manifest, tmp_path / "out")
         base_scores = read_scores(run_pipeline(cfg))
 

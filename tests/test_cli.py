@@ -2,8 +2,10 @@ import argparse
 import gc
 import os
 import re
+import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import potsim
 
 from conftest import blob_video, write_corpus, write_video_dir
+from potsim import engine, layout
 from potsim.cli import build_parser, main, render_heatmap
 from potsim.frames import decode_pgm, encode_pgm
 
@@ -270,6 +273,149 @@ class TestRunCommand:
         assert not (tmp_path / "out" / "state").exists()
 
 
+def out_tree(out):
+    """Every file under ``out``, the state dir included, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestFinishedCommand:
+    """A command whose stages are all finished answers from
+    ``layout.finished`` without the engine; anything stale falls through
+    to the engine, which behaves as it did before that check existed."""
+
+    @pytest.mark.parametrize("dump", [False, True])
+    @pytest.mark.parametrize("command", ["extract", "mean", "sim", "run"])
+    def test_same_line_code_and_files_as_the_engine(
+        self, tmp_path, monkeypatch, capsys, caplog, command, dump
+    ):
+        """On a finished state dir, with a stray temporary file of a dead
+        writer beside each stage's files and the fingerprint, a command
+        prints the engine's line to stdout and nothing to stderr, exits 0,
+        and leaves every file under --out, the state dir included, as the
+        engine leaves it: both remove the strays of the stages the command
+        runs and keep the others."""
+        manifest = make_corpus(tmp_path / "c", n=3)
+        flags = ["--dump-series"] if dump else []
+        base = tmp_path / "base"
+        assert run_cli("run", manifest, base, flags) == 0
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        attempt = f".{gone.pid}.0a1b2c3d.tmp"
+        # each stray file by the stage whose sweep removes it
+        strays = {
+            f"state/fingerprint{attempt}": None,  # every stage command's
+            f"state/extract/task-0.out{attempt}": "extract",
+            f"features-00000.potf{attempt}": "extract",
+            f"mean_csd.csv{attempt}": "mean",
+            f"state/mean/rows-0.out{attempt}": "mean",
+            f"similarity.csv{attempt}": "sim",
+            f"state/sim.done{attempt}": "sim",
+        }
+        past = time.time_ns() - 10**9
+        for name in strays:
+            (base / name).write_bytes(b"cut short")
+            os.utime(base / name, ns=(past, past))
+        out = tmp_path / "out"
+        argv = [command, *(flags if command in ("extract", "run") else [])]
+        caplog.set_level("INFO", logger="potsim")
+        capsys.readouterr()
+
+        results = []
+        for engine_only in (False, True):
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(base, out)
+            if engine_only:  # the CLI runs every command in the engine
+                monkeypatch.setattr(layout, "finished", lambda config, stages: None)
+            caplog.clear()
+            code = run_cli(argv[0], manifest, out, argv[1:])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, caplog.messages, out_tree(out)))
+        assert results[0] == results[1]
+        code, stdout, stderr, logs, tree = results[0]
+        assert (code, stderr, logs) == (0, "", [])
+        assert stdout.startswith("wrote ")
+        ran = ("extract", "mean", "sim") if command == "run" else (command,)
+        assert {name for name in tree if name.endswith(attempt)} == {
+            name for name, stage in strays.items() if stage is not None and stage not in ran
+        }
+
+    def test_inputs_digested_once(self, tmp_path, monkeypatch, capsys):
+        """A finished command digests its inputs once, in layout.finished.
+        A pending mean or sim (a deleted output) digests them once too, in
+        the engine: layout.finished checks the outputs first. It rewrites
+        the output with the same bytes."""
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        calls = []
+        real = layout._input_digest
+
+        def counted(entries):
+            calls.append(len(entries))
+            return real(entries)
+
+        # the digests taken by layout.finished and by the engine
+        monkeypatch.setattr(layout, "_input_digest", counted)
+        monkeypatch.setattr(engine, "_input_digest", counted)
+        for command in ("extract", "mean", "sim", "run"):
+            calls.clear()
+            assert run_cli(command, manifest, out) == 0
+            assert calls == [3], command
+        for command, output in (("mean", "mean_csd.csv"), ("sim", "similarity.csv")):
+            before = (out / output).read_bytes()
+            (out / output).unlink()
+            calls.clear()
+            assert run_cli(command, manifest, out) == 0
+            assert calls == [3], command
+            assert (out / output).read_bytes() == before
+        capsys.readouterr()
+
+    def test_touched_frame_is_refused(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        frame = tmp_path / "c" / "v01" / "frame0002.pgm"
+        stat = frame.stat()
+        os.utime(frame, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        capsys.readouterr()
+        for command in ("extract", "mean", "sim", "run"):
+            assert run_cli(command, manifest, out) == 2, command
+            assert "fingerprint" in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize("command", ["mean", "run"])
+    def test_foreign_mean_csd_is_refused(self, tmp_path, capsys, command):
+        """A mean_csd.csv of four videos beside the shards of three fails
+        mean and run with exit 1, as the engine's mean stage refuses it."""
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        other = tmp_path / "other"
+        assert run_cli("run", make_corpus(tmp_path / "c4", n=4), other) == 0
+        shutil.copyfile(other / "mean_csd.csv", out / "mean_csd.csv")
+        capsys.readouterr()
+        assert run_cli(command, manifest, out) == 1
+        assert "pair count 6 where the manifest's 3 videos make 3 pairs" in capsys.readouterr().err
+
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        capsys.readouterr()
+        for command in ("extract", "mean", "sim", "run"):
+            assert run_cli(command, manifest, out, ["--workers", "0"]) == 2, command
+            assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_removed_manifest_is_usage_error(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        manifest.unlink()
+        capsys.readouterr()
+        for command in ("extract", "mean", "sim", "run"):
+            assert run_cli(command, manifest, out) == 2, command
+            assert "manifest not found" in capsys.readouterr().err
+
+
 class TestHeatmapCommand:
     def write_sim_csv(self, path, rows):
         path.write_text(
@@ -458,10 +604,11 @@ def test_fifo_frame_fails_its_task_instead_of_blocking(tmp_path):
 
 def test_pair_stages_import_no_scipy(tmp_path):
     """Only flow uses scipy: importing potsim, and the commands that run no
-    flow (mean, sim, --help, run on a finished state dir), leave it out.
-    Those that only parse arguments (importing potsim, --help, a
-    subcommand's --help, a usage error, an unknown POTSIM_LOG level) leave
-    numpy out too."""
+    flow (mean, sim, --help, any command on a finished state dir), leave it
+    out. Those that only parse arguments (importing potsim, --help, a
+    subcommand's --help, a usage error, an unknown POTSIM_LOG level) and
+    those whose stages are all finished (extract, mean, sim and run, rerun)
+    leave numpy out too."""
     manifest = make_corpus(tmp_path / "c", n=3)
     out = tmp_path / "out"
     assert run_cli("extract", manifest, out) == 0
@@ -473,13 +620,15 @@ def test_pair_stages_import_no_scipy(tmp_path):
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
-    stages = [
-        ([command, "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS], {}, 0, True)
-        for command in ("mean", "sim", "run")
-    ]
+    def stage(command, numpy_loaded):
+        argv = [command, "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS]
+        return argv, {}, 0, numpy_loaded
+
     cases = [
         ([], {}, 0, False),
-        *stages,
+        stage("mean", True),
+        stage("sim", True),
+        *(stage(command, False) for command in ("extract", "mean", "sim", "run")),
         (["--help"], {}, 0, False),
         (["extract", "--help"], {}, 0, False),
         (["bogus"], {}, 2, False),
@@ -493,6 +642,21 @@ def test_pair_stages_import_no_scipy(tmp_path):
         assert result.returncode == code, (argv, result.stderr[-2000:])
         assert result.stdout.splitlines()[-1] == f"False {numpy_loaded}", argv
     assert (out / "similarity.csv").exists()
+
+
+def test_help_loads_only_the_parser():
+    """--help imports, of potsim, only the CLI and the settings' defaults:
+    not layout, which a stage command loads after parsing."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "import potsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = potsim.cli.main(['--help'])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('potsim')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.stdout.split() == ["0", "potsim", "potsim.cli", "potsim.params"], result.stderr
 
 
 @pytest.mark.parametrize("module", ["potsim", "potsim.cli"])

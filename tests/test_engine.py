@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, slots_of, write_corpus, write_video_dir
-from potsim import archive, commit, descriptors, engine
+from potsim import archive, commit, descriptors, engine, layout
 from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.cli import main
 from potsim.engine import (
@@ -86,7 +86,7 @@ def set_shards(monkeypatch, video_count, shards):
     shards; forked pool workers inherit it."""
     size = math.ceil(video_count / shards)
     assert math.ceil(video_count / size) == shards
-    monkeypatch.setattr(engine, "VIDEOS_PER_SHARD", size)
+    monkeypatch.setattr(layout, "VIDEOS_PER_SHARD", size)
 
 
 def outputs_outside_state(out):
@@ -188,7 +188,7 @@ class TestPlanning:
             manifest.write_text("".join(f"v{i:03d},gone{i}\n" for i in reversed(range(n))))
             _, shard_keys, _, _ = engine._prepare_stage(fast_config(manifest, tmp_path / f"o{n}"))
             assert [len(keys) for keys in shard_keys] == sizes
-            assert max(sizes) <= engine.VIDEOS_PER_SHARD
+            assert max(sizes) <= layout.VIDEOS_PER_SHARD
             assert [key for keys in shard_keys for key in keys] == [f"v{i:03d}" for i in range(n)]
 
     def test_pair_stage_task_count(self, tmp_path):
@@ -721,9 +721,9 @@ class TestFullPipeline:
         manifest = small_corpus(tmp_path / "c", n=5)
         watched = (
             "import sys\n"
-            "from potsim import engine\n"
+            "from potsim import layout\n"
             "from potsim.cli import main\n"
-            "engine.VIDEOS_PER_SHARD = 2\n"  # 3 shards
+            "layout.VIDEOS_PER_SHARD = 2\n"  # 3 shards
             "opened = []\n"
             "def hook(event, args):\n"
             "    if event == 'open' and '/mean/' in str(args[0]):\n"
@@ -745,7 +745,7 @@ class TestFullPipeline:
         run(fresh)
         run(out)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "VIDEOS_PER_SHARD", 2)
+            patch.setattr(layout, "VIDEOS_PER_SHARD", 2)
             to_shard_pair_layout(out, fast_config(manifest, out))
         for name in ("state/mean.done", "state/sim.done", "mean_csd.csv", "similarity.csv"):
             (out / name).unlink()
@@ -1299,9 +1299,9 @@ class TestPairStages:
             "import resource, sys\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
             "resource.setrlimit(resource.RLIMIT_NOFILE, (16, hard))\n"
-            "from potsim import engine\n"
+            "from potsim import layout\n"
             "from potsim.cli import main\n"
-            "engine.VIDEOS_PER_SHARD = 1\n"
+            "layout.VIDEOS_PER_SHARD = 1\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
@@ -1347,7 +1347,7 @@ def hook_commit_points(monkeypatch, at: int | None) -> list[int]:
                 os.truncate(tmp, os.path.getsize(tmp) // 2)
                 os._exit(KILLED)
 
-    for module in (engine, archive, descriptors):
+    for module in (engine, archive, descriptors, layout):
         monkeypatch.setattr(module, "committed", hooked)
     return count
 

@@ -6,13 +6,16 @@ from scipy import ndimage
 
 from conftest import gaussian_blob, smooth_texture
 from potsim.descriptors import compute_series
+from potsim import layout
 from potsim.flow import (
+    FLOW_DTYPE,
     FarnebackParams,
     _expansion_fit,
     _warp_expansion,
     farneback_flow,
     poly_expand,
     pyramid_downsample,
+    validate_params,
 )
 
 
@@ -236,9 +239,24 @@ class TestFarnebackParams:
         with pytest.raises(ValueError):
             FarnebackParams(**kwargs).validate()
 
+    def test_validate_params_also_fits_the_window(self):
+        """validate() checks the ranges without numpy; validate_params also
+        refuses a poly_sigma whose window has no fit."""
+        params = FarnebackParams(poly_sigma=0.01)
+        params.validate()
+        with pytest.raises(ValueError, match="singular"):
+            validate_params(params)
+        with pytest.raises(ValueError, match="levels"):
+            validate_params(FarnebackParams(levels=0))
+
+    def test_flow_precision_is_the_fingerprints(self):
+        """The fingerprint names the flow's precision without numpy; the
+        name is the dtype's, so a state dir keeps its fingerprint."""
+        assert layout.FLOW_PRECISION == np.dtype(FLOW_DTYPE).name == "float32"
+
     def test_expansion_fit_is_cached_read_only(self):
-        """The fit is made once per (poly_n, poly_sigma), so validate() and
-        poly_expand, which run on every flow call, reuse it; its arrays
+        """The fit is made once per (poly_n, poly_sigma), so validate_params
+        and poly_expand, which run on every flow call, reuse it; its arrays
         cannot be written to."""
         fit = _expansion_fit(7, 1.5)
         assert _expansion_fit(7, 1.5) is fit
