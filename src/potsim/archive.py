@@ -28,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .commit import committed
-# shard_records: defined here before layout owned it, and bound for its callers
-from .layout import SHARD_NAME_FORMAT, SLOTS, shard_records  # noqa: F401
+from .layout import SLOTS, shard_path
 from .pooling import slot_bounds
 
 MAGIC = b"POTF"
@@ -148,7 +147,7 @@ def write_shards(groups: Sequence[Sequence[str | Path]], out_dir: str | Path) ->
     out_dir.mkdir(parents=True, exist_ok=True)
     shards = []
     for index, sources in enumerate(groups):
-        path = out_dir / SHARD_NAME_FORMAT.format(index)
+        path = shard_path(out_dir, index)
         with committed(path) as tmp, open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(sources)))
             for source in map(Path, sources):

@@ -15,8 +15,10 @@ error. ``POT_STATE_DIR`` overrides the default state directory.
 The parser is built from ``params`` alone, so ``--help``, a subcommand's
 ``--help`` and a usage error load neither numpy nor ``layout``. A stage
 command then asks ``layout.finished`` whether every stage it runs is
-finished; if so it prints its line without loading numpy or the engine,
-and ``main`` imports the engine only for a command with work left.
+finished, and only for a command with work left imports the engine and
+runs those stages (``engine.run_stages``). Either way it has the shard
+layout, from which one function (``_result_line``) makes the line it
+prints, so the line does not depend on which path made it.
 ``entry`` is the process entry of ``potsim``, ``python -m potsim`` and
 ``python -m potsim.cli``: it runs ``main`` and exits without the
 interpreter's final GC sweep.
@@ -43,15 +45,16 @@ from .params import (
 )
 
 if TYPE_CHECKING:
-    from .layout import PipelineConfig
+    from .layout import PipelineConfig, ShardKeys
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-# argparse checks only the syntax of a value; engine.check_config decides
-# which values a run can use, for the CLI and library callers alike.
+# argparse checks only the syntax of a value; layout.check_settings and
+# engine.check_config decide which values a run can use, for the CLI and
+# library callers alike.
 def _parse_resize(value: str) -> tuple[int, int]:
     try:
         w, h = value.lower().split("x")
@@ -166,33 +169,17 @@ def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, P
     return pgm_path, keys_path
 
 
-def _finished_line(command: str, config: PipelineConfig) -> str | None:
-    """The line ``command`` prints when every stage it runs is finished
-    (``layout.finished``, which also runs the engine's sweeps), without
-    loading numpy or the engine; None if one is not."""
-    from .layout import SIMILARITY_NAME, STAGES, finished
+def _result_line(command: str, config: PipelineConfig, shard_keys: ShardKeys) -> str:
+    """The line a finished ``command`` prints, from the shard layout: the
+    mean stage has checked mean_csd.csv's pair count against it."""
+    from .layout import SIMILARITY_NAME
 
-    shard_keys = finished(config, STAGES if command == "run" else (command,))
-    if shard_keys is None:
-        return None
     if command == "extract":
         return f"wrote {len(shard_keys)} shard(s) to {config.out_dir}"
     if command == "mean":
-        n = sum(map(len, shard_keys))  # finished checked mean_csd.csv's count
+        n = sum(map(len, shard_keys))
         return f"wrote mean_csd.csv (pair_count={n * (n - 1) // 2})"
     return f"wrote {Path(config.out_dir) / SIMILARITY_NAME}"
-
-
-def _run_line(command: str, config: PipelineConfig) -> str:
-    """Run ``command``'s stages in the engine and return the line it prints."""
-    from .engine import run_extract, run_mean, run_pipeline, run_similarity
-
-    if command == "extract":
-        return f"wrote {len(run_extract(config))} shard(s) to {config.out_dir}"
-    if command == "mean":
-        return f"wrote mean_csd.csv (pair_count={run_mean(config).pair_count})"
-    run = run_pipeline if command == "run" else run_similarity
-    return f"wrote {run(config)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,9 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
 
     # the run's settings and files load here, numpy and the engine only for
-    # a command with work left (_run_line): parsing, --help and usage
-    # errors pay for neither
-    from .layout import ConfigError, StageError
+    # a command with work left: parsing, --help and usage errors pay for
+    # neither
+    from .layout import STAGES, ConfigError, StageError, finished
 
     try:
         if args.command == "heatmap":
@@ -254,7 +241,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         config = _config_from_args(args)
-        print(_finished_line(args.command, config) or _run_line(args.command, config))
+        stages = STAGES if args.command == "run" else (args.command,)
+        shard_keys = finished(config, stages)
+        if shard_keys is None:
+            from .engine import run_stages
+
+            shard_keys = run_stages(config, stages)
+        print(_result_line(args.command, config, shard_keys))
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,17 +35,21 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   stage does, a ``mean_csd.csv`` whose pair count is not the layout's.
 
 Every decision about the run's files and settings that needs no numpy
-is ``layout``'s: the config, the manifest, the shard layout, the
-fingerprint, the state dir, each marker's and output's name, and a stage's
-sweep and done rule. This module computes with them; the CLI asks
-``layout.finished`` before it imports this module, so a command whose
-stages are all finished never loads it.
+is ``layout``'s: the config and its checks, the manifest, the shard
+layout, the fingerprint, the state dir, each marker's and output's name,
+and a stage's sweep and done rule. This module computes with them; the
+CLI asks ``layout.finished`` before it imports this module, so a command
+whose stages are all finished never loads it.
 
-A preamble shared by the stages checks the whole configuration
-(``check_config``) before it reads the manifest or touches the state dir,
-then cuts the manifest's sorted keys into ``shard_count(N)`` near-equal
-shards once (``layout.shard_layout``) and hands those key lists to every
-stage. The layout is a function of the key set alone.
+``run_stages`` runs a command's stages in order after one preamble: it
+checks the whole configuration (``check_config``: ``layout.check_settings``
+and the flow window's fit) before it reads the manifest or touches the
+state dir, then cuts the manifest's sorted keys into ``shard_count(N)``
+near-equal shards once (``layout.shard_layout``) and hands those key lists
+to every stage, and the mean tasks' plan to mean and sim alike. The layout
+is a function of the key set alone. ``run_extract``, ``run_mean``,
+``run_similarity`` and ``run_pipeline`` are ``run_stages`` of one stage or
+of all three.
 
 Every file, markers included, is written to a temporary file of its own
 attempt and renamed into place (``commit.committed``), so a file that
@@ -68,14 +72,14 @@ reduce runs single-threaded in global key-pair order after the stage barrier.
 
 from __future__ import annotations
 
+import importlib
 import logging
-import numbers
 import os
 import time
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,8 +89,10 @@ from .descriptors import block_pairs, compute_series, dump_series_text
 from .flow import validate_params
 from .frames import load_frame_sequence
 from .layout import (
+    MEAN_CSD_NAME,
     SERIES_KINDS,
     SIMILARITY_HEADER,
+    SIMILARITY_NAME,
     SLOTS,
     STAGE_EXTRACT,
     STAGE_MEAN,
@@ -98,6 +104,7 @@ from .layout import (
     StageError,
     _input_digest,
     check_pair_count,
+    check_settings,
     config_fingerprint,
     marker_path,
     mean_rows_path,
@@ -110,20 +117,9 @@ from .layout import (
     stage_outputs,
     sweep_stage,
 )
-# names this module defined before layout and params did: bound for its
-# callers, read-only (the layout reads layout.VIDEOS_PER_SHARD)
-from .layout import VIDEOS_PER_SHARD, shard_count  # noqa: F401
-from .params import (  # noqa: F401
-    DEFAULT_HOG_THRESHOLD,
-    DEFAULT_LEVELS,
-    DEFAULT_WORKING_RESOLUTION,
-    FarnebackParams,
-)
 from .pooling import pot_vector
-# csd_sixtuple is unused here but stays bound: perfbench's tracer wraps it by this name
 from .similarity import (
     MeanCsd,
-    csd_sixtuple,
     csd_stack,
     kernel_distance,
     mean_csd,
@@ -132,6 +128,8 @@ from .similarity import (
     similarity_score,
     write_mean_csd_csv,
 )
+# unused here, but bound: perfbench's tracer wraps it by this name
+from .similarity import csd_sixtuple  # noqa: F401
 
 logger = logging.getLogger("potsim.engine")
 
@@ -154,37 +152,32 @@ class Task:
 
 
 def check_config(config: PipelineConfig) -> None:
-    """Refuse any setting that no run can use, before anything is read."""
-    if config.working_w < 1 or config.working_h < 1:
-        raise ConfigError(f"working size must be >= 1, got {config.working_w}x{config.working_h}")
-    if not config.levels or any(level < 1 for level in config.levels):
-        raise ConfigError(f"levels must be non-empty and all >= 1, got {list(config.levels)}")
-    # hog_frame counts |D| >= threshold on 0-255 frames: above 255 (or nan)
-    # no pixel can count
-    threshold = config.hog_threshold
-    if not (isinstance(threshold, numbers.Real) and threshold <= 255.0):
-        raise ConfigError(f"hog threshold must be a number <= 255, got {threshold}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
+    """Refuse any setting that no run can use, before anything is read:
+    ``layout.check_settings``, then the flow window's fit."""
+    check_settings(config)
     try:
         validate_params(config.farneback)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _prepare_stage(
-    config: PipelineConfig,
-) -> tuple[list[tuple[str, str]], ShardKeys, Path, dict[str, int]]:
-    """Preamble shared by all stages: the checked config, the manifest
-    entries, the shard layout (each shard's sorted keys, empty shards
-    omitted), the validated state dir and each key's frame count, from the
-    fingerprint's listing."""
+class _Run(NamedTuple):
+    """What every stage of a run works from (``_prepare_stage``)."""
+
+    entries: list[tuple[str, str]]  # the manifest's, in key order
+    shard_keys: ShardKeys  # each shard's sorted keys, empty shards omitted
+    state_dir: Path  # validated against the fingerprint
+    frame_counts: dict[str, int]  # each key's, from the fingerprint's listing
+
+
+def _prepare_stage(config: PipelineConfig) -> _Run:
+    """Preamble shared by all stages: check the config, read the manifest,
+    cut the shard layout, then digest the inputs and validate the state dir."""
     check_config(config)
     entries = parse_manifest(config.manifest)
-    shard_keys = shard_layout(entries)
     inputs, frame_counts = _input_digest(entries)
     state_dir = prepare_state(config, config_fingerprint(config, entries, inputs))
-    return entries, shard_keys, state_dir, frame_counts
+    return _Run(entries, shard_layout(entries), state_dir, frame_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +403,12 @@ def _key_rows(tasks: list[Task]) -> Iterator[tuple[str, np.ndarray]]:
                 yield key, np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
 
 
-# extract runs its tasks by packets (_run_extract_packet)
-_TASK_RUNNERS = {
-    STAGE_MEAN: _run_mean_task,
-}
-
-
 def _run_task(config: PipelineConfig, task: Task) -> tuple[str | None, float]:
-    """The task's error, None if it succeeded, and its duration in ms."""
+    """Run a mean task: its error, None if it succeeded, and its duration
+    in ms. Extract runs its tasks by packets (``_run_extract_packet``)."""
     start = time.monotonic()
     try:
-        _TASK_RUNNERS[task.stage](config, task)
+        _run_mean_task(config, task)
         return None, (time.monotonic() - start) * 1000.0
     except Exception as exc:  # surfaced per task, stage fails afterwards
         return _describe(exc), (time.monotonic() - start) * 1000.0
@@ -487,7 +475,7 @@ def _run_stage(
         if stage == STAGE_EXTRACT:
             # flow's filters: imported once, before any task, so that forked
             # workers inherit them and no task's time holds the import
-            import scipy.ndimage  # noqa: F401
+            importlib.import_module("scipy.ndimage")
     packets = pack(pending) if pack else [[task] for task in pending]
     if config.workers <= 1 or len(packets) <= 1:
         for packet in packets:
@@ -520,37 +508,64 @@ def _run_stage(
         pass
 
 
+def run_stages(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys:
+    """Run ``stages``, some of STAGES in that order, with checkpointing,
+    after one preamble (``_prepare_stage``): the manifest and the inputs
+    are read and fingerprinted once for all, and mean and sim share one
+    plan of mean's tasks. Returns the shard layout."""
+    run = _prepare_stage(config)
+    if STAGE_EXTRACT in stages:
+        _extract(config, run)
+    if STAGE_MEAN in stages or STAGE_SIM in stages:
+        # sim reads the rows of mean's tasks and the outputs they leave
+        tasks = plan_pair_stage(run.shard_keys, run.state_dir)
+        mean_outputs = stage_outputs(config, run.state_dir, STAGE_MEAN, run.shard_keys)
+        if STAGE_MEAN in stages:
+            _mean(config, run, tasks, mean_outputs)
+        if STAGE_SIM in stages:
+            _similarity(config, run, tasks, mean_outputs)
+    return run.shard_keys
+
+
 def run_extract(config: PipelineConfig) -> list[Path]:
-    """Extract stage: per-video features, then range-partitioned shards."""
-    return _extract(config, *_prepare_stage(config))
-
-
-def _extract(
-    config: PipelineConfig,
-    entries: list[tuple[str, str]],
-    shard_keys: ShardKeys,
-    state_dir: Path,
-    frame_counts: dict[str, int],
-) -> list[Path]:
-    tasks = plan_extract(config, entries, state_dir)
-    outputs = stage_outputs(config, state_dir, STAGE_EXTRACT, shard_keys)
-    archives = {task.label: task.out_path for task in tasks}
-
-    def reduce() -> None:
-        write_shards([[archives[key] for key in keys] for keys in shard_keys], config.out_dir)
-
-    def pack(pending: list[Task]) -> list[list[Task]]:
-        return plan_packets(config, pending, frame_counts)
-
-    _run_stage(config, state_dir, STAGE_EXTRACT, tasks, outputs, reduce, [], pack)
-    return outputs[: len(shard_keys)]  # the shards, which come first
+    """Extract stage: per-video features, then range-partitioned shards;
+    returns the shards' paths."""
+    shard_keys = run_stages(config, (STAGE_EXTRACT,))
+    return [shard_path(config.out_dir, i) for i in range(len(shard_keys))]
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-pair slot distances, summed in global key-pair order
-    into mean_csd.csv."""
-    _, shard_keys, state_dir, _ = _prepare_stage(config)
-    return _mean(config, shard_keys, state_dir)
+    into mean_csd.csv, which is returned."""
+    run_stages(config, (STAGE_MEAN,))
+    return read_mean_csd_csv(Path(config.out_dir) / MEAN_CSD_NAME)
+
+
+def run_similarity(config: PipelineConfig) -> Path:
+    """Similarity stage: the mean rows, read in key-pair order and
+    normalised by the corpus means into similarity.csv."""
+    run_stages(config, (STAGE_SIM,))
+    return Path(config.out_dir) / SIMILARITY_NAME
+
+
+def run_pipeline(config: PipelineConfig) -> Path:
+    """Extract, mean, and similarity in sequence (``run_stages``)."""
+    run_stages(config, STAGES)
+    return Path(config.out_dir) / SIMILARITY_NAME
+
+
+def _extract(config: PipelineConfig, run: _Run) -> None:
+    tasks = plan_extract(config, run.entries, run.state_dir)
+    outputs = stage_outputs(config, run.state_dir, STAGE_EXTRACT, run.shard_keys)
+    archives = {task.label: task.out_path for task in tasks}
+
+    def reduce() -> None:
+        write_shards([[archives[key] for key in keys] for keys in run.shard_keys], config.out_dir)
+
+    def pack(pending: list[Task]) -> list[list[Task]]:
+        return plan_packets(config, pending, run.frame_counts)
+
+    _run_stage(config, run.state_dir, STAGE_EXTRACT, tasks, outputs, reduce, [], pack)
 
 
 def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
@@ -561,9 +576,8 @@ def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
     return mean
 
 
-def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> MeanCsd:
-    tasks = plan_pair_stage(shard_keys, state_dir)
-    out_path, *_ = outputs = stage_outputs(config, state_dir, STAGE_MEAN, shard_keys)
+def _mean(config: PipelineConfig, run: _Run, tasks: list[Task], outputs: list[Path]) -> None:
+    out_path = outputs[0]
 
     def reduce() -> None:
         # one row at a time in global key-pair order, as a += loop would:
@@ -581,26 +595,18 @@ def _mean(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Mea
             write_mean_csd_csv(mean, tmp)
 
     # the tasks check the keys of the shards they read
-    shards = [shard_path(config.out_dir, i) for i in range(len(shard_keys))]
-    _run_stage(config, state_dir, STAGE_MEAN, tasks, outputs, reduce, needs=shards)
-    return _read_mean(out_path, shard_keys)
+    shards = [shard_path(config.out_dir, i) for i in range(len(run.shard_keys))]
+    _run_stage(config, run.state_dir, STAGE_MEAN, tasks, outputs, reduce, needs=shards)
+    # checked on return, as layout.finished checks it, a finished stage's too
+    _read_mean(out_path, run.shard_keys)
 
 
-def run_similarity(config: PipelineConfig) -> Path:
-    """Similarity stage: the mean rows, read in key-pair order and
-    normalised by the corpus means into similarity.csv."""
-    _, shard_keys, state_dir, _ = _prepare_stage(config)
-    return _similarity(config, shard_keys, state_dir)
-
-
-def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) -> Path:
-    tasks = plan_pair_stage(shard_keys, state_dir)
-    mean_path, *_ = mean_outputs = stage_outputs(config, state_dir, STAGE_MEAN, shard_keys)
-    (out_path,) = stage_outputs(config, state_dir, STAGE_SIM, shard_keys)
+def _similarity(config: PipelineConfig, run: _Run, tasks: list[Task], mean_outputs: list[Path]) -> None:
+    (out_path,) = stage_outputs(config, run.state_dir, STAGE_SIM, run.shard_keys)
 
     def reduce() -> None:
-        mean = _read_mean(mean_path, shard_keys)
-        keys = [key for shard in shard_keys for key in shard]
+        mean = _read_mean(mean_outputs[0], run.shard_keys)
+        keys = [key for shard in run.shard_keys for key in shard]
         with committed(out_path) as tmp, open(tmp, "w", encoding="utf-8") as out:
             out.write(SIMILARITY_HEADER)
             # the mean tasks checked their shards against exactly these keys
@@ -610,15 +616,5 @@ def _similarity(config: PipelineConfig, shard_keys: ShardKeys, state_dir: Path) 
                 pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)
                 out.write("".join(f"{key_a},{key_b},{similarity_score(kd)!r}\n" for key_b, kd in pairs))
 
-    needs = [marker_path(state_dir, STAGE_MEAN), *mean_outputs]
-    _run_stage(config, state_dir, STAGE_SIM, [], [out_path], reduce, needs)
-    return out_path
-
-
-def run_pipeline(config: PipelineConfig) -> Path:
-    """Extract, mean, and similarity in sequence with checkpointing; the
-    manifest and the inputs are read and fingerprinted once for all three."""
-    entries, shard_keys, state_dir, frame_counts = _prepare_stage(config)
-    _extract(config, entries, shard_keys, state_dir, frame_counts)
-    _mean(config, shard_keys, state_dir)
-    return _similarity(config, shard_keys, state_dir)
+    needs = [marker_path(run.state_dir, STAGE_MEAN), *mean_outputs]
+    _run_stage(config, run.state_dir, STAGE_SIM, [], [out_path], reduce, needs)

@@ -2,20 +2,17 @@
 The run's files and settings, without numpy.
 
 Every pure-Python decision about what a run reads and writes is made here
-once: the settings (``PipelineConfig``) and the errors a command exits
-with, the manifest and the shard layout, the digest of the frame files and
-the state dir's fingerprint, the name of every marker and output, a
-stage's sweep of dead attempts' files and its done rule, and the
-``mean_csd.csv`` format. The engine computes with these; the modules that
-compute with numpy import their names from here.
+once: the settings (``PipelineConfig``), their checks (``check_settings``)
+and the errors a command exits with, the manifest and the shard layout,
+the digest of the frame files and the state dir's fingerprint, the name of
+every marker and output, a stage's sweep of dead attempts' files and its
+done rule, and the ``mean_csd.csv`` format. The engine computes with
+these; the modules that compute with numpy import their names from here.
 
 ``finished`` answers, from these alone, whether every stage of a command is
 finished for a configuration as the engine would find it. The CLI asks it
 before it loads the engine, so re-running a finished command (the normal,
-idempotent case of a checkpointed pipeline) loads no numpy. A state dir
-gets its fingerprint only after ``engine.check_config`` has passed, and
-the fingerprint covers every setting but ``workers``, so a matching one
-vouches for the settings the engine would check.
+idempotent case of a checkpointed pipeline) loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, field
@@ -96,6 +94,25 @@ class PipelineConfig:
     farneback: FarnebackParams = field(default_factory=FarnebackParams)
     state_dir: str | None = None  # default: <out_dir>/state
     dump_series: bool = False
+
+
+def check_settings(config: PipelineConfig) -> None:
+    """Refuse any setting that no run can use: all of
+    ``engine.check_config`` but the flow window's fit, which takes numpy."""
+    if config.working_w < 1 or config.working_h < 1:
+        raise ConfigError(f"working size must be >= 1, got {config.working_w}x{config.working_h}")
+    if not config.levels or any(level < 1 for level in config.levels):
+        raise ConfigError(f"levels must be non-empty and all >= 1, got {list(config.levels)}")
+    # hog_frame counts |D| >= threshold on 0-255 frames: above 255 (or nan)
+    # no pixel can count
+    if not (isinstance(config.hog_threshold, numbers.Real) and config.hog_threshold <= 255.0):
+        raise ConfigError(f"hog threshold must be a number <= 255, got {config.hog_threshold}")
+    if config.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {config.workers}")
+    try:
+        config.farneback.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +255,16 @@ def state_root(config: PipelineConfig) -> Path:
 
 
 def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
-    """Create (or validate) the state dir; refuse fingerprint mismatches."""
+    """Create (or validate) the state dir; refuse fingerprint mismatches,
+    and, before anything is written, an output or state dir that cannot be
+    a directory: one that is, or whose nearest existing parent is, not a
+    directory."""
     root = state_root(config)
+    for path, role in ((Path(config.out_dir), "output dir"), (root, "state dir")):
+        existing = next((p for p in (path, *path.parents) if p.exists()), path)
+        if existing.exists() and not existing.is_dir():
+            where = "" if existing == path else f": {existing}"
+            raise ConfigError(f"{role} {path}{where} is not a directory")
     root.mkdir(parents=True, exist_ok=True)
     fp_file = root / "fingerprint"
     remove_stray_tmp(root, time.time_ns(), {fp_file.name})
@@ -384,17 +409,16 @@ def finished(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys | None:
     ``config`` as the engine would find it, once the sweeps the engine
     would run have run; else None, having changed nothing.
 
-    The cheap checks come first: ``workers``, then each stage's marker and
-    outputs. Only then are the inputs digested, so that a pending command,
-    which the engine then runs, lists its frames once. The fingerprint must
-    match, and with mean among ``stages``, ``mean_csd.csv`` must hold the
-    manifest's pair count, as the engine's mean stage checks on return. An
-    error on the way (a missing manifest, an unreadable file) is left for
-    the engine to report.
+    The cheap checks come first: the settings (``check_settings``), then
+    each stage's marker and outputs. Only then are the inputs digested, so
+    that a pending command, which the engine then runs, lists its frames
+    once. The fingerprint must match, and with mean among ``stages``,
+    ``mean_csd.csv`` must hold the manifest's pair count, as the engine's
+    mean stage checks on return. An error on the way (a bad setting, a
+    missing manifest, an unreadable file) is left for the engine to report.
     """
-    if config.workers < 1:
-        return None
     try:
+        check_settings(config)
         entries = parse_manifest(config.manifest)
         shard_keys = shard_layout(entries)
         state_dir = state_root(config)

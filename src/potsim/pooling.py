@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import POOL_OPS, SERIES_KINDS, SLOTS  # noqa: F401
+from .layout import SLOTS
 from .params import DEFAULT_LEVELS
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layout import MEAN_CSD_HEADER, SLOTS, read_means, write_means  # noqa: F401
+from .layout import SLOTS, read_means, write_means
 from .pooling import slot_bounds
 
 SCORE_DECAY = 10.0  # kernel-distance scale in exp(-kd / SCORE_DECAY)

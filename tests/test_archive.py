@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potsim.archive import (
-    ArchiveRecord,
-    read_archive,
-    shard_records,
-    write_archive,
-    write_shards,
-)
+from potsim.archive import ArchiveRecord, read_archive, write_archive, write_shards
 from potsim.engine import _row_counts, plan_pair_stage
+from potsim.layout import shard_records
 from potsim.pooling import pot_vector
 
 

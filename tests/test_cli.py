@@ -539,6 +539,33 @@ def test_unknown_log_level_is_usage_error():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["extract", "mean", "sim", "run"])
+@pytest.mark.parametrize(
+    "out, state_dir, message",
+    [
+        ("afile", None, "output dir {tmp}/afile is not a directory"),
+        ("afile", "state", "output dir {tmp}/afile is not a directory"),
+        ("afile/out", None, "output dir {tmp}/afile/out: {tmp}/afile is not a directory"),
+        ("out", "afile", "state dir {tmp}/afile is not a directory"),
+    ],
+    ids=["out", "out-beside-state-dir", "out-under-file", "state-dir"],
+)
+def test_file_where_a_directory_belongs_is_usage_error(
+    tmp_path, capsys, command, out, state_dir, message
+):
+    """An --out or --state-dir that is a regular file, or lies under one,
+    exits 2 naming the path, before anything is written: no state dir,
+    no fingerprint, no output."""
+    manifest = make_corpus(tmp_path / "c", n=3)
+    (tmp_path / "afile").write_bytes(b"a file")
+    extra = ["--state-dir", str(tmp_path / state_dir)] if state_dir else []
+    capsys.readouterr()
+    assert run_cli(command, manifest, tmp_path / out, extra) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "c"]
+    assert (tmp_path / "afile").read_bytes() == b"a file"
+
+
 def test_python_m_potsim_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
     result = subprocess.run(
@@ -734,8 +761,9 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
 def test_public_names_resolve():
     """Every name of potsim.__all__ resolves, a star import binds them all,
     another name raises AttributeError, submodules still import by
-    `from potsim import ...`, and the defaults keep their old homes."""
-    from potsim import descriptors, engine, flow, params, pooling
+    `from potsim import ...`, and the modules that use a default or
+    FarnebackParams bind params' own."""
+    from potsim import descriptors, flow, params, pooling
 
     for name in potsim.__all__:
         assert getattr(potsim, name).__name__ == name
@@ -744,7 +772,6 @@ def test_public_names_resolve():
     assert set(potsim.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="nope"):
         potsim.nope
-    assert potsim.FarnebackParams is flow.FarnebackParams is engine.FarnebackParams
-    assert engine.DEFAULT_WORKING_RESOLUTION == params.DEFAULT_WORKING_RESOLUTION == (128, 128)
+    assert potsim.FarnebackParams is flow.FarnebackParams is params.FarnebackParams
     assert pooling.DEFAULT_LEVELS == params.DEFAULT_LEVELS == (1, 2, 4)
     assert descriptors.DEFAULT_HOG_THRESHOLD == params.DEFAULT_HOG_THRESHOLD == 40.0

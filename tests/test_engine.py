@@ -600,7 +600,7 @@ class TestFullPipeline:
             "working": [cfg.working_w, cfg.working_h],
             "levels": list(cfg.levels),
             "hog_threshold": cfg.hog_threshold,
-            "shard_count": engine.shard_count(len(entries)),
+            "shard_count": layout.shard_count(len(entries)),
             "farneback": dataclasses.astuple(cfg.farneback),
         }
 
@@ -1027,7 +1027,7 @@ class TestPairStages:
                 running[0] = None
 
         monkeypatch.setattr(engine, "read_archive", counting_read)
-        monkeypatch.setitem(engine._TASK_RUNNERS, engine.STAGE_MEAN, labelled_task)
+        monkeypatch.setattr(engine, "_run_mean_task", labelled_task)
         run_mean(cfg)
         assert [name for label, name in reads if label is None] == []
         shard = "features-{:05d}.potf".format

@@ -1,8 +1,10 @@
 """The pair path's modules do not import the extract path's: archives,
 pooling, scores and commits work on plain arrays and pooled features, not
-on frames, flow or histograms. And the modules that decide a run's
-settings and files import no numpy or scipy, so the parser and a finished
-command load neither."""
+on frames, flow or histograms. The modules that decide a run's settings
+and files import no numpy or scipy, so the parser and a finished command
+load neither. And a module binds by ``from ... import`` only names it
+uses: a name re-exported from a module that no longer defines it is a
+second home for one decision."""
 
 import ast
 from pathlib import Path
@@ -14,6 +16,11 @@ import potsim
 EXTRACT_MODULES = {"descriptors", "flow", "frames"}
 NUMPY_FREE_MODULES = {"commit", "layout", "params"}
 POTSIM_MODULES = {path.stem for path in Path(potsim.__file__).parent.glob("*.py")}
+# (module, name) bound by a module-level `from ... import` and not used there
+UNUSED_IMPORT_ALLOWLIST = {
+    # perfbench's tracer wraps engine.csd_sixtuple by that name
+    ("engine", "csd_sixtuple"),
+}
 
 
 def source_of(module: str) -> str:
@@ -84,3 +91,61 @@ def test_packages_imported_sees_each_form():
         "    import os.path\n"
     )
     assert packages_imported(source) == {"numpy", "scipy", "os"}
+
+
+def module_level_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    """The `from ... import` statements of a module's top level, those
+    inside a top-level `if` or `try` too, but not a function's or a
+    class's; `from __future__` imports bind no usable name and are left out."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.append(node)
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names a module binds with a module-level `from ... import` and
+    never reads as a name (a bare name or an attribute's base)."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name
+        for node in module_level_imports(tree)
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+@pytest.mark.parametrize("module", sorted(POTSIM_MODULES))
+def test_module_level_imports_are_used(module):
+    unused = {(module, name) for name in unused_imports(source_of(module))}
+    assert unused - UNUSED_IMPORT_ALLOWLIST == set()
+
+
+def test_unused_import_allowlist_is_current():
+    """Each allowlisted name is still bound and still unused there."""
+    for module, name in UNUSED_IMPORT_ALLOWLIST:
+        assert name in unused_imports(source_of(module)), (module, name)
+
+
+def test_unused_imports_sees_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "from .layout import SLOTS, shard_count as count, spare\n"
+        "if TYPE_CHECKING:\n"
+        "    from .layout import PipelineConfig, Unused\n"
+        "try:\n"
+        "    from os import fspath\n"
+        "except ImportError:\n"
+        "    from os import fsencode\n"
+        "def f(config: PipelineConfig) -> Sequence[int]:\n"
+        "    from .engine import lazy\n"
+        "    return SLOTS.index, count(3), TYPE_CHECKING, fspath\n"
+    )
+    assert unused_imports(source) == {"spare", "Unused", "fsencode"}
