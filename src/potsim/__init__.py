@@ -38,7 +38,7 @@ _EXPORTS = {
     "run_mean": "engine",
     "run_pipeline": "engine",
     "run_similarity": "engine",
-    "similarity_score": "similarity",
+    "similarity_score": "stage",
     "slot_bounds": "pooling",
     "write_archive": "archive",
 }

@@ -14,11 +14,14 @@ error. ``POT_STATE_DIR`` overrides the default state directory.
 
 The parser is built from ``params`` alone, so ``--help``, a subcommand's
 ``--help`` and a usage error load neither numpy nor ``layout``. A stage
-command then asks ``layout.finished`` whether every stage it runs is
-finished, and only for a command with work left imports the engine and
-runs those stages (``engine.run_stages``). Either way it has the shard
+command then asks ``layout.finish``, which needs no numpy, to answer it: it
+does when every stage the command runs is finished, or every one but sim,
+which it then runs. Only for other work left does the CLI import the engine
+and run those stages (``engine.run_stages``). Either way it has the shard
 layout, from which one function (``_result_line``) makes the line it
-prints, so the line does not depend on which path made it.
+prints, so the line does not depend on which path made it. ``heatmap``
+refuses an ``--out`` whose directory cannot be one as the stage commands
+refuse theirs (``layout.check_dir``), before it reads or writes anything.
 ``entry`` is the process entry of ``potsim``, ``python -m potsim`` and
 ``python -m potsim.cli``: it runs ``main`` and exits without the
 interpreter's final GC sweep.
@@ -142,6 +145,11 @@ def _similarity_rows(path: str | Path) -> Iterator[tuple[str, str, float]]:
 def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, Path]:
     """Render similarity.csv as an NxN PGM plus a key-order listing. The file
     is read twice, keys then scores, so memory holds two NxN byte arrays."""
+    from .layout import check_dir
+
+    out_prefix = Path(out_prefix)
+    check_dir(out_prefix.parent, "output dir")
+
     import numpy as np
 
     from .frames import encode_pgm
@@ -160,7 +168,6 @@ def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, P
     if not filled.all():
         i, j = np.unravel_index(np.argmin(filled), filled.shape)
         raise ValueError(f"{sim_csv}: missing pair ({keys[i]}, {keys[j]})")
-    out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     pgm_path = out_prefix.with_name(out_prefix.name + ".pgm")
     keys_path = out_prefix.with_name(out_prefix.name + ".keys.txt")
@@ -230,9 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
 
     # the run's settings and files load here, numpy and the engine only for
-    # a command with work left: parsing, --help and usage errors pay for
-    # neither
-    from .layout import STAGES, ConfigError, StageError, finished
+    # a command with work left but sim: parsing, --help and usage errors pay
+    # for neither
+    from .layout import STAGES, ConfigError, StageError, finish
 
     try:
         if args.command == "heatmap":
@@ -242,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = _config_from_args(args)
         stages = STAGES if args.command == "run" else (args.command,)
-        shard_keys = finished(config, stages)
+        shard_keys = finish(config, stages)
         if shard_keys is None:
             from .engine import run_stages
 

@@ -26,20 +26,22 @@ Three strictly sequential stages mirror a mapper/reducer layout:
   the group's second key on, so that few cells at or below the diagonal
   are computed. Row k from column k + 1 on is key k's rows, written key
   after key. The reduce reads row files 0, ..., S - 1 one after another,
-  one open at a time, which is global key-pair order (``_key_rows``), and
+  one open at a time, which is global key-pair order (``stage.key_rows``), and
   sums the rows strictly in that order into ``mean_csd.csv``, so no bit of
   it depends on the shard layout.
-* similarity: no tasks of its own and no shard read; it takes the same walk,
-  and each key's rows, normalised by the means in one ``kernel_distance``
-  call, become lines of ``similarity.csv``. It refuses, as a resumed mean
-  stage does, a ``mean_csd.csv`` whose pair count is not the layout's.
+* similarity: no tasks of its own, no shard read and no numpy; it takes
+  the same walk, and each pair's row, normalised by the means, becomes a
+  line of ``similarity.csv`` (``stage.run_sim``). It refuses, as a resumed
+  mean stage does, a ``mean_csd.csv`` whose pair count is not the layout's.
 
 Every decision about the run's files and settings that needs no numpy
 is ``layout``'s: the config and its checks, the manifest, the shard
 layout, the fingerprint, the state dir, each marker's and output's name,
-and a stage's sweep and done rule. This module computes with them; the
-CLI asks ``layout.finished`` before it imports this module, so a command
-whose stages are all finished never loads it.
+and a stage's sweep, marker and done rule. How a stage runs, the mean
+rows' format and walk and the whole sim stage are ``stage``'s, which needs
+no numpy either. This module computes extract and mean with them; the CLI
+asks ``layout.finish`` before it imports this module, so a command whose
+stages are all finished, or all but sim, never loads it.
 
 ``run_stages`` runs a command's stages in order after one preamble: it
 checks the whole configuration (``check_config``: ``layout.check_settings``
@@ -54,32 +56,31 @@ of all three.
 Every file, markers included, is written to a temporary file of its own
 attempt and renamed into place (``commit.committed``), so a file that
 exists is finished. Each stage is its plan plus its reduce, run by
-``_run_stage``: it removes what dead attempts left of the stage's files
-(``layout.sweep_stage``), returns if the marker ``<stage>.done`` and the
-outputs exist (``layout.stage_done``), refuses missing inputs, runs the
-tasks whose outputs are missing and skips the rest, logs the task counts,
-reduces and commits the marker. The state dir's fingerprint covers the
-parameters, the flow's precision and the frame files (names, sizes,
-mtimes), so a resume never reuses the results that state dir holds for
-changed inputs or for a flow of another precision. The files in ``--out``
-are not covered: mean reads the shards there as they are, and a stage
-whose marker is in its state dir keeps its outputs there, so two state
-dirs with other parameters sharing one ``--out`` can leave means and
-scores of one run beside the shards of the other. Outputs are byte-identical for any worker
-count and shard layout: task outputs do not depend on scheduling, and the
-reduce runs single-threaded in global key-pair order after the stage barrier.
+``stage.run_stage``, which is handed ``_run_packet`` to run the tasks: it
+removes what dead attempts left of the stage's files
+(``layout.sweep_stage``), returns if the marker ``<stage>.done`` records
+each output at the size it has (``layout.stage_done``), refuses missing
+inputs, runs the tasks whose outputs are missing and skips the rest, logs
+the task counts, reduces and commits the marker, which records its
+outputs' sizes. The state dir's fingerprint covers the parameters, the
+flow's precision and the frame files (names, sizes, mtimes), so a resume
+never reuses the results that state dir holds for changed inputs or for a
+flow of another precision. The files in ``--out`` are not covered: mean
+reads the shards there as they are, and a stage whose marker is in its
+state dir keeps its outputs there, so two state dirs with other parameters
+sharing one ``--out`` can leave means and scores of one run beside the
+shards of the other. Outputs are byte-identical for any worker count and
+shard layout: task outputs do not depend on scheduling, and the reduce
+runs single-threaded in global key-pair order after the stage barrier.
 """
 
 from __future__ import annotations
 
 import importlib
-import logging
-import os
 import time
-from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,7 +92,6 @@ from .frames import load_frame_sequence
 from .layout import (
     MEAN_CSD_NAME,
     SERIES_KINDS,
-    SIMILARITY_HEADER,
     SIMILARITY_NAME,
     SLOTS,
     STAGE_EXTRACT,
@@ -110,45 +110,24 @@ from .layout import (
     mean_rows_path,
     parse_manifest,
     prepare_state,
+    read_means,
     series_dump_path,
     shard_layout,
     shard_path,
-    stage_done,
     stage_outputs,
-    sweep_stage,
 )
 from .pooling import pot_vector
 from .similarity import (
     MeanCsd,
     csd_stack,
-    kernel_distance,
     mean_csd,
     ordered_sum,
     read_mean_csd_csv,
-    similarity_score,
     write_mean_csd_csv,
 )
-# unused here, but bound: perfbench's tracer wraps it by this name
-from .similarity import csd_sixtuple  # noqa: F401
-
-logger = logging.getLogger("potsim.engine")
-
-
-@dataclass(frozen=True)
-class Task:
-    """One unit of checkpointed parallel work, done once its outputs exist."""
-
-    id: int
-    stage: str
-    # extract: video key; mean: "shard row i"
-    label: str
-    payload: tuple
-    out_path: str
-    # extract with dump_series: the series dumps, committed before out_path
-    dump_paths: tuple[str, ...] = ()
-
-    def is_done(self) -> bool:
-        return all(os.path.exists(p) for p in (*self.dump_paths, self.out_path))
+# unused here, but bound: perfbench's tracer wraps them by these names
+from .similarity import csd_sixtuple, kernel_distance  # noqa: F401
+from .stage import ROW_DTYPE, Task, TaskResults, describe, key_rows, run_sim, run_stage
 
 
 def check_config(config: PipelineConfig) -> None:
@@ -249,13 +228,7 @@ def plan_pair_stage(shard_keys: ShardKeys, state_dir: Path) -> list[Task]:
 # Task bodies (module-level for multiprocessing)
 
 
-def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_extract_packet(
-    config: PipelineConfig, packet: list[Task]
-) -> list[tuple[str | None, float]]:
+def _run_extract_packet(config: PipelineConfig, packet: list[Task]) -> TaskResults:
     """Run a packet of extract tasks (see ``plan_packets``): decode each
     video, compute the series of all that decoded in one ``compute_series``
     call, then pool, dump and commit each video on its own. A task's
@@ -276,7 +249,7 @@ def _run_extract_packet(
         try:
             decoded[i] = load_frame_sequence(directory, key, config.working_w, config.working_h)
         except Exception as exc:  # surfaced per task, its packet-mates go on
-            errors[i] = _describe(exc)
+            errors[i] = describe(exc)
         own[i] += time.monotonic() - tick
 
     lengths = {i: len(frames) for i, frames in decoded.items()}
@@ -290,7 +263,7 @@ def _run_extract_packet(
             )
         except Exception as exc:
             for i in lengths:
-                errors[i] = _describe(exc)
+                errors[i] = describe(exc)
         else:
             row = 0
             for i, length in lengths.items():
@@ -300,7 +273,7 @@ def _run_extract_packet(
                 try:
                     _commit_features(config, packet[i], length, *series)
                 except Exception as exc:
-                    errors[i] = _describe(exc)
+                    errors[i] = describe(exc)
                 own[i] += time.monotonic() - tick
 
     pairs = [lengths.get(i, 1) - 1 for i in range(len(packet))]
@@ -328,11 +301,6 @@ def _commit_features(
         write_archive([record], tmp)
 
 
-# A mean task's row: one pair's six slot distances in SLOTS order
-ROW_DTYPE = np.dtype("<f8")
-ROW_BYTES = len(SLOTS) * ROW_DTYPE.itemsize
-
-
 def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> np.ndarray:
     """Shard ``index``'s features as the columns of one (features x keys)
     block, the shard checked to hold exactly ``keys``."""
@@ -349,13 +317,6 @@ def _read_shard(config: PipelineConfig, index: int, keys: tuple[str, ...]) -> np
 # second key on, and the task keeps only each key's later partners, so
 # small groups waste few cells and large ones few calls
 _DIAGONAL_GROUP = 10
-
-
-def _row_counts(task: Task) -> list[int]:
-    """Rows of a mean task per key of its shard i: one per later key."""
-    _, shards = task.payload
-    later = sum(map(len, shards))
-    return [later - 1 - k for k in range(len(shards[0]))]
 
 
 def _run_mean_task(config: PipelineConfig, task: Task) -> None:
@@ -379,30 +340,6 @@ def _run_mean_task(config: PipelineConfig, task: Task) -> None:
             fh.write(scores[k, k + 1 :])
 
 
-def _key_rows(tasks: list[Task]) -> Iterator[tuple[str, np.ndarray]]:
-    """Walk the mean rows in global key-pair order, one row file open at a
-    time: yield each key with its rows, one (partners, 6) array. In that
-    order the partners of the g-th key are the keys after it.
-
-    Each file is checked to hold one row per pair of its task: a short,
-    long or old-format file fails here, naming its path."""
-    for task in tasks:
-        counts = _row_counts(task)
-        pair_count = sum(counts)
-        with open(task.out_path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size != pair_count * ROW_BYTES:
-                raise ValueError(
-                    f"{task.out_path}: {size} bytes where {pair_count} rows of six "
-                    f"float64 distances take {pair_count * ROW_BYTES}; to repair it, "
-                    f"delete that file and rerun `potsim mean`, which reruns its task "
-                    f"and the reduce"
-                )
-            for key, count in zip(task.payload[1][0], counts):
-                data = fh.read(count * ROW_BYTES)
-                yield key, np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
-
-
 def _run_task(config: PipelineConfig, task: Task) -> tuple[str | None, float]:
     """Run a mean task: its error, None if it succeeded, and its duration
     in ms. Extract runs its tasks by packets (``_run_extract_packet``)."""
@@ -411,10 +348,10 @@ def _run_task(config: PipelineConfig, task: Task) -> tuple[str | None, float]:
         _run_mean_task(config, task)
         return None, (time.monotonic() - start) * 1000.0
     except Exception as exc:  # surfaced per task, stage fails afterwards
-        return _describe(exc), (time.monotonic() - start) * 1000.0
+        return describe(exc), (time.monotonic() - start) * 1000.0
 
 
-def _run_packet(config: PipelineConfig, packet: list[Task]) -> list[tuple[str | None, float]]:
+def _run_packet(config: PipelineConfig, packet: list[Task]) -> TaskResults:
     """Each task's error and duration in ms, as ``_run_task`` gives them:
     an extract packet's in one call, any other packet's task by task."""
     if packet[0].stage == STAGE_EXTRACT:
@@ -426,104 +363,17 @@ def _run_packet(config: PipelineConfig, packet: list[Task]) -> list[tuple[str | 
 # Stages
 
 
-def _run_stage(
-    config: PipelineConfig,
-    state_dir: Path,
-    stage: str,
-    tasks: list[Task],
-    outputs: list[Path],
-    reduce: Callable[[], None],
-    needs: list[Path],
-    pack: Callable[[list[Task]], list[list[Task]]] | None = None,
-) -> None:
-    """Run ``stage`` unless it is done (see the module docstring): first
-    ``layout.sweep_stage`` removes what dead attempts left of its files,
-    then ``layout.stage_done`` asks for its marker and ``outputs``.
-    ``needs`` are the earlier stage's outputs that it reads. ``pack`` cuts
-    the pending tasks into packets, each run in one call by one worker;
-    without it each task is a packet of its own."""
-    sweep_stage(config, state_dir, stage, outputs)
-    if stage_done(state_dir, stage, outputs):
-        return
-    missing = next((path for path in needs if not path.exists()), None)
-    if missing is not None:
-        raise ConfigError(f"missing {missing} (run {STAGES[STAGES.index(stage) - 1]} first)")
-
-    pending = []
-    for task in tasks:
-        if task.is_done():
-            logger.info("task=%d stage=%s target=%s outcome=skipped", task.id, stage, task.label)
-        else:
-            pending.append(task)
-    failures: list[tuple[str, str]] = []
-
-    def record(task: Task, error: str | None, duration_ms: float) -> None:
-        logger.info(
-            "task=%d stage=%s target=%s outcome=%s duration_ms=%.1f%s",
-            task.id,
-            stage,
-            task.label,
-            "ok" if error is None else "failed",
-            duration_ms,
-            "" if error is None else f" error={error}",
-        )
-        if error is not None:
-            failures.append((task.label, error))
-
-    if pending:
-        (state_dir / stage).mkdir(exist_ok=True)
-        if stage == STAGE_EXTRACT:
-            # flow's filters: imported once, before any task, so that forked
-            # workers inherit them and no task's time holds the import
-            importlib.import_module("scipy.ndimage")
-    packets = pack(pending) if pack else [[task] for task in pending]
-    if config.workers <= 1 or len(packets) <= 1:
-        for packet in packets:
-            for task, result in zip(packet, _run_packet(config, packet)):
-                record(task, *result)
-    else:
-        # imported here, so that a command that runs no pool does not pay for it
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        start = time.monotonic()
-        # no idle workers: a fork pool starts all of them at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(packets))) as pool:
-            futures = {pool.submit(_run_packet, config, packet): packet for packet in packets}
-            for future in as_completed(futures):
-                packet = futures[future]
-                try:
-                    results = future.result()
-                except Exception as exc:  # e.g. BrokenProcessPool: a worker died
-                    elapsed_ms = (time.monotonic() - start) * 1000.0
-                    results = [(_describe(exc), elapsed_ms)] * len(packet)
-                for task, result in zip(packet, results):
-                    record(task, *result)
-
-    ran, skipped, failed = len(pending) - len(failures), len(tasks) - len(pending), len(failures)
-    logger.info("stage=%s tasks_ran=%d tasks_skipped=%d tasks_failed=%d", stage, ran, skipped, failed)
-    if failures:
-        raise StageError(stage, sorted(failures))
-    reduce()
-    with committed(marker_path(state_dir, stage)):
-        pass
-
-
 def run_stages(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys:
     """Run ``stages``, some of STAGES in that order, with checkpointing,
     after one preamble (``_prepare_stage``): the manifest and the inputs
-    are read and fingerprinted once for all, and mean and sim share one
-    plan of mean's tasks. Returns the shard layout."""
+    are read and fingerprinted once for all. Returns the shard layout."""
     run = _prepare_stage(config)
     if STAGE_EXTRACT in stages:
         _extract(config, run)
-    if STAGE_MEAN in stages or STAGE_SIM in stages:
-        # sim reads the rows of mean's tasks and the outputs they leave
-        tasks = plan_pair_stage(run.shard_keys, run.state_dir)
-        mean_outputs = stage_outputs(config, run.state_dir, STAGE_MEAN, run.shard_keys)
-        if STAGE_MEAN in stages:
-            _mean(config, run, tasks, mean_outputs)
-        if STAGE_SIM in stages:
-            _similarity(config, run, tasks, mean_outputs)
+    if STAGE_MEAN in stages:
+        _mean(config, run)
+    if STAGE_SIM in stages:
+        run_sim(config, run.state_dir, run.shard_keys)
     return run.shard_keys
 
 
@@ -563,20 +413,18 @@ def _extract(config: PipelineConfig, run: _Run) -> None:
         write_shards([[archives[key] for key in keys] for keys in run.shard_keys], config.out_dir)
 
     def pack(pending: list[Task]) -> list[list[Task]]:
+        if pending:
+            # flow's filters: imported once, before any task, so that forked
+            # workers inherit them and no task's time holds the import
+            importlib.import_module("scipy.ndimage")
         return plan_packets(config, pending, run.frame_counts)
 
-    _run_stage(config, run.state_dir, STAGE_EXTRACT, tasks, outputs, reduce, [], pack)
+    run_stage(config, run.state_dir, STAGE_EXTRACT, outputs, reduce, [], tasks, _run_packet, pack)
 
 
-def _read_mean(path: Path, shard_keys: ShardKeys) -> MeanCsd:
-    """mean_csd.csv, refused unless its pair count is the layout's
-    (``layout.check_pair_count``)."""
-    mean = read_mean_csd_csv(path)
-    check_pair_count(path, mean.pair_count, sum(map(len, shard_keys)))
-    return mean
-
-
-def _mean(config: PipelineConfig, run: _Run, tasks: list[Task], outputs: list[Path]) -> None:
+def _mean(config: PipelineConfig, run: _Run) -> None:
+    tasks = plan_pair_stage(run.shard_keys, run.state_dir)
+    outputs = stage_outputs(config, run.state_dir, STAGE_MEAN, run.shard_keys)
     out_path = outputs[0]
 
     def reduce() -> None:
@@ -584,7 +432,8 @@ def _mean(config: PipelineConfig, run: _Run, tasks: list[Task], outputs: list[Pa
         # the same order whatever the shard layout
         total = np.zeros(len(SLOTS))
         pair_count = 0
-        for _, rows in _key_rows(tasks):
+        for _, data in key_rows(run.state_dir, run.shard_keys):
+            rows = np.frombuffer(data, dtype=ROW_DTYPE).reshape(-1, len(SLOTS))
             total = ordered_sum(np.vstack([total, rows]))
             pair_count += len(rows)
         try:
@@ -594,27 +443,19 @@ def _mean(config: PipelineConfig, run: _Run, tasks: list[Task], outputs: list[Pa
         with committed(out_path) as tmp:
             write_mean_csd_csv(mean, tmp)
 
+    video_count = sum(map(len, run.shard_keys))
+    if marker_path(run.state_dir, STAGE_MEAN).exists():
+        # the done rule reruns the reduce over a mean_csd.csv cut short
+        # under mean's marker; a whole one of another corpus there (two
+        # state dirs sharing one --out) is refused instead, as on return
+        try:
+            _, pair_count = read_means(out_path)
+        except (OSError, ValueError):
+            pass
+        else:
+            check_pair_count(out_path, pair_count, video_count)
     # the tasks check the keys of the shards they read
     shards = [shard_path(config.out_dir, i) for i in range(len(run.shard_keys))]
-    _run_stage(config, run.state_dir, STAGE_MEAN, tasks, outputs, reduce, needs=shards)
-    # checked on return, as layout.finished checks it, a finished stage's too
-    _read_mean(out_path, run.shard_keys)
-
-
-def _similarity(config: PipelineConfig, run: _Run, tasks: list[Task], mean_outputs: list[Path]) -> None:
-    (out_path,) = stage_outputs(config, run.state_dir, STAGE_SIM, run.shard_keys)
-
-    def reduce() -> None:
-        mean = _read_mean(mean_outputs[0], run.shard_keys)
-        keys = [key for shard in run.shard_keys for key in shard]
-        with committed(out_path) as tmp, open(tmp, "w", encoding="utf-8") as out:
-            out.write(SIMILARITY_HEADER)
-            # the mean tasks checked their shards against exactly these keys
-            for g, (key_a, rows) in enumerate(_key_rows(tasks)):
-                # one kernel call per key; .tolist() gives Python floats, so
-                # math.exp and repr run as they do on a scalar
-                pairs = zip(keys[g + 1 :], kernel_distance(rows, mean).tolist(), strict=True)
-                out.write("".join(f"{key_a},{key_b},{similarity_score(kd)!r}\n" for key_b, kd in pairs))
-
-    needs = [marker_path(run.state_dir, STAGE_MEAN), *mean_outputs]
-    _run_stage(config, run.state_dir, STAGE_SIM, [], [out_path], reduce, needs)
+    run_stage(config, run.state_dir, STAGE_MEAN, outputs, reduce, shards, tasks, _run_packet)
+    # checked on return, as layout.finish checks it, a finished stage's too
+    check_pair_count(out_path, read_means(out_path)[1], video_count)

@@ -5,14 +5,18 @@ Every pure-Python decision about what a run reads and writes is made here
 once: the settings (``PipelineConfig``), their checks (``check_settings``)
 and the errors a command exits with, the manifest and the shard layout,
 the digest of the frame files and the state dir's fingerprint, the name of
-every marker and output, a stage's sweep of dead attempts' files and its
-done rule, and the ``mean_csd.csv`` format. The engine computes with
-these; the modules that compute with numpy import their names from here.
+every marker and output, a stage's sweep of dead attempts' files, its
+marker and its done rule, and the ``mean_csd.csv`` format. The engine and
+``potsim.stage`` compute with these; the modules that compute with numpy
+import their names from here.
 
-``finished`` answers, from these alone, whether every stage of a command is
-finished for a configuration as the engine would find it. The CLI asks it
-before it loads the engine, so re-running a finished command (the normal,
-idempotent case of a checkpointed pipeline) loads no numpy.
+A stage's marker records the byte size of each output it vouches for, and
+the stage is done only while each output has that size
+(``stage_done``): an output cut short or emptied under its marker reruns
+the stage's reduce instead of being handed back as finished.
+
+``finish`` answers, from these alone, a command whose stages are all
+finished, or all but a pending sim, which it runs through ``potsim.stage``.
 """
 
 from __future__ import annotations
@@ -254,17 +258,23 @@ def state_root(config: PipelineConfig) -> Path:
     return Path(config.state_dir) if config.state_dir else Path(config.out_dir) / "state"
 
 
+def check_dir(path: Path, role: str) -> None:
+    """Refuse, as a ConfigError naming it in its ``role``, a ``path`` that
+    cannot be a directory: one that is, or whose nearest existing parent
+    is, not a directory."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if existing.exists() and not existing.is_dir():
+        where = "" if existing == path else f": {existing}"
+        raise ConfigError(f"{role} {path}{where} is not a directory")
+
+
 def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
     """Create (or validate) the state dir; refuse fingerprint mismatches,
     and, before anything is written, an output or state dir that cannot be
-    a directory: one that is, or whose nearest existing parent is, not a
-    directory."""
+    a directory (``check_dir``)."""
     root = state_root(config)
-    for path, role in ((Path(config.out_dir), "output dir"), (root, "state dir")):
-        existing = next((p for p in (path, *path.parents) if p.exists()), path)
-        if existing.exists() and not existing.is_dir():
-            where = "" if existing == path else f": {existing}"
-            raise ConfigError(f"{role} {path}{where} is not a directory")
+    check_dir(Path(config.out_dir), "output dir")
+    check_dir(root, "state dir")
     root.mkdir(parents=True, exist_ok=True)
     fp_file = root / "fingerprint"
     remove_stray_tmp(root, time.time_ns(), {fp_file.name})
@@ -330,9 +340,25 @@ def sweep_stage(config: PipelineConfig, state_dir: Path, stage: str, outputs: li
         remove_stray_tmp(directory, started, names)
 
 
+def write_marker(state_dir: Path, stage: str, outputs: list[Path]) -> None:
+    """Commit ``stage``'s marker: the byte size of each of its ``outputs``,
+    by file name (unique among one stage's outputs), as JSON."""
+    sizes = {path.name: os.stat(path).st_size for path in outputs}
+    with committed(marker_path(state_dir, stage)) as tmp:
+        tmp.write_text(json.dumps(sizes) + "\n", encoding="utf-8")
+
+
 def stage_done(state_dir: Path, stage: str, outputs: list[Path]) -> bool:
-    """Whether ``stage`` is finished: its marker and ``outputs`` exist."""
-    return marker_path(state_dir, stage).exists() and all(map(os.path.exists, outputs))
+    """Whether ``stage`` is finished: its marker records each of
+    ``outputs`` at the size it has now. A missing output, one of another
+    size (cut short, say: a rename can reach the disk before the file's
+    data), and a marker that records no sizes, such as the empty marker of
+    earlier versions, each leave the stage not done."""
+    try:
+        sizes = json.loads(marker_path(state_dir, stage).read_bytes())
+        return all(sizes[path.name] == os.stat(path).st_size for path in outputs)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +427,29 @@ def check_pair_count(path: Path, pair_count: int, video_count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Finished commands
+# Commands without the engine
 
 
-def finished(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys | None:
+def finish(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys | None:
     """The shard layout if every stage of ``stages`` is finished for
-    ``config`` as the engine would find it, once the sweeps the engine
-    would run have run; else None, having changed nothing.
+    ``config`` as the engine would find it, or every one but sim, which
+    this then runs as the engine would (``stage.run_sim``), once the sweeps
+    the engine would run have run; else None, having changed nothing. The
+    CLI asks it before it loads the engine, so re-running a finished
+    command (the normal, idempotent case of a checkpointed pipeline) and
+    scoring the pairs of a finished mean load no numpy.
 
     The cheap checks come first: the settings (``check_settings``), then
     each stage's marker and outputs. Only then are the inputs digested, so
-    that a pending command, which the engine then runs, lists its frames
-    once. The fingerprint must match, and with mean among ``stages``,
-    ``mean_csd.csv`` must hold the manifest's pair count, as the engine's
-    mean stage checks on return. An error on the way (a bad setting, a
-    missing manifest, an unreadable file) is left for the engine to report.
+    that a command the engine then runs lists its frames once. The
+    fingerprint must match. The engine writes it only after
+    ``engine.check_config``, the flow window's fit included, passed for
+    these settings, so its match stands in for that check. With mean among
+    ``stages``, or sim pending, ``mean_csd.csv`` must hold the manifest's
+    pair count, as the engine's stages check; a pending sim checks mean's
+    marker and outputs itself, as in the engine. An error on the way (a
+    bad setting, a missing manifest, an unreadable file) is left for the
+    engine to report, as is any other pending stage.
     """
     try:
         check_settings(config)
@@ -423,17 +457,24 @@ def finished(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys | None:
         shard_keys = shard_layout(entries)
         state_dir = state_root(config)
         outputs = {stage: stage_outputs(config, state_dir, stage, shard_keys) for stage in stages}
-        if not all(stage_done(state_dir, stage, paths) for stage, paths in outputs.items()):
+        pending = [stage for stage in stages if not stage_done(state_dir, stage, outputs[stage])]
+        if pending not in ([], [STAGE_SIM]):
             return None
         fingerprint = (state_dir / "fingerprint").read_text(encoding="utf-8").strip()
         if fingerprint != config_fingerprint(config, entries):
             return None
-        if STAGE_MEAN in outputs:
-            path = outputs[STAGE_MEAN][0]
+        if STAGE_MEAN in stages or pending:
+            path = Path(config.out_dir) / MEAN_CSD_NAME
             check_pair_count(path, read_means(path)[1], len(entries))
     except (ConfigError, ValueError, OSError):
         return None
     remove_stray_tmp(state_dir, time.time_ns(), {"fingerprint"})
-    for stage, paths in outputs.items():
-        sweep_stage(config, state_dir, stage, paths)
+    for stage in stages:
+        if stage not in pending:
+            sweep_stage(config, state_dir, stage, outputs[stage])
+    if pending:
+        # imported here: a command with no stage to run loads no stage code
+        from .stage import run_sim
+
+        run_sim(config, state_dir, shard_keys)
     return shard_keys

@@ -4,12 +4,14 @@ Chi-square distances, corpus means, kernel distance, and similarity score.
 For a pair of videos, a chi-square distance is computed in each of the six
 (series, pooling) slots. Slot distances are normalized by the corpus-wide
 mean distance of that slot, summed into a kernel distance, and mapped to a
-similarity in (0, 1] by exp(-kd / 10).
+similarity in (0, 1] by exp(-kd / 10) (``stage.similarity_score``). The sim
+stage scores its pairs without numpy (``stage.write_similarity``);
+``kernel_distance`` is the block form of the same sum and the reference the
+tests compare it against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,9 +19,6 @@ import numpy as np
 
 from .layout import SLOTS, read_means, write_means
 from .pooling import slot_bounds
-
-SCORE_DECAY = 10.0  # kernel-distance scale in exp(-kd / SCORE_DECAY)
-
 
 @dataclass
 class MeanCsd:
@@ -148,13 +147,6 @@ def kernel_distance(csd: np.ndarray, mean: MeanCsd) -> np.ndarray:
         if m > 0.0:
             total += csd[..., s] / m
     return total
-
-
-def similarity_score(kd: float) -> float:
-    """Map a kernel distance in [0, inf) to a similarity in (0, 1]."""
-    if kd < 0.0:
-        raise ValueError(f"kernel distance must be >= 0, got {kd}")
-    return math.exp(-kd / SCORE_DECAY)
 
 
 def write_mean_csd_csv(mean: MeanCsd, path: str | Path) -> None:

@@ -35,8 +35,8 @@ from potsim.similarity import (
     csd_sixtuple,
     kernel_distance,
     mean_csd,
-    similarity_score,
 )
+from potsim.stage import similarity_score
 
 FAST_FB = FarnebackParams(levels=2, winsize=9, iterations=2)
 

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potsim.archive import ArchiveRecord, read_archive, write_archive, write_shards
-from potsim.engine import _row_counts, plan_pair_stage
+from potsim.engine import plan_pair_stage
 from potsim.layout import shard_records
 from potsim.pooling import pot_vector
+from potsim.stage import row_counts
 
 
 def make_record(key, seed=0, interval_count=7, frame_count=30):
@@ -233,7 +234,7 @@ def row_pairs(shards):
     rows = []
     for task in plan_pair_stage(shards, Path("state")):
         later = [key for shard in task.payload[1] for key in shard]
-        counts = _row_counts(task)
+        counts = row_counts(shards, task.id)
         rows.append([(a, b) for a, n in zip(later, counts) for b in later[len(later) - n :]])
     return rows
 

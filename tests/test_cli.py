@@ -280,8 +280,8 @@ def out_tree(out):
 
 class TestFinishedCommand:
     """A command whose stages are all finished answers from
-    ``layout.finished`` without the engine; anything stale falls through
-    to the engine, which behaves as it did before that check existed."""
+    ``layout.finish`` without the engine; anything stale falls through to
+    the engine, which behaves as it did before that check existed."""
 
     @pytest.mark.parametrize("dump", [False, True])
     @pytest.mark.parametrize("command", ["extract", "mean", "sim", "run"])
@@ -325,7 +325,7 @@ class TestFinishedCommand:
             shutil.rmtree(out, ignore_errors=True)
             shutil.copytree(base, out)
             if engine_only:  # the CLI runs every command in the engine
-                monkeypatch.setattr(layout, "finished", lambda config, stages: None)
+                monkeypatch.setattr(layout, "finish", lambda config, stages: None)
             caplog.clear()
             code = run_cli(argv[0], manifest, out, argv[1:])
             captured = capsys.readouterr()
@@ -340,10 +340,11 @@ class TestFinishedCommand:
         }
 
     def test_inputs_digested_once(self, tmp_path, monkeypatch, capsys):
-        """A finished command digests its inputs once, in layout.finished.
-        A pending mean or sim (a deleted output) digests them once too, in
-        the engine: layout.finished checks the outputs first. It rewrites
-        the output with the same bytes."""
+        """A finished command digests its inputs once, in layout.finish. A
+        pending mean or sim (a deleted output) digests them once too, in the
+        engine or, for sim, in layout.finish, which runs it: it checks the
+        outputs before the digest. It rewrites the output with the same
+        bytes."""
         manifest = make_corpus(tmp_path / "c", n=3)
         out = tmp_path / "out"
         assert run_cli("run", manifest, out) == 0
@@ -354,7 +355,7 @@ class TestFinishedCommand:
             calls.append(len(entries))
             return real(entries)
 
-        # the digests taken by layout.finished and by the engine
+        # the digests taken by layout.finish and by the engine
         monkeypatch.setattr(layout, "_input_digest", counted)
         monkeypatch.setattr(engine, "_input_digest", counted)
         for command in ("extract", "mean", "sim", "run"):
@@ -369,6 +370,39 @@ class TestFinishedCommand:
             assert calls == [3], command
             assert (out / output).read_bytes() == before
         capsys.readouterr()
+
+    @pytest.mark.parametrize("engine_only", [False, True], ids=["finish", "engine"])
+    @pytest.mark.parametrize(
+        "output, stage_name, commands",
+        [("similarity.csv", "sim", ["sim", "run"]), ("mean_csd.csv", "mean", ["mean", "run"])],
+    )
+    def test_output_emptied_under_its_marker_reruns_its_reduce(
+        self, tmp_path, monkeypatch, capsys, caplog, output, stage_name, commands, engine_only
+    ):
+        """An output emptied under its stage's marker, as a crash that
+        renames a file before its data reach the disk can leave it, is not
+        finished: the command reruns that stage's reduce, and no task and
+        no other stage, to a fresh run's files, markers included, whether
+        layout.finish answers or the engine does."""
+        manifest = make_corpus(tmp_path / "c", n=3)
+        base = tmp_path / "base"
+        assert run_cli("run", manifest, base) == 0
+        if engine_only:
+            monkeypatch.setattr(layout, "finish", lambda config, stages: None)
+        caplog.set_level("INFO", logger="potsim")
+        pattern = r"stage=(\w+) tasks_ran=(\d+) tasks_skipped=(\d+) tasks_failed=0"
+        for command in commands:
+            out = tmp_path / command
+            shutil.copytree(base, out)
+            (out / output).write_bytes(b"")
+            caplog.clear()
+            capsys.readouterr()
+            assert run_cli(command, manifest, out) == 0
+            assert capsys.readouterr().err == ""
+            lines = [re.fullmatch(pattern, m) for m in caplog.messages]
+            tasks = 1 if stage_name == "mean" else 0
+            assert [m.groups() for m in lines if m] == [(stage_name, "0", str(tasks))], command
+            assert out_tree(out) == out_tree(base), command
 
     def test_touched_frame_is_refused(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path / "c", n=3)
@@ -468,6 +502,25 @@ class TestHeatmapCommand:
         assert main(["heatmap", str(csv_path), "--out", str(tmp_path / "h")]) == 1
         assert f"{csv_path}: no pairs" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["similarity.csv"]
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("afile/h", "output dir {tmp}/afile is not a directory"),
+            ("afile/sub/h", "output dir {tmp}/afile/sub: {tmp}/afile is not a directory"),
+        ],
+        ids=["in-file", "under-file"],
+    )
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys, out, message):
+        """An --out whose directory is, or lies under, a regular file exits
+        2 naming it, as a stage command's --out does, and writes nothing."""
+        csv_path = tmp_path / "similarity.csv"
+        self.write_sim_csv(csv_path, [("a", "b", "0.5")])
+        (tmp_path / "afile").write_bytes(b"a file")
+        assert main(["heatmap", str(csv_path), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "similarity.csv"]
+        assert (tmp_path / "afile").read_bytes() == b"a file"
 
     def test_memory_holds_the_image_not_the_pairs(self, tmp_path):
         """400 keys, 79,800 pairs: the render allocates under 4 MiB at its
@@ -633,9 +686,10 @@ def test_pair_stages_import_no_scipy(tmp_path):
     """Only flow uses scipy: importing potsim, and the commands that run no
     flow (mean, sim, --help, any command on a finished state dir), leave it
     out. Those that only parse arguments (importing potsim, --help, a
-    subcommand's --help, a usage error, an unknown POTSIM_LOG level) and
-    those whose stages are all finished (extract, mean, sim and run, rerun)
-    leave numpy out too."""
+    subcommand's --help, a usage error, an unknown POTSIM_LOG level), a
+    pending sim, a run whose only pending stage is sim, and those whose
+    stages are all finished (extract, mean, sim and run, rerun) leave numpy
+    and the engine out too."""
     manifest = make_corpus(tmp_path / "c", n=3)
     out = tmp_path / "out"
     assert run_cli("extract", manifest, out) == 0
@@ -643,32 +697,38 @@ def test_pair_stages_import_no_scipy(tmp_path):
         "import sys\n"
         "import potsim, potsim.cli\n"
         "code = potsim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
+        "print(*(m in sys.modules for m in ('scipy', 'numpy', 'potsim.engine')))\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
-    def stage(command, numpy_loaded):
+    def stage_case(command, engine_loaded):
         argv = [command, "--manifest", str(manifest), "--out", str(out), *FAST_FLAGS]
-        return argv, {}, 0, numpy_loaded
+        return argv, {}, 0, engine_loaded
 
-    cases = [
-        ([], {}, 0, False),
-        stage("mean", True),
-        stage("sim", True),
-        *(stage(command, False) for command in ("extract", "mean", "sim", "run")),
-        (["--help"], {}, 0, False),
-        (["extract", "--help"], {}, 0, False),
-        (["bogus"], {}, 2, False),
-        (["--help"], {"POTSIM_LOG": "BOGUS"}, 2, False),
-    ]
-    for argv, extra_env, code, numpy_loaded in cases:
+    def check(argv, extra_env, code, engine_loaded):
         result = subprocess.run(
             [sys.executable, "-c", probe, *argv], env={**env, **extra_env},
             capture_output=True, text=True,
         )
         assert result.returncode == code, (argv, result.stderr[-2000:])
-        assert result.stdout.splitlines()[-1] == f"False {numpy_loaded}", argv
-    assert (out / "similarity.csv").exists()
+        assert result.stdout.splitlines()[-1] == f"False {engine_loaded} {engine_loaded}", argv
+
+    cases = [
+        ([], {}, 0, False),
+        stage_case("mean", True),
+        stage_case("sim", False),
+        *(stage_case(command, False) for command in ("extract", "mean", "sim", "run")),
+        (["--help"], {}, 0, False),
+        (["extract", "--help"], {}, 0, False),
+        (["bogus"], {}, 2, False),
+        (["--help"], {"POTSIM_LOG": "BOGUS"}, 2, False),
+    ]
+    for case in cases:
+        check(*case)
+    before = (out / "similarity.csv").read_bytes()
+    (out / "similarity.csv").unlink()
+    check(*stage_case("run", False))
+    assert (out / "similarity.csv").read_bytes() == before
 
 
 def test_help_loads_only_the_parser():

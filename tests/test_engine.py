@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from itertools import combinations, combinations_with_replacement
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video, slots_of, write_corpus, write_video_dir
-from potsim import archive, commit, descriptors, engine, layout
+from potsim import archive, commit, descriptors, engine, layout, stage
 from potsim.archive import ArchiveRecord, read_archive, write_archive
 from potsim.cli import main
 from potsim.engine import (
@@ -107,8 +108,9 @@ def to_shard_pair_layout(out, cfg):
     keys = [key for shard in shard_keys for key in shard]
     shard_of = {key: i for i, shard in enumerate(shard_keys) for key in shard}
     row_of = {}
-    for g, (key_a, rows) in enumerate(engine._key_rows(tasks)):
-        row_of.update(((key_a, key_b), row.tobytes()) for key_b, row in zip(keys[g + 1 :], rows))
+    for g, (key_a, data) in enumerate(stage.key_rows(state, shard_keys)):
+        rows = [data[k : k + stage.ROW_BYTES] for k in range(0, len(data), stage.ROW_BYTES)]
+        row_of.update(((key_a, key_b), row) for key_b, row in zip(keys[g + 1 :], rows, strict=True))
     pairs = combinations_with_replacement(range(len(shard_keys)), 2)
     for n, shard_pair in enumerate(pairs):
         data = b"".join(row for (a, b), row in row_of.items() if (shard_of[a], shard_of[b]) == shard_pair)
@@ -698,6 +700,26 @@ class TestFullPipeline:
         assert all((state / f"{stage}.done").exists() for stage in ("extract", "mean", "sim"))
         assert [(out / name).read_bytes() for name in names] == before
 
+    def test_empty_markers_rerun_only_the_reduces(self, tmp_path, caplog):
+        """A state dir whose markers are empty, as earlier versions wrote
+        them, records no output sizes: each stage reruns its reduce and no
+        task, and every file is as a fresh run leaves it, each marker then
+        recording its outputs' sizes by name."""
+        manifest = small_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        run_pipeline(cfg)
+        before = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        state = out / "state"
+        for stage_name in ("extract", "mean", "sim"):
+            (state / f"{stage_name}.done").write_bytes(b"")
+        caplog.set_level("INFO", logger="potsim.engine")
+        run_pipeline(cfg)
+        assert stage_counts(caplog) == {"extract": (0, 3, 0), "mean": (0, 1, 0), "sim": (0, 0, 0)}
+        assert {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        size = (out / "similarity.csv").stat().st_size
+        assert json.loads((state / "sim.done").read_text(encoding="utf-8")) == {"similarity.csv": size}
+
     def test_parent_layout_state_dir_resumes(self, tmp_path, monkeypatch):
         """A finished state dir of the shard-pair layout: `potsim run` exits
         0, reruns the mean tasks into row files, and leaves every file in
@@ -1186,16 +1208,37 @@ class TestPairStages:
         write_mean_csd_csv(mean_csd(sums, len(pairs)), tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_similarity_csv_equals_scalar_oracle(self, tmp_path, monkeypatch, shards):
+    @pytest.mark.parametrize(
+        "shards, hog_threshold",
+        [(1, None), (3, None), (3, 255.0)],
+        ids=["1", "3", "3-zero-hog-means"],
+    )
+    def test_similarity_csv_equals_scalar_oracle(self, tmp_path, monkeypatch, shards, hog_threshold):
         """similarity.csv is byte-identical to a reference built pair by pair
         from scalars: chi_square per slot, a += mean in key-pair order, the
-        kernel as a loop over slots, math.exp and repr."""
+        kernel as a loop over slots that skips a slot of mean 0, math.exp
+        and repr. Both from `run`, in the engine, and from `sim` alone on
+        a copy finished through mean, which layout.finish runs without it. A
+        HoG threshold that no frame difference reaches makes the three HoG
+        slots' means 0."""
         videos = {f"n{i:02d}": noise_video(5, 24, seed=70 + i) for i in range(24)}
         manifest = write_corpus(tmp_path / "c", videos)
         out = tmp_path / "out"
         set_shards(monkeypatch, 24, shards)
-        sim = run_pipeline(fast_config(manifest, out))
+        threshold = {} if hog_threshold is None else {"hog_threshold": hog_threshold}
+        sim = run_pipeline(fast_config(manifest, out, **threshold))
+        means = layout.read_means(out / "mean_csd.csv")[0]
+        assert (means[3:] == [0.0] * 3) == (hog_threshold is not None)
+        assert all(means[:3])
+
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        (copy / "similarity.csv").unlink()
+        (copy / "state" / "sim.done").unlink()
+        flags = [] if hog_threshold is None else ["--hog-threshold", str(hog_threshold)]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_stages", None)  # the CLI must not need it
+            assert main([*fast_argv("sim", manifest, copy), *flags]) == 0
 
         features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
         pairs = list(combinations(sorted(features), 2))
@@ -1218,6 +1261,26 @@ class TestPairStages:
                     kd += value / m
             lines.append(f"{a},{b},{math.exp(-kd / 10.0)!r}\n")
         assert sim.read_bytes() == "".join(lines).encode()
+        assert (copy / "similarity.csv").read_bytes() == "".join(lines).encode()
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="simulates a big-endian host")
+    def test_sim_swaps_the_rows_on_a_big_endian_host(self, tmp_path, monkeypatch):
+        """The rows are little-endian, so on a big-endian host sim swaps
+        each key's bytes before it reads them as floats. Row files with the
+        bytes of each float reversed, read as a big-endian host reads them,
+        give the same similarity.csv."""
+        manifest = small_corpus(tmp_path / "c", n=4)
+        set_shards(monkeypatch, 4, 2)
+        out = tmp_path / "out"
+        cfg = fast_config(manifest, out)
+        expected = run_pipeline(cfg).read_bytes()
+        for rows in (out / "state" / STAGE_MEAN).glob("rows-*.out"):
+            values = array("d", rows.read_bytes())
+            values.byteswap()
+            rows.write_bytes(values.tobytes())
+        (out / "similarity.csv").unlink()
+        monkeypatch.setattr(sys, "byteorder", "big")
+        assert run_similarity(cfg).read_bytes() == expected
 
     @pytest.mark.parametrize("shards", [1, 3, 12])
     def test_mean_rows_equal_csd_sixtuple(self, tmp_path, monkeypatch, shards):
@@ -1275,7 +1338,7 @@ class TestPairStages:
         set_shards(monkeypatch, 24, 24)
         free = tmp_path / "free"
         rows_dir = str(free / "state" / STAGE_MEAN) + os.sep
-        real_key_rows = engine._key_rows
+        real_key_rows = stage.key_rows
         open_rows = []
 
         def open_row_files():
@@ -1285,12 +1348,14 @@ class TestPairStages:
                     count += os.readlink(f"/proc/self/fd/{fd}").startswith(rows_dir)
             return count
 
-        def counting_key_rows(tasks):
-            for item in real_key_rows(tasks):
+        def counting_key_rows(state_dir, shard_keys):
+            for item in real_key_rows(state_dir, shard_keys):
                 open_rows.append(open_row_files())
                 yield item
 
-        monkeypatch.setattr(engine, "_key_rows", counting_key_rows)
+        # the walk, where mean's reduce and sim's look it up
+        monkeypatch.setattr(engine, "key_rows", counting_key_rows)
+        monkeypatch.setattr(stage, "key_rows", counting_key_rows)
         assert main(fast_argv("run", manifest, free)) == 0
         assert len(list((free / "state" / STAGE_MEAN).glob("rows-*.out"))) == 24
         assert open_rows == [1] * 48  # 24 keys, by mean's reduce and by sim
@@ -1347,7 +1412,7 @@ def hook_commit_points(monkeypatch, at: int | None) -> list[int]:
                 os.truncate(tmp, os.path.getsize(tmp) // 2)
                 os._exit(KILLED)
 
-    for module in (engine, archive, descriptors, layout):
+    for module in (engine, archive, descriptors, layout, stage):
         monkeypatch.setattr(module, "committed", hooked)
     return count
 

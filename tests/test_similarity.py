@@ -19,9 +19,9 @@ from potsim.similarity import (
     mean_csd,
     ordered_sum,
     read_mean_csd_csv,
-    similarity_score,
     write_mean_csd_csv,
 )
+from potsim.stage import similarity_score
 
 
 def feature_from(values):
