@@ -14,12 +14,13 @@ error. ``POT_STATE_DIR`` overrides the default state directory.
 
 The parser is built from ``params`` alone, so ``--help``, a subcommand's
 ``--help`` and a usage error load neither numpy nor ``layout``. A stage
-command then asks ``layout.finish``, which needs no numpy, to answer it: it
-does when every stage the command runs is finished, or every one but sim,
-which it then runs. Only for other work left does the CLI import the engine
-and run those stages (``engine.run_stages``). Either way it has the shard
-layout, from which one function (``_result_line``) makes the line it
-prints, so the line does not depend on which path made it. ``heatmap``
+command runs through ``layout.run_command``, the driver of every command,
+which needs no numpy: the CLI hands it ``_check_fit`` and ``_stage_body``,
+which import the engine only when called, for a stage left to extract or
+mean or a state dir without this fingerprint. So a command whose stages
+are all finished, or all but sim, loads neither numpy nor the engine. The
+driver returns the shard layout, from which ``_result_line`` makes the
+line the command prints. ``heatmap``
 refuses an ``--out`` whose directory cannot be one as the stage commands
 refuse theirs (``layout.check_dir``), before it reads or writes anything.
 ``entry`` is the process entry of ``potsim``, ``python -m potsim`` and
@@ -48,7 +49,7 @@ from .params import (
 )
 
 if TYPE_CHECKING:
-    from .layout import PipelineConfig, ShardKeys
+    from .layout import PipelineConfig, Run, ShardKeys
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -56,7 +57,7 @@ EXIT_USAGE = 2
 
 
 # argparse checks only the syntax of a value; layout.check_settings and
-# engine.check_config decide which values a run can use, for the CLI and
+# engine.check_fit decide which values a run can use, for the CLI and
 # library callers alike.
 def _parse_resize(value: str) -> tuple[int, int]:
     try:
@@ -176,6 +177,19 @@ def render_heatmap(sim_csv: str | Path, out_prefix: str | Path) -> tuple[Path, P
     return pgm_path, keys_path
 
 
+# the engine's halves of the driver, imported only when the driver calls one
+def _check_fit(config: PipelineConfig) -> None:
+    from .engine import check_fit
+
+    check_fit(config)
+
+
+def _stage_body(config: PipelineConfig, run: Run, stage: str, outputs: list[Path]) -> None:
+    from .engine import stage_body
+
+    stage_body(config, run, stage, outputs)
+
+
 def _result_line(command: str, config: PipelineConfig, shard_keys: ShardKeys) -> str:
     """The line a finished ``command`` prints, from the shard layout: the
     mean stage has checked mean_csd.csv's pair count against it."""
@@ -239,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     # the run's settings and files load here, numpy and the engine only for
     # a command with work left but sim: parsing, --help and usage errors pay
     # for neither
-    from .layout import STAGES, ConfigError, StageError, finish
+    from .layout import STAGES, ConfigError, StageError, run_command
 
     try:
         if args.command == "heatmap":
@@ -249,11 +263,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = _config_from_args(args)
         stages = STAGES if args.command == "run" else (args.command,)
-        shard_keys = finish(config, stages)
-        if shard_keys is None:
-            from .engine import run_stages
-
-            shard_keys = run_stages(config, stages)
+        shard_keys = run_command(config, stages, _check_fit, _stage_body)
         print(_result_line(args.command, config, shard_keys))
         return EXIT_OK
     except ConfigError as exc:

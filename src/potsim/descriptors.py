@@ -28,7 +28,6 @@ import numpy as np
 from .commit import committed
 from .flow import FarnebackParams, farneback_flow
 from .frames import _frozen
-from .layout import series_dump_path
 from .params import DEFAULT_HOG_THRESHOLD
 
 GRID = 5
@@ -200,13 +199,12 @@ def compute_series(
     return np.delete(hof, spanning, axis=0), np.delete(hog, spanning, axis=0)
 
 
-def dump_series_text(series: np.ndarray, kind: str, key: str, out_dir: str | Path) -> Path:
-    """Write a ``(pairs, 200)`` series of ``kind`` ("hof" or "hog") as
-    `<key>.of.txt` / `<key>.hog.txt`, one line per frame pair, 200
-    space-separated values with full round-trip precision."""
-    path = series_dump_path(out_dir, key, kind)
+def dump_series_text(series: np.ndarray, path: str | Path) -> None:
+    """Write a ``(pairs, 200)`` series to ``path`` (``layout.dump_paths``
+    names a video's), one line per frame pair, 200 space-separated values
+    with full round-trip precision."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [" ".join(repr(float(v)) for v in row) for row in series]
     with committed(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path

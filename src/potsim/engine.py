@@ -39,39 +39,36 @@ is ``layout``'s: the config and its checks, the manifest, the shard
 layout, the fingerprint, the state dir, each marker's and output's name,
 and a stage's sweep, marker and done rule. How a stage runs, the mean
 rows' format and walk and the whole sim stage are ``stage``'s, which needs
-no numpy either. This module computes extract and mean with them; the CLI
-asks ``layout.finish`` before it imports this module, so a command whose
-stages are all finished, or all but sim, never loads it.
+no numpy either. This module computes extract and mean with them.
 
-``run_stages`` runs a command's stages in order after one preamble: it
-checks the whole configuration (``check_config``: ``layout.check_settings``
-and the flow window's fit) before it reads the manifest or touches the
-state dir, then cuts the manifest's sorted keys into ``shard_count(N)``
-near-equal shards once (``layout.shard_layout``) and hands those key lists
-to every stage, and the mean tasks' plan to mean and sim alike. The layout
-is a function of the key set alone. ``run_extract``, ``run_mean``,
-``run_similarity`` and ``run_pipeline`` are ``run_stages`` of one stage or
-of all three.
+Every command, the CLI's and this module's, is driven by
+``layout.run_command``: it checks the settings, reads the manifest, cuts
+the shard layout and digests the inputs once, checks or writes the
+fingerprint, and for each stage makes mean's pair-count check, the sweep
+and the done rule, then runs a pending sim itself. A pending extract or
+mean comes here, to ``stage_body``, and the flow window's fit, which needs
+numpy, to ``check_fit``; ``run_extract``, ``run_mean``, ``run_similarity``
+and ``run_pipeline`` hand both to the driver, and the CLI hands it
+wrappers that import this module only when one is called. So a command
+whose stages are all finished, or all but sim, never loads it.
 
 Every file, markers included, is written to a temporary file of its own
 attempt and renamed into place (``commit.committed``), so a file that
-exists is finished. Each stage is its plan plus its reduce, run by
+exists is finished. Each pending stage is its plan plus its reduce, run by
 ``stage.run_stage``, which is handed ``_run_packet`` to run the tasks: it
-removes what dead attempts left of the stage's files
-(``layout.sweep_stage``), returns if the marker ``<stage>.done`` records
-each output at the size it has (``layout.stage_done``), refuses missing
-inputs, runs the tasks whose outputs are missing and skips the rest, logs
-the task counts, reduces and commits the marker, which records its
-outputs' sizes. The state dir's fingerprint covers the parameters, the
-flow's precision and the frame files (names, sizes, mtimes), so a resume
-never reuses the results that state dir holds for changed inputs or for a
-flow of another precision. The files in ``--out`` are not covered: mean
-reads the shards there as they are, and a stage whose marker is in its
-state dir keeps its outputs there, so two state dirs with other parameters
-sharing one ``--out`` can leave means and scores of one run beside the
-shards of the other. Outputs are byte-identical for any worker count and
-shard layout: task outputs do not depend on scheduling, and the reduce
-runs single-threaded in global key-pair order after the stage barrier.
+refuses missing inputs, runs the tasks whose outputs are missing and skips
+the rest, logs the task counts, reduces and commits the marker
+``<stage>.done``, which records its outputs' sizes. The state dir's
+fingerprint covers the parameters, the flow's precision and the frame
+files (names, sizes, mtimes), so a resume never reuses the results that
+state dir holds for changed inputs or for a flow of another precision.
+The files in ``--out`` are not covered: mean reads the shards there as
+they are, and a stage whose marker is in its state dir keeps its outputs
+there, so two state dirs with other parameters sharing one ``--out`` can
+leave means and scores of one run beside the shards of the other. Outputs
+are byte-identical for any worker count and shard layout: task outputs do
+not depend on scheduling, and the reduce runs single-threaded in global
+key-pair order after the stage barrier.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ import importlib
 import time
 from itertools import zip_longest
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,7 +87,6 @@ from .flow import validate_params
 from .frames import load_frame_sequence
 from .layout import (
     MEAN_CSD_NAME,
-    SERIES_KINDS,
     SIMILARITY_NAME,
     SLOTS,
     STAGE_EXTRACT,
@@ -100,63 +95,31 @@ from .layout import (
     STAGES,
     ConfigError,
     PipelineConfig,
+    Run,
     ShardKeys,
     StageError,
-    _input_digest,
-    check_pair_count,
-    check_settings,
-    config_fingerprint,
-    marker_path,
+    dump_paths,
     mean_rows_path,
-    parse_manifest,
-    prepare_state,
     read_means,
-    series_dump_path,
-    shard_layout,
+    run_command,
     shard_path,
-    stage_outputs,
+    write_means,
 )
 from .pooling import pot_vector
-from .similarity import (
-    MeanCsd,
-    csd_stack,
-    mean_csd,
-    ordered_sum,
-    read_mean_csd_csv,
-    write_mean_csd_csv,
-)
+from .similarity import MeanCsd, csd_stack, mean_csd, ordered_sum
 # unused here, but bound: perfbench's tracer wraps them by these names
 from .similarity import csd_sixtuple, kernel_distance  # noqa: F401
-from .stage import ROW_DTYPE, Task, TaskResults, describe, key_rows, run_sim, run_stage
+from .stage import ROW_DTYPE, Task, TaskResults, describe, key_rows, run_stage
 
 
-def check_config(config: PipelineConfig) -> None:
-    """Refuse any setting that no run can use, before anything is read:
-    ``layout.check_settings``, then the flow window's fit."""
-    check_settings(config)
+def check_fit(config: PipelineConfig) -> None:
+    """Refuse flow settings whose expansion window has no fit
+    (``flow.validate_params``): the one check of the settings that needs
+    numpy, which ``layout.run_command`` runs before it writes a fingerprint."""
     try:
         validate_params(config.farneback)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-class _Run(NamedTuple):
-    """What every stage of a run works from (``_prepare_stage``)."""
-
-    entries: list[tuple[str, str]]  # the manifest's, in key order
-    shard_keys: ShardKeys  # each shard's sorted keys, empty shards omitted
-    state_dir: Path  # validated against the fingerprint
-    frame_counts: dict[str, int]  # each key's, from the fingerprint's listing
-
-
-def _prepare_stage(config: PipelineConfig) -> _Run:
-    """Preamble shared by all stages: check the config, read the manifest,
-    cut the shard layout, then digest the inputs and validate the state dir."""
-    check_config(config)
-    entries = parse_manifest(config.manifest)
-    inputs, frame_counts = _input_digest(entries)
-    state_dir = prepare_state(config, config_fingerprint(config, entries, inputs))
-    return _Run(entries, shard_layout(entries), state_dir, frame_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +131,6 @@ def plan_extract(
 ) -> list[Task]:
     """One task per video, ordered by key."""
     work_dir = state_dir / STAGE_EXTRACT
-    dumps = SERIES_KINDS if config.dump_series else ()
     return [
         Task(
             id=task_id,
@@ -176,7 +138,7 @@ def plan_extract(
             label=key,
             payload=(key, directory),
             out_path=str(work_dir / f"task-{task_id}.out"),
-            dump_paths=tuple(str(series_dump_path(config.out_dir, key, k)) for k in dumps),
+            dump_paths=tuple(map(str, dump_paths(config, key))),
         )
         for task_id, (key, directory) in enumerate(entries)
     ]
@@ -290,12 +252,10 @@ def _commit_features(
 ) -> None:
     """Pool a video's series into its record and commit it: its series
     dumps first, if asked for, then its archive."""
-    key = task.label
     feature = pot_vector(hof, hog, config.levels)
-    record = ArchiveRecord(key=key, frame_count=frame_count, feature=feature)
-    if task.dump_paths:
-        dump_series_text(hof, "hof", key, config.out_dir)
-        dump_series_text(hog, "hog", key, config.out_dir)
+    record = ArchiveRecord(key=task.label, frame_count=frame_count, feature=feature)
+    for series, path in zip((hof, hog), task.dump_paths):
+        dump_series_text(series, path)
     # the task's last act: its archive exists only once the dumps do
     with committed(task.out_path) as tmp:
         write_archive([record], tmp)
@@ -363,50 +323,42 @@ def _run_packet(config: PipelineConfig, packet: list[Task]) -> TaskResults:
 # Stages
 
 
-def run_stages(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys:
-    """Run ``stages``, some of STAGES in that order, with checkpointing,
-    after one preamble (``_prepare_stage``): the manifest and the inputs
-    are read and fingerprinted once for all. Returns the shard layout."""
-    run = _prepare_stage(config)
-    if STAGE_EXTRACT in stages:
-        _extract(config, run)
-    if STAGE_MEAN in stages:
-        _mean(config, run)
-    if STAGE_SIM in stages:
-        run_sim(config, run.state_dir, run.shard_keys)
-    return run.shard_keys
+def stage_body(config: PipelineConfig, run: Run, stage: str, outputs: list[Path]) -> None:
+    """Run a pending extract or mean stage, which ``layout.run_command`` has
+    swept and found not done."""
+    (_extract if stage == STAGE_EXTRACT else _mean)(config, run, outputs)
 
 
 def run_extract(config: PipelineConfig) -> list[Path]:
     """Extract stage: per-video features, then range-partitioned shards;
     returns the shards' paths."""
-    shard_keys = run_stages(config, (STAGE_EXTRACT,))
+    shard_keys = run_command(config, (STAGE_EXTRACT,), check_fit, stage_body)
     return [shard_path(config.out_dir, i) for i in range(len(shard_keys))]
 
 
 def run_mean(config: PipelineConfig) -> MeanCsd:
     """Mean stage: per-pair slot distances, summed in global key-pair order
     into mean_csd.csv, which is returned."""
-    run_stages(config, (STAGE_MEAN,))
-    return read_mean_csd_csv(Path(config.out_dir) / MEAN_CSD_NAME)
+    run_command(config, (STAGE_MEAN,), check_fit, stage_body)
+    means, pair_count = read_means(Path(config.out_dir) / MEAN_CSD_NAME)
+    return MeanCsd(means=np.array(means), pair_count=pair_count)
 
 
 def run_similarity(config: PipelineConfig) -> Path:
     """Similarity stage: the mean rows, read in key-pair order and
     normalised by the corpus means into similarity.csv."""
-    run_stages(config, (STAGE_SIM,))
+    run_command(config, (STAGE_SIM,), check_fit, stage_body)
     return Path(config.out_dir) / SIMILARITY_NAME
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
-    """Extract, mean, and similarity in sequence (``run_stages``)."""
-    run_stages(config, STAGES)
+    """Extract, mean, and similarity in sequence."""
+    run_command(config, STAGES, check_fit, stage_body)
     return Path(config.out_dir) / SIMILARITY_NAME
 
 
-def _extract(config: PipelineConfig, run: _Run) -> None:
+def _extract(config: PipelineConfig, run: Run, outputs: list[Path]) -> None:
     tasks = plan_extract(config, run.entries, run.state_dir)
-    outputs = stage_outputs(config, run.state_dir, STAGE_EXTRACT, run.shard_keys)
     archives = {task.label: task.out_path for task in tasks}
 
     def reduce() -> None:
@@ -422,10 +374,8 @@ def _extract(config: PipelineConfig, run: _Run) -> None:
     run_stage(config, run.state_dir, STAGE_EXTRACT, outputs, reduce, [], tasks, _run_packet, pack)
 
 
-def _mean(config: PipelineConfig, run: _Run) -> None:
+def _mean(config: PipelineConfig, run: Run, outputs: list[Path]) -> None:
     tasks = plan_pair_stage(run.shard_keys, run.state_dir)
-    outputs = stage_outputs(config, run.state_dir, STAGE_MEAN, run.shard_keys)
-    out_path = outputs[0]
 
     def reduce() -> None:
         # one row at a time in global key-pair order, as a += loop would:
@@ -440,22 +390,9 @@ def _mean(config: PipelineConfig, run: _Run) -> None:
             mean = mean_csd(total, pair_count)
         except ValueError as exc:
             raise StageError(STAGE_MEAN, [("reduce", str(exc))]) from exc
-        with committed(out_path) as tmp:
-            write_mean_csd_csv(mean, tmp)
+        with committed(outputs[0]) as tmp:
+            write_means(mean.means.tolist(), mean.pair_count, tmp)
 
-    video_count = sum(map(len, run.shard_keys))
-    if marker_path(run.state_dir, STAGE_MEAN).exists():
-        # the done rule reruns the reduce over a mean_csd.csv cut short
-        # under mean's marker; a whole one of another corpus there (two
-        # state dirs sharing one --out) is refused instead, as on return
-        try:
-            _, pair_count = read_means(out_path)
-        except (OSError, ValueError):
-            pass
-        else:
-            check_pair_count(out_path, pair_count, video_count)
     # the tasks check the keys of the shards they read
     shards = [shard_path(config.out_dir, i) for i in range(len(run.shard_keys))]
     run_stage(config, run.state_dir, STAGE_MEAN, outputs, reduce, shards, tasks, _run_packet)
-    # checked on return, as layout.finish checks it, a finished stage's too
-    check_pair_count(out_path, read_means(out_path)[1], video_count)

@@ -1,5 +1,6 @@
 """
-The run's files and settings, without numpy.
+The run's files and settings, and the driver of every command, without
+numpy.
 
 Every pure-Python decision about what a run reads and writes is made here
 once: the settings (``PipelineConfig``), their checks (``check_settings``)
@@ -15,8 +16,15 @@ the stage is done only while each output has that size
 (``stage_done``): an output cut short or emptied under its marker reruns
 the stage's reduce instead of being handed back as finished.
 
-``finish`` answers, from these alone, a command whose stages are all
-finished, or all but a pending sim, which it runs through ``potsim.stage``.
+``run_command`` drives every command, the CLI's and the library's
+(``engine.run_extract`` and the others) alike: it reads the manifest and
+digests the inputs once, checks or writes the fingerprint, and for each
+stage makes mean's pair-count check, the sweep and the done rule. It runs
+a pending sim through ``potsim.stage`` and hands a pending extract or mean
+to the stage body its caller supplies. The flow window's fit, the one
+check that needs numpy, is the caller's too, and runs only where the
+state dir holds no fingerprint or another one: a matching fingerprint was
+written after that check passed for these settings, so it vouches for it.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import os
 import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .commit import committed, remove_stray_tmp
 from .params import (
@@ -101,8 +109,8 @@ class PipelineConfig:
 
 
 def check_settings(config: PipelineConfig) -> None:
-    """Refuse any setting that no run can use: all of
-    ``engine.check_config`` but the flow window's fit, which takes numpy."""
+    """Refuse any setting that no run can use, but for the flow window's
+    fit, which takes numpy (``engine.check_fit``; see ``run_command``)."""
     if config.working_w < 1 or config.working_h < 1:
         raise ConfigError(f"working size must be >= 1, got {config.working_w}x{config.working_h}")
     if not config.levels or any(level < 1 for level in config.levels):
@@ -268,27 +276,33 @@ def check_dir(path: Path, role: str) -> None:
         raise ConfigError(f"{role} {path}{where} is not a directory")
 
 
-def prepare_state(config: PipelineConfig, fingerprint: str) -> Path:
-    """Create (or validate) the state dir; refuse fingerprint mismatches,
-    and, before anything is written, an output or state dir that cannot be
-    a directory (``check_dir``)."""
+def prepare_state(
+    config: PipelineConfig, fingerprint: str, check_fit: Callable[[PipelineConfig], None]
+) -> Path:
+    """Create (or validate) the state dir against ``fingerprint``. Where it
+    holds no fingerprint, or another, ``check_fit`` checks the flow
+    window's fit first, before anything is written. Then refuse, before
+    anything is written, an output or state dir that cannot be a directory
+    (``check_dir``), and after its stray temporary files are swept, a
+    fingerprint mismatch."""
     root = state_root(config)
+    fp_file = root / "fingerprint"
+    existing = fp_file.read_text(encoding="utf-8").strip() if fp_file.exists() else None
+    if existing != fingerprint:
+        check_fit(config)
     check_dir(Path(config.out_dir), "output dir")
     check_dir(root, "state dir")
     root.mkdir(parents=True, exist_ok=True)
-    fp_file = root / "fingerprint"
     remove_stray_tmp(root, time.time_ns(), {fp_file.name})
-    if fp_file.exists():
-        existing = fp_file.read_text(encoding="utf-8").strip()
-        if existing != fingerprint:
-            raise ConfigError(
-                f"state dir {root} was produced with different parameters or inputs "
-                f"(fingerprint {existing} != {fingerprint}); use a fresh state "
-                f"dir or restore the original configuration and frame files"
-            )
-    else:
+    if existing is None:
         with committed(fp_file) as tmp:
             tmp.write_text(fingerprint + "\n", encoding="utf-8")
+    elif existing != fingerprint:
+        raise ConfigError(
+            f"state dir {root} was produced with different parameters or inputs "
+            f"(fingerprint {existing} != {fingerprint}); use a fresh state "
+            f"dir or restore the original configuration and frame files"
+        )
     return root
 
 
@@ -300,9 +314,12 @@ def shard_path(out_dir: str | Path, index: int) -> Path:
     return Path(out_dir) / SHARD_NAME_FORMAT.format(index)
 
 
-def series_dump_path(out_dir: str | Path, key: str, kind: str) -> Path:
-    """Where `descriptors.dump_series_text` writes `key`'s series of `kind`."""
-    return Path(out_dir) / (key + _SERIES_SUFFIX[kind])
+def dump_paths(config: PipelineConfig, key: str) -> list[Path]:
+    """The series dumps of ``key``, one per SERIES_KINDS in that order, if
+    --dump-series asks for them: the one place their paths are made."""
+    if not config.dump_series:
+        return []
+    return [Path(config.out_dir) / (key + _SERIES_SUFFIX[kind]) for kind in SERIES_KINDS]
 
 
 def mean_rows_path(state_dir: Path, index: int) -> Path:
@@ -318,10 +335,9 @@ def stage_outputs(
     mean's rows, which sim reads; ``similarity.csv``."""
     out_dir = Path(config.out_dir)
     if stage == STAGE_EXTRACT:
-        kinds = SERIES_KINDS if config.dump_series else ()
         return [
             *(shard_path(out_dir, i) for i in range(len(shard_keys))),
-            *(series_dump_path(out_dir, key, kind) for keys in shard_keys for key in keys for kind in kinds),
+            *(path for keys in shard_keys for key in keys for path in dump_paths(config, key)),
         ]
     if stage == STAGE_MEAN:
         return [out_dir / MEAN_CSD_NAME, *(mean_rows_path(state_dir, i) for i in range(len(shard_keys)))]
@@ -427,54 +443,70 @@ def check_pair_count(path: Path, pair_count: int, video_count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands without the engine
+# The driver
 
 
-def finish(config: PipelineConfig, stages: Sequence[str]) -> ShardKeys | None:
-    """The shard layout if every stage of ``stages`` is finished for
-    ``config`` as the engine would find it, or every one but sim, which
-    this then runs as the engine would (``stage.run_sim``), once the sweeps
-    the engine would run have run; else None, having changed nothing. The
-    CLI asks it before it loads the engine, so re-running a finished
-    command (the normal, idempotent case of a checkpointed pipeline) and
-    scoring the pairs of a finished mean load no numpy.
+class Run(NamedTuple):
+    """What every stage of a command works from (``prepare_run``)."""
 
-    The cheap checks come first: the settings (``check_settings``), then
-    each stage's marker and outputs. Only then are the inputs digested, so
-    that a command the engine then runs lists its frames once. The
-    fingerprint must match. The engine writes it only after
-    ``engine.check_config``, the flow window's fit included, passed for
-    these settings, so its match stands in for that check. With mean among
-    ``stages``, or sim pending, ``mean_csd.csv`` must hold the manifest's
-    pair count, as the engine's stages check; a pending sim checks mean's
-    marker and outputs itself, as in the engine. An error on the way (a
-    bad setting, a missing manifest, an unreadable file) is left for the
-    engine to report, as is any other pending stage.
-    """
-    try:
-        check_settings(config)
-        entries = parse_manifest(config.manifest)
-        shard_keys = shard_layout(entries)
-        state_dir = state_root(config)
-        outputs = {stage: stage_outputs(config, state_dir, stage, shard_keys) for stage in stages}
-        pending = [stage for stage in stages if not stage_done(state_dir, stage, outputs[stage])]
-        if pending not in ([], [STAGE_SIM]):
-            return None
-        fingerprint = (state_dir / "fingerprint").read_text(encoding="utf-8").strip()
-        if fingerprint != config_fingerprint(config, entries):
-            return None
-        if STAGE_MEAN in stages or pending:
-            path = Path(config.out_dir) / MEAN_CSD_NAME
-            check_pair_count(path, read_means(path)[1], len(entries))
-    except (ConfigError, ValueError, OSError):
-        return None
-    remove_stray_tmp(state_dir, time.time_ns(), {"fingerprint"})
+    entries: list[tuple[str, str]]  # the manifest's, in key order
+    shard_keys: ShardKeys  # each shard's sorted keys, empty shards omitted
+    state_dir: Path  # validated against the fingerprint
+    frame_counts: dict[str, int]  # each key's, from the fingerprint's listing
+
+
+def prepare_run(config: PipelineConfig, check_fit: Callable[[PipelineConfig], None]) -> Run:
+    """A command's preamble: check the settings, read the manifest, digest
+    the inputs, then check or write the state dir's fingerprint
+    (``prepare_state``) and cut the shard layout."""
+    check_settings(config)
+    entries = parse_manifest(config.manifest)
+    inputs, frame_counts = _input_digest(entries)
+    state_dir = prepare_state(config, config_fingerprint(config, entries, inputs), check_fit)
+    return Run(entries, shard_layout(entries), state_dir, frame_counts)
+
+
+def run_command(
+    config: PipelineConfig,
+    stages: Sequence[str],
+    check_fit: Callable[[PipelineConfig], None],
+    stage_body: Callable[[PipelineConfig, Run, str, list[Path]], None],
+) -> ShardKeys:
+    """Run ``stages``, some of STAGES in that order, with checkpointing,
+    after one preamble (``prepare_run``); return the shard layout.
+
+    Each stage is first checked, swept and asked whether it is done, here
+    alone: mean's ``mean_csd.csv`` under its marker must hold the
+    manifest's pair count (one of another corpus, from two state dirs
+    sharing one --out, is refused; one that does not parse is rewritten by
+    the reduce, or refused if the marker still vouches for its size), then
+    ``sweep_stage`` removes what dead attempts left, and a stage whose
+    marker vouches for its outputs (``stage_done``) is skipped. A pending
+    sim runs through ``stage.run_sim``; a pending extract or mean through
+    ``stage_body(config, run, stage, outputs)``, the engine's, which
+    the caller supplies with ``check_fit``, the flow window's fit. Neither
+    needs importing before it is called, so a command with nothing left to
+    run, or only sim, loads no numpy."""
+    run = prepare_run(config, check_fit)
     for stage in stages:
-        if stage not in pending:
-            sweep_stage(config, state_dir, stage, outputs[stage])
-    if pending:
-        # imported here: a command with no stage to run loads no stage code
-        from .stage import run_sim
+        outputs = stage_outputs(config, run.state_dir, stage, run.shard_keys)
+        done = stage_done(run.state_dir, stage, outputs)
+        if stage == STAGE_MEAN and marker_path(run.state_dir, stage).exists():
+            try:
+                pair_count = read_means(outputs[0])[1]
+            except (OSError, ValueError):
+                if done:
+                    raise
+            else:
+                check_pair_count(outputs[0], pair_count, len(run.entries))
+        sweep_stage(config, run.state_dir, stage, outputs)
+        if done:
+            continue
+        if stage == STAGE_SIM:
+            # imported here: a command with no stage to run loads no stage code
+            from .stage import run_sim
 
-        run_sim(config, state_dir, shard_keys)
-    return shard_keys
+            run_sim(config, run, outputs)
+        else:
+            stage_body(config, run, stage, outputs)
+    return run.shard_keys

@@ -13,12 +13,12 @@ tests compare it against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .layout import SLOTS, read_means, write_means
+from .layout import SLOTS
 from .pooling import slot_bounds
+
 
 @dataclass
 class MeanCsd:
@@ -147,15 +147,3 @@ def kernel_distance(csd: np.ndarray, mean: MeanCsd) -> np.ndarray:
         if m > 0.0:
             total += csd[..., s] / m
     return total
-
-
-def write_mean_csd_csv(mean: MeanCsd, path: str | Path) -> None:
-    """Persist the six per-slot means as ``layout.write_means`` writes them."""
-    write_means(mean.means.tolist(), mean.pair_count, path)
-
-
-def read_mean_csd_csv(path: str | Path) -> MeanCsd:
-    """The file as the mean stage writes it (``layout.read_means``, which
-    checks every line), as a MeanCsd."""
-    means, pair_count = read_means(path)
-    return MeanCsd(means=np.array(means), pair_count=pair_count)

@@ -1,22 +1,17 @@
 """
-How a stage runs, and the whole sim stage, without numpy.
+How a pending stage runs, and the whole sim stage, without numpy.
 
-``run_stage`` is every stage's bookkeeping, the engine's and this module's
-alike: it removes what dead attempts left of the stage's files
-(``layout.sweep_stage``), returns if the stage is done
-(``layout.stage_done``), refuses missing inputs, runs the tasks whose
-outputs are missing through the runner the engine gives it and skips the
-rest, logs the task counts, reduces and commits the marker
-(``layout.write_marker``).
+The driver (``layout.run_command``) has already swept a stage's files and
+found it not done when ``run_stage`` runs it, the engine's stages and sim
+alike: it refuses missing inputs, runs the tasks whose outputs are missing
+through the runner the engine gives it and skips the rest, logs the task
+counts, reduces and commits the marker (``layout.write_marker``).
 
 A mean task writes one row per pair of six little-endian float64 slot
 distances (``ROW_DTYPE``, ``ROW_BYTES``). ``key_rows`` walks the row files
 in global key-pair order, one file open at a time, for mean's reduce and
 sim's. Sim runs no tasks and needs no numpy: ``run_sim`` scores each pair
 from its row and the corpus means (``write_similarity``).
-
-``layout.finish`` runs ``run_sim`` for a command whose only pending stage
-is sim, without the engine.
 """
 
 from __future__ import annotations
@@ -41,15 +36,14 @@ from .layout import (
     STAGES,
     ConfigError,
     PipelineConfig,
+    Run,
     ShardKeys,
     StageError,
     check_pair_count,
     marker_path,
     mean_rows_path,
     read_means,
-    stage_done,
     stage_outputs,
-    sweep_stage,
     write_marker,
 )
 
@@ -100,17 +94,12 @@ def run_stage(
     run_packet: Callable[[PipelineConfig, list[Task]], TaskResults] | None = None,
     pack: Callable[[list[Task]], list[list[Task]]] | None = None,
 ) -> None:
-    """Run ``stage`` unless it is done (see the module docstring): first
-    ``layout.sweep_stage`` removes what dead attempts left of its files,
-    then ``layout.stage_done`` asks its marker for ``outputs``. ``needs``
-    are the earlier stage's outputs that it reads. ``run_packet`` runs a
-    packet of pending ``tasks``, a module-level function so that a worker
-    process can run it; ``pack`` cuts the pending tasks into packets, each
-    run in one call by one worker, and without it each task is a packet
-    of its own."""
-    sweep_stage(config, state_dir, stage, outputs)
-    if stage_done(state_dir, stage, outputs):
-        return
+    """Run ``stage``, which is not done (see the module docstring), and
+    commit its marker over ``outputs``. ``needs`` are the earlier stage's
+    outputs that it reads. ``run_packet`` runs a packet of pending
+    ``tasks``, a module-level function so that a worker process can run
+    it; ``pack`` cuts the pending tasks into packets, each run in one call
+    by one worker, and without it each task is a packet of its own."""
     missing = next((path for path in needs if not path.exists()), None)
     if missing is not None:
         raise ConfigError(f"missing {missing} (run {STAGES[STAGES.index(stage) - 1]} first)")
@@ -255,18 +244,17 @@ def write_similarity(
                 out.write("\n")
 
 
-def run_sim(config: PipelineConfig, state_dir: Path, shard_keys: ShardKeys) -> None:
-    """The sim stage (``run_stage``): no tasks and no shard read. It needs
-    mean's marker and outputs; its reduce refuses, as a resumed mean stage
-    does, a ``mean_csd.csv`` whose pair count is not the layout's, then
-    writes ``similarity.csv`` (``write_similarity``)."""
-    mean_outputs = stage_outputs(config, state_dir, STAGE_MEAN, shard_keys)
-    outputs = stage_outputs(config, state_dir, STAGE_SIM, shard_keys)
+def run_sim(config: PipelineConfig, run: Run, outputs: list[Path]) -> None:
+    """The pending sim stage (``run_stage``): no tasks and no shard read.
+    It needs mean's marker and outputs; its reduce refuses, as a resumed
+    mean stage does, a ``mean_csd.csv`` whose pair count is not the
+    manifest's, then writes ``similarity.csv`` (``write_similarity``)."""
+    mean_outputs = stage_outputs(config, run.state_dir, STAGE_MEAN, run.shard_keys)
 
     def reduce() -> None:
         means, pair_count = read_means(mean_outputs[0])
-        check_pair_count(mean_outputs[0], pair_count, sum(map(len, shard_keys)))
-        write_similarity(outputs[0], state_dir, shard_keys, means)
+        check_pair_count(mean_outputs[0], pair_count, len(run.entries))
+        write_similarity(outputs[0], run.state_dir, run.shard_keys, means)
 
-    needs = [marker_path(state_dir, STAGE_MEAN), *mean_outputs]
-    run_stage(config, state_dir, STAGE_SIM, outputs, reduce, needs)
+    needs = [marker_path(run.state_dir, STAGE_MEAN), *mean_outputs]
+    run_stage(config, run.state_dir, STAGE_SIM, outputs, reduce, needs)

@@ -282,7 +282,8 @@ def test_criterion_7_pair_accounting(tmp_path, monkeypatch):
                 for i in range(shard_count)
                 for record in read_archive(out / f"features-{i:05d}.potf")
             }
-            for task in plan_pair_stage(engine._prepare_stage(cfg)[1], out / "state"):
+            shard_keys = layout.prepare_run(cfg, engine.check_fit).shard_keys
+            for task in plan_pair_stage(shard_keys, out / "state"):
                 pairs = sum(shard_of[a] == task.payload[0] for a, _ in oracle)
                 assert os.path.getsize(task.out_path) == 48 * pairs, task.label
 

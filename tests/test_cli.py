@@ -110,12 +110,29 @@ class TestExtractCommand:
     def test_poly_sigma_without_a_fit_is_usage_error(self, tmp_path, capsys, value, reason):
         """A poly_sigma for which poly_expand's normal matrix cannot be
         inverted (every weight off the centre is 0) or cannot be built
-        (its square overflows) is refused before any input is read, not by
-        every extract task."""
+        (its square overflows) is refused before anything is written, not
+        by every extract task."""
         manifest = make_corpus(tmp_path / "c", n=2)
         assert run_cli("run", manifest, tmp_path / "out", ["--poly-sigma", value]) == 2
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "out" / "state").exists()
+
+    def test_poly_sigma_without_a_fit_on_another_state_dir_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        """On a state dir made with other settings, such a poly_sigma is
+        refused by its fit, not by the fingerprint it does not match, and
+        nothing under --out changes: the fingerprint vouches for the fit
+        only where it matches."""
+        manifest = make_corpus(tmp_path / "c", n=2)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        before = out_tree(out)
+        capsys.readouterr()
+        for command in ("extract", "mean", "sim", "run"):
+            assert run_cli(command, manifest, out, ["--poly-sigma", "0.01"]) == 2, command
+            assert "normal matrix singular" in capsys.readouterr().err, command
+            assert out_tree(out) == before, command
 
     def test_poly_n_window_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
         """A --poly-n whose window cannot be allocated (100001 would take
@@ -279,25 +296,25 @@ def out_tree(out):
 
 
 class TestFinishedCommand:
-    """A command whose stages are all finished answers from
-    ``layout.finish`` without the engine; anything stale falls through to
-    the engine, which behaves as it did before that check existed."""
+    """A command whose stages are all finished answers from the driver
+    (``layout.run_command``) without the engine; anything stale is handed
+    to the engine's stage body, stage by stage."""
 
     @pytest.mark.parametrize("dump", [False, True])
     @pytest.mark.parametrize("command", ["extract", "mean", "sim", "run"])
     def test_same_line_code_and_files_as_the_engine(
-        self, tmp_path, monkeypatch, capsys, caplog, command, dump
+        self, tmp_path, capsys, caplog, command, dump
     ):
         """On a finished state dir, with a stray temporary file of a dead
         writer beside each stage's files and the fingerprint, a command
-        prints the engine's line to stdout and nothing to stderr, exits 0,
-        and leaves every file under --out, the state dir included, as the
-        engine leaves it: both remove the strays of the stages the command
-        runs and keep the others."""
+        prints its line to stdout and nothing to stderr, logs nothing,
+        exits 0, and leaves every file under --out, the state dir
+        included, as the finished run left it, but for the strays of the
+        stages the command runs, which it removes."""
         manifest = make_corpus(tmp_path / "c", n=3)
         flags = ["--dump-series"] if dump else []
-        base = tmp_path / "base"
-        assert run_cli("run", manifest, base, flags) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out, flags) == 0
         gone = subprocess.Popen([sys.executable, "-c", "pass"])
         gone.wait()
         attempt = f".{gone.pid}.0a1b2c3d.tmp"
@@ -313,82 +330,81 @@ class TestFinishedCommand:
         }
         past = time.time_ns() - 10**9
         for name in strays:
-            (base / name).write_bytes(b"cut short")
-            os.utime(base / name, ns=(past, past))
-        out = tmp_path / "out"
+            (out / name).write_bytes(b"cut short")
+            os.utime(out / name, ns=(past, past))
+        before = out_tree(out)
+        ran = ("extract", "mean", "sim") if command == "run" else (command,)
+        swept = {name for name, stage in strays.items() if stage is None or stage in ran}
         argv = [command, *(flags if command in ("extract", "run") else [])]
+        lines = {
+            "extract": f"wrote 1 shard(s) to {out}",
+            "mean": "wrote mean_csd.csv (pair_count=3)",
+        }
         caplog.set_level("INFO", logger="potsim")
         capsys.readouterr()
 
-        results = []
-        for engine_only in (False, True):
-            shutil.rmtree(out, ignore_errors=True)
-            shutil.copytree(base, out)
-            if engine_only:  # the CLI runs every command in the engine
-                monkeypatch.setattr(layout, "finish", lambda config, stages: None)
-            caplog.clear()
-            code = run_cli(argv[0], manifest, out, argv[1:])
-            captured = capsys.readouterr()
-            results.append((code, captured.out, captured.err, caplog.messages, out_tree(out)))
-        assert results[0] == results[1]
-        code, stdout, stderr, logs, tree = results[0]
-        assert (code, stderr, logs) == (0, "", [])
-        assert stdout.startswith("wrote ")
-        ran = ("extract", "mean", "sim") if command == "run" else (command,)
-        assert {name for name in tree if name.endswith(attempt)} == {
-            name for name, stage in strays.items() if stage is not None and stage not in ran
-        }
+        assert run_cli(argv[0], manifest, out, argv[1:]) == 0
+        captured = capsys.readouterr()
+        assert (captured.err, caplog.messages) == ("", [])
+        assert captured.out == lines.get(command, f"wrote {out / 'similarity.csv'}") + "\n"
+        assert out_tree(out) == {name: data for name, data in before.items() if name not in swept}
 
-    def test_inputs_digested_once(self, tmp_path, monkeypatch, capsys):
-        """A finished command digests its inputs once, in layout.finish. A
-        pending mean or sim (a deleted output) digests them once too, in the
-        engine or, for sim, in layout.finish, which runs it: it checks the
-        outputs before the digest. It rewrites the output with the same
-        bytes."""
+    def test_inputs_digested_once(self, tmp_path, capsys):
+        """Every command reads the manifest once and digests its inputs
+        once, in the driver, whatever it finds: all stages finished, or an
+        extract (a deleted shard), a mean (a deleted row file or
+        mean_csd.csv) or a sim (a deleted similarity.csv) left to run. Each
+        pending stage rewrites its output with the same bytes. The calls
+        are counted by the functions' code, whatever name calls them."""
         manifest = make_corpus(tmp_path / "c", n=3)
         out = tmp_path / "out"
         assert run_cli("run", manifest, out) == 0
-        calls = []
-        real = layout._input_digest
+        counted = {f.__code__: f.__name__ for f in (layout.parse_manifest, layout._input_digest)}
 
-        def counted(entries):
-            calls.append(len(entries))
-            return real(entries)
+        def calls(command):
+            names = []
 
-        # the digests taken by layout.finish and by the engine
-        monkeypatch.setattr(layout, "_input_digest", counted)
-        monkeypatch.setattr(engine, "_input_digest", counted)
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code in counted:
+                    names.append(counted[frame.f_code])
+
+            sys.setprofile(profile)
+            try:
+                assert run_cli(command, manifest, out) == 0
+            finally:
+                sys.setprofile(None)
+            return names
+
+        once = ["parse_manifest", "_input_digest"]
         for command in ("extract", "mean", "sim", "run"):
-            calls.clear()
-            assert run_cli(command, manifest, out) == 0
-            assert calls == [3], command
-        for command, output in (("mean", "mean_csd.csv"), ("sim", "similarity.csv")):
+            assert calls(command) == once, command
+        pending = (
+            ("extract", "features-00000.potf"),
+            ("mean", "state/mean/rows-0.out"),
+            ("mean", "mean_csd.csv"),
+            ("sim", "similarity.csv"),
+        )
+        for command, output in pending:
             before = (out / output).read_bytes()
             (out / output).unlink()
-            calls.clear()
-            assert run_cli(command, manifest, out) == 0
-            assert calls == [3], command
+            assert calls(command) == once, output
             assert (out / output).read_bytes() == before
         capsys.readouterr()
 
-    @pytest.mark.parametrize("engine_only", [False, True], ids=["finish", "engine"])
     @pytest.mark.parametrize(
         "output, stage_name, commands",
         [("similarity.csv", "sim", ["sim", "run"]), ("mean_csd.csv", "mean", ["mean", "run"])],
     )
     def test_output_emptied_under_its_marker_reruns_its_reduce(
-        self, tmp_path, monkeypatch, capsys, caplog, output, stage_name, commands, engine_only
+        self, tmp_path, capsys, caplog, output, stage_name, commands
     ):
         """An output emptied under its stage's marker, as a crash that
         renames a file before its data reach the disk can leave it, is not
         finished: the command reruns that stage's reduce, and no task and
-        no other stage, to a fresh run's files, markers included, whether
-        layout.finish answers or the engine does."""
+        no other stage, to a fresh run's files, markers included."""
         manifest = make_corpus(tmp_path / "c", n=3)
         base = tmp_path / "base"
         assert run_cli("run", manifest, base) == 0
-        if engine_only:
-            monkeypatch.setattr(layout, "finish", lambda config, stages: None)
         caplog.set_level("INFO", logger="potsim")
         pattern = r"stage=(\w+) tasks_ran=(\d+) tasks_skipped=(\d+) tasks_failed=0"
         for command in commands:
@@ -429,6 +445,20 @@ class TestFinishedCommand:
         capsys.readouterr()
         assert run_cli(command, manifest, out) == 1
         assert "pair count 6 where the manifest's 3 videos make 3 pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mean", "run"])
+    def test_mean_csd_spoilt_at_its_recorded_size_is_refused(self, tmp_path, capsys, command):
+        """A mean_csd.csv that no longer parses but keeps the size mean's
+        marker records is not rewritten, since the done rule cannot see it:
+        mean and run fail with exit 1, naming the file and line."""
+        manifest = make_corpus(tmp_path / "c", n=3)
+        out = tmp_path / "out"
+        assert run_cli("run", manifest, out) == 0
+        path = out / "mean_csd.csv"
+        path.write_bytes(path.read_bytes().replace(b"series", b"serieX"))
+        capsys.readouterr()
+        assert run_cli(command, manifest, out) == 1
+        assert f"{path}:1: bad mean CSD header" in capsys.readouterr().err
 
     def test_zero_workers_is_usage_error(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path / "c", n=3)

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import blob_video, noise_video
-from potsim import descriptors
+from potsim import descriptors, layout
 from potsim.descriptors import (
     HISTOGRAM_DIM,
     compute_series,
@@ -327,8 +328,13 @@ def load_series_text(path):
 
 class TestSeriesTextDump:
     def test_filenames_and_line_counts(self, tmp_path):
-        p1 = dump_series_text(np.zeros((2, HISTOGRAM_DIM)), "hof", "vid", tmp_path)
-        p2 = dump_series_text(np.ones((1, HISTOGRAM_DIM)), "hog", "vid", tmp_path)
+        """layout.dump_paths names a key's dumps, HoF's then HoG's, and
+        none without --dump-series."""
+        config = layout.PipelineConfig(manifest="m", out_dir=str(tmp_path / "out"))
+        assert layout.dump_paths(config, "vid") == []
+        p1, p2 = layout.dump_paths(dataclasses.replace(config, dump_series=True), "vid")
+        dump_series_text(np.zeros((2, HISTOGRAM_DIM)), p1)
+        dump_series_text(np.ones((1, HISTOGRAM_DIM)), p2)
         assert p1.name == "vid.of.txt" and p2.name == "vid.hog.txt"
         assert len(p1.read_text().splitlines()) == 2
         assert len(p2.read_text().splitlines()) == 1
@@ -336,5 +342,6 @@ class TestSeriesTextDump:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         series = rng.uniform(0, 1000, size=(3, HISTOGRAM_DIM))
-        path = dump_series_text(series, "hof", "v", tmp_path)
+        path = tmp_path / "v.of.txt"
+        dump_series_text(series, path)
         np.testing.assert_array_equal(load_series_text(path), series)

@@ -30,9 +30,7 @@ from potsim.engine import (
     PipelineConfig,
     STAGE_MEAN,
     StageError,
-    check_config,
-    config_fingerprint,
-    parse_manifest,
+    check_fit,
     plan_extract,
     plan_packets,
     plan_pair_stage,
@@ -42,8 +40,9 @@ from potsim.engine import (
     run_similarity,
 )
 from potsim.flow import FarnebackParams
+from potsim.layout import config_fingerprint, parse_manifest
 from potsim.pooling import SLOTS
-from potsim.similarity import chi_square, mean_csd, write_mean_csd_csv
+from potsim.similarity import chi_square, mean_csd
 
 FAST_FB = FarnebackParams(levels=1, winsize=7, iterations=1)
 
@@ -103,7 +102,7 @@ def to_shard_pair_layout(out, cfg):
     """Rewrite a state dir's mean rows in the layout of earlier versions:
     one mean/task-N.out per shard pair (i, j), i <= j, in that order,
     holding the rows of shard i's keys with their partners in shard j."""
-    _, shard_keys, state, _ = engine._prepare_stage(cfg)
+    _, shard_keys, state, _ = layout.prepare_run(cfg, check_fit)
     tasks = plan_pair_stage(shard_keys, state)
     keys = [key for shard in shard_keys for key in shard]
     shard_of = {key: i for i, shard in enumerate(shard_keys) for key in shard}
@@ -188,7 +187,8 @@ class TestPlanning:
         for n, sizes in ((64, [64]), (65, [33, 32]), (129, [43, 43, 43])):
             manifest = tmp_path / f"m{n}.txt"
             manifest.write_text("".join(f"v{i:03d},gone{i}\n" for i in reversed(range(n))))
-            _, shard_keys, _, _ = engine._prepare_stage(fast_config(manifest, tmp_path / f"o{n}"))
+            cfg = fast_config(manifest, tmp_path / f"o{n}")
+            shard_keys = layout.prepare_run(cfg, check_fit).shard_keys
             assert [len(keys) for keys in shard_keys] == sizes
             assert max(sizes) <= layout.VIDEOS_PER_SHARD
             assert [key for keys in shard_keys for key in keys] == [f"v{i:03d}" for i in range(n)]
@@ -224,7 +224,8 @@ class TestPlanning:
             overrides.append({"farneback": dataclasses.replace(FAST_FB, **{param.name: changed})})
         for override in overrides:
             changed = fast_config(manifest, tmp_path / "out", **override)
-            check_config(changed)
+            layout.check_settings(changed)
+            check_fit(changed)
             assert config_fingerprint(base, entries) != config_fingerprint(changed, entries), override
 
     def test_input_digest_equals_a_listing_then_stat_per_frame(self, tmp_path):
@@ -268,8 +269,8 @@ class TestPlanning:
             fh.write("v03,gone\n")
         entries = parse_manifest(manifest)
         assert [key for key, _ in entries] == ["v00", "v01", "v02", "v03"]
-        assert engine._input_digest(entries) == listed_then_stated(entries)
-        assert engine._input_digest(entries)[1] == {"v00": 5, "v01": 0, "v02": 3, "v03": 0}
+        assert layout._input_digest(entries) == listed_then_stated(entries)
+        assert layout._input_digest(entries)[1] == {"v00": 5, "v01": 0, "v02": 3, "v03": 0}
 
 
 class TestConfigCheck:
@@ -457,7 +458,7 @@ class TestPackets:
         for frame in (root / "v02").iterdir():
             frame.write_bytes(b"P5\n")
         cfg = fast_config(manifest, tmp_path / "out")
-        entries, _, state, counts = engine._prepare_stage(cfg)
+        entries, _, state, counts = layout.prepare_run(cfg, check_fit)
         (state / "extract").mkdir()
         [packet] = plan_packets(cfg, plan_extract(cfg, entries, state), counts)
         start = time.monotonic()
@@ -483,7 +484,7 @@ class TestPackets:
         manifest = write_corpus(tmp_path / "c", videos)
         cfg = PipelineConfig(manifest=str(manifest), out_dir=str(tmp_path / "out"),
                              working_w=32, working_h=32, workers=1)
-        entries, _, state, counts = engine._prepare_stage(cfg)
+        entries, _, state, counts = layout.prepare_run(cfg, check_fit)
         (state / "extract").mkdir()
         packets = plan_packets(cfg, plan_extract(cfg, entries, state), counts)
         assert [len(packet) for packet in packets] == [8, 8, 8, 1]
@@ -598,7 +599,7 @@ class TestFullPipeline:
         cfg = fast_config(manifest, out)
         entries = parse_manifest(manifest)
         payload = {
-            "inputs": engine._input_digest(entries)[0],
+            "inputs": layout._input_digest(entries)[0],
             "working": [cfg.working_w, cfg.working_h],
             "levels": list(cfg.levels),
             "hog_threshold": cfg.hog_threshold,
@@ -1205,7 +1206,8 @@ class TestPairStages:
             for s, pair in enumerate(zip(slots_of(features[a]), slots_of(features[b]))):
                 sums[s] += chi_square(*pair)
         assert len(pairs) == 66
-        write_mean_csd_csv(mean_csd(sums, len(pairs)), tmp_path / "reference.csv")
+        mean = mean_csd(sums, len(pairs))
+        layout.write_means(mean.means.tolist(), mean.pair_count, tmp_path / "reference.csv")
         assert (out / "mean_csd.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize(
@@ -1218,7 +1220,7 @@ class TestPairStages:
         from scalars: chi_square per slot, a += mean in key-pair order, the
         kernel as a loop over slots that skips a slot of mean 0, math.exp
         and repr. Both from `run`, in the engine, and from `sim` alone on
-        a copy finished through mean, which layout.finish runs without it. A
+        a copy finished through mean, which the driver runs without it. A
         HoG threshold that no frame difference reaches makes the three HoG
         slots' means 0."""
         videos = {f"n{i:02d}": noise_video(5, 24, seed=70 + i) for i in range(24)}
@@ -1237,7 +1239,9 @@ class TestPairStages:
         (copy / "state" / "sim.done").unlink()
         flags = [] if hog_threshold is None else ["--hog-threshold", str(hog_threshold)]
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "run_stages", None)  # the CLI must not need it
+            # the CLI must need neither half of the engine's
+            patch.setattr(engine, "check_fit", None)
+            patch.setattr(engine, "stage_body", None)
             assert main([*fast_argv("sim", manifest, copy), *flags]) == 0
 
         features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
@@ -1297,7 +1301,7 @@ class TestPairStages:
         run_mean(cfg)
 
         features = {r.key: r.feature for p in out.glob("features-*.potf") for r in read_archive(p)}
-        tasks = plan_pair_stage(engine._prepare_stage(cfg)[1], out / "state")
+        tasks = plan_pair_stage(layout.prepare_run(cfg, check_fit).shard_keys, out / "state")
         assert len(tasks) == shards
         for task in tasks:
             own = task.payload[1][0]

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import slots_of
 from potsim import similarity
+from potsim.layout import read_means, write_means
 from potsim.pooling import SLOTS
 from potsim.similarity import (
     MeanCsd,
@@ -18,8 +19,6 @@ from potsim.similarity import (
     kernel_distance,
     mean_csd,
     ordered_sum,
-    read_mean_csd_csv,
-    write_mean_csd_csv,
 )
 from potsim.stage import similarity_score
 
@@ -348,19 +347,14 @@ class TestSimilarityScore:
 class TestMeanCsdCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
-        mean = MeanCsd(
-            means=np.array([float(rng.uniform(0, 1e6)) for slot in SLOTS]), pair_count=45
-        )
+        means = [float(rng.uniform(0, 1e6)) for slot in SLOTS]
         path = tmp_path / "mean_csd.csv"
-        write_mean_csd_csv(mean, path)
-        back = read_mean_csd_csv(path)
-        assert back.pair_count == 45
-        assert back.means.tolist() == mean.means.tolist()
+        write_means(means, 45, path)
+        assert read_means(path) == (means, 45)
 
     def test_row_layout(self, tmp_path):
-        mean = MeanCsd(means=per_slot(1.5), pair_count=3)
         path = tmp_path / "mean_csd.csv"
-        write_mean_csd_csv(mean, path)
+        write_means(per_slot(1.5).tolist(), 3, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "series,pooling,mean_csd,pair_count"
         assert len(lines) == 7
@@ -370,7 +364,7 @@ class TestMeanCsdCsv:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
-            read_mean_csd_csv(path)
+            read_means(path)
 
 
 def test_scaling_leaves_scores_unchanged():
